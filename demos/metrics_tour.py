@@ -6,11 +6,14 @@ per-group recall averaged over classes; ba measures how lopsidedly each
 predicted class is drawn from one group; dp is the variance of per-group
 prediction rates averaged over classes.
 """
-from fedbias.metrics import PredictionRecord as R, full_report
+import numpy as np
+
+from fedbias.metrics import full_report, tally
 
 
 def show(title, records, num_classes, num_groups):
-    report = full_report(records, num_classes, num_groups)
+    predicted, actual, group = np.array(records).T
+    report = full_report(tally(predicted, actual, group, num_classes, num_groups))
     print(title)
     for name in ("acc", "ser", "eo", "ba", "dp"):
         value = report.metric(name)
@@ -20,7 +23,7 @@ def show(title, records, num_classes, num_groups):
 # Perfectly accurate and perfectly balanced.
 show(
     "perfect classifier, balanced groups",
-    [R(0, 0, 0), R(1, 1, 0), R(0, 0, 1), R(1, 1, 1)],
+    [(0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)],
     num_classes=2,
     num_groups=2,
 )
@@ -29,8 +32,8 @@ show(
 # all its errors on class 0 and group 1 on class 1, so eo lights up.
 show(
     "\nequal error rates, unequal recall per class",
-    [R(1, 0, 0), R(0, 0, 0), R(1, 1, 0), R(1, 1, 0),
-     R(0, 0, 1), R(0, 0, 1), R(0, 1, 1), R(1, 1, 1)],
+    [(1, 0, 0), (0, 0, 0), (1, 1, 0), (1, 1, 0),
+     (0, 0, 1), (0, 0, 1), (0, 1, 1), (1, 1, 1)],
     num_classes=2,
     num_groups=2,
 )
@@ -39,7 +42,7 @@ show(
 # error ratio degenerates to infinity.
 show(
     "\none group entirely wrong",
-    [R(1, 0, 0), R(0, 1, 0), R(0, 0, 1), R(1, 1, 1)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
     num_classes=2,
     num_groups=2,
 )
@@ -49,7 +52,7 @@ show(
 # examples also live in a single group, so eo has nothing to compare.
 show(
     "\npredicted classes sourced from single groups",
-    [R(0, 0, 0), R(0, 0, 0), R(1, 1, 1), R(1, 1, 1)],
+    [(0, 0, 0), (0, 0, 0), (1, 1, 1), (1, 1, 1)],
     num_classes=2,
     num_groups=2,
 )
@@ -58,7 +61,7 @@ show(
 # the report marks them absent instead of inventing a number.
 show(
     "\nsingle-group log (ser and eo are meaningless here)",
-    [R(0, 0, 0), R(1, 1, 0), R(1, 0, 0)],
+    [(0, 0, 0), (1, 1, 0), (1, 0, 0)],
     num_classes=2,
     num_groups=1,
 )

@@ -31,6 +31,7 @@ from .metrics import (
     FairnessReport,
     full_report,
     load_prediction_log,
+    tally,
 )
 
 # Lower is better for every metric except accuracy.
@@ -129,8 +130,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    records = load_prediction_log(args.predictions)
-    report = full_report(records, args.num_classes, args.num_groups)
+    log = load_prediction_log(args.predictions)
+    report = full_report(tally(*log, args.num_classes, args.num_groups))
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     print(payload)
     if args.out:

@@ -229,6 +229,9 @@ def load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
         labels[i] = y
         groups[i] = g
 
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise DataFormatError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
     return Dataset(feats, labels, groups, num_classes, num_groups)
 
 

@@ -20,8 +20,10 @@ gives bit-identical results to running them sequentially.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -36,7 +38,8 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .head import predict_batch
-from .metrics import FairnessReport, full_report, mean_reports, records_from_arrays
+from .metrics import FairnessReport, full_report, mean_reports, tally
+from .metrics import records_from_arrays  # noqa: F401  (a span target of perfbench/tracing.py)
 from .nn import (
     Batch,
     ClassifierSpec,
@@ -233,19 +236,21 @@ def predict_dataset(
     spec: ClassifierSpec, weights: ModelWeights, dataset: Dataset
 ) -> np.ndarray:
     """Predicted class per example; group-marginalized under the
-    domain-independent head, plain argmax otherwise."""
+    domain-independent head, plain argmax otherwise (a plain head is a
+    one-group block). Non-finite logits raise ``NumericError``."""
     logits = forward_batch(spec, weights, dataset.features)
-    if spec.head_mode is HeadMode.DOMAIN_INDEPENDENT:
-        return predict_batch(logits, spec.num_classes, spec.num_groups)
-    return np.argmax(logits, axis=1)
+    blocks = spec.num_groups if spec.head_mode is HeadMode.DOMAIN_INDEPENDENT else 1
+    return predict_batch(logits, spec.num_classes, blocks)
 
 
 def evaluate_weights(
     spec: ClassifierSpec, weights: ModelWeights, test_set: Dataset
 ) -> FairnessReport:
     predictions = predict_dataset(spec, weights, test_set)
-    records = records_from_arrays(predictions, test_set.labels, test_set.groups)
-    return full_report(records, test_set.num_classes, test_set.num_groups)
+    counts = tally(
+        predictions, test_set.labels, test_set.groups, test_set.num_classes, test_set.num_groups
+    )
+    return full_report(counts)
 
 
 _WRAPPABLE = (
@@ -257,6 +262,15 @@ _WRAPPABLE = (
     ValueError,
     ArithmeticError,
 )
+
+
+@contextmanager
+def _in_context(where: str):
+    """Re-raise a library error with ``where`` (round, client, phase) prefixed."""
+    try:
+        yield
+    except _WRAPPABLE as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None:
@@ -304,19 +318,22 @@ def run_federation(
     clients = [ClientState(k, part, init) for k, part in enumerate(partitions)]
     total_samples = sum(c.sample_count for c in clients)
 
-    def evaluate(global_weights: ModelWeights) -> FairnessReport | None:
+    def evaluate(round_index: int, global_weights: ModelWeights) -> FairnessReport | None:
         if test_set is None:
             return None
-        if local_mode:
-            return mean_reports(
-                [evaluate_weights(spec, c.local_weights, test_set) for c in clients]
-            )
-        return evaluate_weights(spec, global_weights, test_set)
+        if not local_mode:
+            with _in_context(f"round {round_index}, evaluation"):
+                return evaluate_weights(spec, global_weights, test_set)
+        reports = []
+        for c in clients:
+            with _in_context(f"round {round_index}, client {c.client_id}, evaluation"):
+                reports.append(evaluate_weights(spec, c.local_weights, test_set))
+        return mean_reports(reports)
 
     start = time.perf_counter()
     global_weights = init
     history = [
-        RoundSnapshot(0, evaluate(global_weights), None, time.perf_counter() - start)
+        RoundSnapshot(0, evaluate(0, global_weights), None, time.perf_counter() - start)
     ]
 
     for round_index in range(1, config.rounds + 1):
@@ -324,7 +341,7 @@ def run_federation(
 
         def train_one(client: ClientState) -> ClientUpdate:
             incoming = client.local_weights if local_mode else global_weights
-            return client_local_train(
+            update = client_local_train(
                 client,
                 incoming,
                 spec,
@@ -334,24 +351,21 @@ def run_federation(
                 config.batch_size,
                 shuffle_seed(config.master_seed, client.client_id, round_index),
             )
+            if not (math.isfinite(update.mean_loss) and np.isfinite(update.weights.values).all()):
+                raise NumericError("local training produced non-finite weights or loss")
+            return update
 
         updates: list[ClientUpdate] = []
         if config.parallel_clients and len(clients) > 1:
             with ThreadPoolExecutor(max_workers=len(clients)) as pool:
                 futures = [(c.client_id, pool.submit(train_one, c)) for c in clients]
                 for cid, future in futures:
-                    try:
+                    with _in_context(f"round {round_index}, client {cid}"):
                         updates.append(future.result())
-                    except _WRAPPABLE as exc:
-                        raise type(exc)(f"round {round_index}, client {cid}: {exc}") from exc
         else:
             for client in clients:
-                try:
+                with _in_context(f"round {round_index}, client {client.client_id}"):
                     updates.append(train_one(client))
-                except _WRAPPABLE as exc:
-                    raise type(exc)(
-                        f"round {round_index}, client {client.client_id}: {exc}"
-                    ) from exc
         updates.sort(key=lambda u: u.client_id)
 
         clients = [
@@ -359,15 +373,13 @@ def run_federation(
             for client, update in zip(clients, updates)
         ]
         if not local_mode:
-            try:
+            with _in_context(f"round {round_index}, aggregation"):
                 global_weights = fedavg_aggregate(
                     [(u.client_id, u.weights, u.num_samples) for u in updates]
                 )
-            except _WRAPPABLE as exc:
-                raise type(exc)(f"round {round_index}, aggregation: {exc}") from exc
 
         due = round_index % eval_every == 0 or round_index == config.rounds
-        report = evaluate(global_weights) if due else None
+        report = evaluate(round_index, global_weights) if due else None
         mean_loss = sum(u.mean_loss for u in updates) / len(updates)
         history.append(
             RoundSnapshot(round_index, report, mean_loss, time.perf_counter() - start)

@@ -1,7 +1,8 @@
 """Accuracy and group-fairness metrics over prediction logs.
 
-Five metrics are computed from a (group, actual, predicted) count
-tensor:
+A prediction log is three equal-length integer arrays (predicted
+class, actual class, group); ``tally`` counts it into a (group, actual,
+predicted) tensor, from which five metrics are computed:
 
 - ``accuracy``: overall fraction of correct predictions.
 - ``skewed_error_ratio``: worst group error rate over best group error
@@ -13,10 +14,10 @@ tensor:
 - ``demographic_parity``: mean over classes of the across-group
   variance of prediction rates.
 
-Variances are population variances. All ratio arithmetic uses plain
-Python floats in a fixed iteration order (groups, then classes,
-ascending), so an independent per-record recount reproduces every value
-bit for bit.
+Variances are population variances. The tensor's integer marginals are
+read out once; all ratio arithmetic on them uses plain Python floats in
+a fixed iteration order (groups, then classes, ascending), so an
+independent per-record recount reproduces every value bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,64 +74,99 @@ class CountTensor:
         return int(self.counts.sum())
 
 
-def tally(records: Sequence[PredictionRecord], num_classes: int, num_groups: int) -> CountTensor:
-    """Exact, order-independent counting of a prediction log."""
-    counts = np.zeros((num_groups, num_classes, num_classes), dtype=np.int64)
-    if records:
-        pred = np.array([r.predicted for r in records], dtype=np.int64)
-        actual = np.array([r.actual for r in records], dtype=np.int64)
-        group = np.array([r.group for r in records], dtype=np.int64)
-        for name, arr, limit in (
-            ("predicted", pred, num_classes),
-            ("actual", actual, num_classes),
-            ("group", group, num_groups),
-        ):
-            if arr.min() < 0 or arr.max() >= limit:
-                raise ValueError(f"{name} index out of range [0, {limit})")
-        np.add.at(counts, (group, actual, pred), 1)
+def tally(
+    predicted: np.ndarray,
+    actual: np.ndarray,
+    group: np.ndarray,
+    num_classes: int,
+    num_groups: int,
+) -> CountTensor:
+    """Exact, order-independent counting of a prediction log given as three
+    equal-length integer arrays, one entry per record."""
+    columns = []
+    for name, values, limit in (
+        ("predicted", predicted, num_classes),
+        ("actual", actual, num_classes),
+        ("group", group, num_groups),
+    ):
+        arr = np.asarray(values)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
+        if arr.size and (arr.min() < 0 or arr.max() >= limit):
+            raise ValueError(f"{name} index out of range [0, {limit})")
+        columns.append(arr)
+    pred, actual, group = columns
+    if not pred.ndim == actual.ndim == group.ndim == 1 or not (
+        len(pred) == len(actual) == len(group)
+    ):
+        raise ValueError("predicted, actual and group must be 1-D arrays of one length")
+    flat = (group * num_classes + actual) * num_classes + pred
+    size = num_groups * num_classes * num_classes
+    counts = np.bincount(flat, minlength=size).reshape(num_groups, num_classes, num_classes)
     return CountTensor(counts)
 
 
 def records_from_arrays(
     predicted: np.ndarray, actual: np.ndarray, group: np.ndarray
 ) -> list[PredictionRecord]:
+    """One record per entry, for record-based reference checks."""
     return [
         PredictionRecord(int(p), int(a), int(g))
         for p, a, g in zip(predicted, actual, group)
     ]
 
 
-def _group_totals(t: CountTensor) -> list[int]:
-    return [int(t.counts[g].sum()) for g in range(t.num_groups)]
+class _Marginals(NamedTuple):
+    """The count tensor's integer marginals, read out once as Python ints,
+    and the per-group rates built from them. Every metric reads these."""
+
+    total: int
+    correct: int
+    group_totals: list[int]
+    predicted: list[list[int]]  # [g][c]: records of group g predicted as c
+    error: list[float | None]  # [g]: error rate; None for an empty group
+    recall: list[list[float | None]]  # [g][c]: None without class-c truth
+    rate: list[list[float | None]]  # [g][c]: share of group g predicted as c
 
 
-def _group_errors(t: CountTensor) -> list[float]:
-    """Error rate per group; requires every group to have records."""
-    errors = []
-    for g in range(t.num_groups):
-        total_g = int(t.counts[g].sum())
-        if total_g == 0:
-            raise UndefinedMetricError(f"group {g} has no records")
-        correct_g = sum(int(t.counts[g, c, c]) for c in range(t.num_classes))
-        errors.append(1.0 - correct_g / total_g)
-    return errors
-
-
-def accuracy(t: CountTensor) -> float:
-    total = t.total
-    if total == 0:
-        raise UndefinedMetricError("accuracy is undefined for an empty log")
-    correct = sum(
-        int(t.counts[g, c, c]) for g in range(t.num_groups) for c in range(t.num_classes)
+def _marginals(t: CountTensor) -> _Marginals:
+    truth = t.counts.sum(axis=2).tolist()
+    predicted = t.counts.sum(axis=1).tolist()
+    diagonal = np.diagonal(t.counts, axis1=1, axis2=2).tolist()
+    group_totals = [sum(row) for row in truth]
+    correct = [sum(row) for row in diagonal]
+    return _Marginals(
+        total=sum(group_totals),
+        correct=sum(correct),
+        group_totals=group_totals,
+        predicted=predicted,
+        error=[1.0 - k / n if n > 0 else None for k, n in zip(correct, group_totals)],
+        recall=[
+            [k / n if n > 0 else None for k, n in zip(diag_row, truth_row)]
+            for diag_row, truth_row in zip(diagonal, truth)
+        ],
+        rate=[
+            [k / n if n > 0 else None for k in pred_row]
+            for pred_row, n in zip(predicted, group_totals)
+        ],
     )
-    return correct / total
 
 
-def skewed_error_ratio(t: CountTensor) -> float:
-    """max/min of per-group error rates; 1.0 when all groups are perfect,
-    infinity when only some are."""
-    errors = _group_errors(t)
-    max_e, min_e = max(errors), min(errors)
+def _require_every_group(m: _Marginals) -> None:
+    if 0 in m.group_totals:
+        raise UndefinedMetricError(f"group {m.group_totals.index(0)} has no records")
+
+
+def _accuracy(m: _Marginals) -> float:
+    if m.total == 0:
+        raise UndefinedMetricError("accuracy is undefined for an empty log")
+    return m.correct / m.total
+
+
+def _skewed_error_ratio(m: _Marginals) -> float:
+    _require_every_group(m)
+    max_e, min_e = max(m.error), min(m.error)
     if max_e == 0.0:
         return 1.0
     if min_e == 0.0:
@@ -138,52 +174,63 @@ def skewed_error_ratio(t: CountTensor) -> float:
     return max_e / min_e
 
 
-def _population_variance(values: list[float]) -> float:
+def _population_variance(values: Sequence[float]) -> float:
     mean = sum(values) / len(values)
     return sum((v - mean) ** 2 for v in values) / len(values)
 
 
-def equal_opportunity(t: CountTensor) -> float:
-    """Mean across-group recall variance, over classes where at least two
-    groups have ground-truth samples."""
+def _equal_opportunity(m: _Marginals) -> float:
     variances = []
-    for c in range(t.num_classes):
-        recalls = []
-        for g in range(t.num_groups):
-            gt = int(t.counts[g, c, :].sum())
-            if gt > 0:
-                recalls.append(int(t.counts[g, c, c]) / gt)
-        if len(recalls) >= 2:
-            variances.append(_population_variance(recalls))
+    for recalls in zip(*m.recall):
+        present = [r for r in recalls if r is not None]
+        if len(present) >= 2:
+            variances.append(_population_variance(present))
     if not variances:
         raise UndefinedMetricError("no class has ground-truth samples in two or more groups")
     return sum(variances) / len(variances)
 
 
-def bias_amplification(t: CountTensor) -> float:
-    """Mean dominant-group share of each predicted class, minus 1/num_groups."""
-    if t.total == 0:
+def _bias_amplification(m: _Marginals) -> float:
+    if m.total == 0:
         raise UndefinedMetricError("bias amplification is undefined for an empty log")
     shares = []
-    for c in range(t.num_classes):
-        per_group = [int(t.counts[g, :, c].sum()) for g in range(t.num_groups)]
+    for per_group in zip(*m.predicted):
         total_c = sum(per_group)
         if total_c > 0:
             shares.append(max(per_group) / total_c)
-    return sum(shares) / len(shares) - 1.0 / t.num_groups
+    return sum(shares) / len(shares) - 1.0 / len(m.predicted)
+
+
+def _demographic_parity(m: _Marginals) -> float:
+    _require_every_group(m)
+    variances = [_population_variance(rates) for rates in zip(*m.rate)]
+    return sum(variances) / len(variances)
+
+
+def accuracy(t: CountTensor) -> float:
+    return _accuracy(_marginals(t))
+
+
+def skewed_error_ratio(t: CountTensor) -> float:
+    """max/min of per-group error rates; 1.0 when all groups are perfect,
+    infinity when only some are."""
+    return _skewed_error_ratio(_marginals(t))
+
+
+def equal_opportunity(t: CountTensor) -> float:
+    """Mean across-group recall variance, over classes where at least two
+    groups have ground-truth samples."""
+    return _equal_opportunity(_marginals(t))
+
+
+def bias_amplification(t: CountTensor) -> float:
+    """Mean dominant-group share of each predicted class, minus 1/num_groups."""
+    return _bias_amplification(_marginals(t))
 
 
 def demographic_parity(t: CountTensor) -> float:
     """Mean across-group variance of prediction rates, over all classes."""
-    totals = _group_totals(t)
-    if any(n == 0 for n in totals):
-        empty = totals.index(0)
-        raise UndefinedMetricError(f"group {empty} has no records")
-    variances = []
-    for c in range(t.num_classes):
-        rates = [int(t.counts[g, :, c].sum()) / totals[g] for g in range(t.num_groups)]
-        variances.append(_population_variance(rates))
-    return sum(variances) / t.num_classes
+    return _demographic_parity(_marginals(t))
 
 
 @dataclass
@@ -251,57 +298,34 @@ class FairnessReport:
         )
 
 
-def full_report(
-    records: Sequence[PredictionRecord], num_classes: int, num_groups: int
-) -> FairnessReport:
+def full_report(counts: CountTensor) -> FairnessReport:
     """Compute all five metrics; degenerate ones come back absent, not as errors."""
-    if not records:
+    m = _marginals(counts)
+    if m.total == 0:
         raise UndefinedMetricError("cannot build a report from an empty prediction log")
-    t = tally(records, num_classes, num_groups)
-    totals = _group_totals(t)
 
     def attempt(fn):
         try:
-            return fn(t)
+            return fn(m)
         except UndefinedMetricError:
             return None
 
-    per_group_error: list[float | None] = []
-    for g in range(num_groups):
-        if totals[g] == 0:
-            per_group_error.append(None)
-        else:
-            correct_g = sum(int(t.counts[g, c, c]) for c in range(num_classes))
-            per_group_error.append(1.0 - correct_g / totals[g])
-
-    recall: list[list[float | None]] = []
-    pred_rate: list[list[float | None]] = []
-    for g in range(num_groups):
-        recall_row: list[float | None] = []
-        rate_row: list[float | None] = []
-        for c in range(num_classes):
-            gt = int(t.counts[g, c, :].sum())
-            recall_row.append(int(t.counts[g, c, c]) / gt if gt > 0 else None)
-            rate_row.append(int(t.counts[g, :, c].sum()) / totals[g] if totals[g] > 0 else None)
-        recall.append(recall_row)
-        pred_rate.append(rate_row)
-
     # A lone group has no cross-group ratio to report, even though the
     # raw max/min collapses to 1.0 there.
-    ser = attempt(skewed_error_ratio) if num_groups >= 2 else None
+    ser = attempt(_skewed_error_ratio) if counts.num_groups >= 2 else None
 
     return FairnessReport(
-        num_classes=num_classes,
-        num_groups=num_groups,
-        total=t.total,
-        acc=accuracy(t),
+        num_classes=counts.num_classes,
+        num_groups=counts.num_groups,
+        total=m.total,
+        acc=_accuracy(m),
         ser=ser,
-        eo=attempt(equal_opportunity),
-        ba=attempt(bias_amplification),
-        dp=attempt(demographic_parity),
-        per_group_error=per_group_error,
-        recall_by_group_class=recall,
-        prediction_rate_by_group_class=pred_rate,
+        eo=attempt(_equal_opportunity),
+        ba=attempt(_bias_amplification),
+        dp=attempt(_demographic_parity),
+        per_group_error=m.error,
+        recall_by_group_class=m.recall,
+        prediction_rate_by_group_class=m.rate,
     )
 
 
@@ -354,8 +378,9 @@ def mean_reports(reports: Sequence[FairnessReport]) -> FairnessReport:
     )
 
 
-def load_prediction_log(path: str | Path) -> list[PredictionRecord]:
-    """Read a ``predicted,actual,group`` CSV; malformed rows name their line."""
+def load_prediction_log(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a ``predicted,actual,group`` CSV into three int64 arrays, in the
+    argument order of :func:`tally`; malformed rows name their line."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
@@ -363,14 +388,15 @@ def load_prediction_log(path: str | Path) -> list[PredictionRecord]:
         raise DataFormatError(f"{path}: empty file, expected a header row")
     if [c.strip() for c in lines[0].split(",")] != ["predicted", "actual", "group"]:
         raise DataFormatError(f"{path}: line 1: header must be 'predicted,actual,group'")
-    records = []
+    rows = []
     for i, line in enumerate(lines[1:]):
         lineno = i + 2
         cells = line.split(",")
         if len(cells) != 3:
             raise DataFormatError(f"{path}: line {lineno}: expected 3 columns, found {len(cells)}")
         try:
-            records.append(PredictionRecord(int(cells[0]), int(cells[1]), int(cells[2])))
+            rows.append([int(c) for c in cells])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-    return records
+    predicted, actual, group = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return predicted, actual, group

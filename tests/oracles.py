@@ -94,6 +94,23 @@ def brute_metrics(
     return {"acc": acc, "ser": ser, "eo": eo, "ba": ba, "dp": dp}
 
 
+def brute_counts(
+    records: list[PredictionRecord], num_classes: int, num_groups: int
+) -> np.ndarray:
+    """counts[g, y, p], one ``np.add.at`` per record."""
+    counts = np.zeros((num_groups, num_classes, num_classes), dtype=np.int64)
+    for r in records:
+        np.add.at(counts, (r.group, r.actual, r.predicted), 1)
+    return counts
+
+
+def log_arrays(records: list[PredictionRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (predicted, actual, group) int64 columns of a record list."""
+    rows = np.array([(r.predicted, r.actual, r.group) for r in records], dtype=np.int64)
+    predicted, actual, group = rows.reshape(-1, 3).T
+    return predicted, actual, group
+
+
 def random_records(
     rng: np.random.Generator, num_classes: int, num_groups: int, size: int
 ) -> list[PredictionRecord]:

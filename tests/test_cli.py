@@ -4,7 +4,8 @@ import pytest
 
 from fedbias.cli import main
 from fedbias.data import load_csv
-from fedbias.metrics import PredictionRecord, full_report
+from fedbias.metrics import PredictionRecord, full_report, tally
+from oracles import log_arrays
 
 BASE_CONFIG = """
 data.num_classes = 2
@@ -39,7 +40,7 @@ def strip_durations(rows):
 
 def write_results_file(path, mode, records, num_classes, num_groups):
     """A results file shaped like cmd_train output, summary line only."""
-    report = full_report(records, num_classes, num_groups)
+    report = full_report(tally(*log_arrays(records), num_classes, num_groups))
     line = {"kind": "summary", "modes": [mode], "reports": {mode: report.to_dict()}}
     path.write_text(json.dumps(line, sort_keys=True) + "\n", encoding="utf-8")
     return report

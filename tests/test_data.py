@@ -179,6 +179,16 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="line 2"):
             load_csv(path, 2, 2)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"feature_0,feature_1,target,group\n0.5,1,0,0\n0.5,2,1,1\n0.5,{cell},0,1\n0.5,3,0,0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataFormatError, match="line 4: non-finite"):
+            load_csv(path, 2, 2)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label,grp\n", encoding="utf-8")

@@ -3,7 +3,7 @@ import pytest
 
 import fedbias.federation as federation
 from fedbias.data import Dataset, SyntheticSpec, generate_synthetic, partition, train_test_split
-from fedbias.exceptions import ConfigurationError, ProtocolError
+from fedbias.exceptions import ConfigurationError, NumericError, ProtocolError
 from fedbias.federation import (
     ClientState,
     FederationConfig,
@@ -349,6 +349,42 @@ class TestRunFederation:
             run_federation(config, parts, spec, test_set=test)
 
 
+class TestNonFiniteTraining:
+    """SGD at lr=1e6 on the demo data overflows every mode within ten
+    rounds; each mode must stop with the round in the message rather
+    than finish on non-finite weights."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_divergence_stops_with_round_context(self, mode, parallel):
+        data = generate_synthetic(
+            SyntheticSpec(2, 2, 8, 1000, bias_strength=0.8, group_shift=1.0, noise_sigma=1.4, seed=1)
+        )
+        train, test = train_test_split(data, 0.2, seed=2)
+        parts = partition(train, 5, seed=3)
+        spec = ClassifierSpec(8, (16,), 2, 2, head_mode_for(mode))
+        config = FederationConfig(10, 5, 1, 64, sgd(lr=1e6), mode, 5, parallel_clients=parallel)
+        with pytest.raises(NumericError, match=r"^round \d+, "):
+            run_federation(config, parts, spec, test_set=test)
+
+    def test_non_finite_client_update_names_round_and_client(self, monkeypatch):
+        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
+        real = federation.client_local_train
+
+        def poisoned(client, *args):
+            update = real(client, *args)
+            if client.client_id == 1:
+                return federation.ClientUpdate(
+                    update.client_id, update.weights, update.num_samples, float("nan")
+                )
+            return update
+
+        monkeypatch.setattr(federation, "client_local_train", poisoned)
+        with pytest.raises(NumericError, match="round 1, client 1: .*non-finite"):
+            run_federation(config, parts, spec, test_set=test)
+
+
 class TestCentralizedEquivalence:
     @pytest.mark.parametrize("rounds,epochs,batch", [(1, 1, 8), (3, 2, 5)])
     def test_single_client_run_is_centralized(self, rounds, epochs, batch):
@@ -378,6 +414,13 @@ class TestEvaluationHelpers:
         assert preds.shape == (len(data),)
         assert np.all((preds >= 0) & (preds < 3))
         assert np.array_equal(preds, predict_dataset(spec, w, data))
+
+    def test_plain_head_rejects_non_finite_logits(self):
+        spec = ClassifierSpec(3, (), 2, 2, HeadMode.PLAIN)
+        w = init_weights(spec, 12)
+        poisoned = w.with_values(np.full_like(w.values, np.nan))
+        with pytest.raises(NumericError, match="non-finite"):
+            predict_dataset(spec, poisoned, toy_dataset(seed=13))
 
     def test_report_shape(self):
         spec = ClassifierSpec(3, (), 2, 2, HeadMode.PLAIN)

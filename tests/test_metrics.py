@@ -19,7 +19,7 @@ from fedbias.metrics import (
     skewed_error_ratio,
     tally,
 )
-from oracles import brute_metrics, random_records
+from oracles import brute_metrics, log_arrays, random_records
 
 
 def R(p, a, g) -> PredictionRecord:
@@ -27,17 +27,21 @@ def R(p, a, g) -> PredictionRecord:
 
 
 def counts_of(records, n=2, d=2) -> CountTensor:
-    return tally(records, n, d)
+    return tally(*log_arrays(records), n, d)
+
+
+def report_of(records, n, d) -> FairnessReport:
+    return full_report(counts_of(records, n, d))
 
 
 class TestTally:
     def test_empty_is_all_zero(self):
-        t = tally([], 3, 2)
+        t = tally([], [], [], 3, 2)
         assert t.counts.shape == (2, 3, 3)
         assert t.total == 0
 
     def test_single_record_placement(self):
-        t = tally([R(1, 0, 2)], 2, 3)
+        t = tally(np.array([1]), np.array([0]), np.array([2]), 2, 3)
         assert t.counts[2, 0, 1] == 1
         assert t.total == 1
 
@@ -45,22 +49,32 @@ class TestTally:
         rng = np.random.default_rng(0)
         a = random_records(rng, 3, 2, 40)
         b = random_records(rng, 3, 2, 25)
-        combined = tally(a + b, 3, 2)
-        assert np.array_equal(combined.counts, tally(a, 3, 2).counts + tally(b, 3, 2).counts)
+        combined = counts_of(a + b, 3, 2)
+        assert np.array_equal(
+            combined.counts, counts_of(a, 3, 2).counts + counts_of(b, 3, 2).counts
+        )
 
     def test_order_independent(self):
         rng = np.random.default_rng(1)
-        recs = random_records(rng, 4, 3, 60)
-        shuffled = [recs[i] for i in rng.permutation(len(recs))]
-        assert np.array_equal(tally(recs, 4, 3).counts, tally(shuffled, 4, 3).counts)
+        p, y, g = log_arrays(random_records(rng, 4, 3, 60))
+        order = rng.permutation(len(p))
+        assert np.array_equal(
+            tally(p, y, g, 4, 3).counts, tally(p[order], y[order], g[order], 4, 3).counts
+        )
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            tally([R(2, 0, 0)], 2, 2)
-        with pytest.raises(ValueError):
-            tally([R(0, -1, 0)], 2, 2)
-        with pytest.raises(ValueError):
-            tally([R(0, 0, 2)], 2, 2)
+        with pytest.raises(ValueError, match="predicted index out of range"):
+            tally([2], [0], [0], 2, 2)
+        with pytest.raises(ValueError, match="actual index out of range"):
+            tally([0], [-1], [0], 2, 2)
+        with pytest.raises(ValueError, match="group index out of range"):
+            tally([0], [0], [2], 2, 2)
+
+    def test_mismatched_or_non_integer_columns_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            tally([0, 1], [0], [0, 0], 2, 2)
+        with pytest.raises(ValueError, match="integers"):
+            tally(np.array([0.5]), [0], [0], 2, 2)
 
 
 class TestAccuracy:
@@ -76,7 +90,7 @@ class TestAccuracy:
 
     def test_empty_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            accuracy(tally([], 2, 2))
+            accuracy(counts_of([], 2, 2))
 
 
 class TestSkewedErrorRatio:
@@ -117,7 +131,7 @@ class TestEqualOpportunity:
 
     def test_single_group_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            equal_opportunity(tally([R(0, 0, 0), R(1, 1, 0)], 2, 1))
+            equal_opportunity(counts_of([R(0, 0, 0), R(1, 1, 0)], 2, 1))
 
     def test_classes_with_one_eligible_group_excluded(self):
         # Class 0 truth exists only in group 0, class 1 only in group 1:
@@ -144,7 +158,7 @@ class TestBiasAmplification:
 
     def test_empty_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            bias_amplification(tally([], 2, 2))
+            bias_amplification(counts_of([], 2, 2))
 
 
 class TestDemographicParity:
@@ -160,7 +174,7 @@ class TestDemographicParity:
 
     def test_single_group_is_zero(self):
         records = [R(0, 0, 0), R(1, 1, 0)]
-        assert demographic_parity(tally(records, 2, 1)) == 0.0
+        assert demographic_parity(counts_of(records, 2, 1)) == 0.0
 
     def test_empty_group_undefined(self):
         with pytest.raises(UndefinedMetricError):
@@ -170,7 +184,7 @@ class TestDemographicParity:
 class TestFullReport:
     def test_perfect_classifier_balanced_data(self):
         records = [R(0, 0, 0), R(1, 1, 0), R(0, 0, 1), R(1, 1, 1)]
-        report = full_report(records, 2, 2)
+        report = report_of(records, 2, 2)
         assert report.acc == 1.0
         assert report.ser == 1.0
         assert report.eo == 0.0
@@ -179,7 +193,7 @@ class TestFullReport:
 
     def test_single_group_data(self):
         records = [R(0, 0, 0), R(1, 1, 0), R(1, 0, 0)]
-        report = full_report(records, 2, 1)
+        report = report_of(records, 2, 1)
         assert report.ser is None
         assert report.eo is None
         assert report.acc is not None
@@ -189,7 +203,7 @@ class TestFullReport:
 
     def test_empty_records_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            full_report([], 2, 2)
+            report_of([], 2, 2)
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(2)
@@ -197,7 +211,7 @@ class TestFullReport:
             n = int(rng.integers(2, 6))
             d = int(rng.integers(1, 5))
             records = random_records(rng, n, d, int(rng.integers(1, 300)))
-            report = full_report(records, n, d)
+            report = report_of(records, n, d)
             expected = brute_metrics(records, n, d)
             for name, value in expected.items():
                 got = report.metric(name)
@@ -210,13 +224,13 @@ class TestFullReport:
         rng = np.random.default_rng(3)
         records = random_records(rng, 3, 3, 150)
         shuffled = [records[i] for i in rng.permutation(len(records))]
-        assert full_report(records, 3, 3).to_dict() == full_report(shuffled, 3, 3).to_dict()
+        assert report_of(records, 3, 3).to_dict() == report_of(shuffled, 3, 3).to_dict()
 
     def test_duplication_invariant(self):
         rng = np.random.default_rng(4)
         records = random_records(rng, 3, 2, 90)
-        once = full_report(records, 3, 2)
-        twice = full_report(records + records, 3, 2)
+        once = report_of(records, 3, 2)
+        twice = report_of(records + records, 3, 2)
         for name in ("acc", "ser", "eo", "ba", "dp"):
             assert once.metric(name) == twice.metric(name)
 
@@ -226,7 +240,7 @@ class TestFullReport:
             n = int(rng.integers(2, 6))
             d = int(rng.integers(1, 5))
             records = random_records(rng, n, d, int(rng.integers(1, 200)))
-            report = full_report(records, n, d)
+            report = report_of(records, n, d)
             assert 0.0 <= report.acc <= 1.0
             if report.ser is not None:
                 assert report.ser >= 1.0
@@ -239,7 +253,7 @@ class TestFullReport:
 
     def test_per_group_and_per_class_rates(self):
         records = [R(0, 0, 0)] * 3 + [R(1, 0, 0)] + [R(1, 1, 1), R(0, 1, 1)]
-        report = full_report(records, 2, 2)
+        report = report_of(records, 2, 2)
         assert report.per_group_error[0] == 0.25
         assert report.per_group_error[1] == 0.5
         assert report.recall_by_group_class[0][0] == 0.75
@@ -252,14 +266,14 @@ class TestFullReport:
 class TestReportSerialization:
     def test_round_trip_with_inf_and_absent(self):
         records = [R(0, 0, 0), R(0, 0, 1), R(1, 0, 1)]
-        report = full_report(records, 2, 2)
+        report = report_of(records, 2, 2)
         assert report.ser == math.inf
         payload = json.dumps(report.to_dict(), sort_keys=True)
         back = FairnessReport.from_dict(json.loads(payload))
         assert back.to_dict() == report.to_dict()
 
     def test_absent_list_in_payload(self):
-        report = full_report([R(0, 0, 0), R(1, 1, 0)], 2, 1)
+        report = report_of([R(0, 0, 0), R(1, 1, 0)], 2, 1)
         payload = report.to_dict()
         assert payload["absent"] == ["ser", "eo"]
         assert payload["conventions"]["variance"] == "population"
@@ -268,7 +282,7 @@ class TestReportSerialization:
 class TestMeanReports:
     def test_identity_on_identical_reports(self):
         records = [R(0, 0, 0), R(1, 1, 1), R(0, 1, 1)]
-        report = full_report(records, 2, 2)
+        report = report_of(records, 2, 2)
         averaged = mean_reports([report, report, report])
         for name in ("acc", "ser", "eo", "ba", "dp"):
             if report.metric(name) is None:
@@ -277,13 +291,13 @@ class TestMeanReports:
                 assert averaged.metric(name) == pytest.approx(report.metric(name))
 
     def test_averages_scalars(self):
-        a = full_report([R(0, 0, 0), R(1, 1, 1)], 2, 2)  # acc 1.0
-        b = full_report([R(1, 0, 0), R(0, 1, 1)], 2, 2)  # acc 0.0
+        a = report_of([R(0, 0, 0), R(1, 1, 1)], 2, 2)  # acc 1.0
+        b = report_of([R(1, 0, 0), R(0, 1, 1)], 2, 2)  # acc 0.0
         assert mean_reports([a, b]).acc == 0.5
 
     def test_shape_mismatch_rejected(self):
-        a = full_report([R(0, 0, 0)], 2, 1)
-        b = full_report([R(0, 0, 0), R(0, 0, 0)], 2, 1)
+        a = report_of([R(0, 0, 0)], 2, 1)
+        b = report_of([R(0, 0, 0), R(0, 0, 0)], 2, 1)
         with pytest.raises(ValueError):
             mean_reports([a, b])
 
@@ -296,8 +310,10 @@ class TestPredictionLogCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("predicted,actual,group\n1,0,1\n0,0,0\n", encoding="utf-8")
-        records = load_prediction_log(path)
-        assert records == [R(1, 0, 1), R(0, 0, 0)]
+        predicted, actual, group = load_prediction_log(path)
+        assert predicted.tolist() == [1, 0]
+        assert actual.tolist() == [0, 0]
+        assert group.tolist() == [1, 0]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "preds.csv"
