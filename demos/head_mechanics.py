@@ -7,44 +7,59 @@ unknown, so we average the per-group softmax columns and take the argmax.
 """
 import numpy as np
 
-from fedbias.head import (
-    group_conditional_probs,
-    predict,
-    predict_known_group,
-    conditional_cross_entropy,
+from fedbias.head import predict_batch
+from fedbias.nn import (
+    Batch,
+    ClassifierSpec,
+    HeadMode,
+    LossMode,
+    ModelWeights,
+    backward,
+    weight_layout,
 )
 
 N, D = 3, 2
 
+
+def group_probs(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each group's slice; rows are groups."""
+    blocks = logits.reshape(D, N)
+    exp = np.exp(blocks - blocks.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def show(logits: np.ndarray) -> None:
+    probs = group_probs(logits)
+    print("per-group class probabilities (rows = groups):")
+    for d in range(D):
+        row = ", ".join(f"{p:.3f}" for p in probs[d])
+        print(f"  group {d}: [{row}]")
+    print("column means (uniform prior over groups):")
+    print(" ", ", ".join(f"{p:.3f}" for p in probs.mean(axis=0)))
+    print("marginal prediction:", int(predict_batch(logits[None, :], N, D)[0]))
+    # Knowing the group would mean reading only that group's slice.
+    print("known-group predictions:",
+          [int(np.argmax(logits[d * N : (d + 1) * N])) for d in range(D)])
+
+
 logits = np.array([1.0, 2.0, 0.5, 0.2, 2.5, 0.1])
 print("raw logits (group 0 slice | group 1 slice):")
 print(" ", logits[:N], "|", logits[N:])
-
-dist = group_conditional_probs(logits, N, D)
-print("\nper-group class probabilities (rows = groups):")
-for d in range(D):
-    row = ", ".join(f"{p:.3f}" for p in dist.probs[d])
-    print(f"  group {d}: [{row}]")
-
-print("\ncolumn means (uniform prior over groups):")
-print(" ", ", ".join(f"{p:.3f}" for p in dist.probs.mean(axis=0)))
-print("marginal prediction:", predict(dist))
-for d in range(D):
-    print(f"prediction if group {d} were known:", predict_known_group(dist, d))
+print()
+show(logits)
 
 # The marginal and the known-group rules can disagree: a class that is
 # mediocre in every group can still win the average.
-tricky = np.log(np.array([0.50, 0.45, 0.05, 0.05, 0.45, 0.50]))
-tdist = group_conditional_probs(tricky, N, D)
 print("\na disagreement case:")
-for d in range(D):
-    row = ", ".join(f"{p:.3f}" for p in tdist.probs[d])
-    print(f"  group {d}: [{row}]")
-print("  marginal prediction:", predict(tdist))
-print("  known-group predictions:",
-      [predict_known_group(tdist, d) for d in range(D)])
+show(np.log(np.array([0.50, 0.45, 0.05, 0.05, 0.45, 0.50])))
 
-# The training loss only ever sees the true group's slice.
+# The training loss only ever sees the true group's slice. A network with
+# no hidden layer and a zero weight matrix outputs its bias, so setting
+# the bias to these logits lets the training loss score them directly.
+spec = ClassifierSpec(1, (), N, D, HeadMode.DOMAIN_INDEPENDENT)
+weights = ModelWeights(np.concatenate([np.zeros(N * D), logits]), weight_layout(spec))
 print("\ncross-entropy of class 1 under each group's slice:")
 for d in range(D):
-    print(f"  group {d}: {conditional_cross_entropy(dist, 1, d):.4f}")
+    batch = Batch(np.zeros((1, 1)), [1], [d])
+    _, loss = backward(spec, weights, batch, LossMode.DOMAIN_INDEPENDENT_CE)
+    print(f"  group {d}: {loss:.4f}")

@@ -7,20 +7,13 @@ its own group's block, and prediction averages the per-group softmax
 distributions so the sensitive attribute is not needed at test time.
 A five-metric fairness suite (accuracy, skewed error ratio, equal
 opportunity, bias amplification, demographic parity) scores the result.
+
+The package root holds what a run needs end to end; the building blocks
+(network engine, head, client training, aggregation, data) live in the
+submodules ``nn``, ``head``, ``federation``, ``metrics`` and ``data``.
 """
 
 from .config import ExperimentConfig, load_config, parse_config
-from .data import (
-    Dataset,
-    LabeledExample,
-    SyntheticSpec,
-    class_distribution,
-    generate_synthetic,
-    load_csv,
-    partition,
-    save_csv,
-    train_test_split,
-)
 from .exceptions import (
     ConfigurationError,
     DataFormatError,
@@ -28,131 +21,25 @@ from .exceptions import (
     ProtocolError,
     UndefinedMetricError,
 )
-from .federation import (
-    ClientState,
-    ClientUpdate,
-    FederationConfig,
-    FederationResult,
-    GlobalState,
-    Mode,
-    RoundSnapshot,
-    client_local_train,
-    evaluate_weights,
-    fedavg_aggregate,
-    head_mode_for,
-    loss_mode_for,
-    predict_dataset,
-    run_federation,
-    train_centralized,
-)
-from .head import (
-    GroupConditionalDistribution,
-    conditional_cross_entropy,
-    group_conditional_probs,
-    predict,
-    predict_batch,
-    predict_known_group,
-)
-from .metrics import (
-    CountTensor,
-    FairnessReport,
-    PredictionRecord,
-    accuracy,
-    bias_amplification,
-    demographic_parity,
-    equal_opportunity,
-    full_report,
-    load_prediction_log,
-    mean_reports,
-    skewed_error_ratio,
-    tally,
-)
-from .nn import (
-    Batch,
-    ClassifierSpec,
-    HeadMode,
-    LossMode,
-    ModelWeights,
-    OptimizerConfig,
-    OptimizerKind,
-    OptimizerState,
-    backward,
-    forward,
-    forward_batch,
-    init_weights,
-    num_params,
-    optimizer_step,
-    weight_layout,
-)
-from .seeding import derive_seed, shuffle_seed
+from .federation import FederationResult, Mode, run_federation
+from .metrics import FairnessReport, full_report, load_prediction_log, tally
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch",
-    "ClassifierSpec",
-    "ClientState",
-    "ClientUpdate",
     "ConfigurationError",
-    "CountTensor",
     "DataFormatError",
-    "Dataset",
     "ExperimentConfig",
     "FairnessReport",
-    "FederationConfig",
     "FederationResult",
-    "GlobalState",
-    "GroupConditionalDistribution",
-    "HeadMode",
-    "LabeledExample",
-    "LossMode",
     "Mode",
-    "ModelWeights",
     "NumericError",
-    "OptimizerConfig",
-    "OptimizerKind",
-    "OptimizerState",
-    "PredictionRecord",
     "ProtocolError",
-    "RoundSnapshot",
-    "SyntheticSpec",
     "UndefinedMetricError",
-    "accuracy",
-    "backward",
-    "bias_amplification",
-    "class_distribution",
-    "client_local_train",
-    "conditional_cross_entropy",
-    "demographic_parity",
-    "derive_seed",
-    "equal_opportunity",
-    "evaluate_weights",
-    "fedavg_aggregate",
-    "forward",
-    "forward_batch",
     "full_report",
-    "generate_synthetic",
-    "group_conditional_probs",
-    "head_mode_for",
-    "init_weights",
     "load_config",
-    "load_csv",
     "load_prediction_log",
-    "loss_mode_for",
-    "mean_reports",
-    "num_params",
-    "optimizer_step",
     "parse_config",
-    "partition",
-    "predict",
-    "predict_batch",
-    "predict_dataset",
-    "predict_known_group",
     "run_federation",
-    "save_csv",
-    "shuffle_seed",
-    "skewed_error_ratio",
     "tally",
-    "train_centralized",
-    "train_test_split",
 ]

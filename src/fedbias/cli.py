@@ -124,7 +124,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     with Path(out_path).open("w", encoding="utf-8", newline="\n") as fh:
         for obj in lines:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote {out_path}: {len(lines)} lines")
     return 0
 
@@ -132,7 +132,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     log = load_prediction_log(args.predictions)
     report = full_report(tally(*log, args.num_classes, args.num_groups))
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
     print(payload)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")

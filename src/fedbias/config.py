@@ -33,15 +33,6 @@ def _parse_float(raw: str) -> float:
     return float(raw)
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_str(raw: str) -> str:
     return raw
 
@@ -99,7 +90,6 @@ _SCHEMA: dict[str, tuple[str, object, object]] = {
     "federation.clients": ("num_clients", _parse_int, 5),
     "federation.local_epochs": ("local_epochs", _parse_int, 3),
     "federation.batch_size": ("batch_size", _parse_int, 128),
-    "federation.parallel_clients": ("parallel_clients", _parse_bool, False),
     "optimizer.kind": ("optimizer_kind", _parse_optimizer_kind, OptimizerKind.ADAM),
     "optimizer.learning_rate": ("learning_rate", _parse_float, 1e-4),
     "optimizer.weight_decay": ("weight_decay", _parse_float, 3e-4),
@@ -132,7 +122,6 @@ class ExperimentConfig:
     num_clients: int
     local_epochs: int
     batch_size: int
-    parallel_clients: bool
     optimizer_kind: OptimizerKind
     learning_rate: float
     weight_decay: float
@@ -186,7 +175,6 @@ class ExperimentConfig:
             optimizer=self.optimizer_config(),
             mode=mode,
             master_seed=self.master_seed,
-            parallel_clients=self.parallel_clients,
         )
 
     def classifier_spec(self, mode: Mode, input_dim: int) -> ClassifierSpec:

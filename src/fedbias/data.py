@@ -14,20 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .exceptions import ConfigurationError, DataFormatError
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """One sample: features, target class ``label``, sensitive group ``group``."""
-
-    features: np.ndarray
-    label: int
-    group: int
 
 
 @dataclass
@@ -66,13 +56,6 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def example(self, i: int) -> LabeledExample:
-        return LabeledExample(self.features[i].copy(), int(self.labels[i]), int(self.groups[i]))
-
-    def examples(self) -> Iterator[LabeledExample]:
-        for i in range(len(self)):
-            yield self.example(i)
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(
             self.features[indices],
@@ -81,18 +64,6 @@ class Dataset:
             self.num_classes,
             self.num_groups,
         )
-
-    @classmethod
-    def from_examples(
-        cls, examples: Sequence[LabeledExample], num_classes: int, num_groups: int
-    ) -> "Dataset":
-        if examples:
-            feats = np.stack([np.asarray(e.features, dtype=np.float64) for e in examples])
-        else:
-            feats = np.zeros((0, 0))
-        labels = np.array([e.label for e in examples], dtype=np.int64)
-        groups = np.array([e.group for e in examples], dtype=np.int64)
-        return cls(feats, labels, groups, num_classes, num_groups)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ returned weights. Three modes share this loop:
   and evaluation averages the clients' individual reports.
 
 Clients never share mutable state, and every shuffle is seeded by
-(master_seed, client_id, round), so running clients in parallel threads
-gives bit-identical results to running them sequentially.
+(master_seed, client_id, round), so a client's update does not depend on
+which clients trained before it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -81,7 +80,6 @@ class FederationConfig:
     optimizer: OptimizerConfig
     mode: Mode
     master_seed: int
-    parallel_clients: bool = False
 
     def __post_init__(self) -> None:
         # rounds = 0 is a valid no-op run that just reports the
@@ -110,19 +108,6 @@ class ClientState:
         if len(self.dataset) == 0:
             raise ConfigurationError(f"client {self.client_id} has an empty dataset")
 
-    @property
-    def sample_count(self) -> int:
-        return len(self.dataset)
-
-
-@dataclass(frozen=True)
-class GlobalState:
-    """Server-side view after a round; weights are absent in local mode."""
-
-    round_index: int
-    weights: ModelWeights | None
-    total_samples: int
-
 
 @dataclass(frozen=True)
 class ClientUpdate:
@@ -146,10 +131,13 @@ class RoundSnapshot:
 
 @dataclass
 class FederationResult:
+    """``final_weights`` is the last global model; None in local mode,
+    where each client's own model is in ``client_weights``."""
+
     mode: Mode
     spec: ClassifierSpec
     config: FederationConfig
-    final: GlobalState
+    final_weights: ModelWeights | None
     client_weights: dict[int, ModelWeights]
     history: list[RoundSnapshot]
 
@@ -316,7 +304,6 @@ def run_federation(
     local_mode = config.mode is Mode.LOCAL_ONLY
     init = init_weights(spec, derive_seed(config.master_seed, TAG_INIT))
     clients = [ClientState(k, part, init) for k, part in enumerate(partitions)]
-    total_samples = sum(c.sample_count for c in clients)
 
     def evaluate(round_index: int, global_weights: ModelWeights) -> FairnessReport | None:
         if test_set is None:
@@ -339,34 +326,24 @@ def run_federation(
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
 
-        def train_one(client: ClientState) -> ClientUpdate:
-            incoming = client.local_weights if local_mode else global_weights
-            update = client_local_train(
-                client,
-                incoming,
-                spec,
-                loss_mode,
-                config.optimizer,
-                config.local_epochs,
-                config.batch_size,
-                shuffle_seed(config.master_seed, client.client_id, round_index),
-            )
-            if not (math.isfinite(update.mean_loss) and np.isfinite(update.weights.values).all()):
-                raise NumericError("local training produced non-finite weights or loss")
-            return update
-
         updates: list[ClientUpdate] = []
-        if config.parallel_clients and len(clients) > 1:
-            with ThreadPoolExecutor(max_workers=len(clients)) as pool:
-                futures = [(c.client_id, pool.submit(train_one, c)) for c in clients]
-                for cid, future in futures:
-                    with _in_context(f"round {round_index}, client {cid}"):
-                        updates.append(future.result())
-        else:
-            for client in clients:
-                with _in_context(f"round {round_index}, client {client.client_id}"):
-                    updates.append(train_one(client))
-        updates.sort(key=lambda u: u.client_id)
+        for client in clients:
+            with _in_context(f"round {round_index}, client {client.client_id}"):
+                update = client_local_train(
+                    client,
+                    client.local_weights if local_mode else global_weights,
+                    spec,
+                    loss_mode,
+                    config.optimizer,
+                    config.local_epochs,
+                    config.batch_size,
+                    shuffle_seed(config.master_seed, client.client_id, round_index),
+                )
+                if not (
+                    math.isfinite(update.mean_loss) and np.isfinite(update.weights.values).all()
+                ):
+                    raise NumericError("local training produced non-finite weights or loss")
+            updates.append(update)
 
         clients = [
             replace(client, local_weights=update.weights)
@@ -385,78 +362,11 @@ def run_federation(
             RoundSnapshot(round_index, report, mean_loss, time.perf_counter() - start)
         )
 
-    final = GlobalState(
-        round_index=config.rounds,
-        weights=None if local_mode else global_weights,
-        total_samples=total_samples,
-    )
     return FederationResult(
         mode=config.mode,
         spec=spec,
         config=config,
-        final=final,
+        final_weights=None if local_mode else global_weights,
         client_weights={c.client_id: c.local_weights for c in clients},
         history=history,
     )
-
-
-def train_centralized(
-    dataset: Dataset,
-    spec: ClassifierSpec,
-    loss_mode: LossMode,
-    optimizer: OptimizerConfig,
-    rounds: int,
-    local_epochs: int,
-    batch_size: int,
-    master_seed: int,
-    test_set: Dataset | None = None,
-    eval_every: int = 1,
-) -> tuple[ModelWeights, list[RoundSnapshot]]:
-    """Single-machine training on the whole dataset, rounds*local_epochs
-    epochs in total, following the federated seed and batch schedule
-    (per-round shuffle reseeding and optimizer restarts). Aggregating a
-    lone client is the identity, so a one-client federated run and this
-    loop are the same computation.
-    """
-    if rounds < 0:
-        raise ConfigurationError("rounds must be >= 0")
-    if local_epochs < 1 or batch_size < 1:
-        raise ConfigurationError("local_epochs and batch_size must be >= 1")
-    _check_compatible(spec, dataset, "training set")
-    if test_set is not None:
-        _check_compatible(spec, test_set, "test set")
-
-    weights = init_weights(spec, derive_seed(master_seed, TAG_INIT))
-
-    def evaluate(w: ModelWeights) -> FairnessReport | None:
-        return evaluate_weights(spec, w, test_set) if test_set is not None else None
-
-    start = time.perf_counter()
-    history = [RoundSnapshot(0, evaluate(weights), None, time.perf_counter() - start)]
-    for round_index in range(1, rounds + 1):
-        start = time.perf_counter()
-        rng = np.random.default_rng(shuffle_seed(master_seed, 0, round_index))
-        state = OptimizerState.fresh(optimizer, len(weights))
-        loss_total = 0.0
-        loss_batches = 0
-        for _ in range(local_epochs):
-            order = rng.permutation(len(dataset))
-            for start_idx in range(0, len(dataset), batch_size):
-                idx = order[start_idx : start_idx + batch_size]
-                batch = Batch(
-                    dataset.features[idx], dataset.labels[idx], dataset.groups[idx]
-                )
-                gradient, loss = backward(spec, weights, batch, loss_mode)
-                weights, state = optimizer_step(state, weights, gradient)
-                loss_total += loss
-                loss_batches += 1
-        due = round_index % eval_every == 0 or round_index == rounds
-        history.append(
-            RoundSnapshot(
-                round_index,
-                evaluate(weights) if due else None,
-                loss_total / loss_batches,
-                time.perf_counter() - start,
-            )
-        )
-    return weights, history

@@ -1,89 +1,22 @@
-"""Group-conditioned classifier head.
+"""Group-conditioned classifier head: prediction.
 
 The output layer carries one block of ``num_classes`` logits per
 sensitive group; the logit for (class y, group d) sits at index
 ``y + d * num_classes``. Training reads the block of the example's true
-group; prediction has no access to the group and instead averages the
-per-group class probabilities with a uniform group weight, which drops
-out of the argmax and leaves a plain column-sum comparison.
+group (the loss and its gradient live in ``nn.backward``); prediction
+has no access to the group and instead averages the per-group class
+probabilities with a uniform group weight, which drops out of the
+argmax and leaves a plain column-sum comparison.
 
-All probability work happens in log space from max-shifted logits, so
-losses stay finite whenever the logits are.
+Probabilities come from max-shifted logits, so they stay finite
+whenever the logits are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import NumericError
-
-
-@dataclass(frozen=True)
-class GroupConditionalDistribution:
-    """Per-group class probabilities for one example.
-
-    ``log_probs`` has shape (num_groups, num_classes); row ``d`` is the
-    log-softmax of that group's logit block, so each probability row
-    sums to 1 within rounding.
-    """
-
-    log_probs: np.ndarray
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-    @property
-    def num_groups(self) -> int:
-        return self.log_probs.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.log_probs.shape[1]
-
-
-def group_conditional_probs(
-    logits: np.ndarray, num_classes: int, num_groups: int
-) -> GroupConditionalDistribution:
-    """Softmax each group's logit block of a flat (num_classes*num_groups,) vector."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (num_classes * num_groups,):
-        raise ValueError(
-            f"expected {num_classes * num_groups} logits, got shape {logits.shape}"
-        )
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("logits contain non-finite values")
-    blocks = logits.reshape(num_groups, num_classes)
-    shift = blocks.max(axis=1, keepdims=True)
-    log_probs = blocks - shift - np.log(np.exp(blocks - shift).sum(axis=1, keepdims=True))
-    return GroupConditionalDistribution(log_probs)
-
-
-def predict(dist: GroupConditionalDistribution) -> int:
-    """Class with the largest probability mass summed over groups.
-
-    Equivalent to weighting every group by 1/num_groups: the constant
-    factor cannot change the argmax. Ties break toward the lowest index.
-    """
-    return int(np.argmax(dist.probs.sum(axis=0)))
-
-
-def predict_known_group(dist: GroupConditionalDistribution, group: int) -> int:
-    """Most probable class within one group's row; lowest index on ties."""
-    if not 0 <= group < dist.num_groups:
-        raise ValueError(f"group {group} out of range [0, {dist.num_groups})")
-    return int(np.argmax(dist.log_probs[group]))
-
-
-def conditional_cross_entropy(dist: GroupConditionalDistribution, label: int, group: int) -> float:
-    """Negative log-probability of the target class under its true group."""
-    if not 0 <= label < dist.num_classes:
-        raise ValueError(f"label {label} out of range [0, {dist.num_classes})")
-    if not 0 <= group < dist.num_groups:
-        raise ValueError(f"group {group} out of range [0, {dist.num_groups})")
-    return float(-dist.log_probs[group, label])
 
 
 def predict_batch(logits: np.ndarray, num_classes: int, num_groups: int) -> np.ndarray:

@@ -38,6 +38,10 @@ CONVENTIONS = {
 
 METRIC_NAMES = ("acc", "ser", "eo", "ba", "dp")
 
+# Strict JSON has no infinity, so an infinite skewed error ratio (the
+# only metric that can be infinite) is written as this string.
+_INF_TEXT = "inf"
+
 
 @dataclass(frozen=True)
 class PredictionRecord:
@@ -269,7 +273,7 @@ class FairnessReport:
             "num_groups": self.num_groups,
             "total": self.total,
             "acc": self.acc,
-            "ser": self.ser,
+            "ser": _INF_TEXT if self.ser == math.inf else self.ser,
             "eo": self.eo,
             "ba": self.ba,
             "dp": self.dp,
@@ -282,12 +286,14 @@ class FairnessReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FairnessReport":
+        """Inverse of ``to_dict``; also reads the bare ``Infinity`` token of
+        older files, which ``json.loads`` already turns into a float."""
         return cls(
             num_classes=payload["num_classes"],
             num_groups=payload["num_groups"],
             total=payload["total"],
             acc=payload["acc"],
-            ser=payload["ser"],
+            ser=math.inf if payload["ser"] == _INF_TEXT else payload["ser"],
             eo=payload["eo"],
             ba=payload["ba"],
             dp=payload["dp"],

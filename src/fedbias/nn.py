@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,14 +178,6 @@ def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) ->
     return a @ w + b
 
 
-def forward(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) -> np.ndarray:
-    """Raw logits for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward expects a single 1-D feature vector")
-    return forward_batch(spec, weights, x[None, :])[0]
-
-
 def _slice_starts(spec: ClassifierSpec, batch: Batch, loss_mode: LossMode) -> np.ndarray:
     """Start index of the logit slice the loss reads for each example.
 
@@ -288,29 +280,14 @@ class OptimizerConfig:
 class OptimizerState:
     """Immutable optimizer state; ``optimizer_step`` returns a new one."""
 
-    kind: OptimizerKind
-    learning_rate: float
-    weight_decay: float
-    beta1: float
-    beta2: float
-    epsilon: float
+    config: OptimizerConfig
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
 
     @classmethod
     def fresh(cls, config: OptimizerConfig, num_values: int) -> "OptimizerState":
-        return cls(
-            kind=config.kind,
-            learning_rate=config.learning_rate,
-            weight_decay=config.weight_decay,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
-            first_moment=np.zeros(num_values),
-            second_moment=np.zeros(num_values),
-            step_count=0,
-        )
+        return cls(config, np.zeros(num_values), np.zeros(num_values))
 
 
 def optimizer_step(
@@ -325,20 +302,23 @@ def optimizer_step(
             f"gradient length {gradient.shape} does not match weights {weights.values.shape}"
         )
 
-    if state.kind is OptimizerKind.SGD:
-        new_values = weights.values - state.learning_rate * (
-            gradient + state.weight_decay * weights.values
+    c = state.config
+    if c.kind is OptimizerKind.SGD:
+        new_values = weights.values - c.learning_rate * (
+            gradient + c.weight_decay * weights.values
         )
-        new_state = replace(state, step_count=state.step_count + 1)
+        new_state = OptimizerState(
+            c, state.first_moment, state.second_moment, state.step_count + 1
+        )
         return weights.with_values(new_values), new_state
 
     t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * gradient
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * gradient**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    stepped = weights.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    if state.weight_decay != 0.0:
-        stepped = stepped - state.learning_rate * state.weight_decay * stepped
-    new_state = replace(state, first_moment=m, second_moment=v, step_count=t)
+    m = c.beta1 * state.first_moment + (1.0 - c.beta1) * gradient
+    v = c.beta2 * state.second_moment + (1.0 - c.beta2) * gradient**2
+    m_hat = m / (1.0 - c.beta1**t)
+    v_hat = v / (1.0 - c.beta2**t)
+    stepped = weights.values - c.learning_rate * m_hat / (np.sqrt(v_hat) + c.epsilon)
+    if c.weight_decay != 0.0:
+        stepped = stepped - c.learning_rate * c.weight_decay * stepped
+    new_state = OptimizerState(c, m, v, t)
     return weights.with_values(stepped), new_state

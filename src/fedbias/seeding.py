@@ -4,8 +4,8 @@ Every source of randomness in an experiment (weight init, train/test
 split, client partition, batch shuffles, data generation) draws from its own
 integer seed derived from the master seed plus a purpose tag. Derived
 seeds are stable across runs, platforms and process restarts, and
-clients/rounds get independent streams so parallel client execution
-cannot perturb results.
+clients/rounds get independent streams, so one client's draws never
+depend on how many draws another client made.
 """
 
 from __future__ import annotations

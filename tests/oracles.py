@@ -4,26 +4,37 @@ Everything here is deliberately written from the definitions rather
 than by calling library internals: metrics are recounted straight from
 the record list (no count tensor), losses are recomputed per example
 with scipy's log-sum-exp, gradients come from central finite
-differences, and the federated average is a plain weighted sum.
+differences, the federated average is a plain weighted sum, and
+centralized training is its own loop over the whole dataset.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 from scipy.special import logsumexp
 
-from fedbias.metrics import PredictionRecord
+from fedbias.data import Dataset
+from fedbias.exceptions import ConfigurationError
+from fedbias.federation import RoundSnapshot, _check_compatible, evaluate_weights
+from fedbias.metrics import FairnessReport, PredictionRecord
 from fedbias.nn import (
     Batch,
     ClassifierSpec,
     HeadMode,
     LossMode,
     ModelWeights,
+    OptimizerConfig,
+    OptimizerState,
+    backward,
+    init_weights,
     num_params,
+    optimizer_step,
     weight_layout,
 )
+from fedbias.seeding import TAG_INIT, derive_seed, shuffle_seed
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +257,68 @@ def weighted_mean(values_list: list[np.ndarray], counts: list[int]) -> np.ndarra
     for values, count in zip(values_list, counts):
         acc = acc + (count / total) * values
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Centralized training, written out independently of client_local_train.
+
+def train_centralized(
+    dataset: Dataset,
+    spec: ClassifierSpec,
+    loss_mode: LossMode,
+    optimizer: OptimizerConfig,
+    rounds: int,
+    local_epochs: int,
+    batch_size: int,
+    master_seed: int,
+    test_set: Dataset | None = None,
+    eval_every: int = 1,
+) -> tuple[ModelWeights, list[RoundSnapshot]]:
+    """Single-machine training on the whole dataset, rounds*local_epochs
+    epochs in total, following the federated seed and batch schedule
+    (per-round shuffle reseeding and optimizer restarts). Aggregating a
+    lone client is the identity, so a one-client federated run and this
+    loop are the same computation.
+    """
+    if rounds < 0:
+        raise ConfigurationError("rounds must be >= 0")
+    if local_epochs < 1 or batch_size < 1:
+        raise ConfigurationError("local_epochs and batch_size must be >= 1")
+    _check_compatible(spec, dataset, "training set")
+    if test_set is not None:
+        _check_compatible(spec, test_set, "test set")
+
+    weights = init_weights(spec, derive_seed(master_seed, TAG_INIT))
+
+    def evaluate(w: ModelWeights) -> FairnessReport | None:
+        return evaluate_weights(spec, w, test_set) if test_set is not None else None
+
+    start = time.perf_counter()
+    history = [RoundSnapshot(0, evaluate(weights), None, time.perf_counter() - start)]
+    for round_index in range(1, rounds + 1):
+        start = time.perf_counter()
+        rng = np.random.default_rng(shuffle_seed(master_seed, 0, round_index))
+        state = OptimizerState.fresh(optimizer, len(weights))
+        loss_total = 0.0
+        loss_batches = 0
+        for _ in range(local_epochs):
+            order = rng.permutation(len(dataset))
+            for start_idx in range(0, len(dataset), batch_size):
+                idx = order[start_idx : start_idx + batch_size]
+                batch = Batch(
+                    dataset.features[idx], dataset.labels[idx], dataset.groups[idx]
+                )
+                gradient, loss = backward(spec, weights, batch, loss_mode)
+                weights, state = optimizer_step(state, weights, gradient)
+                loss_total += loss
+                loss_batches += 1
+        due = round_index % eval_every == 0 or round_index == rounds
+        history.append(
+            RoundSnapshot(
+                round_index,
+                evaluate(weights) if due else None,
+                loss_total / loss_batches,
+                time.perf_counter() - start,
+            )
+        )
+    return weights, history

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -32,6 +33,15 @@ def write_config(tmp_path, text=BASE_CONFIG, name="exp.cfg"):
 
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard NaN/Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def strip_durations(rows):
@@ -261,8 +271,37 @@ class TestCompare:
         assert row[2] == "" and row[3] == ""
         assert row[6] == "acc;ba;dp"
 
+    def test_reads_legacy_infinity_token(self, tmp_path, capsys):
+        # Older results files spelled an infinite SER as a bare Infinity.
+        legacy = tmp_path / "legacy.jsonl"
+        report = full_report(tally(*log_arrays(SKEWED), 2, 2)).to_dict()
+        report["ser"] = math.inf
+        line = {"kind": "summary", "modes": ["dbfed"], "reports": {"dbfed": report}}
+        legacy.write_text(json.dumps(line, sort_keys=True) + "\n", encoding="utf-8")
+        assert "Infinity" in legacy.read_text(encoding="utf-8")
+        out_csv = tmp_path / "table.csv"
+        assert main(["compare", str(legacy), "--out", str(out_csv)]) == 0
+        row = out_csv.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert row[:3] == ["dbfed", "0.5", "inf"]
+
     def test_file_without_summary_exits_2(self, tmp_path, capsys):
         results = tmp_path / "broken.jsonl"
         results.write_text('{"kind": "round", "round": 0}\n', encoding="utf-8")
         assert main(["compare", str(results)]) == 2
         assert "summary" in capsys.readouterr().err
+
+
+class TestStrictJson:
+    def test_writers_spell_infinity_as_a_string(self, tmp_path, capsys):
+        # BASE_CONFIG's dbfed run ends with one error-free test group.
+        results = tmp_path / "results.jsonl"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(results)]) == 0
+        rows = [strict_json(line) for line in results.read_text(encoding="utf-8").splitlines()]
+        assert rows[-1]["reports"]["dbfed"]["ser"] == "inf"
+
+        log = tmp_path / "preds.csv"
+        lines = [f"{r.predicted},{r.actual},{r.group}\n" for r in SKEWED]
+        log.write_text("predicted,actual,group\n" + "".join(lines), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["metrics", str(log), "2", "2", "--out", str(report)]) == 0
+        assert strict_json(report.read_text(encoding="utf-8"))["ser"] == "inf"

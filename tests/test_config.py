@@ -40,7 +40,6 @@ class TestParsing:
         assert c.test_fraction == 0.2
         assert c.hidden_widths == (16,)
         assert c.bias_strength == 0.0
-        assert c.parallel_clients is False
         assert c.output_path is None
 
     def test_comments_and_blank_lines_ignored(self):
@@ -98,12 +97,6 @@ class TestParsing:
             cfg(run__modes="fedavg,secure")
         with pytest.raises(ConfigurationError, match=r"repeat"):
             cfg(run__modes="dbfed,dbfed")
-
-    def test_bool_parsing(self):
-        assert cfg(federation__parallel_clients="true").parallel_clients is True
-        assert cfg(federation__parallel_clients="false").parallel_clients is False
-        with pytest.raises(ConfigurationError):
-            cfg(federation__parallel_clients="yes please")
 
     def test_fraction_bounds(self):
         with pytest.raises(ConfigurationError):

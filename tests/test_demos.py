@@ -1,0 +1,28 @@
+"""Each quick demo script runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# three_mode_comparison.py is left out: its 15 training runs take several seconds.
+QUICK_DEMOS = ["head_mechanics", "metrics_tour", "biased_data", "federated_round"]
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_demo_exits_zero(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

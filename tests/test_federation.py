@@ -15,7 +15,6 @@ from fedbias.federation import (
     loss_mode_for,
     predict_dataset,
     run_federation,
-    train_centralized,
 )
 from fedbias.nn import (
     Batch,
@@ -33,7 +32,7 @@ from fedbias.nn import (
     weight_layout,
 )
 from fedbias.seeding import TAG_INIT, derive_seed
-from oracles import weighted_mean
+from oracles import train_centralized, weighted_mean
 
 
 def toy_dataset(seed=0, size=40, num_classes=2, num_groups=2, dim=3) -> Dataset:
@@ -237,7 +236,7 @@ class TestRunFederation:
         config = FederationConfig(0, 2, 2, 8, adam(), Mode.DBFED, 21)
         result = run_federation(config, parts, spec, test_set=test)
         expected = init_weights(spec, derive_seed(21, TAG_INIT))
-        assert np.array_equal(result.final.weights.values, expected.values)
+        assert np.array_equal(result.final_weights.values, expected.values)
         assert len(result.history) == 1
         assert result.history[0].round_index == 0
         assert result.history[0].report is not None
@@ -256,30 +255,16 @@ class TestRunFederation:
         assert evaluated == [0, 2, 3]
 
     def test_bitwise_deterministic(self):
-        config, parts, spec, test = small_run_setup(Mode.DBFED)
-        a = run_federation(config, parts, spec, test_set=test)
-        b = run_federation(config, parts, spec, test_set=test)
-        assert np.array_equal(a.final.weights.values, b.final.weights.values)
-        for sa, sb in zip(a.history, b.history):
-            assert (sa.report is None) == (sb.report is None)
-            if sa.report is not None:
-                assert sa.report.to_dict() == sb.report.to_dict()
-
-    def test_parallel_equals_sequential(self):
-        for mode in (Mode.FEDAVG_PLAIN, Mode.DBFED, Mode.LOCAL_ONLY):
+        for mode in Mode:
             config, parts, spec, test = small_run_setup(mode, num_clients=3)
-            seq_cfg = FederationConfig(3, 3, 2, 8, adam(), mode, 21, parallel_clients=False)
-            par_cfg = FederationConfig(3, 3, 2, 8, adam(), mode, 21, parallel_clients=True)
-            seq = run_federation(seq_cfg, parts, spec, test_set=test)
-            par = run_federation(par_cfg, parts, spec, test_set=test)
-            if mode is Mode.LOCAL_ONLY:
-                for cid in seq.client_weights:
-                    assert np.array_equal(
-                        seq.client_weights[cid].values, par.client_weights[cid].values
-                    )
-            else:
-                assert np.array_equal(seq.final.weights.values, par.final.weights.values)
-            for sa, sb in zip(seq.history, par.history):
+            a = run_federation(config, parts, spec, test_set=test)
+            b = run_federation(config, parts, spec, test_set=test)
+            if mode is not Mode.LOCAL_ONLY:
+                assert np.array_equal(a.final_weights.values, b.final_weights.values)
+            for cid in a.client_weights:
+                assert np.array_equal(a.client_weights[cid].values, b.client_weights[cid].values)
+            for sa, sb in zip(a.history, b.history):
+                assert (sa.report is None) == (sb.report is None)
                 if sa.report is not None:
                     assert sa.report.to_dict() == sb.report.to_dict()
 
@@ -314,7 +299,7 @@ class TestRunFederation:
     def test_local_mode_has_no_global_weights(self):
         config, parts, spec, test = small_run_setup(Mode.LOCAL_ONLY)
         result = run_federation(config, parts, spec, test_set=test)
-        assert result.final.weights is None
+        assert result.final_weights is None
         assert set(result.client_weights) == {0, 1}
         assert not np.array_equal(
             result.client_weights[0].values, result.client_weights[1].values
@@ -356,15 +341,14 @@ class TestNonFiniteTraining:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", list(Mode))
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_divergence_stops_with_round_context(self, mode, parallel):
+    def test_divergence_stops_with_round_context(self, mode):
         data = generate_synthetic(
             SyntheticSpec(2, 2, 8, 1000, bias_strength=0.8, group_shift=1.0, noise_sigma=1.4, seed=1)
         )
         train, test = train_test_split(data, 0.2, seed=2)
         parts = partition(train, 5, seed=3)
         spec = ClassifierSpec(8, (16,), 2, 2, head_mode_for(mode))
-        config = FederationConfig(10, 5, 1, 64, sgd(lr=1e6), mode, 5, parallel_clients=parallel)
+        config = FederationConfig(10, 5, 1, 64, sgd(lr=1e6), mode, 5)
         with pytest.raises(NumericError, match=r"^round \d+, "):
             run_federation(config, parts, spec, test_set=test)
 
@@ -399,7 +383,7 @@ class TestCentralizedEquivalence:
             train, spec, LossMode.DOMAIN_INDEPENDENT_CE, adam(), rounds, epochs, batch, 31,
             test_set=test,
         )
-        assert np.array_equal(fed.final.weights.values, central_weights.values)
+        assert np.array_equal(fed.final_weights.values, central_weights.values)
         assert len(fed.history) == len(central_history)
         for sf, sc in zip(fed.history, central_history):
             assert sf.report.to_dict() == sc.report.to_dict()

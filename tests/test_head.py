@@ -1,3 +1,12 @@
+"""The grouped head's two uses of the block softmax: the true-group loss
+inside ``nn.backward`` and the group-marginalized ``predict_batch``.
+
+Loss checks go through a bias-only network (no hidden layer, zero weight
+matrix), whose logits are exactly its bias vector, on a one-example
+batch, so ``backward``'s mean loss is that example's conditional
+cross-entropy. Prediction checks compare against scipy's softmax.
+"""
+
 import math
 
 import numpy as np
@@ -5,163 +14,147 @@ import pytest
 from scipy.special import log_softmax, softmax
 
 from fedbias.exceptions import NumericError
-from fedbias.head import (
-    GroupConditionalDistribution,
-    conditional_cross_entropy,
-    group_conditional_probs,
-    predict,
-    predict_batch,
-    predict_known_group,
+from fedbias.head import predict_batch
+from fedbias.nn import (
+    Batch,
+    ClassifierSpec,
+    HeadMode,
+    LossMode,
+    ModelWeights,
+    backward,
+    weight_layout,
 )
 
 
-def dist_from_probs(rows: list[list[float]]) -> GroupConditionalDistribution:
-    """Build a distribution holding exactly the given probability rows."""
-    return GroupConditionalDistribution(np.log(np.asarray(rows, dtype=float)))
+def loss_of(logits, label: int, group: int, num_classes: int, num_groups: int) -> float:
+    """``backward``'s loss for one example whose logits are ``logits``."""
+    spec = ClassifierSpec(1, (), num_classes, num_groups, HeadMode.DOMAIN_INDEPENDENT)
+    bias = np.asarray(logits, dtype=float)
+    weights = ModelWeights(np.concatenate([np.zeros(bias.size), bias]), weight_layout(spec))
+    batch = Batch(np.zeros((1, 1)), [label], [group])
+    return backward(spec, weights, batch, LossMode.DOMAIN_INDEPENDENT_CE)[1]
+
+
+def probs_of(logits, num_classes: int, num_groups: int) -> np.ndarray:
+    """(num_groups, num_classes) class probabilities the loss implies."""
+    return np.array(
+        [
+            [math.exp(-loss_of(logits, y, d, num_classes, num_groups)) for y in range(num_classes)]
+            for d in range(num_groups)
+        ]
+    )
+
+
+def marginal_oracle(logits: np.ndarray, num_classes: int, num_groups: int) -> np.ndarray:
+    """Argmax of the uniform-prior mixture of per-group scipy softmaxes."""
+    blocks = logits.reshape(len(logits), num_groups, num_classes)
+    mixture = (softmax(blocks, axis=2) / num_groups).sum(axis=1)
+    return np.argmax(mixture, axis=1)
 
 
 class TestGroupConditionalProbs:
     def test_zero_logits_uniform(self):
-        dist = group_conditional_probs(np.zeros(4), 2, 2)
-        assert np.allclose(dist.probs, 0.5)
+        assert np.allclose(probs_of(np.zeros(4), 2, 2), 0.5)
 
     def test_single_group_is_binary_softmax(self):
         logits = np.array([0.3, -1.1])
-        dist = group_conditional_probs(logits, 2, 1)
-        assert np.allclose(dist.probs[0], softmax(logits))
+        assert np.allclose(probs_of(logits, 2, 1)[0], softmax(logits))
 
     def test_rows_match_per_slice_softmax(self):
         logits = np.array([1.0, 2.0, 3.0, 0.0, 0.0, 10.0])
-        dist = group_conditional_probs(logits, 3, 2)
-        assert np.allclose(dist.probs[0], softmax(logits[:3]))
-        assert np.allclose(dist.probs[1], softmax(logits[3:]))
+        probs = probs_of(logits, 3, 2)
+        assert np.allclose(probs[0], softmax(logits[:3]))
+        assert np.allclose(probs[1], softmax(logits[3:]))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             n = int(rng.integers(2, 5))
             d = int(rng.integers(1, 4))
-            dist = group_conditional_probs(rng.normal(0, 5, n * d), n, d)
-            assert np.allclose(dist.probs.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(dist.probs >= 0.0)
-            assert np.all(dist.probs <= 1.0)
+            probs = probs_of(rng.normal(0, 5, n * d), n, d)
+            assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+            assert np.all(probs >= 0.0)
+            assert np.all(probs <= 1.0)
 
     def test_global_shift_invariance(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=6)
-        a = group_conditional_probs(logits, 3, 2)
-        b = group_conditional_probs(logits + 12.5, 3, 2)
-        assert np.allclose(a.probs, b.probs, atol=1e-12)
+        for y in range(3):
+            for d in range(2):
+                assert loss_of(logits, y, d, 3, 2) == pytest.approx(
+                    loss_of(logits + 12.5, y, d, 3, 2), abs=1e-12
+                )
 
     def test_within_slice_shift_moves_one_row_only(self):
+        # Shifting one group's whole slice by a constant leaves that
+        # group's softmax, and every other group's, unchanged.
         rng = np.random.default_rng(6)
         logits = rng.normal(size=6)
         shifted = logits.copy()
         shifted[3:] += 4.0
-        a = group_conditional_probs(logits, 3, 2)
-        b = group_conditional_probs(shifted, 3, 2)
-        assert np.allclose(a.probs[1], b.probs[1], atol=1e-12)
-        assert np.allclose(a.probs[0], b.probs[0], atol=1e-12)
+        assert np.allclose(probs_of(logits, 3, 2), probs_of(shifted, 3, 2), atol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
-        dist = group_conditional_probs(np.array([800.0, -800.0]), 2, 1)
-        assert np.all(np.isfinite(dist.log_probs))
+        for y in range(2):
+            assert math.isfinite(loss_of([800.0, -800.0], y, 0, 2, 1))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
-            group_conditional_probs(np.array([np.nan, 0.0]), 2, 1)
+            predict_batch(np.array([[np.nan, 0.0]]), 2, 1)
         with pytest.raises(NumericError):
-            group_conditional_probs(np.array([np.inf, 0.0]), 2, 1)
+            predict_batch(np.array([[np.inf, 0.0]]), 2, 1)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            group_conditional_probs(np.zeros(5), 2, 2)
+            predict_batch(np.zeros((1, 5)), 2, 2)
 
 
 class TestPredict:
     def test_column_sums_decide(self):
         # Sums are [1.1, 0.9], so class 0 wins despite group 1 preferring 1.
-        dist = dist_from_probs([[0.9, 0.1], [0.2, 0.8]])
-        assert predict(dist) == 0
+        logits = np.log([[0.9, 0.1, 0.2, 0.8]])
+        assert predict_batch(logits, 2, 2).tolist() == [0]
 
     def test_tie_breaks_to_lowest_index(self):
-        dist = dist_from_probs([[0.5, 0.5], [0.5, 0.5]])
-        assert predict(dist) == 0
+        assert predict_batch(np.zeros((1, 4)), 2, 2).tolist() == [0]
 
     def test_single_group_is_plain_argmax(self):
-        logits = np.array([0.1, 1.4, -0.3])
-        dist = group_conditional_probs(logits, 3, 1)
-        assert predict(dist) == int(np.argmax(logits))
+        logits = np.array([[0.1, 1.4, -0.3]])
+        assert predict_batch(logits, 3, 1).tolist() == [1]
 
     def test_explicit_uniform_prior_equivalent(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            dist = group_conditional_probs(rng.normal(0, 3, 6), 3, 2)
-            weighted = (dist.probs / dist.num_groups).sum(axis=0)
-            assert predict(dist) == int(np.argmax(weighted))
-
-
-class TestPredictKnownGroup:
-    def test_row_argmax(self):
-        dist = dist_from_probs([[0.1, 0.7, 0.2]])
-        assert predict_known_group(dist, 0) == 1
-
-    def test_equal_rows_agree_with_marginal(self):
-        dist = dist_from_probs([[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
-        assert predict_known_group(dist, 0) == predict(dist)
-        assert predict_known_group(dist, 1) == predict(dist)
-
-    def test_can_disagree_with_marginal(self):
-        # Group 0 alone would say class 0; the marginal says class 1.
-        dist = dist_from_probs([[0.9, 0.1], [0.01, 0.99]])
-        assert predict_known_group(dist, 0) == 0
-        assert predict(dist) == 1
-
-    def test_group_out_of_range(self):
-        dist = dist_from_probs([[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            predict_known_group(dist, 1)
+        logits = rng.normal(0, 3, (50, 6))
+        assert np.array_equal(predict_batch(logits, 3, 2), marginal_oracle(logits, 3, 2))
 
 
 class TestConditionalCrossEntropy:
     def test_certain_class_zero_loss(self):
-        dist = dist_from_probs([[1.0, 0.0000000001]])
-        assert conditional_cross_entropy(dist, 0, 0) == pytest.approx(0.0, abs=1e-9)
+        assert loss_of([30.0, 0.0], 0, 0, 2, 1) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_binary_is_ln2(self):
-        dist = group_conditional_probs(np.zeros(4), 2, 2)
         for y in range(2):
             for d in range(2):
-                assert conditional_cross_entropy(dist, y, d) == pytest.approx(math.log(2.0))
+                assert loss_of(np.zeros(4), y, d, 2, 2) == pytest.approx(math.log(2.0))
 
     def test_log_sum_exp_value(self):
         # Slice [1, 2, 3], target first entry: loss = ln(e + e^2 + e^3) - 1.
-        dist = group_conditional_probs(np.array([1.0, 2.0, 3.0]), 3, 1)
         expected = math.log(math.e + math.e**2 + math.e**3) - 1.0
-        assert conditional_cross_entropy(dist, 0, 0) == pytest.approx(expected)
+        assert loss_of([1.0, 2.0, 3.0], 0, 0, 3, 1) == pytest.approx(expected)
 
     def test_reads_the_true_group_row(self):
-        logits = np.array([5.0, -5.0, -5.0, 5.0])
-        dist = group_conditional_probs(logits, 2, 2)
-        assert conditional_cross_entropy(dist, 0, 0) < 0.01
-        assert conditional_cross_entropy(dist, 0, 1) > 5.0
-
-    def test_index_validation(self):
-        dist = dist_from_probs([[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            conditional_cross_entropy(dist, 2, 0)
-        with pytest.raises(ValueError):
-            conditional_cross_entropy(dist, 0, 1)
+        logits = [5.0, -5.0, -5.0, 5.0]
+        assert loss_of(logits, 0, 0, 2, 2) < 0.01
+        assert loss_of(logits, 0, 1, 2, 2) > 5.0
 
     def test_matches_scipy_log_softmax(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             logits = rng.normal(0, 4, 6)
-            dist = group_conditional_probs(logits, 3, 2)
             for d in range(2):
                 reference = -log_softmax(logits[d * 3 : (d + 1) * 3])
                 for y in range(3):
-                    assert conditional_cross_entropy(dist, y, d) == pytest.approx(
+                    assert loss_of(logits, y, d, 3, 2) == pytest.approx(
                         float(reference[y]), rel=1e-12
                     )
 
@@ -172,7 +165,7 @@ class TestPredictBatch:
         logits = rng.normal(0, 2, (40, 6))
         batched = predict_batch(logits, 3, 2)
         for i in range(40):
-            assert batched[i] == predict(group_conditional_probs(logits[i], 3, 2))
+            assert batched[i] == marginal_oracle(logits[i : i + 1], 3, 2)[0]
 
     def test_single_group_equals_plain_argmax(self):
         rng = np.random.default_rng(10)
@@ -190,10 +183,9 @@ class TestPredictBatch:
         rng = np.random.default_rng(11)
         for _ in range(20):
             logits = rng.normal(0, 3, 5)
-            dist = group_conditional_probs(logits, 5, 1)
-            assert np.allclose(dist.probs[0], softmax(logits), atol=1e-12)
-            assert predict(dist) == int(np.argmax(logits))
+            assert np.allclose(probs_of(logits, 5, 1)[0], softmax(logits), atol=1e-12)
+            assert predict_batch(logits[None, :], 5, 1)[0] == int(np.argmax(logits))
             y = int(rng.integers(0, 5))
-            assert conditional_cross_entropy(dist, y, 0) == pytest.approx(
+            assert loss_of(logits, y, 0, 5, 1) == pytest.approx(
                 float(-log_softmax(logits)[y]), rel=1e-12
             )

@@ -268,8 +268,10 @@ class TestReportSerialization:
         records = [R(0, 0, 0), R(0, 0, 1), R(1, 0, 1)]
         report = report_of(records, 2, 2)
         assert report.ser == math.inf
-        payload = json.dumps(report.to_dict(), sort_keys=True)
+        payload = json.dumps(report.to_dict(), sort_keys=True, allow_nan=False)
+        assert json.loads(payload)["ser"] == "inf"
         back = FairnessReport.from_dict(json.loads(payload))
+        assert back.ser == math.inf
         assert back.to_dict() == report.to_dict()
 
     def test_absent_list_in_payload(self):

@@ -12,7 +12,6 @@ from fedbias.nn import (
     OptimizerKind,
     OptimizerState,
     backward,
-    forward,
     forward_batch,
     init_weights,
     num_params,
@@ -88,7 +87,7 @@ class TestForward:
     def test_zero_weights_zero_logits(self):
         spec = spec_2_3_2()
         w = ModelWeights(np.zeros(num_params(spec)), weight_layout(spec))
-        out = forward(spec, w, np.array([1.5, -2.0]))
+        out = forward_batch(spec, w, np.array([[1.5, -2.0]]))
         assert np.all(out == 0.0)
 
     def test_identity_single_layer(self):
@@ -97,20 +96,20 @@ class TestForward:
         w = ModelWeights(
             np.concatenate([np.eye(2).ravel(), np.zeros(2)]), weight_layout(spec)
         )
-        x = np.array([0.7, -1.2])
-        assert np.array_equal(forward(spec, w, x), x)
+        x = np.array([[0.7, -1.2], [3.0, 0.5]])
+        assert np.array_equal(forward_batch(spec, w, x), x)
 
     def test_matches_independent_per_layer_evaluation(self):
         spec = spec_2_3_2()
         w = init_weights(spec, 5)
-        x = np.array([0.3, -0.9])
+        x = np.array([[0.3, -0.9]])
         expected = x
         layers = unpack_layers(spec, w.values)
         for wi, bi in layers[:-1]:
             expected = np.maximum(expected @ wi + bi, 0.0)
         wi, bi = layers[-1]
         expected = expected @ wi + bi
-        assert np.allclose(forward(spec, w, x), expected, rtol=0, atol=0)
+        assert np.allclose(forward_batch(spec, w, x), expected, rtol=0, atol=0)
 
     def test_batch_matches_single(self):
         spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
@@ -120,19 +119,21 @@ class TestForward:
         # Row-at-a-time and batched matmuls may take different BLAS
         # kernels, so agreement is to rounding, not bitwise.
         for i in range(6):
-            assert np.allclose(batched[i], forward(spec, w, xs[i]), rtol=1e-12)
+            assert np.allclose(batched[i], forward_batch(spec, w, xs[i : i + 1])[0], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         spec = spec_2_3_2()
         w = init_weights(spec, 1)
         with pytest.raises(ValueError):
-            forward(spec, w, np.zeros(3))
+            forward_batch(spec, w, np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            forward_batch(spec, w, np.zeros(2))
 
     def test_determinism_across_calls(self):
         spec = spec_2_3_2()
         w = init_weights(spec, 4)
-        x = np.array([0.2, 0.8])
-        assert np.array_equal(forward(spec, w, x), forward(spec, w, x))
+        x = np.array([[0.2, 0.8]])
+        assert np.array_equal(forward_batch(spec, w, x), forward_batch(spec, w, x))
 
 
 class TestBackward:
@@ -277,6 +278,7 @@ class TestOptimizers:
 
     def test_fresh_state_has_zero_moments(self):
         state = OptimizerState.fresh(OptimizerConfig(), 5)
+        assert state.config == OptimizerConfig()
         assert state.step_count == 0
         assert np.all(state.first_moment == 0.0)
         assert np.all(state.second_moment == 0.0)
