@@ -337,11 +337,13 @@ class TestRunFederation:
 class TestNonFiniteTraining:
     """SGD at lr=1e6 on the demo data overflows every mode within ten
     rounds; each mode must stop with the round in the message rather
-    than finish on non-finite weights."""
+    than finish on non-finite weights, whether or not a test set is
+    evaluated along the way."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_divergence_stops_with_round_context(self, mode):
+    @pytest.mark.parametrize("with_test_set", [False, True])
+    def test_divergence_stops_with_round_context(self, mode, with_test_set):
         data = generate_synthetic(
             SyntheticSpec(2, 2, 8, 1000, bias_strength=0.8, group_shift=1.0, noise_sigma=1.4, seed=1)
         )
@@ -350,7 +352,7 @@ class TestNonFiniteTraining:
         spec = ClassifierSpec(8, (16,), 2, 2, head_mode_for(mode))
         config = FederationConfig(10, 5, 1, 64, sgd(lr=1e6), mode, 5)
         with pytest.raises(NumericError, match=r"^round \d+, "):
-            run_federation(config, parts, spec, test_set=test)
+            run_federation(config, parts, spec, test_set=test if with_test_set else None)
 
     def test_non_finite_client_update_names_round_and_client(self, monkeypatch):
         config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
