@@ -4,6 +4,9 @@ bias_strength interpolates between group-independent labels (0.0) and a
 deterministic label = group mod num_classes (1.0); group_shift moves each
 group's feature cloud so the group is also visible in feature space.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from fedbias.data import SyntheticSpec, class_distribution, generate_synthetic, save_csv
@@ -36,8 +39,9 @@ for beta in (0.0, 0.5, 1.0):
 
 # Same spec and seed -> same bytes on disk, handy for pinning test inputs.
 spec = SyntheticSpec(2, 2, 3, 100, bias_strength=0.8, group_shift=1.0, seed=7)
-save_csv(generate_synthetic(spec), "/tmp/biased_demo.csv")
-save_csv(generate_synthetic(spec), "/tmp/biased_demo_again.csv")
-a = open("/tmp/biased_demo.csv", "rb").read()
-b = open("/tmp/biased_demo_again.csv", "rb").read()
-print("\nwrote /tmp/biased_demo.csv,", len(a), "bytes; rerun identical:", a == b)
+with tempfile.TemporaryDirectory() as tmp:
+    first, again = Path(tmp, "biased_demo.csv"), Path(tmp, "biased_demo_again.csv")
+    save_csv(generate_synthetic(spec), first)
+    save_csv(generate_synthetic(spec), again)
+    a, b = first.read_bytes(), again.read_bytes()
+print("\nwrote biased_demo.csv,", len(a), "bytes; rerun identical:", a == b)

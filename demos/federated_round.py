@@ -6,61 +6,49 @@ average the returned weights in proportion to client dataset sizes.
 import numpy as np
 
 from fedbias.data import SyntheticSpec, generate_synthetic, partition
-from fedbias.federation import ClientState, client_local_train, fedavg_aggregate
-from fedbias.nn import (
-    ClassifierSpec,
-    HeadMode,
-    LossMode,
-    OptimizerConfig,
-    OptimizerKind,
-    init_weights,
-)
+from fedbias.federation import client_local_train, fedavg_aggregate
+from fedbias.nn import ClassifierSpec, HeadMode, OptimizerConfig, OptimizerKind, init_weights
 from fedbias.seeding import shuffle_seed
 
 dataset = generate_synthetic(
     SyntheticSpec(2, 2, 4, 200, bias_strength=0.7, group_shift=1.0, seed=3)
 )
-clients = [ClientState(i, part) for i, part in enumerate(partition(dataset, 3, seed=4))]
+shards = partition(dataset, 3, seed=4)
 spec = ClassifierSpec(4, (8,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
 optimizer = OptimizerConfig(kind=OptimizerKind.ADAM, learning_rate=0.01)
 
 global_weights = init_weights(spec, seed=11)
-print(f"{len(clients)} clients, {len(global_weights)} parameters each")
+print(f"{len(shards)} clients, {len(global_weights)} parameters each")
 
 for round_index in (1, 2):
     print(f"\nround {round_index}")
     contributions = []
-    for client in clients:
-        update = client_local_train(
-            client,
+    for k, shard in enumerate(shards):
+        weights, mean_loss = client_local_train(
+            shard,
             global_weights,
             spec,
-            LossMode.DOMAIN_INDEPENDENT_CE,
             optimizer,
             epochs=3,
             batch_size=32,
-            seed=shuffle_seed(0, client.client_id, round_index),
+            seed=shuffle_seed(0, k, round_index),
         )
-        drift = np.linalg.norm(update.weights.values - global_weights.values)
+        drift = np.linalg.norm(weights.values - global_weights.values)
         print(
-            f"  client {client.client_id}: {update.num_samples} samples, "
-            f"mean loss {update.mean_loss:.4f}, weight drift {drift:.4f}"
+            f"  client {k}: {len(shard)} samples, "
+            f"mean loss {mean_loss:.4f}, weight drift {drift:.4f}"
         )
-        contributions.append((client.client_id, update.weights, update.num_samples))
+        contributions.append((k, weights, len(shard)))
     merged = fedavg_aggregate(contributions)
     step = np.linalg.norm(merged.values - global_weights.values)
     print(f"  aggregate moved the global model by {step:.4f}")
     global_weights = merged
 
 # The average is weighted: a client holding most of the data dominates.
-big, small = clients[0].dataset, clients[1].dataset.subset(range(5))
+big, small = shards[0], shards[1].subset(range(5))
 lopsided = [
-    (0, client_local_train(ClientState(0, big), global_weights, spec,
-                           LossMode.DOMAIN_INDEPENDENT_CE, optimizer, 1, 32, 99).weights,
-     len(big)),
-    (1, client_local_train(ClientState(1, small), global_weights, spec,
-                           LossMode.DOMAIN_INDEPENDENT_CE, optimizer, 1, 32, 99).weights,
-     len(small)),
+    (k, client_local_train(shard, global_weights, spec, optimizer, 1, 32, 99)[0], len(shard))
+    for k, shard in enumerate((big, small))
 ]
 merged = fedavg_aggregate(lopsided)
 to_big = np.linalg.norm(merged.values - lopsided[0][1].values)

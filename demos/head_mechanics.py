@@ -7,29 +7,15 @@ unknown, so we average the per-group softmax columns and take the argmax.
 """
 import numpy as np
 
-from fedbias.head import predict_batch
-from fedbias.nn import (
-    Batch,
-    ClassifierSpec,
-    HeadMode,
-    LossMode,
-    ModelWeights,
-    backward,
-    weight_layout,
-)
+from fedbias.head import block_softmax, predict_batch
+from fedbias.nn import Batch, ClassifierSpec, HeadMode, ModelWeights, backward, weight_layout
 
 N, D = 3, 2
 
 
-def group_probs(logits: np.ndarray) -> np.ndarray:
-    """Softmax of each group's slice; rows are groups."""
-    blocks = logits.reshape(D, N)
-    exp = np.exp(blocks - blocks.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def show(logits: np.ndarray) -> None:
-    probs = group_probs(logits)
+    # The softmax of each group's slice, the one the loss and prediction share.
+    _, _, probs = block_softmax(logits.reshape(D, N))
     print("per-group class probabilities (rows = groups):")
     for d in range(D):
         row = ", ".join(f"{p:.3f}" for p in probs[d])
@@ -61,5 +47,5 @@ weights = ModelWeights(np.concatenate([np.zeros(N * D), logits]), weight_layout(
 print("\ncross-entropy of class 1 under each group's slice:")
 for d in range(D):
     batch = Batch(np.zeros((1, 1)), [1], [d])
-    _, loss = backward(spec, weights, batch, LossMode.DOMAIN_INDEPENDENT_CE)
+    _, loss = backward(spec, weights, batch)
     print(f"  group {d}: {loss:.4f}")

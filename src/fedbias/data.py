@@ -36,8 +36,13 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.groups = np.asarray(self.groups, dtype=np.int64)
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be a 2-D array, got shape {self.features.shape}")
+        for name in ("labels", "groups"):
+            values = np.asarray(getattr(self, name))
+            if values.size and values.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+            setattr(self, name, values.astype(np.int64, copy=False))
         n = self.features.shape[0]
         if self.labels.shape != (n,) or self.groups.shape != (n,):
             raise ValueError("features, labels and groups must have matching length")

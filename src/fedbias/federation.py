@@ -12,9 +12,13 @@ returned weights. Three modes share this loop:
 - ``local``: no aggregation; each client keeps training its own model,
   and evaluation averages the clients' individual reports.
 
-Clients never share mutable state, and every shuffle is seeded by
-(master_seed, client_id, round), so a client's update does not depend on
-which clients trained before it.
+The classifier spec's head decides the loss (``nn.backward``), so the
+mode enters training only through ``run_federation``'s check that the
+spec carries the mode's head.
+
+Client k is the k-th partition. Clients never share mutable state, and
+every shuffle is seeded by (master_seed, k, round), so a client's update
+does not depend on which clients trained before it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import enum
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +47,6 @@ from .nn import (
     Batch,
     ClassifierSpec,
     HeadMode,
-    LossMode,
     ModelWeights,
     OptimizerConfig,
     OptimizerState,
@@ -63,10 +66,6 @@ class Mode(enum.Enum):
 
 def head_mode_for(mode: Mode) -> HeadMode:
     return HeadMode.DOMAIN_INDEPENDENT if mode is Mode.DBFED else HeadMode.PLAIN
-
-
-def loss_mode_for(mode: Mode) -> LossMode:
-    return LossMode.DOMAIN_INDEPENDENT_CE if mode is Mode.DBFED else LossMode.PLAIN_CE
 
 
 @dataclass(frozen=True)
@@ -92,31 +91,6 @@ class FederationConfig:
             raise ConfigurationError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class ClientState:
-    """One client's shard and current local model."""
-
-    client_id: int
-    dataset: Dataset
-    local_weights: ModelWeights | None = None
-
-    def __post_init__(self) -> None:
-        if self.client_id < 0:
-            raise ConfigurationError("client_id must be >= 0")
-        if len(self.dataset) == 0:
-            raise ConfigurationError(f"client {self.client_id} has an empty dataset")
-
-
-@dataclass(frozen=True)
-class ClientUpdate:
-    """What a client returns to the server after local training."""
-
-    client_id: int
-    weights: ModelWeights
-    num_samples: int
-    mean_loss: float
 
 
 @dataclass(frozen=True)
@@ -150,18 +124,18 @@ class FederationResult:
 
 
 def client_local_train(
-    client: ClientState,
+    data: Dataset,
     incoming: ModelWeights,
     spec: ClassifierSpec,
-    loss_mode: LossMode,
     optimizer: OptimizerConfig,
     epochs: int,
     batch_size: int,
     seed: int,
-) -> ClientUpdate:
-    """E full passes over the client shard starting from ``incoming``.
+) -> tuple[ModelWeights, float]:
+    """E full passes over a client shard starting from ``incoming``.
 
-    One generator seeded by ``seed`` drives every epoch's shuffle, the
+    Returns the trained weights and the mean loss over all batches. One
+    generator seeded by ``seed`` drives every epoch's shuffle, the
     optimizer starts from zero moments, and the trailing partial batch
     is trained on, so the whole call is a pure function of its
     arguments.
@@ -170,7 +144,8 @@ def client_local_train(
         raise ConfigurationError("epochs must be >= 1")
     if batch_size < 1:
         raise ConfigurationError("batch_size must be >= 1")
-    data = client.dataset
+    if len(data) == 0:
+        raise ConfigurationError("cannot train on an empty dataset")
     rng = np.random.default_rng(seed)
     weights = incoming
     state = OptimizerState.fresh(optimizer, len(incoming))
@@ -181,11 +156,11 @@ def client_local_train(
         for start in range(0, len(data), batch_size):
             idx = order[start : start + batch_size]
             batch = Batch(data.features[idx], data.labels[idx], data.groups[idx])
-            gradient, loss = backward(spec, weights, batch, loss_mode)
+            gradient, loss = backward(spec, weights, batch)
             weights, state = optimizer_step(state, weights, gradient)
             loss_total += loss
             loss_batches += 1
-    return ClientUpdate(client.client_id, weights, len(data), loss_total / loss_batches)
+    return weights, loss_total / loss_batches
 
 
 def fedavg_aggregate(
@@ -227,8 +202,7 @@ def predict_dataset(
     domain-independent head, plain argmax otherwise (a plain head is a
     one-group block). Non-finite logits raise ``NumericError``."""
     logits = forward_batch(spec, weights, dataset.features)
-    blocks = spec.num_groups if spec.head_mode is HeadMode.DOMAIN_INDEPENDENT else 1
-    return predict_batch(logits, spec.num_classes, blocks)
+    return predict_batch(logits, spec.num_classes, spec.num_blocks)
 
 
 def evaluate_weights(
@@ -296,14 +270,15 @@ def run_federation(
             f"got {spec.head_mode.value}"
         )
     for k, part in enumerate(partitions):
+        if len(part) == 0:
+            raise ConfigurationError(f"client {k} has an empty dataset")
         _check_compatible(spec, part, f"client {k} partition")
     if test_set is not None:
         _check_compatible(spec, test_set, "test set")
 
-    loss_mode = loss_mode_for(config.mode)
     local_mode = config.mode is Mode.LOCAL_ONLY
     init = init_weights(spec, derive_seed(config.master_seed, TAG_INIT))
-    clients = [ClientState(k, part, init) for k, part in enumerate(partitions)]
+    local_weights = [init] * len(partitions)
 
     def evaluate(round_index: int, global_weights: ModelWeights) -> FairnessReport | None:
         if test_set is None:
@@ -312,9 +287,9 @@ def run_federation(
             with _in_context(f"round {round_index}, evaluation"):
                 return evaluate_weights(spec, global_weights, test_set)
         reports = []
-        for c in clients:
-            with _in_context(f"round {round_index}, client {c.client_id}, evaluation"):
-                reports.append(evaluate_weights(spec, c.local_weights, test_set))
+        for k, weights in enumerate(local_weights):
+            with _in_context(f"round {round_index}, client {k}, evaluation"):
+                reports.append(evaluate_weights(spec, weights, test_set))
         return mean_reports(reports)
 
     start = time.perf_counter()
@@ -326,38 +301,32 @@ def run_federation(
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
 
-        updates: list[ClientUpdate] = []
-        for client in clients:
-            with _in_context(f"round {round_index}, client {client.client_id}"):
-                update = client_local_train(
-                    client,
-                    client.local_weights if local_mode else global_weights,
+        losses = []
+        for k, part in enumerate(partitions):
+            with _in_context(f"round {round_index}, client {k}"):
+                weights, loss = client_local_train(
+                    part,
+                    local_weights[k] if local_mode else global_weights,
                     spec,
-                    loss_mode,
                     config.optimizer,
                     config.local_epochs,
                     config.batch_size,
-                    shuffle_seed(config.master_seed, client.client_id, round_index),
+                    shuffle_seed(config.master_seed, k, round_index),
                 )
-                if not (
-                    math.isfinite(update.mean_loss) and np.isfinite(update.weights.values).all()
-                ):
+                if not (math.isfinite(loss) and np.isfinite(weights.values).all()):
                     raise NumericError("local training produced non-finite weights or loss")
-            updates.append(update)
+            local_weights[k] = weights
+            losses.append(loss)
 
-        clients = [
-            replace(client, local_weights=update.weights)
-            for client, update in zip(clients, updates)
-        ]
         if not local_mode:
             with _in_context(f"round {round_index}, aggregation"):
                 global_weights = fedavg_aggregate(
-                    [(u.client_id, u.weights, u.num_samples) for u in updates]
+                    [(k, local_weights[k], len(part)) for k, part in enumerate(partitions)]
                 )
 
         due = round_index % eval_every == 0 or round_index == config.rounds
         report = evaluate(round_index, global_weights) if due else None
-        mean_loss = sum(u.mean_loss for u in updates) / len(updates)
+        mean_loss = sum(losses) / len(losses)
         history.append(
             RoundSnapshot(round_index, report, mean_loss, time.perf_counter() - start)
         )
@@ -367,6 +336,6 @@ def run_federation(
         spec=spec,
         config=config,
         final_weights=None if local_mode else global_weights,
-        client_weights={c.client_id: c.local_weights for c in clients},
+        client_weights=dict(enumerate(local_weights)),
         history=history,
     )

@@ -20,16 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError
+from .head import block_softmax
 
 
 class HeadMode(enum.Enum):
     PLAIN = "plain"
     DOMAIN_INDEPENDENT = "domain_independent"
-
-
-class LossMode(enum.Enum):
-    PLAIN_CE = "plain_ce"
-    DOMAIN_INDEPENDENT_CE = "domain_independent_ce"
 
 
 class OptimizerKind(enum.Enum):
@@ -62,10 +58,16 @@ class ClassifierSpec:
             raise ConfigurationError("num_groups must be >= 1")
 
     @property
-    def output_dim(self) -> int:
+    def num_blocks(self) -> int:
+        """Logit blocks of ``num_classes`` each: one per group under the
+        domain-independent head, one in all under the plain head."""
         if self.head_mode is HeadMode.DOMAIN_INDEPENDENT:
-            return self.num_classes * self.num_groups
-        return self.num_classes
+            return self.num_groups
+        return 1
+
+    @property
+    def output_dim(self) -> int:
+        return self.num_classes * self.num_blocks
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -178,35 +180,18 @@ def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) ->
     return a @ w + b
 
 
-def _slice_starts(spec: ClassifierSpec, batch: Batch, loss_mode: LossMode) -> np.ndarray:
-    """Start index of the logit slice the loss reads for each example.
-
-    Domain-independent loss conditions on the true group, so example i
-    scores within slice ``groups[i] * num_classes``; the plain loss uses
-    the whole (width num_classes) output, i.e. slice start 0.
-    """
-    if loss_mode is LossMode.DOMAIN_INDEPENDENT_CE:
-        if spec.head_mode is not HeadMode.DOMAIN_INDEPENDENT:
-            raise ConfigurationError(
-                "domain-independent loss requires a domain-independent head"
-            )
-        return batch.groups * spec.num_classes
-    if spec.head_mode is not HeadMode.PLAIN:
-        raise ConfigurationError("plain cross-entropy requires a plain head")
-    return np.zeros(len(batch), dtype=np.int64)
-
-
 def backward(
     spec: ClassifierSpec,
     weights: ModelWeights,
     batch: Batch,
-    loss_mode: LossMode,
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of the mean per-example cross-entropy.
 
     Returns (gradient vector with the same layout as ``weights``, mean
     loss). The per-example loss is the negative log of the stabilized
-    softmax over the example's logit slice, taken at its target class.
+    softmax over one block of ``num_classes`` logits, taken at the
+    target class: the block of the example's group under the
+    domain-independent head, the whole output under the plain head.
     """
     _check_weights(spec, weights)
     layers = weights.unflatten()
@@ -225,19 +210,17 @@ def backward(
     w, b = layers[-1]
     logits = a @ w + b
 
-    starts = _slice_starts(spec, batch, loss_mode)
+    # Example i reads the block of logits that starts at block[i] * n.
+    block = batch.groups if spec.num_blocks > 1 else np.zeros(b_size, dtype=np.int64)
     rows = np.arange(b_size)
-    cols = starts[:, None] + np.arange(n)[None, :]
+    cols = (block * n)[:, None] + np.arange(n)[None, :]
     sliced = logits[rows[:, None], cols]
 
-    shift = sliced.max(axis=1, keepdims=True)
-    exp = np.exp(sliced - shift)
-    total = exp.sum(axis=1)
-    log_probs = sliced[rows, batch.labels] - shift[:, 0] - np.log(total)
+    shift, total, delta_slice = block_softmax(sliced)
+    log_probs = sliced[rows, batch.labels] - shift - np.log(total)
     mean_loss = float(-np.mean(log_probs))
 
-    # d(mean loss)/d(logits): softmax minus one-hot on each slice, /B.
-    delta_slice = exp / total[:, None]
+    # d(mean loss)/d(logits): softmax minus one-hot on each block, /B.
     delta_slice[rows, batch.labels] -= 1.0
     delta_slice /= b_size
     delta = np.zeros_like(logits)

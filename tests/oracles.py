@@ -24,7 +24,6 @@ from fedbias.nn import (
     Batch,
     ClassifierSpec,
     HeadMode,
-    LossMode,
     ModelWeights,
     OptimizerConfig,
     OptimizerState,
@@ -158,10 +157,10 @@ def unpack_layers(spec: ClassifierSpec, values: np.ndarray) -> list[tuple[np.nda
     return layers
 
 
-def reference_loss(
-    spec: ClassifierSpec, values: np.ndarray, batch: Batch, loss_mode: LossMode
-) -> float:
-    """Mean cross-entropy, one example at a time, via scipy logsumexp."""
+def reference_loss(spec: ClassifierSpec, values: np.ndarray, batch: Batch) -> float:
+    """Mean cross-entropy, one example at a time, via scipy logsumexp, over
+    the example's group window under the domain-independent head and over
+    the whole output under the plain head."""
     layers = unpack_layers(spec, values)
     total = 0.0
     for x, y, d in zip(batch.features, batch.labels, batch.groups):
@@ -170,7 +169,7 @@ def reference_loss(
             a = np.maximum(a @ w + b, 0.0)
         w, b = layers[-1]
         logits = a @ w + b
-        start = int(d) * spec.num_classes if loss_mode is LossMode.DOMAIN_INDEPENDENT_CE else 0
+        start = int(d) * spec.num_classes if spec.head_mode is HeadMode.DOMAIN_INDEPENDENT else 0
         window = logits[start : start + spec.num_classes]
         total += float(logsumexp(window) - window[int(y)])
     return total / len(batch)
@@ -180,7 +179,6 @@ def fd_gradient(
     spec: ClassifierSpec,
     weights: ModelWeights,
     batch: Batch,
-    loss_mode: LossMode,
     step: float = 1e-5,
 ) -> np.ndarray:
     base = weights.values
@@ -191,8 +189,7 @@ def fd_gradient(
         minus = base.copy()
         minus[i] -= step
         grad[i] = (
-            reference_loss(spec, plus, batch, loss_mode)
-            - reference_loss(spec, minus, batch, loss_mode)
+            reference_loss(spec, plus, batch) - reference_loss(spec, minus, batch)
         ) / (2.0 * step)
     return grad
 
@@ -216,23 +213,17 @@ def hidden_preactivations(spec: ClassifierSpec, values: np.ndarray, features: np
 
 
 def random_gradcheck_instance(
-    rng: np.random.Generator, loss_mode: LossMode, max_params: int = 60
+    rng: np.random.Generator, head_mode: HeadMode, max_params: int = 60
 ) -> tuple[ClassifierSpec, ModelWeights, Batch]:
     """A small random (spec, weights, batch) whose hidden pre-activations
     sit away from the ReLU kink, so finite differences are trustworthy."""
-    domain_independent = loss_mode is LossMode.DOMAIN_INDEPENDENT_CE
+    domain_independent = head_mode is HeadMode.DOMAIN_INDEPENDENT
     while True:
         input_dim = int(rng.integers(1, 4))
         hidden = tuple(int(rng.integers(2, 5)) for _ in range(rng.integers(0, 3)))
         n = int(rng.integers(2, 4))
         d = int(rng.integers(2, 4)) if domain_independent else int(rng.integers(1, 4))
-        spec = ClassifierSpec(
-            input_dim,
-            hidden,
-            n,
-            d,
-            HeadMode.DOMAIN_INDEPENDENT if domain_independent else HeadMode.PLAIN,
-        )
+        spec = ClassifierSpec(input_dim, hidden, n, d, head_mode)
         if num_params(spec) > max_params:
             continue
         values = rng.uniform(-0.8, 0.8, num_params(spec))
@@ -265,7 +256,6 @@ def weighted_mean(values_list: list[np.ndarray], counts: list[int]) -> np.ndarra
 def train_centralized(
     dataset: Dataset,
     spec: ClassifierSpec,
-    loss_mode: LossMode,
     optimizer: OptimizerConfig,
     rounds: int,
     local_epochs: int,
@@ -308,7 +298,7 @@ def train_centralized(
                 batch = Batch(
                     dataset.features[idx], dataset.labels[idx], dataset.groups[idx]
                 )
-                gradient, loss = backward(spec, weights, batch, loss_mode)
+                gradient, loss = backward(spec, weights, batch)
                 weights, state = optimizer_step(state, weights, gradient)
                 loss_total += loss
                 loss_batches += 1

@@ -30,7 +30,6 @@ from fedbias.federation import (
 from fedbias.nn import (
     ClassifierSpec,
     HeadMode,
-    LossMode,
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
@@ -64,17 +63,17 @@ def test_1_analytic_gradients_match_finite_differences():
     started = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
-    for loss_mode in (LossMode.PLAIN_CE, LossMode.DOMAIN_INDEPENDENT_CE):
+    for head_mode in (HeadMode.PLAIN, HeadMode.DOMAIN_INDEPENDENT):
         for _ in range(50):
-            spec, weights, batch = random_gradcheck_instance(rng, loss_mode)
+            spec, weights, batch = random_gradcheck_instance(rng, head_mode)
             assert num_params(spec) <= 60
-            analytic, _ = backward(spec, weights, batch, loss_mode)
-            numeric = fd_gradient(spec, weights, batch, loss_mode, step=1e-5)
+            analytic, _ = backward(spec, weights, batch)
+            numeric = fd_gradient(spec, weights, batch, step=1e-5)
             worst = max(worst, guarded_rel_error(analytic, numeric))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-5 and elapsed < 10.0
     report(
-        "1 gradient check, both losses, 100 random nets",
+        "1 gradient check, both heads, 100 random nets",
         ok,
         started,
         f"max rel err {worst:.3e}",
@@ -133,8 +132,7 @@ def test_3_single_client_training_equals_centralized():
         config = FederationConfig(rounds, 1, epochs, batch, optimizer, Mode.DBFED, 55)
         fed = run_federation(config, [train], spec, test_set=test)
         central_weights, central_history = train_centralized(
-            train, spec, LossMode.DOMAIN_INDEPENDENT_CE, optimizer,
-            rounds, epochs, batch, 55, test_set=test,
+            train, spec, optimizer, rounds, epochs, batch, 55, test_set=test,
         )
         ok = ok and bool(np.array_equal(fed.final_weights.values, central_weights.values))
         ok = ok and len(fed.history) == len(central_history)

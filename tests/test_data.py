@@ -286,3 +286,18 @@ class TestDatasetValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), [0], [0, 0], 2, 2)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 1)])
+    def test_features_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            Dataset(np.zeros(shape), [0] * 5, [0] * 5, 2, 1)
+
+    def test_non_integer_labels_or_groups_rejected(self):
+        with pytest.raises(ValueError, match="labels must hold integers"):
+            Dataset(np.zeros((2, 2)), [0.7, 1.9], [0, 0], 2, 1)
+        with pytest.raises(ValueError, match="groups must hold integers"):
+            Dataset(np.zeros((2, 2)), [0, 1], np.array([0.0, 1.0]), 2, 2)
+
+    def test_any_integer_kind_accepted(self):
+        ds = Dataset(np.zeros((2, 2)), np.array([0, 1], dtype=np.uint8), [1, 0], 2, 2)
+        assert ds.labels.dtype == ds.groups.dtype == np.int64

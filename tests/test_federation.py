@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fedbias.federation as federation
 from fedbias.data import Dataset, SyntheticSpec, generate_synthetic, partition, train_test_split
 from fedbias.exceptions import ConfigurationError, NumericError, ProtocolError
 from fedbias.federation import (
-    ClientState,
     FederationConfig,
     Mode,
     client_local_train,
     evaluate_weights,
     fedavg_aggregate,
     head_mode_for,
-    loss_mode_for,
     predict_dataset,
     run_federation,
 )
@@ -20,7 +21,6 @@ from fedbias.nn import (
     Batch,
     ClassifierSpec,
     HeadMode,
-    LossMode,
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
@@ -73,68 +73,54 @@ class TestConfigAndState:
             FederationConfig(1, 1, 1, 0, adam(), Mode.DBFED, 0)
 
     def test_empty_client_dataset_rejected(self):
-        empty = Dataset(np.zeros((0, 2)), [], [], 2, 2)
-        with pytest.raises(ConfigurationError):
-            ClientState(0, empty)
+        # run_federation names the client before round 1 starts; a direct
+        # client_local_train call rejects the shard on its own.
+        config, parts, spec, test = small_run_setup(Mode.DBFED)
+        empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
+        with pytest.raises(ConfigurationError, match=r"^client 1 has an empty dataset"):
+            run_federation(config, [parts[0], empty], spec, test_set=test)
+        with pytest.raises(ConfigurationError, match="empty dataset"):
+            client_local_train(empty, init_weights(spec, 0), spec, adam(), 1, 8, 0)
 
     def test_mode_helpers(self):
         assert head_mode_for(Mode.DBFED) is HeadMode.DOMAIN_INDEPENDENT
         assert head_mode_for(Mode.FEDAVG_PLAIN) is HeadMode.PLAIN
         assert head_mode_for(Mode.LOCAL_ONLY) is HeadMode.PLAIN
-        assert loss_mode_for(Mode.DBFED) is LossMode.DOMAIN_INDEPENDENT_CE
-        assert loss_mode_for(Mode.LOCAL_ONLY) is LossMode.PLAIN_CE
 
 
 class TestClientLocalTrain:
     def test_zero_learning_rate_is_identity(self):
         spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
-        client = ClientState(0, toy_dataset())
         incoming = init_weights(spec, 1)
-        update = client_local_train(
-            client,
-            incoming,
-            spec,
-            LossMode.DOMAIN_INDEPENDENT_CE,
-            sgd(lr=0.0),
-            epochs=3,
-            batch_size=8,
-            seed=5,
+        weights, _ = client_local_train(
+            toy_dataset(), incoming, spec, sgd(lr=0.0), epochs=3, batch_size=8, seed=5
         )
-        assert np.array_equal(update.weights.values, incoming.values)
+        assert np.array_equal(weights.values, incoming.values)
 
     def test_single_batch_sgd_matches_manual_step(self):
         # One epoch, batch covering the whole shard: exactly one SGD step.
         spec = ClassifierSpec(3, (), 2, 1)
         data = toy_dataset(seed=3, size=10, num_groups=1)
-        client = ClientState(0, data)
         incoming = init_weights(spec, 2)
         seed = 77
-        update = client_local_train(
-            client, incoming, spec, LossMode.PLAIN_CE, sgd(lr=0.1), 1, 100, seed
-        )
+        weights, _ = client_local_train(data, incoming, spec, sgd(lr=0.1), 1, 100, seed)
         order = np.random.default_rng(seed).permutation(len(data))
         batch = Batch(data.features[order], data.labels[order], data.groups[order])
-        gradient, _ = backward(spec, incoming, batch, LossMode.PLAIN_CE)
+        gradient, _ = backward(spec, incoming, batch)
         state = OptimizerState.fresh(sgd(lr=0.1), len(incoming))
         expected, _ = optimizer_step(state, incoming, gradient)
-        assert np.array_equal(update.weights.values, expected.values)
+        assert np.array_equal(weights.values, expected.values)
 
     def test_identical_clients_identical_output(self):
         spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
         data = toy_dataset(seed=4)
         incoming = init_weights(spec, 3)
-        kwargs = dict(
-            spec=spec,
-            loss_mode=LossMode.DOMAIN_INDEPENDENT_CE,
-            optimizer=adam(),
-            epochs=2,
-            batch_size=8,
-            seed=9,
-        )
-        a = client_local_train(ClientState(0, data), incoming, **kwargs)
-        b = client_local_train(ClientState(1, data), incoming, **kwargs)
-        assert np.array_equal(a.weights.values, b.weights.values)
-        assert a.mean_loss == b.mean_loss
+        kwargs = dict(spec=spec, optimizer=adam(), epochs=2, batch_size=8, seed=9)
+        weights_a, loss_a = client_local_train(data, incoming, **kwargs)
+        copy = data.subset(np.arange(len(data)))
+        weights_b, loss_b = client_local_train(copy, incoming, **kwargs)
+        assert np.array_equal(weights_a.values, weights_b.values)
+        assert loss_a == loss_b
 
     def test_partial_batch_is_trained(self):
         # 10 samples, batch 8: the 2-sample remainder must still step the
@@ -142,15 +128,36 @@ class TestClientLocalTrain:
         spec = ClassifierSpec(3, (), 2, 1)
         data = toy_dataset(seed=5, size=10, num_groups=1)
         incoming = init_weights(spec, 4)
-        update = client_local_train(
-            ClientState(0, data), incoming, spec, LossMode.PLAIN_CE, sgd(), 1, 8, 11
-        )
+        weights, _ = client_local_train(data, incoming, spec, sgd(), 1, 8, 11)
         order = np.random.default_rng(11).permutation(10)
         head = Batch(data.features[order[:8]], data.labels[order[:8]], data.groups[order[:8]])
-        gradient, _ = backward(spec, incoming, head, LossMode.PLAIN_CE)
+        gradient, _ = backward(spec, incoming, head)
         state = OptimizerState.fresh(sgd(), len(incoming))
         after_head, _ = optimizer_step(state, incoming, gradient)
-        assert not np.array_equal(update.weights.values, after_head.values)
+        assert not np.array_equal(weights.values, after_head.values)
+
+
+@st.composite
+def contributions(draw):
+    """(client_id, weights, sample_count) for K clients sharing one random
+    spec: distinct ids, finite weights, positive counts. Clients draw their
+    weights from a small pool, so equal vectors (where the envelope is a
+    single point) come up often."""
+    spec = ClassifierSpec(
+        draw(st.integers(1, 4)),
+        tuple(draw(st.lists(st.integers(1, 5), max_size=2))),
+        draw(st.integers(2, 4)),
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from(HeadMode)),
+    )
+    ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=8, unique=True))
+    values = hnp.arrays(np.float64, num_params(spec), elements=st.floats(-1e6, 1e6))
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    layout = weight_layout(spec)
+    return [
+        (cid, ModelWeights(draw(st.sampled_from(pool)), layout), draw(st.integers(1, 1000)))
+        for cid in ids
+    ]
 
 
 class TestFedavgAggregate:
@@ -175,14 +182,12 @@ class TestFedavgAggregate:
         out = fedavg_aggregate([(i, w, int(rng.integers(1, 50))) for i in range(5)])
         assert np.array_equal(out.values, w.values)
 
-    def test_permutation_invariant_bitwise(self):
-        rng = np.random.default_rng(7)
-        spec = ClassifierSpec(2, (4,), 2, 1)
-        entries = [(i, random_weights(rng, spec), int(rng.integers(1, 20))) for i in range(4)]
-        reference = fedavg_aggregate(entries)
-        for _ in range(10):
-            shuffled = [entries[i] for i in rng.permutation(4)]
-            assert np.array_equal(fedavg_aggregate(shuffled).values, reference.values)
+    @settings(deadline=None)
+    @given(contributions(), st.data())
+    def test_permutation_invariant_bitwise(self, entries, data):
+        shuffled = data.draw(st.permutations(entries))
+        reference = fedavg_aggregate(entries).values
+        assert fedavg_aggregate(shuffled).values.tobytes() == reference.tobytes()
 
     def test_matches_independent_weighted_mean(self):
         rng = np.random.default_rng(8)
@@ -194,16 +199,13 @@ class TestFedavgAggregate:
             expected = weighted_mean([w.values for _, w, _ in entries], [n for _, _, n in entries])
             assert np.max(np.abs(out.values - expected)) <= 1e-12
 
-    def test_convex_envelope_exact(self):
-        rng = np.random.default_rng(9)
-        spec = ClassifierSpec(2, (), 3, 1)
-        for _ in range(50):
-            k = int(rng.integers(2, 7))
-            entries = [(i, random_weights(rng, spec), int(rng.integers(1, 9))) for i in range(k)]
-            out = fedavg_aggregate(entries)
-            stacked = np.stack([w.values for _, w, _ in entries])
-            assert np.all(out.values >= stacked.min(axis=0))
-            assert np.all(out.values <= stacked.max(axis=0))
+    @settings(deadline=None)
+    @given(contributions())
+    def test_convex_envelope_exact(self, entries):
+        out = fedavg_aggregate(entries).values
+        stacked = np.stack([w.values for _, w, _ in entries])
+        assert np.all(out >= stacked.min(axis=0))
+        assert np.all(out <= stacked.max(axis=0))
 
     def test_protocol_errors(self):
         spec = ClassifierSpec(2, (), 2, 1)
@@ -283,18 +285,11 @@ class TestRunFederation:
         # combination, equal to either one.
         config, parts, spec, _ = small_run_setup(Mode.DBFED)
         incoming = init_weights(spec, 5)
-        update = client_local_train(
-            ClientState(0, parts[0]), incoming, spec,
-            LossMode.DOMAIN_INDEPENDENT_CE, adam(), 2, 8, seed=123,
-        )
-        twin = client_local_train(
-            ClientState(1, parts[0]), incoming, spec,
-            LossMode.DOMAIN_INDEPENDENT_CE, adam(), 2, 8, seed=123,
-        )
-        merged = fedavg_aggregate(
-            [(0, update.weights, update.num_samples), (1, twin.weights, twin.num_samples)]
-        )
-        assert np.array_equal(merged.values, update.weights.values)
+        weights, _ = client_local_train(parts[0], incoming, spec, adam(), 2, 8, seed=123)
+        twin, _ = client_local_train(parts[0], incoming, spec, adam(), 2, 8, seed=123)
+        n = len(parts[0])
+        merged = fedavg_aggregate([(0, weights, n), (1, twin, n)])
+        assert np.array_equal(merged.values, weights.values)
 
     def test_local_mode_has_no_global_weights(self):
         config, parts, spec, test = small_run_setup(Mode.LOCAL_ONLY)
@@ -326,7 +321,7 @@ class TestRunFederation:
     def test_client_errors_carry_round_and_client(self, monkeypatch):
         config, parts, spec, test = small_run_setup(Mode.DBFED)
 
-        def boom(client, *args, **kwargs):
+        def boom(*args, **kwargs):
             raise ValueError("synthetic failure")
 
         monkeypatch.setattr(federation, "client_local_train", boom)
@@ -358,13 +353,9 @@ class TestNonFiniteTraining:
         config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
         real = federation.client_local_train
 
-        def poisoned(client, *args):
-            update = real(client, *args)
-            if client.client_id == 1:
-                return federation.ClientUpdate(
-                    update.client_id, update.weights, update.num_samples, float("nan")
-                )
-            return update
+        def poisoned(data, *args):
+            weights, loss = real(data, *args)
+            return weights, float("nan") if data is parts[1] else loss
 
         monkeypatch.setattr(federation, "client_local_train", poisoned)
         with pytest.raises(NumericError, match="round 1, client 1: .*non-finite"):
@@ -382,8 +373,7 @@ class TestCentralizedEquivalence:
         config = FederationConfig(rounds, 1, epochs, batch, adam(), Mode.DBFED, 31)
         fed = run_federation(config, [train], spec, test_set=test)
         central_weights, central_history = train_centralized(
-            train, spec, LossMode.DOMAIN_INDEPENDENT_CE, adam(), rounds, epochs, batch, 31,
-            test_set=test,
+            train, spec, adam(), rounds, epochs, batch, 31, test_set=test,
         )
         assert np.array_equal(fed.final_weights.values, central_weights.values)
         assert len(fed.history) == len(central_history)

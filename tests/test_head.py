@@ -1,5 +1,5 @@
-"""The grouped head's two uses of the block softmax: the true-group loss
-inside ``nn.backward`` and the group-marginalized ``predict_batch``.
+"""The block softmax and its two uses: the true-group loss inside
+``nn.backward`` and the group-marginalized ``predict_batch``.
 
 Loss checks go through a bias-only network (no hidden layer, zero weight
 matrix), whose logits are exactly its bias vector, on a one-example
@@ -14,12 +14,11 @@ import pytest
 from scipy.special import log_softmax, softmax
 
 from fedbias.exceptions import NumericError
-from fedbias.head import predict_batch
+from fedbias.head import block_softmax, predict_batch
 from fedbias.nn import (
     Batch,
     ClassifierSpec,
     HeadMode,
-    LossMode,
     ModelWeights,
     backward,
     weight_layout,
@@ -32,7 +31,7 @@ def loss_of(logits, label: int, group: int, num_classes: int, num_groups: int) -
     bias = np.asarray(logits, dtype=float)
     weights = ModelWeights(np.concatenate([np.zeros(bias.size), bias]), weight_layout(spec))
     batch = Batch(np.zeros((1, 1)), [label], [group])
-    return backward(spec, weights, batch, LossMode.DOMAIN_INDEPENDENT_CE)[1]
+    return backward(spec, weights, batch)[1]
 
 
 def probs_of(logits, num_classes: int, num_groups: int) -> np.ndarray:
@@ -50,6 +49,17 @@ def marginal_oracle(logits: np.ndarray, num_classes: int, num_groups: int) -> np
     blocks = logits.reshape(len(logits), num_groups, num_classes)
     mixture = (softmax(blocks, axis=2) / num_groups).sum(axis=1)
     return np.argmax(mixture, axis=1)
+
+
+class TestBlockSoftmax:
+    def test_matches_scipy_on_every_block(self):
+        rng = np.random.default_rng(3)
+        blocks = rng.normal(0, 4, (5, 3, 4))
+        shift, total, probs = block_softmax(blocks)
+        assert shift.shape == total.shape == (5, 3)
+        assert np.allclose(probs, softmax(blocks, axis=-1), rtol=1e-12, atol=0)
+        log_probs = blocks - shift[..., None] - np.log(total)[..., None]
+        assert np.allclose(log_probs, log_softmax(blocks, axis=-1), rtol=1e-12, atol=1e-12)
 
 
 class TestGroupConditionalProbs:

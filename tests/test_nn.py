@@ -6,7 +6,6 @@ from fedbias.nn import (
     Batch,
     ClassifierSpec,
     HeadMode,
-    LossMode,
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
@@ -33,8 +32,10 @@ def spec_2_3_2() -> ClassifierSpec:
 
 class TestSpecAndLayout:
     def test_output_dim_per_head_mode(self):
-        assert ClassifierSpec(4, (), 3, 2, HeadMode.PLAIN).output_dim == 3
-        assert ClassifierSpec(4, (), 3, 2, HeadMode.DOMAIN_INDEPENDENT).output_dim == 6
+        plain = ClassifierSpec(4, (), 3, 2, HeadMode.PLAIN)
+        grouped = ClassifierSpec(4, (), 3, 2, HeadMode.DOMAIN_INDEPENDENT)
+        assert (plain.num_blocks, plain.output_dim) == (1, 3)
+        assert (grouped.num_blocks, grouped.output_dim) == (2, 6)
 
     def test_num_params_hand_count(self):
         # 2->3: (2+1)*3 = 9; 3->2: (3+1)*2 = 8.
@@ -143,18 +144,18 @@ class TestBackward:
         x = np.array([[0.4, -0.6]])
         single = Batch(x, [1], [0])
         doubled = Batch(np.repeat(x, 2, axis=0), [1, 1], [0, 0])
-        g1, l1 = backward(spec, w, single, LossMode.PLAIN_CE)
-        g2, l2 = backward(spec, w, doubled, LossMode.PLAIN_CE)
+        g1, l1 = backward(spec, w, single)
+        g2, l2 = backward(spec, w, doubled)
         assert np.array_equal(g1, g2)
         assert l1 == l2
 
     def test_loss_matches_reference(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            mode = LossMode.PLAIN_CE if rng.random() < 0.5 else LossMode.DOMAIN_INDEPENDENT_CE
+            mode = HeadMode.PLAIN if rng.random() < 0.5 else HeadMode.DOMAIN_INDEPENDENT
             spec, w, batch = random_gradcheck_instance(rng, mode)
-            _, loss = backward(spec, w, batch, mode)
-            assert loss == pytest.approx(reference_loss(spec, w.values, batch, mode), rel=1e-12)
+            _, loss = backward(spec, w, batch)
+            assert loss == pytest.approx(reference_loss(spec, w.values, batch), rel=1e-12)
 
     def test_gradient_matches_finite_differences_4_8_4(self):
         # The 4-8-(2x2) case: domain-independent head with N=2, D=2.
@@ -162,17 +163,17 @@ class TestBackward:
         rng = np.random.default_rng(11)
         w = ModelWeights(rng.uniform(-0.5, 0.5, num_params(spec)), weight_layout(spec))
         batch = Batch(rng.uniform(-1, 1, (5, 4)), rng.integers(0, 2, 5), rng.integers(0, 2, 5))
-        analytic, _ = backward(spec, w, batch, LossMode.DOMAIN_INDEPENDENT_CE)
-        numeric = fd_gradient(spec, w, batch, LossMode.DOMAIN_INDEPENDENT_CE)
+        analytic, _ = backward(spec, w, batch)
+        numeric = fd_gradient(spec, w, batch)
         assert guarded_rel_error(analytic, numeric) <= 1e-5
 
     def test_gradient_matches_finite_differences_random(self):
         rng = np.random.default_rng(12)
-        for mode in (LossMode.PLAIN_CE, LossMode.DOMAIN_INDEPENDENT_CE):
+        for mode in (HeadMode.PLAIN, HeadMode.DOMAIN_INDEPENDENT):
             for _ in range(5):
                 spec, w, batch = random_gradcheck_instance(rng, mode)
-                analytic, _ = backward(spec, w, batch, mode)
-                numeric = fd_gradient(spec, w, batch, mode)
+                analytic, _ = backward(spec, w, batch)
+                numeric = fd_gradient(spec, w, batch)
                 assert guarded_rel_error(analytic, numeric) <= 1e-5
 
     def test_saturated_correct_logit(self):
@@ -182,7 +183,7 @@ class TestBackward:
         values = np.concatenate([np.array([[20.0, -20.0], [0.0, 0.0]]).ravel(), np.zeros(2)])
         w = ModelWeights(values, weight_layout(spec))
         batch = Batch(np.array([[1.0, 0.0]]), [0], [0])
-        gradient, loss = backward(spec, w, batch, LossMode.PLAIN_CE)
+        gradient, loss = backward(spec, w, batch)
         assert loss < 1e-6
         assert np.linalg.norm(gradient) < 1e-4
 
@@ -193,20 +194,11 @@ class TestBackward:
         feats = rng.uniform(-1, 1, (7, 3))
         labels = rng.integers(0, 3, 7)
         groups = np.zeros(7, dtype=int)
-        whole, _ = backward(spec, w, Batch(feats, labels, groups), LossMode.PLAIN_CE)
-        g_a, _ = backward(spec, w, Batch(feats[:3], labels[:3], groups[:3]), LossMode.PLAIN_CE)
-        g_b, _ = backward(spec, w, Batch(feats[3:], labels[3:], groups[3:]), LossMode.PLAIN_CE)
+        whole, _ = backward(spec, w, Batch(feats, labels, groups))
+        g_a, _ = backward(spec, w, Batch(feats[:3], labels[:3], groups[:3]))
+        g_b, _ = backward(spec, w, Batch(feats[3:], labels[3:], groups[3:]))
         recombined = (3 * g_a + 4 * g_b) / 7
         assert np.max(np.abs(whole - recombined)) <= 1e-12
-
-    def test_mode_head_mismatch(self):
-        plain = spec_2_3_2()
-        di = ClassifierSpec(2, (3,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
-        batch = Batch(np.zeros((1, 2)), [0], [0])
-        with pytest.raises(ConfigurationError):
-            backward(plain, init_weights(plain, 0), batch, LossMode.DOMAIN_INDEPENDENT_CE)
-        with pytest.raises(ConfigurationError):
-            backward(di, init_weights(di, 0), batch, LossMode.PLAIN_CE)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
