@@ -200,6 +200,17 @@ class TestBackward:
         recombined = (3 * g_a + 4 * g_b) / 7
         assert np.max(np.abs(whole - recombined)) <= 1e-12
 
+    def test_mode_head_mismatch(self):
+        # The spec decides the head, so weights built for the other head
+        # must be rejected rather than read with the wrong block count.
+        plain = spec_2_3_2()
+        di = ClassifierSpec(2, (3,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
+        batch = Batch(np.zeros((1, 2)), [0], [0])
+        with pytest.raises(ValueError, match="weight layout does not match"):
+            backward(plain, init_weights(di, 0), batch)
+        with pytest.raises(ValueError, match="weight layout does not match"):
+            backward(di, init_weights(plain, 0), batch)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             Batch(np.zeros((0, 2)), [], [])
