@@ -18,7 +18,11 @@ spec carries the mode's head.
 
 Client k is the k-th partition. Clients never share mutable state, and
 every shuffle is seeded by (master_seed, k, round), so a client's update
-does not depend on which clients trained before it.
+does not depend on which clients trained with it or before it. That lets
+``train_clients`` run a chunk of clients in lockstep: each step is one
+stacked backward pass and one optimizer update over the chunk's (K', P)
+weight block, in buffers allocated once per run, and every client's
+result is bit for bit what training it alone gives.
 """
 
 from __future__ import annotations
@@ -44,15 +48,16 @@ from .head import predict_batch
 from .metrics import FairnessReport, full_report, mean_reports, tally
 from .metrics import records_from_arrays  # noqa: F401  (a span target of perfbench/tracing.py)
 from .nn import (
-    Batch,
     ClassifierSpec,
     HeadMode,
     ModelWeights,
     OptimizerConfig,
     OptimizerState,
+    Workspace,
     backward,
     forward_batch,
     init_weights,
+    num_params,
     optimizer_step,
 )
 from .seeding import TAG_INIT, derive_seed, shuffle_seed
@@ -123,6 +128,98 @@ class FederationResult:
         return None
 
 
+# A stacked step keeps each (K', P) array of its K' models at or under
+# this many float64 values. The six Adam-sized arrays of a larger stack
+# overflow a 2 MiB L2 cache, and past that point (the wide benchmark shape
+# on a 2-core Xeon) stepping the models one at a time was faster.
+STACK_VALUES = 2**15
+
+
+def client_chunks(sizes: Sequence[int], num_values: int) -> list[list[int]]:
+    """Client ids in the chunks that train as one stack.
+
+    Clients with equal shard sizes share chunks, so every step of a chunk
+    has one batch shape; each size class is split into the fewest
+    balanced chunks of at most ``max(1, STACK_VALUES // num_values)``
+    clients (50 clients at most 48 a chunk give 25 + 25).
+    """
+    cap = max(1, STACK_VALUES // num_values)
+    by_size: dict[int, list[int]] = {}
+    for k, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(k)
+    chunks = []
+    for ids in by_size.values():
+        count = -(-len(ids) // cap)
+        chunks.extend(part.tolist() for part in np.array_split(np.array(ids), count))
+    return chunks
+
+
+def train_clients(
+    shards: Sequence[Dataset],
+    incoming: Sequence[ModelWeights],
+    spec: ClassifierSpec,
+    optimizer: OptimizerConfig,
+    epochs: int,
+    batch_size: int,
+    seeds: Sequence[int],
+    workspace: Workspace | None = None,
+) -> list[tuple[ModelWeights, float]]:
+    """E full passes of K clients over their own shards, in lockstep.
+
+    Client k starts from ``incoming[k]`` with zero optimizer moments, and
+    one generator seeded by ``seeds[k]`` drives its every epoch's shuffle;
+    the trailing partial batch is trained on. The shards must have equal
+    lengths, so each step is one stacked ``backward`` and one stacked
+    ``optimizer_step`` over the (K, P) block of client weights, with each
+    client's rows gathered into the workspace. Returns each client's
+    trained weights and mean loss over its batches, bit for bit what
+    training that client alone gives.
+    """
+    if epochs < 1:
+        raise ConfigurationError("epochs must be >= 1")
+    if batch_size < 1:
+        raise ConfigurationError("batch_size must be >= 1")
+    size = len(shards[0])
+    if size == 0:
+        raise ConfigurationError("cannot train on an empty dataset")
+    if any(len(shard) != size for shard in shards):
+        raise ConfigurationError("clients trained in one stack need equal shard sizes")
+    k = len(shards)
+    if len(incoming) != k or len(seeds) != k:
+        raise ValueError("need one incoming model and one seed per client")
+    ws = Workspace(spec, k, min(batch_size, size)) if workspace is None else workspace
+    block = ws.view(ws.weights, k, len(incoming[0]))
+    np.stack([w.values for w in incoming], out=block)
+    weights = incoming[0].with_values(block)
+    state = OptimizerState(
+        optimizer,
+        ws.view(ws.first_moment, *block.shape),
+        ws.view(ws.second_moment, *block.shape),
+    )
+    state.first_moment.fill(0.0)
+    state.second_moment.fill(0.0)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    loss_total = np.zeros(k)
+    loss_batches = 0
+    for _ in range(epochs):
+        orders = [rng.permutation(size) for rng in rngs]
+        for start in range(0, size, batch_size):
+            batch = ws.batch(k, min(batch_size, size - start))
+            for shard, order, x, y, g in zip(
+                shards, orders, batch.features, batch.labels, batch.groups
+            ):
+                idx = order[start : start + len(batch)]
+                shard.features.take(idx, axis=0, out=x, mode="clip")
+                shard.labels.take(idx, out=y, mode="clip")
+                shard.groups.take(idx, out=g, mode="clip")
+            gradient, loss = backward(spec, weights, batch, ws)
+            weights, state = optimizer_step(state, weights, gradient, ws)
+            loss_total += loss
+            loss_batches += 1
+    mean_loss = loss_total / loss_batches
+    return [(weights.with_values(block[i].copy()), float(mean_loss[i])) for i in range(k)]
+
+
 def client_local_train(
     data: Dataset,
     incoming: ModelWeights,
@@ -132,35 +229,11 @@ def client_local_train(
     batch_size: int,
     seed: int,
 ) -> tuple[ModelWeights, float]:
-    """E full passes over a client shard starting from ``incoming``.
-
-    Returns the trained weights and the mean loss over all batches. One
-    generator seeded by ``seed`` drives every epoch's shuffle, the
-    optimizer starts from zero moments, and the trailing partial batch
-    is trained on, so the whole call is a pure function of its
-    arguments.
-    """
-    if epochs < 1:
-        raise ConfigurationError("epochs must be >= 1")
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be >= 1")
-    if len(data) == 0:
-        raise ConfigurationError("cannot train on an empty dataset")
-    rng = np.random.default_rng(seed)
-    weights = incoming
-    state = OptimizerState.fresh(optimizer, len(incoming))
-    loss_total = 0.0
-    loss_batches = 0
-    for _ in range(epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), batch_size):
-            idx = order[start : start + batch_size]
-            batch = Batch(data.features[idx], data.labels[idx], data.groups[idx])
-            gradient, loss = backward(spec, weights, batch)
-            weights, state = optimizer_step(state, weights, gradient)
-            loss_total += loss
-            loss_batches += 1
-    return weights, loss_total / loss_batches
+    """E full passes over one client shard starting from ``incoming``:
+    ``train_clients`` with a single client. Returns the trained weights and
+    the mean loss over all batches; the call is a pure function of its
+    arguments."""
+    return train_clients([data], [incoming], spec, optimizer, epochs, batch_size, [seed])[0]
 
 
 def fedavg_aggregate(
@@ -247,6 +320,64 @@ def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None
         )
 
 
+def round_workspace(
+    config: FederationConfig, partitions: Sequence[Dataset], spec: ClassifierSpec
+) -> Workspace:
+    """A workspace that fits every chunk ``train_round`` trains."""
+    sizes = [len(p) for p in partitions]
+    chunks = client_chunks(sizes, num_params(spec))
+    return Workspace(spec, max(map(len, chunks)), min(config.batch_size, max(sizes)))
+
+
+def train_round(
+    config: FederationConfig,
+    partitions: Sequence[Dataset],
+    spec: ClassifierSpec,
+    incoming: Sequence[ModelWeights],
+    round_index: int,
+    workspace: Workspace | None = None,
+) -> list[tuple[ModelWeights, float]]:
+    """One round of local training for every client, chunk by chunk
+    (``client_chunks``), as (weights, mean loss) in client order.
+
+    Client k starts from ``incoming[k]`` and shuffles with
+    ``shuffle_seed(master_seed, k, round_index)``. An error or a
+    non-finite result names the round and the first client, in client
+    order, that fails.
+    """
+    ws = round_workspace(config, partitions, spec) if workspace is None else workspace
+
+    def train(ids: list[int]) -> list[tuple[ModelWeights, float]]:
+        return train_clients(
+            [partitions[k] for k in ids],
+            [incoming[k] for k in ids],
+            spec,
+            config.optimizer,
+            config.local_epochs,
+            config.batch_size,
+            [shuffle_seed(config.master_seed, k, round_index) for k in ids],
+            ws,
+        )
+
+    results = {}
+    for chunk in client_chunks([len(p) for p in partitions], num_params(spec)):
+        try:
+            results.update(zip(chunk, train(chunk)))
+        except _WRAPPABLE:
+            # A stacked step cannot tell which client failed: retrain the
+            # chunk's clients one at a time to name the first that does.
+            for k in chunk:
+                with _in_context(f"round {round_index}, client {k}"):
+                    train([k])
+            raise
+    ordered = [results[k] for k in range(len(partitions))]
+    for k, (weights, loss) in enumerate(ordered):
+        with _in_context(f"round {round_index}, client {k}"):
+            if not (math.isfinite(loss) and np.isfinite(weights.values).all()):
+                raise NumericError("local training produced non-finite weights or loss")
+    return ordered
+
+
 def run_federation(
     config: FederationConfig,
     partitions: Sequence[Dataset],
@@ -279,6 +410,7 @@ def run_federation(
     local_mode = config.mode is Mode.LOCAL_ONLY
     init = init_weights(spec, derive_seed(config.master_seed, TAG_INIT))
     local_weights = [init] * len(partitions)
+    workspace = round_workspace(config, partitions, spec)
 
     def evaluate(round_index: int, global_weights: ModelWeights) -> FairnessReport | None:
         if test_set is None:
@@ -301,22 +433,10 @@ def run_federation(
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
 
-        losses = []
-        for k, part in enumerate(partitions):
-            with _in_context(f"round {round_index}, client {k}"):
-                weights, loss = client_local_train(
-                    part,
-                    local_weights[k] if local_mode else global_weights,
-                    spec,
-                    config.optimizer,
-                    config.local_epochs,
-                    config.batch_size,
-                    shuffle_seed(config.master_seed, k, round_index),
-                )
-                if not (math.isfinite(loss) and np.isfinite(weights.values).all()):
-                    raise NumericError("local training produced non-finite weights or loss")
-            local_weights[k] = weights
-            losses.append(loss)
+        incoming = local_weights if local_mode else [global_weights] * len(partitions)
+        results = train_round(config, partitions, spec, incoming, round_index, workspace)
+        local_weights = [weights for weights, _ in results]
+        losses = [loss for _, loss in results]
 
         if not local_mode:
             with _in_context(f"round {round_index}, aggregation"):

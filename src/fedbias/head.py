@@ -20,18 +20,24 @@ import numpy as np
 from .exceptions import NumericError
 
 
-def block_softmax(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def block_softmax(
+    blocks: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax along the last axis, each block shifted by its own max.
 
     Returns ``(shift, total, probs)``: the block maxima and the sums of
     the shifted exponentials (both without the last axis), and the
     probabilities. The log-softmax at entry y is
-    ``blocks[..., y] - shift - log(total)``.
+    ``blocks[..., y] - shift - log(total)``. With ``out``, the three
+    results are written into its arrays; ``probs`` may be ``blocks``.
     """
-    shift = blocks.max(axis=-1)
-    exp = np.exp(blocks - shift[..., None])
-    total = exp.sum(axis=-1)
-    return shift, total, exp / total[..., None]
+    shift, total, probs = (None, None, None) if out is None else out
+    shift = np.max(blocks, axis=-1, out=shift)
+    probs = np.subtract(blocks, shift[..., None], out=probs)
+    np.exp(probs, out=probs)
+    total = np.sum(probs, axis=-1, out=total)
+    probs /= total[..., None]
+    return shift, total, probs
 
 
 def predict_batch(logits: np.ndarray, num_classes: int, num_groups: int) -> np.ndarray:

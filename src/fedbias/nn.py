@@ -87,13 +87,28 @@ def num_params(spec: ClassifierSpec) -> int:
     return sum((fi + 1) * fo for _, (fi, fo) in weight_layout(spec))
 
 
+def _unflatten(values: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarray]]:
+    lead = values.shape[:-1]
+    out = []
+    offset = 0
+    for _, (fi, fo) in layout:
+        w = values[..., offset : offset + fi * fo].reshape(*lead, fi, fo)
+        offset += fi * fo
+        b = values[..., offset : offset + fo]
+        offset += fo
+        out.append((w, b))
+    return out
+
+
 @dataclass(frozen=True)
 class ModelWeights:
     """All trainable parameters as one flat float64 vector.
 
     Per layer the vector holds the weight matrix (row-major, shape
     fan_in x fan_out) followed by the bias (fan_out,). Two ModelWeights
-    built from the same spec always share the same layout.
+    built from the same spec always share the same layout. A (K, P)
+    ``values`` array holds a stack of K models with that layout, one per
+    row, which ``backward`` and ``optimizer_step`` step together.
     """
 
     values: np.ndarray
@@ -102,33 +117,27 @@ class ModelWeights:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         expected = sum((fi + 1) * fo for _, (fi, fo) in self.layout)
-        if self.values.shape != (expected,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != expected:
             raise ValueError(
                 f"weight vector length {self.values.shape} does not match layout ({expected},)"
             )
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def with_values(self, values: np.ndarray) -> "ModelWeights":
         return ModelWeights(values, self.layout)
 
     def unflatten(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Views (no copies) of each layer's weight matrix and bias."""
-        out = []
-        offset = 0
-        for _, (fi, fo) in self.layout:
-            w = self.values[offset : offset + fi * fo].reshape(fi, fo)
-            offset += fi * fo
-            b = self.values[offset : offset + fo]
-            offset += fo
-            out.append((w, b))
-        return out
+        """Views (no copies) of each layer's weight matrix and bias, with
+        the stack axis in front for a stack of models."""
+        return _unflatten(self.values, self.layout)
 
 
 @dataclass(frozen=True)
 class Batch:
-    """A non-empty mini-batch: features (B, m), labels and groups (B,)."""
+    """A non-empty mini-batch: features (B, m), labels and groups (B,);
+    or a stack of K such batches, (K, B, m) and (K, B), one per model."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -138,14 +147,14 @@ class Batch:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         object.__setattr__(self, "groups", np.asarray(self.groups, dtype=np.int64))
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
+        if self.features.ndim not in (2, 3) or self.features.shape[-2] == 0:
             raise ValueError("batch must contain at least one example")
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.groups.shape != (n,):
+        rows = self.features.shape[:-1]
+        if self.labels.shape != rows or self.groups.shape != rows:
             raise ValueError("labels/groups must match the batch size")
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
 
 def init_weights(spec: ClassifierSpec, seed: int) -> ModelWeights:
@@ -166,25 +175,109 @@ def _check_weights(spec: ClassifierSpec, weights: ModelWeights) -> None:
         raise ValueError("weight layout does not match the classifier spec")
 
 
+class Workspace:
+    """Every buffer that ``backward`` and ``optimizer_step`` write, for
+    stacks of up to ``models`` models on batches of up to ``batch_size``
+    examples, allocated once and reused by each step.
+
+    A step takes C-contiguous views of the leading part of each buffer
+    (``view``), so a smaller stack or a short last batch is laid out in
+    memory exactly like a freshly allocated array, and every NumPy
+    kernel sees the same shapes and strides it would see without the
+    workspace. ``weights``, ``first_moment`` and ``second_moment`` hold
+    the stacked model and optimizer state of the caller's run of steps.
+    """
+
+    def __init__(self, spec: ClassifierSpec, models: int, batch_size: int) -> None:
+        if models < 1 or batch_size < 1:
+            raise ValueError("a workspace needs at least one model and one example")
+        self.spec = spec
+        self.models = models
+        self.batch_size = batch_size
+        rows = models * batch_size
+        dims = spec.layer_dims
+        n, blocks = spec.num_classes, spec.num_blocks
+        self.features = np.empty(rows * dims[0])
+        self.labels = np.empty(rows, dtype=np.int64)
+        self.groups = np.empty(rows, dtype=np.int64)
+        # Each layer's output (hidden activations, then logits); the
+        # logits buffer becomes the output delta.
+        self.outputs = [np.empty(rows * w) for w in dims[1:]]
+        self.deltas = [np.empty(rows * w) for w in dims[1:-1]]
+        self.block = np.empty(rows * n)
+        self.shift, self.total, self.picked = np.empty(rows), np.empty(rows), np.empty(rows)
+        # Row r of the logits, read as (rows * blocks, n), starts block 0
+        # of example r; entry (r, y) of the block array is at r * n + y.
+        self.block_start = np.arange(rows, dtype=np.int64) * blocks
+        self.entry_start = np.arange(rows, dtype=np.int64) * n
+        self.block_row = np.empty(rows, dtype=np.int64)
+        self.target = np.empty(rows, dtype=np.int64)
+        p = num_params(spec)
+        self.gradient, self.scratch = np.empty(models * p), np.empty(models * p)
+        self.weights = np.empty(models * p)
+        self.first_moment, self.second_moment = np.empty(models * p), np.empty(models * p)
+
+    @staticmethod
+    def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+        """The C-contiguous ``shape`` array at the start of ``buffer``."""
+        return buffer[: math.prod(shape)].reshape(shape)
+
+    def batch(self, models: int, size: int) -> Batch:
+        """A stacked batch over the feature, label and group buffers."""
+        return Batch(
+            self.view(self.features, models, size, self.spec.input_dim),
+            self.view(self.labels, models, size),
+            self.view(self.groups, models, size),
+        )
+
+
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    outs: list[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """``[x, hidden activations..., logits]``, written into ``outs`` if given.
+
+    ``x`` is (B, m) for one model or (K, B, m) for a stack, matching the
+    leading axis of ``layers``.
+    """
+    acts = [x]
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        z = np.matmul(acts[-1], w, out=None if outs is None else outs[i])
+        z += b[..., None, :]
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts
+
+
 def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) -> np.ndarray:
     """Logits (B, output_dim) for a feature matrix (B, input_dim)."""
     _check_weights(spec, weights)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"expected features of shape (B, {spec.input_dim}), got {x.shape}")
-    layers = weights.unflatten()
-    a = x
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-    w, b = layers[-1]
-    return a @ w + b
+    return _forward(weights.unflatten(), x)[-1]
+
+
+def _check_targets(spec: ClassifierSpec, labels: np.ndarray, groups: np.ndarray) -> None:
+    checks = [("label", labels, spec.num_classes, "classes")]
+    if spec.num_blocks > 1:
+        checks.append(("group", groups, spec.num_groups, "groups"))
+    for what, values, count, unit in checks:
+        low, high = int(values.min()), int(values.max())
+        if low < 0 or high >= count:
+            bad = low if low < 0 else high
+            raise ValueError(f"{what} {bad} out of range for {count} {unit}")
 
 
 def backward(
     spec: ClassifierSpec,
     weights: ModelWeights,
     batch: Batch,
-) -> tuple[np.ndarray, float]:
+    workspace: Workspace | None = None,
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Analytic gradient of the mean per-example cross-entropy.
 
     Returns (gradient vector with the same layout as ``weights``, mean
@@ -192,48 +285,83 @@ def backward(
     softmax over one block of ``num_classes`` logits, taken at the
     target class: the block of the example's group under the
     domain-independent head, the whole output under the plain head.
+
+    A stack of K models ((K, P) weights) takes a stack of K batches of
+    one size and returns (K, P) gradients and (K,) mean losses; row k is
+    bit for bit what model k alone on batch k gives, because every
+    product is one BLAS call per model and every reduction runs along a
+    model's own rows. A single model is the K = 1 case. With a
+    ``workspace`` the gradient is a view into it, overwritten by the next
+    call; without one, fresh buffers are allocated.
     """
     _check_weights(spec, weights)
-    layers = weights.unflatten()
-    n = spec.num_classes
-    b_size = len(batch)
+    stacked = weights.values.ndim == 2
+    values = weights.values if stacked else weights.values[None]
+    x, labels, groups = batch.features, batch.labels, batch.groups
+    if not stacked:
+        x, labels, groups = x[None], labels[None], groups[None]
+    k, b = labels.shape
+    if x.shape != (len(values), b, spec.input_dim):
+        raise ValueError(
+            f"expected features of shape ({len(values)}, B, {spec.input_dim}) for "
+            f"{len(values)} stacked models, got {x.shape}"
+        )
+    _check_targets(spec, labels, groups)
+    ws = Workspace(spec, k, b) if workspace is None else workspace
+    if ws.spec != spec or k > ws.models or b > ws.batch_size:
+        raise ValueError("workspace does not fit this spec, stack or batch")
+    view = ws.view
+    n, blocks, rows = spec.num_classes, spec.num_blocks, k * b
+    layers = _unflatten(values, weights.layout)
 
-    # Forward pass, caching activations and hidden pre-activations.
-    activations = [batch.features]
-    pre_acts = []
-    a = batch.features
-    for w, b in layers[:-1]:
-        z = a @ w + b
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    w, b = layers[-1]
-    logits = a @ w + b
+    outs = [view(buf, k, b, w) for buf, w in zip(ws.outputs, spec.layer_dims[1:])]
+    acts = _forward(layers, x, outs)
+    logits = acts[-1].reshape(rows, blocks * n)
 
-    # Example i reads the block of logits that starts at block[i] * n.
-    block = batch.groups if spec.num_blocks > 1 else np.zeros(b_size, dtype=np.int64)
-    rows = np.arange(b_size)
-    cols = (block * n)[:, None] + np.arange(n)[None, :]
-    sliced = logits[rows[:, None], cols]
+    # Each example's block of n logits, one row per example.
+    if blocks > 1:
+        block_row = np.add(ws.block_start[:rows], groups.reshape(rows), out=ws.block_row[:rows])
+        sliced = np.take(
+            logits.reshape(rows * blocks, n), block_row, axis=0,
+            out=view(ws.block, rows, n), mode="clip",
+        )
+    else:
+        sliced = logits
+    target = np.add(ws.entry_start[:rows], labels.reshape(rows), out=ws.target[:rows])
+    picked = np.take(sliced.reshape(-1), target, out=ws.picked[:rows], mode="clip")
 
-    shift, total, delta_slice = block_softmax(sliced)
-    log_probs = sliced[rows, batch.labels] - shift - np.log(total)
-    mean_loss = float(-np.mean(log_probs))
+    shift, total, delta_slice = block_softmax(sliced, out=(ws.shift[:rows], ws.total[:rows], sliced))
+    picked -= shift
+    picked -= np.log(total, out=total)
+    mean_loss = -np.mean(picked.reshape(k, b), axis=-1)
 
     # d(mean loss)/d(logits): softmax minus one-hot on each block, /B.
-    delta_slice[rows, batch.labels] -= 1.0
-    delta_slice /= b_size
-    delta = np.zeros_like(logits)
-    delta[rows[:, None], cols] = delta_slice
+    delta_slice.reshape(-1)[target] -= 1.0
+    delta_slice /= b
+    if blocks > 1:
+        logits.fill(0.0)
+        logits.reshape(rows * blocks, n)[block_row] = delta_slice
+    delta = outs[-1]
 
-    grads = [None] * len(layers)
+    gradient = view(ws.gradient, k, len(weights))
+    grads = _unflatten(gradient, weights.layout)
     for li in range(len(layers) - 1, -1, -1):
-        grads[li] = (activations[li].T @ delta, delta.sum(axis=0))
+        gw, gb = grads[li]
+        np.matmul(acts[li].transpose(0, 2, 1), delta, out=gw)
+        np.sum(delta, axis=1, out=gb)
         if li > 0:
-            delta = (delta @ layers[li][0].T) * (pre_acts[li - 1] > 0.0)
+            # ReLU mask: an activation is > 0 exactly where its
+            # pre-activation was; the activation is not needed again.
+            mask = np.greater(acts[li], 0.0, out=acts[li])
+            delta = np.matmul(
+                delta, layers[li][0].transpose(0, 2, 1),
+                out=view(ws.deltas[li - 1], k, b, spec.layer_dims[li]),
+            )
+            delta *= mask
 
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return flat, mean_loss
+    if stacked:
+        return gradient, mean_loss
+    return gradient[0], float(mean_loss[0])
 
 
 @dataclass(frozen=True)
@@ -261,7 +389,8 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Immutable optimizer state; ``optimizer_step`` returns a new one."""
+    """Optimizer state; ``optimizer_step`` returns a new one. The moments
+    have the shape of the weights they step, (P,) or (K, P)."""
 
     config: OptimizerConfig
     first_moment: np.ndarray
@@ -274,34 +403,55 @@ class OptimizerState:
 
 
 def optimizer_step(
-    state: OptimizerState, weights: ModelWeights, gradient: np.ndarray
+    state: OptimizerState,
+    weights: ModelWeights,
+    gradient: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> tuple[ModelWeights, OptimizerState]:
     """One update. SGD folds weight decay into the gradient; Adam runs the
     bias-corrected moment update and then decays the stepped weights
-    directly (decoupled decay), so decay never enters the moments."""
+    directly (decoupled decay), so decay never enters the moments.
+
+    Every operation is elementwise, so a stack of models ((K, P) weights,
+    moments and gradient) steps each row exactly as it would step alone.
+    Without a workspace no input is changed. With one, the update is made
+    in place: the weights and moments are overwritten, the gradient is
+    used as scratch, and the results share their arrays.
+    """
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != weights.values.shape:
         raise ValueError(
             f"gradient length {gradient.shape} does not match weights {weights.values.shape}"
         )
+    values, m, v = weights.values, state.first_moment, state.second_moment
+    if workspace is None:
+        values, m, v, gradient = values.copy(), m.copy(), v.copy(), gradient.copy()
+        scratch = np.empty_like(values)
+    else:
+        scratch = workspace.view(workspace.scratch, *values.shape)
 
     c = state.config
-    if c.kind is OptimizerKind.SGD:
-        new_values = weights.values - c.learning_rate * (
-            gradient + c.weight_decay * weights.values
-        )
-        new_state = OptimizerState(
-            c, state.first_moment, state.second_moment, state.step_count + 1
-        )
-        return weights.with_values(new_values), new_state
-
     t = state.step_count + 1
-    m = c.beta1 * state.first_moment + (1.0 - c.beta1) * gradient
-    v = c.beta2 * state.second_moment + (1.0 - c.beta2) * gradient**2
-    m_hat = m / (1.0 - c.beta1**t)
-    v_hat = v / (1.0 - c.beta2**t)
-    stepped = weights.values - c.learning_rate * m_hat / (np.sqrt(v_hat) + c.epsilon)
-    if c.weight_decay != 0.0:
-        stepped = stepped - c.learning_rate * c.weight_decay * stepped
-    new_state = OptimizerState(c, m, v, t)
-    return weights.with_values(stepped), new_state
+    if c.kind is OptimizerKind.SGD:
+        # values - lr * (gradient + wd * values)
+        np.multiply(values, c.weight_decay, out=scratch)
+        scratch += gradient
+        scratch *= c.learning_rate
+        values -= scratch
+    else:
+        m *= c.beta1
+        m += np.multiply(gradient, 1.0 - c.beta1, out=scratch)
+        v *= c.beta2
+        squared = np.square(gradient, out=gradient)
+        squared *= 1.0 - c.beta2
+        v += squared
+        # values - lr * m_hat / (sqrt(v_hat) + eps)
+        step = np.divide(m, 1.0 - c.beta1**t, out=scratch)
+        step *= c.learning_rate
+        denom = np.sqrt(np.divide(v, 1.0 - c.beta2**t, out=gradient), out=gradient)
+        denom += c.epsilon
+        step /= denom
+        values -= step
+        if c.weight_decay != 0.0:
+            values -= np.multiply(values, c.learning_rate * c.weight_decay, out=scratch)
+    return weights.with_values(values), OptimizerState(c, m, v, t)

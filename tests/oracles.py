@@ -5,7 +5,8 @@ than by calling library internals: metrics are recounted straight from
 the record list (no count tensor), losses are recomputed per example
 with scipy's log-sum-exp, gradients come from central finite
 differences, the federated average is a plain weighted sum, and
-centralized training is its own loop over the whole dataset.
+client and centralized training are plain loops of single-model,
+single-batch steps.
 """
 
 from __future__ import annotations
@@ -251,7 +252,39 @@ def weighted_mean(values_list: list[np.ndarray], counts: list[int]) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Centralized training, written out independently of client_local_train.
+# One client's local training, one model and one batch at a time.
+
+def reference_client_train(
+    data: Dataset,
+    incoming: ModelWeights,
+    spec: ClassifierSpec,
+    optimizer: OptimizerConfig,
+    epochs: int,
+    batch_size: int,
+    seed: int,
+) -> tuple[ModelWeights, float]:
+    """E passes over the shard with single-model ``backward`` and
+    ``optimizer_step`` calls: what the stacked client engine must equal,
+    bit for bit, for every client it trains."""
+    rng = np.random.default_rng(seed)
+    weights = incoming
+    state = OptimizerState.fresh(optimizer, len(incoming))
+    loss_total = 0.0
+    loss_batches = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), batch_size):
+            idx = order[start : start + batch_size]
+            batch = Batch(data.features[idx], data.labels[idx], data.groups[idx])
+            gradient, loss = backward(spec, weights, batch)
+            weights, state = optimizer_step(state, weights, gradient)
+            loss_total += loss
+            loss_batches += 1
+    return weights, loss_total / loss_batches
+
+
+# ---------------------------------------------------------------------------
+# Centralized training, written out independently of the client engine.
 
 def train_centralized(
     dataset: Dataset,

@@ -8,14 +8,18 @@ import fedbias.federation as federation
 from fedbias.data import Dataset, SyntheticSpec, generate_synthetic, partition, train_test_split
 from fedbias.exceptions import ConfigurationError, NumericError, ProtocolError
 from fedbias.federation import (
+    STACK_VALUES,
     FederationConfig,
     Mode,
+    client_chunks,
     client_local_train,
     evaluate_weights,
     fedavg_aggregate,
     head_mode_for,
     predict_dataset,
     run_federation,
+    train_clients,
+    train_round,
 )
 from fedbias.nn import (
     Batch,
@@ -31,8 +35,8 @@ from fedbias.nn import (
     optimizer_step,
     weight_layout,
 )
-from fedbias.seeding import TAG_INIT, derive_seed
-from oracles import train_centralized, weighted_mean
+from fedbias.seeding import TAG_INIT, derive_seed, shuffle_seed
+from oracles import reference_client_train, train_centralized, weighted_mean
 
 
 def toy_dataset(seed=0, size=40, num_classes=2, num_groups=2, dim=3) -> Dataset:
@@ -319,14 +323,86 @@ class TestRunFederation:
             run_federation(config, parts, spec, test_set=wrong)
 
     def test_client_errors_carry_round_and_client(self, monkeypatch):
-        config, parts, spec, test = small_run_setup(Mode.DBFED)
+        # The error surfaces from a stack of clients; the run retrains them
+        # one at a time, so the message names the first client that fails.
+        config, parts, spec, test = small_run_setup(Mode.DBFED, num_clients=3)
+        real = federation.train_clients
 
-        def boom(*args, **kwargs):
-            raise ValueError("synthetic failure")
+        def boom(shards, *args):
+            if any(shard is parts[1] for shard in shards):
+                raise ValueError("synthetic failure")
+            return real(shards, *args)
 
-        monkeypatch.setattr(federation, "client_local_train", boom)
-        with pytest.raises(ValueError, match=r"round 1, client 0"):
+        monkeypatch.setattr(federation, "train_clients", boom)
+        with pytest.raises(ValueError, match=r"^round 1, client 1: synthetic failure"):
             run_federation(config, parts, spec, test_set=test)
+
+
+@st.composite
+def client_rounds(draw):
+    """One round of K clients: (config, shards, spec, incoming). Shard
+    sizes differ by at most one, so some clients take an extra step or a
+    longer last batch. A wide hidden layer makes P large enough that the
+    stack limit splits K clients into several chunks."""
+    head = draw(st.sampled_from(HeadMode))
+    n, d, m = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    hidden = draw(
+        st.one_of(
+            st.lists(st.integers(1, 6), max_size=2),
+            st.lists(st.integers(1500, 3000), min_size=1, max_size=1),
+        )
+    )
+    spec = ClassifierSpec(m, tuple(hidden), n, d, head)
+    k = draw(st.integers(1, 7))
+    base = draw(st.integers(1, 12))
+    sizes = [base + draw(st.integers(0, 1)) for _ in range(k)]
+    optimizer = OptimizerConfig(
+        kind=draw(st.sampled_from(OptimizerKind)),
+        learning_rate=0.05,
+        weight_decay=draw(st.sampled_from([0.0, 0.01])),
+    )
+    config = FederationConfig(
+        1, k, draw(st.integers(1, 3)), draw(st.integers(1, 8)), optimizer,
+        Mode.LOCAL_ONLY, draw(st.integers(0, 1000)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shards = [
+        Dataset(rng.normal(size=(s, m)), rng.integers(0, n, s), rng.integers(0, d, s), n, d)
+        for s in sizes
+    ]
+    incoming = [init_weights(spec, int(rng.integers(0, 1000))) for _ in range(k)]
+    return config, shards, spec, incoming
+
+
+class TestStackedEngine:
+    @settings(deadline=None, max_examples=100)
+    @given(client_rounds(), st.integers(1, 50))
+    def test_engine_equals_reference_loop_bitwise(self, case, round_index):
+        config, shards, spec, incoming = case
+        results = train_round(config, shards, spec, incoming, round_index)
+        for k, (shard, start, (weights, loss)) in enumerate(zip(shards, incoming, results)):
+            expected, expected_loss = reference_client_train(
+                shard, start, spec, config.optimizer, config.local_epochs,
+                config.batch_size, shuffle_seed(config.master_seed, k, round_index),
+            )
+            assert weights.values.tobytes() == expected.values.tobytes()
+            assert repr(loss) == repr(expected_loss)
+
+    def test_chunks_follow_shard_size_and_stack_limit(self):
+        # K=50 with at most 48 models a stack: two balanced chunks.
+        assert client_chunks([160] * 50, 676) == [list(range(25)), list(range(25, 50))]
+        # Unequal shard sizes never share a chunk; order within a size is kept.
+        assert client_chunks([5, 6, 5, 6, 5], 100) == [[0, 2, 4], [1, 3]]
+        assert client_chunks([5, 5, 5], STACK_VALUES) == [[0], [1], [2]]
+        assert client_chunks([5, 5, 5], STACK_VALUES + 1) == [[0], [1], [2]]
+        assert client_chunks([5] * 7, STACK_VALUES // 3) == [[0, 1, 2], [3, 4], [5, 6]]
+
+    def test_unequal_shards_rejected_in_one_stack(self):
+        spec = ClassifierSpec(3, (), 2, 2)
+        shards = [toy_dataset(size=5), toy_dataset(size=6)]
+        w = init_weights(spec, 0)
+        with pytest.raises(ConfigurationError, match="equal shard sizes"):
+            train_clients(shards, [w, w], spec, adam(), 1, 4, [0, 1])
 
 
 class TestNonFiniteTraining:
@@ -350,15 +426,19 @@ class TestNonFiniteTraining:
             run_federation(config, parts, spec, test_set=test if with_test_set else None)
 
     def test_non_finite_client_update_names_round_and_client(self, monkeypatch):
-        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
-        real = federation.client_local_train
+        # Clients 1 and 2 both come back non-finite; client order decides.
+        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        real = federation.train_clients
 
-        def poisoned(data, *args):
-            weights, loss = real(data, *args)
-            return weights, float("nan") if data is parts[1] else loss
+        def poisoned(shards, *args):
+            results = real(shards, *args)
+            return [
+                (weights, float("nan") if shard is not parts[0] else loss)
+                for shard, (weights, loss) in zip(shards, results)
+            ]
 
-        monkeypatch.setattr(federation, "client_local_train", poisoned)
-        with pytest.raises(NumericError, match="round 1, client 1: .*non-finite"):
+        monkeypatch.setattr(federation, "train_clients", poisoned)
+        with pytest.raises(NumericError, match="^round 1, client 1: .*non-finite"):
             run_federation(config, parts, spec, test_set=test)
 
 

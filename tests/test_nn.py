@@ -10,6 +10,7 @@ from fedbias.nn import (
     OptimizerConfig,
     OptimizerKind,
     OptimizerState,
+    Workspace,
     backward,
     forward_batch,
     init_weights,
@@ -215,6 +216,60 @@ class TestBackward:
         with pytest.raises(ValueError):
             Batch(np.zeros((0, 2)), [], [])
 
+    @pytest.mark.parametrize(
+        "label,group,message",
+        [
+            (-1, 0, "label -1 out of range for 2 classes"),
+            (2, 0, "label 2 out of range for 2 classes"),
+            (0, -1, "group -1 out of range for 3 groups"),
+            (0, 3, "group 3 out of range for 3 groups"),
+        ],
+    )
+    def test_target_out_of_range_rejected(self, label, group, message):
+        # -1 would otherwise wrap to the last class or block, and N or D
+        # would index past the logits.
+        spec = ClassifierSpec(2, (3,), 2, 3, HeadMode.DOMAIN_INDEPENDENT)
+        batch = Batch(np.zeros((2, 2)), [1, label], [group, 2])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            backward(spec, init_weights(spec, 0), batch)
+
+    def test_plain_head_ignores_groups(self):
+        spec = spec_2_3_2()
+        x = np.array([[0.4, -0.6]])
+        g_any, l_any = backward(spec, init_weights(spec, 6), Batch(x, [1], [-1]))
+        g_zero, l_zero = backward(spec, init_weights(spec, 6), Batch(x, [1], [0]))
+        assert np.array_equal(g_any, g_zero) and l_any == l_zero
+
+    def test_stacked_rows_match_single_model_calls(self):
+        # One workspace serves a three-model stack, then a shorter stack
+        # on a shorter batch; each row must equal its one-model call.
+        rng = np.random.default_rng(14)
+        spec = ClassifierSpec(3, (5, 4), 3, 2, HeadMode.DOMAIN_INDEPENDENT)
+        workspace = Workspace(spec, 3, 6)
+        for k, size in ((3, 6), (2, 4)):
+            values = rng.normal(size=(k, num_params(spec)))
+            batch = Batch(
+                rng.normal(size=(k, size, 3)), rng.integers(0, 3, (k, size)),
+                rng.integers(0, 2, (k, size)),
+            )
+            stacked = ModelWeights(values, weight_layout(spec))
+            gradients, losses = backward(spec, stacked, batch, workspace)
+            assert gradients.shape == (k, num_params(spec)) and losses.shape == (k,)
+            for i in range(k):
+                single = Batch(batch.features[i], batch.labels[i], batch.groups[i])
+                gradient, loss = backward(spec, stacked.with_values(values[i]), single)
+                assert gradients[i].tobytes() == gradient.tobytes()
+                assert losses[i] == loss
+
+    def test_stack_shape_and_workspace_checked(self):
+        spec = spec_2_3_2()
+        stacked = ModelWeights(np.zeros((2, num_params(spec))), weight_layout(spec))
+        with pytest.raises(ValueError, match="2 stacked models"):
+            backward(spec, stacked, Batch(np.zeros((3, 1, 2)), np.zeros((3, 1)), np.zeros((3, 1))))
+        batch = Batch(np.zeros((2, 4, 2)), np.zeros((2, 4)), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="workspace does not fit"):
+            backward(spec, stacked, batch, Workspace(spec, 2, 3))
+
 
 def tiny_weights(values: list[float]) -> ModelWeights:
     # Layout with a 1x1 weight and its bias: two free parameters.
@@ -300,6 +355,26 @@ class TestOptimizers:
         optimizer_step(state, w, np.array([0.5, -0.5]))
         assert np.array_equal(w.values, before)
         assert np.array_equal(state.first_moment, moment_before)
+
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_in_place_stacked_step_matches_single_steps(self, kind):
+        config = OptimizerConfig(kind=kind, learning_rate=0.01, weight_decay=0.004)
+        rng = np.random.default_rng(15)
+        values = rng.normal(size=(3, 2))
+        stacked = ModelWeights(values.copy(), ((0, (1, 1)),))
+        state = OptimizerState(config, np.zeros((3, 2)), np.zeros((3, 2)))
+        singles = [(tiny_weights(row), OptimizerState.fresh(config, 2)) for row in values]
+        # Only the scratch buffer is used; 3 models x 4 values cover (3, 2).
+        workspace = Workspace(ClassifierSpec(1, (), 2, 1), 3, 1)
+        for _ in range(3):
+            grads = rng.normal(size=(3, 2))
+            singles = [optimizer_step(s, w, g) for (w, s), g in zip(singles, grads)]
+            stacked, state = optimizer_step(state, stacked, grads.copy(), workspace)
+        assert state.step_count == 3
+        for i, (w, s) in enumerate(singles):
+            assert stacked.values[i].tobytes() == w.values.tobytes()
+            assert state.first_moment[i].tobytes() == s.first_moment.tobytes()
+            assert state.second_moment[i].tobytes() == s.second_moment.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

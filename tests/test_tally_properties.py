@@ -2,6 +2,7 @@
 the per-record oracles."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -59,3 +60,22 @@ def test_report_bitwise_invariant_under_permutation(log, random):
     once = full_report(tally(predicted, actual, group, n, d))
     shuffled = full_report(tally(predicted[order], actual[order], group[order], n, d))
     assert canonical(once) == canonical(shuffled)
+
+
+@settings(deadline=None)
+@given(prediction_logs(), st.randoms(use_true_random=False))
+def test_report_invariant_under_group_relabeling(log, random):
+    # Counts and extremes over groups do not depend on group order, so
+    # ACC, SER and BA keep every bit; EO and DP sum per-group variance
+    # terms in the new group order, which moves only their last bits.
+    predicted, actual, group, n, d = log
+    relabel = np.array(random.sample(range(d), d))
+    once = full_report(tally(predicted, actual, group, n, d))
+    renamed = full_report(tally(predicted, actual, relabel[group], n, d))
+    for name in ("acc", "ser", "ba"):
+        assert repr(renamed.metric(name)) == repr(once.metric(name))
+    for name in ("eo", "dp"):
+        a, b = once.metric(name), renamed.metric(name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert math.isclose(a, b, rel_tol=1e-12)
