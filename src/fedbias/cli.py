@@ -153,12 +153,22 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-                if obj.get("kind") == "summary":
-                    summary = obj
+                if not isinstance(obj, dict):
+                    raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
+                if obj.get("kind") != "summary":
+                    continue
+                try:
+                    summary = [
+                        (mode, FairnessReport.from_dict(obj["reports"][mode]))
+                        for mode in obj["modes"]
+                    ]
+                except (KeyError, TypeError) as exc:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: malformed summary ({type(exc).__name__}: {exc})"
+                    ) from None
         if summary is None:
             raise DataFormatError(f"{path}: no summary line (is this a results file?)")
-        for mode in summary["modes"]:
-            rows.append((Path(path).stem, mode, FairnessReport.from_dict(summary["reports"][mode])))
+        rows.extend((Path(path).stem, mode, report) for mode, report in summary)
     return rows
 
 

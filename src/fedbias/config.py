@@ -25,18 +25,6 @@ from .nn import ClassifierSpec, OptimizerConfig, OptimizerKind
 from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, derive_seed
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 def _parse_widths(raw: str) -> tuple[int, ...]:
     if raw.lower() in ("", "none"):
         return ()
@@ -75,31 +63,31 @@ def _parse_optimizer_kind(raw: str) -> OptimizerKind:
 _REQUIRED = object()
 
 _SCHEMA: dict[str, tuple[str, object, object]] = {
-    "data.source": ("source", _parse_str, "synthetic"),
-    "data.num_classes": ("num_classes", _parse_int, _REQUIRED),
-    "data.num_groups": ("num_groups", _parse_int, _REQUIRED),
-    "data.feature_dim": ("feature_dim", _parse_int, None),
-    "data.samples_per_group": ("samples_per_group", _parse_int, None),
-    "data.bias_strength": ("bias_strength", _parse_float, 0.0),
-    "data.group_shift": ("group_shift", _parse_float, 0.0),
-    "data.noise_sigma": ("noise_sigma", _parse_float, 1.0),
-    "data.csv_path": ("csv_path", _parse_str, None),
-    "data.test_fraction": ("test_fraction", _parse_float, 0.2),
+    "data.source": ("source", str, "synthetic"),
+    "data.num_classes": ("num_classes", int, _REQUIRED),
+    "data.num_groups": ("num_groups", int, _REQUIRED),
+    "data.feature_dim": ("feature_dim", int, None),
+    "data.samples_per_group": ("samples_per_group", int, None),
+    "data.bias_strength": ("bias_strength", float, 0.0),
+    "data.group_shift": ("group_shift", float, 0.0),
+    "data.noise_sigma": ("noise_sigma", float, 1.0),
+    "data.csv_path": ("csv_path", str, None),
+    "data.test_fraction": ("test_fraction", float, 0.2),
     "model.hidden": ("hidden_widths", _parse_widths, (16,)),
-    "federation.rounds": ("rounds", _parse_int, 30),
-    "federation.clients": ("num_clients", _parse_int, 5),
-    "federation.local_epochs": ("local_epochs", _parse_int, 3),
-    "federation.batch_size": ("batch_size", _parse_int, 128),
+    "federation.rounds": ("rounds", int, 30),
+    "federation.clients": ("num_clients", int, 5),
+    "federation.local_epochs": ("local_epochs", int, 3),
+    "federation.batch_size": ("batch_size", int, 128),
     "optimizer.kind": ("optimizer_kind", _parse_optimizer_kind, OptimizerKind.ADAM),
-    "optimizer.learning_rate": ("learning_rate", _parse_float, 1e-4),
-    "optimizer.weight_decay": ("weight_decay", _parse_float, 3e-4),
-    "optimizer.beta1": ("beta1", _parse_float, 0.9),
-    "optimizer.beta2": ("beta2", _parse_float, 0.999),
-    "optimizer.epsilon": ("epsilon", _parse_float, 1e-8),
+    "optimizer.learning_rate": ("learning_rate", float, 1e-4),
+    "optimizer.weight_decay": ("weight_decay", float, 3e-4),
+    "optimizer.beta1": ("beta1", float, 0.9),
+    "optimizer.beta2": ("beta2", float, 0.999),
+    "optimizer.epsilon": ("epsilon", float, 1e-8),
     "run.modes": ("modes", _parse_modes, (Mode.DBFED,)),
-    "run.master_seed": ("master_seed", _parse_int, 0),
-    "run.eval_every": ("eval_every", _parse_int, 1),
-    "run.output": ("output_path", _parse_str, None),
+    "run.master_seed": ("master_seed", int, 0),
+    "run.eval_every": ("eval_every", int, 1),
+    "run.output": ("output_path", str, None),
 }
 
 

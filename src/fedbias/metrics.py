@@ -2,22 +2,27 @@
 
 A prediction log is three equal-length integer arrays (predicted
 class, actual class, group); ``tally`` counts it into a (group, actual,
-predicted) tensor, from which five metrics are computed:
+predicted) int64 array, and ``full_report`` scores that array. The
+report carries five metrics as fields:
 
-- ``accuracy``: overall fraction of correct predictions.
-- ``skewed_error_ratio``: worst group error rate over best group error
-  rate (>= 1; infinity when one group is perfect and another is not).
-- ``equal_opportunity``: mean over classes of the across-group variance
-  of per-group recall.
-- ``bias_amplification``: mean over predicted classes of the dominant
-  group's share of that class's predictions, minus the uniform share.
-- ``demographic_parity``: mean over classes of the across-group
+- ``acc``: overall fraction of correct predictions.
+- ``ser`` (skewed error ratio): worst group error rate over best group
+  error rate (>= 1; infinity when one group is perfect and another is
+  not).
+- ``eo`` (equal opportunity): mean over classes of the across-group
+  variance of per-group recall.
+- ``ba`` (bias amplification): mean over predicted classes of the
+  dominant group's share of that class's predictions, minus the
+  uniform share.
+- ``dp`` (demographic parity): mean over classes of the across-group
   variance of prediction rates.
 
-Variances are population variances. The tensor's integer marginals are
-read out once; all ratio arithmetic on them uses plain Python floats in
-a fixed iteration order (groups, then classes, ascending), so an
-independent per-record recount reproduces every value bit for bit.
+A metric that is undefined for the log is ``None`` and listed in the
+report's ``absent``. Variances are population variances. The count
+array's integer marginals are read out once; all ratio arithmetic on
+them uses plain Python floats in a fixed iteration order (groups, then
+classes, ascending), so an independent per-record recount reproduces
+every value bit for bit.
 """
 
 from __future__ import annotations
@@ -52,41 +57,17 @@ class PredictionRecord:
     group: int
 
 
-@dataclass(frozen=True)
-class CountTensor:
-    """counts[g][y][p] = number of records with group g, actual y, predicted p."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-        if self.counts.ndim != 3 or self.counts.shape[1] != self.counts.shape[2]:
-            raise ValueError("counts must have shape (num_groups, num_classes, num_classes)")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def num_groups(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def tally(
     predicted: np.ndarray,
     actual: np.ndarray,
     group: np.ndarray,
     num_classes: int,
     num_groups: int,
-) -> CountTensor:
+) -> np.ndarray:
     """Exact, order-independent counting of a prediction log given as three
-    equal-length integer arrays, one entry per record."""
+    equal-length integer arrays, one entry per record. Entry [g, y, p] of
+    the (num_groups, num_classes, num_classes) int64 result counts the
+    records of group g with actual class y predicted as p."""
     columns = []
     for name, values, limit in (
         ("predicted", predicted, num_classes),
@@ -107,8 +88,7 @@ def tally(
         raise ValueError("predicted, actual and group must be 1-D arrays of one length")
     flat = (group * num_classes + actual) * num_classes + pred
     size = num_groups * num_classes * num_classes
-    counts = np.bincount(flat, minlength=size).reshape(num_groups, num_classes, num_classes)
-    return CountTensor(counts)
+    return np.bincount(flat, minlength=size).reshape(num_groups, num_classes, num_classes)
 
 
 def records_from_arrays(
@@ -122,7 +102,7 @@ def records_from_arrays(
 
 
 class _Marginals(NamedTuple):
-    """The count tensor's integer marginals, read out once as Python ints,
+    """The count array's integer marginals, read out once as Python ints,
     and the per-group rates built from them. Every metric reads these."""
 
     total: int
@@ -134,10 +114,10 @@ class _Marginals(NamedTuple):
     rate: list[list[float | None]]  # [g][c]: share of group g predicted as c
 
 
-def _marginals(t: CountTensor) -> _Marginals:
-    truth = t.counts.sum(axis=2).tolist()
-    predicted = t.counts.sum(axis=1).tolist()
-    diagonal = np.diagonal(t.counts, axis1=1, axis2=2).tolist()
+def _marginals(counts: np.ndarray) -> _Marginals:
+    truth = counts.sum(axis=2).tolist()
+    predicted = counts.sum(axis=1).tolist()
+    diagonal = np.diagonal(counts, axis1=1, axis2=2).tolist()
     group_totals = [sum(row) for row in truth]
     correct = [sum(row) for row in diagonal]
     return _Marginals(
@@ -160,12 +140,6 @@ def _marginals(t: CountTensor) -> _Marginals:
 def _require_every_group(m: _Marginals) -> None:
     if 0 in m.group_totals:
         raise UndefinedMetricError(f"group {m.group_totals.index(0)} has no records")
-
-
-def _accuracy(m: _Marginals) -> float:
-    if m.total == 0:
-        raise UndefinedMetricError("accuracy is undefined for an empty log")
-    return m.correct / m.total
 
 
 def _skewed_error_ratio(m: _Marginals) -> float:
@@ -195,8 +169,7 @@ def _equal_opportunity(m: _Marginals) -> float:
 
 
 def _bias_amplification(m: _Marginals) -> float:
-    if m.total == 0:
-        raise UndefinedMetricError("bias amplification is undefined for an empty log")
+    # full_report rejects an empty log, so at least one class is predicted.
     shares = []
     for per_group in zip(*m.predicted):
         total_c = sum(per_group)
@@ -209,32 +182,6 @@ def _demographic_parity(m: _Marginals) -> float:
     _require_every_group(m)
     variances = [_population_variance(rates) for rates in zip(*m.rate)]
     return sum(variances) / len(variances)
-
-
-def accuracy(t: CountTensor) -> float:
-    return _accuracy(_marginals(t))
-
-
-def skewed_error_ratio(t: CountTensor) -> float:
-    """max/min of per-group error rates; 1.0 when all groups are perfect,
-    infinity when only some are."""
-    return _skewed_error_ratio(_marginals(t))
-
-
-def equal_opportunity(t: CountTensor) -> float:
-    """Mean across-group recall variance, over classes where at least two
-    groups have ground-truth samples."""
-    return _equal_opportunity(_marginals(t))
-
-
-def bias_amplification(t: CountTensor) -> float:
-    """Mean dominant-group share of each predicted class, minus 1/num_groups."""
-    return _bias_amplification(_marginals(t))
-
-
-def demographic_parity(t: CountTensor) -> float:
-    """Mean across-group variance of prediction rates, over all classes."""
-    return _demographic_parity(_marginals(t))
 
 
 @dataclass
@@ -304,8 +251,15 @@ class FairnessReport:
         )
 
 
-def full_report(counts: CountTensor) -> FairnessReport:
-    """Compute all five metrics; degenerate ones come back absent, not as errors."""
+def full_report(counts: np.ndarray) -> FairnessReport:
+    """Compute all five metrics from a ``tally`` count array; degenerate
+    ones come back absent, not as errors."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 3 or counts.shape[1] != counts.shape[2]:
+        raise ValueError("counts must have shape (num_groups, num_classes, num_classes)")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    num_groups, num_classes, _ = counts.shape
     m = _marginals(counts)
     if m.total == 0:
         raise UndefinedMetricError("cannot build a report from an empty prediction log")
@@ -318,16 +272,16 @@ def full_report(counts: CountTensor) -> FairnessReport:
 
     # A lone group has no cross-group ratio to report, even though the
     # raw max/min collapses to 1.0 there.
-    ser = attempt(_skewed_error_ratio) if counts.num_groups >= 2 else None
+    ser = attempt(_skewed_error_ratio) if num_groups >= 2 else None
 
     return FairnessReport(
-        num_classes=counts.num_classes,
-        num_groups=counts.num_groups,
+        num_classes=num_classes,
+        num_groups=num_groups,
         total=m.total,
-        acc=_accuracy(m),
+        acc=m.correct / m.total,
         ser=ser,
         eo=attempt(_equal_opportunity),
-        ba=attempt(_bias_amplification),
+        ba=_bias_amplification(m),
         dp=attempt(_demographic_parity),
         per_group_error=m.error,
         recall_by_group_class=m.recall,

@@ -145,8 +145,11 @@ class Batch:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        object.__setattr__(self, "groups", np.asarray(self.groups, dtype=np.int64))
+        for name in ("labels", "groups"):
+            values = np.asarray(getattr(self, name))
+            if values.size and values.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+            object.__setattr__(self, name, values.astype(np.int64, copy=False))
         if self.features.ndim not in (2, 3) or self.features.shape[-2] == 0:
             raise ValueError("batch must contain at least one example")
         rows = self.features.shape[:-1]
@@ -396,10 +399,6 @@ class OptimizerState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-
-    @classmethod
-    def fresh(cls, config: OptimizerConfig, num_values: int) -> "OptimizerState":
-        return cls(config, np.zeros(num_values), np.zeros(num_values))
 
 
 def optimizer_step(

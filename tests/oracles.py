@@ -254,6 +254,11 @@ def weighted_mean(values_list: list[np.ndarray], counts: list[int]) -> np.ndarra
 # ---------------------------------------------------------------------------
 # One client's local training, one model and one batch at a time.
 
+def fresh_state(config: OptimizerConfig, num_values: int) -> OptimizerState:
+    """Optimizer state before the first step: zero moments, step count 0."""
+    return OptimizerState(config, np.zeros(num_values), np.zeros(num_values))
+
+
 def reference_client_train(
     data: Dataset,
     incoming: ModelWeights,
@@ -268,7 +273,7 @@ def reference_client_train(
     bit for bit, for every client it trains."""
     rng = np.random.default_rng(seed)
     weights = incoming
-    state = OptimizerState.fresh(optimizer, len(incoming))
+    state = fresh_state(optimizer, len(incoming))
     loss_total = 0.0
     loss_batches = 0
     for _ in range(epochs):
@@ -321,7 +326,7 @@ def train_centralized(
     for round_index in range(1, rounds + 1):
         start = time.perf_counter()
         rng = np.random.default_rng(shuffle_seed(master_seed, 0, round_index))
-        state = OptimizerState.fresh(optimizer, len(weights))
+        state = fresh_state(optimizer, len(weights))
         loss_total = 0.0
         loss_batches = 0
         for _ in range(local_epochs):

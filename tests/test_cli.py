@@ -290,6 +290,21 @@ class TestCompare:
         assert main(["compare", str(results)]) == 2
         assert "summary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"kind": "summary", "modes": ["dbfed"], "reports": {}}',
+            '{"kind": "summary", "reports": {}}',
+            "[1, 2]",
+        ],
+        ids=["mode_without_report", "no_modes", "not_an_object"],
+    )
+    def test_malformed_summary_exits_2_and_names_line(self, tmp_path, capsys, line):
+        results = tmp_path / "broken.jsonl"
+        results.write_text('{"kind": "round", "round": 0}\n' + line + "\n", encoding="utf-8")
+        assert main(["compare", str(results)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {results}: line 2: ")
+
 
 class TestStrictJson:
     def test_writers_spell_infinity_as_a_string(self, tmp_path, capsys):

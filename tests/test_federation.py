@@ -28,7 +28,6 @@ from fedbias.nn import (
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
-    OptimizerState,
     backward,
     init_weights,
     num_params,
@@ -36,7 +35,7 @@ from fedbias.nn import (
     weight_layout,
 )
 from fedbias.seeding import TAG_INIT, derive_seed, shuffle_seed
-from oracles import reference_client_train, train_centralized, weighted_mean
+from oracles import fresh_state, reference_client_train, train_centralized, weighted_mean
 
 
 def toy_dataset(seed=0, size=40, num_classes=2, num_groups=2, dim=3) -> Dataset:
@@ -111,7 +110,7 @@ class TestClientLocalTrain:
         order = np.random.default_rng(seed).permutation(len(data))
         batch = Batch(data.features[order], data.labels[order], data.groups[order])
         gradient, _ = backward(spec, incoming, batch)
-        state = OptimizerState.fresh(sgd(lr=0.1), len(incoming))
+        state = fresh_state(sgd(lr=0.1), len(incoming))
         expected, _ = optimizer_step(state, incoming, gradient)
         assert np.array_equal(weights.values, expected.values)
 
@@ -136,7 +135,7 @@ class TestClientLocalTrain:
         order = np.random.default_rng(11).permutation(10)
         head = Batch(data.features[order[:8]], data.labels[order[:8]], data.groups[order[:8]])
         gradient, _ = backward(spec, incoming, head)
-        state = OptimizerState.fresh(sgd(), len(incoming))
+        state = fresh_state(sgd(), len(incoming))
         after_head, _ = optimizer_step(state, incoming, gradient)
         assert not np.array_equal(weights.values, after_head.values)
 

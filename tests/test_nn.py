@@ -20,6 +20,7 @@ from fedbias.nn import (
 )
 from oracles import (
     fd_gradient,
+    fresh_state,
     guarded_rel_error,
     random_gradcheck_instance,
     reference_loss,
@@ -216,6 +217,15 @@ class TestBackward:
         with pytest.raises(ValueError):
             Batch(np.zeros((0, 2)), [], [])
 
+    @pytest.mark.parametrize("field", ["labels", "groups"])
+    def test_non_integer_labels_and_groups_rejected(self, field):
+        # A float 0.7 or 1.9 would otherwise be truncated to 0 or 1 and
+        # train as a different target without any error.
+        columns = {"labels": [0, 1], "groups": [0, 1]}
+        columns[field] = np.array([0.7, 1.9])
+        with pytest.raises(ValueError, match=f"^{field} must hold integers, got dtype float64$"):
+            Batch(np.zeros((2, 2)), columns["labels"], columns["groups"])
+
     @pytest.mark.parametrize(
         "label,group,message",
         [
@@ -264,9 +274,11 @@ class TestBackward:
     def test_stack_shape_and_workspace_checked(self):
         spec = spec_2_3_2()
         stacked = ModelWeights(np.zeros((2, num_params(spec))), weight_layout(spec))
+        targets = np.zeros((3, 1), dtype=np.int64)
         with pytest.raises(ValueError, match="2 stacked models"):
-            backward(spec, stacked, Batch(np.zeros((3, 1, 2)), np.zeros((3, 1)), np.zeros((3, 1))))
-        batch = Batch(np.zeros((2, 4, 2)), np.zeros((2, 4)), np.zeros((2, 4)))
+            backward(spec, stacked, Batch(np.zeros((3, 1, 2)), targets, targets))
+        targets = np.zeros((2, 4), dtype=np.int64)
+        batch = Batch(np.zeros((2, 4, 2)), targets, targets)
         with pytest.raises(ValueError, match="workspace does not fit"):
             backward(spec, stacked, batch, Workspace(spec, 2, 3))
 
@@ -280,7 +292,7 @@ class TestOptimizers:
     def test_sgd_hand_computed(self):
         # theta <- theta - eta * g with eta = 0.1, g = 0.5: 1.0 -> 0.95.
         config = OptimizerConfig(kind=OptimizerKind.SGD, learning_rate=0.1, weight_decay=0.0)
-        state = OptimizerState.fresh(config, 2)
+        state = fresh_state(config, 2)
         w = tiny_weights([1.0, 1.0])
         stepped, new_state = optimizer_step(state, w, np.array([0.5, 0.5]))
         assert np.array_equal(stepped.values, [0.95, 0.95])
@@ -288,7 +300,7 @@ class TestOptimizers:
 
     def test_sgd_weight_decay_folded_into_gradient(self):
         config = OptimizerConfig(kind=OptimizerKind.SGD, learning_rate=0.5, weight_decay=0.2)
-        state = OptimizerState.fresh(config, 2)
+        state = fresh_state(config, 2)
         w = tiny_weights([2.0, -1.0])
         g = np.array([0.0, 0.0])
         stepped, _ = optimizer_step(state, w, g)
@@ -298,7 +310,7 @@ class TestOptimizers:
     def test_zero_gradient_zero_decay_is_identity(self):
         for kind in OptimizerKind:
             config = OptimizerConfig(kind=kind, learning_rate=0.01, weight_decay=0.0)
-            state = OptimizerState.fresh(config, 2)
+            state = fresh_state(config, 2)
             w = tiny_weights([0.3, -0.7])
             stepped, _ = optimizer_step(state, w, np.zeros(2))
             assert np.array_equal(stepped.values, w.values)
@@ -306,7 +318,7 @@ class TestOptimizers:
     def test_adam_first_step_magnitude(self):
         # Bias correction makes the very first step ~ eta * g / (|g| + eps).
         config = OptimizerConfig(kind=OptimizerKind.ADAM, learning_rate=0.001, weight_decay=0.0)
-        state = OptimizerState.fresh(config, 2)
+        state = fresh_state(config, 2)
         w = tiny_weights([0.0, 0.0])
         stepped, new_state = optimizer_step(state, w, np.array([1.0, 1.0]))
         assert stepped.values[0] == pytest.approx(-0.001, rel=1e-6)
@@ -314,7 +326,7 @@ class TestOptimizers:
 
     def test_adam_matches_hand_rolled_two_steps(self):
         config = OptimizerConfig(kind=OptimizerKind.ADAM, learning_rate=0.01, weight_decay=0.004)
-        state = OptimizerState.fresh(config, 2)
+        state = fresh_state(config, 2)
         w = tiny_weights([0.5, -0.25])
         grads = [np.array([0.3, -0.8]), np.array([-0.1, 0.4])]
 
@@ -334,21 +346,14 @@ class TestOptimizers:
         assert np.allclose(w.values, theta, rtol=0, atol=0)
         assert state.step_count == 2
 
-    def test_fresh_state_has_zero_moments(self):
-        state = OptimizerState.fresh(OptimizerConfig(), 5)
-        assert state.config == OptimizerConfig()
-        assert state.step_count == 0
-        assert np.all(state.first_moment == 0.0)
-        assert np.all(state.second_moment == 0.0)
-
     def test_gradient_length_checked(self):
-        state = OptimizerState.fresh(OptimizerConfig(), 2)
+        state = fresh_state(OptimizerConfig(), 2)
         with pytest.raises(ValueError):
             optimizer_step(state, tiny_weights([1.0, 2.0]), np.zeros(3))
 
     def test_inputs_not_mutated(self):
         config = OptimizerConfig(kind=OptimizerKind.ADAM, learning_rate=0.01)
-        state = OptimizerState.fresh(config, 2)
+        state = fresh_state(config, 2)
         w = tiny_weights([1.0, 2.0])
         before = w.values.copy()
         moment_before = state.first_moment.copy()
@@ -363,7 +368,7 @@ class TestOptimizers:
         values = rng.normal(size=(3, 2))
         stacked = ModelWeights(values.copy(), ((0, (1, 1)),))
         state = OptimizerState(config, np.zeros((3, 2)), np.zeros((3, 2)))
-        singles = [(tiny_weights(row), OptimizerState.fresh(config, 2)) for row in values]
+        singles = [(tiny_weights(row), fresh_state(config, 2)) for row in values]
         # Only the scratch buffer is used; 3 models x 4 values cover (3, 2).
         workspace = Workspace(ClassifierSpec(1, (), 2, 1), 3, 1)
         for _ in range(3):
