@@ -25,7 +25,8 @@ from .exceptions import (
     ProtocolError,
     UndefinedMetricError,
 )
-from .federation import Mode, run_federation
+from .federation import Federation, Mode, run_lockstep
+from .federation import run_federation  # noqa: F401  (a span target of perfbench/tracing.py)
 from .metrics import (
     METRIC_NAMES,
     FairnessReport,
@@ -33,6 +34,7 @@ from .metrics import (
     load_prediction_log,
     tally,
 )
+from .nn import ClassifierSpec
 
 # Lower is better for every metric except accuracy.
 _HIGHER_BETTER = {"acc"}
@@ -88,17 +90,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = config.load_dataset()
     partitions, test_set = config.split_and_partition(dataset)
 
+    # Modes on an equal classifier spec (fedavg and local share the plain
+    # head) train as one lockstep run over the shared partitions.
+    groups: dict[ClassifierSpec, list[Mode]] = {}
+    for mode in config.modes:
+        spec = config.classifier_spec(mode, input_dim=dataset.feature_dim)
+        groups.setdefault(spec, []).append(mode)
+    results = {}
+    for spec, modes in groups.items():
+        federations = [
+            Federation(config.federation_config(mode), partitions, test_set) for mode in modes
+        ]
+        results.update(zip(modes, run_lockstep(federations, spec, config.eval_every)))
+
     lines: list[dict] = []
     summary: dict[str, dict] = {}
     for mode in config.modes:
-        spec = config.classifier_spec(mode, input_dim=dataset.feature_dim)
-        result = run_federation(
-            config.federation_config(mode),
-            partitions,
-            spec,
-            test_set=test_set,
-            eval_every=config.eval_every,
-        )
+        result = results[mode]
         for snap in result.history:
             if snap.report is None:
                 continue

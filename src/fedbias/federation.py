@@ -13,8 +13,8 @@ returned weights. Three modes share this loop:
   and evaluation averages the clients' individual reports.
 
 The classifier spec's head decides the loss (``nn.backward``), so the
-mode enters training only through ``run_federation``'s check that the
-spec carries the mode's head.
+mode enters training only through the runner's check that the spec
+carries the mode's head.
 
 Client k is the k-th partition. Clients never share mutable state, and
 every shuffle is seeded by (master_seed, k, round), so a client's update
@@ -23,6 +23,15 @@ does not depend on which clients trained with it or before it. That lets
 stacked backward pass and one optimizer update over the chunk's (K', P)
 weight block, in buffers allocated once per run, and every client's
 result is bit for bit what training it alone gives.
+
+The same holds across federations. ``run_lockstep`` runs several
+federations on one head (fedavg and local over the same shards, or one
+mode at many master seeds) round by round: each round trains the clients
+of all of them as one flat list through ``train_round``, then aggregates
+and evaluates each federation on its own. Each result equals a run of
+that federation alone, and ``run_federation`` is the one-federation case.
+Errors name the federation by mode and master seed
+(``"fedavg seed 3, round 2, client 1: ..."``).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,7 +109,12 @@ class FederationConfig:
 
 @dataclass(frozen=True)
 class RoundSnapshot:
-    """Per-round bookkeeping; ``report`` is filled on evaluation rounds."""
+    """Per-round bookkeeping; ``report`` is filled on evaluation rounds.
+
+    ``duration_sec`` covers the round's training, which a lockstep run
+    shares among its federations, plus this federation's own aggregation
+    and evaluation.
+    """
 
     round_index: int
     report: FairnessReport | None
@@ -320,80 +334,116 @@ def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None
         )
 
 
-def round_workspace(
-    config: FederationConfig, partitions: Sequence[Dataset], spec: ClassifierSpec
-) -> Workspace:
+class Federation(NamedTuple):
+    """One federation of a lockstep run: its run shape (with its own mode
+    and master seed), its client shards and an optional test set."""
+
+    config: FederationConfig
+    partitions: Sequence[Dataset]
+    test_set: Dataset | None = None
+
+
+def _name(config: FederationConfig) -> str:
+    return f"{config.mode.value} seed {config.master_seed}"
+
+
+def _shared_config(federations: Sequence[Federation]) -> FederationConfig:
+    """The first federation's config, once every federation is checked to
+    share its rounds, local epochs, batch size and optimizer."""
+    if not federations:
+        raise ConfigurationError("a lockstep run needs at least one federation")
+    first = federations[0].config
+    shape = (first.rounds, first.local_epochs, first.batch_size, first.optimizer)
+    for fed in federations[1:]:
+        c = fed.config
+        if (c.rounds, c.local_epochs, c.batch_size, c.optimizer) != shape:
+            raise ConfigurationError(
+                f"{_name(c)} differs from {_name(first)} in rounds, local epochs, "
+                "batch size or optimizer; federations in one lockstep run must share them"
+            )
+    return first
+
+
+def round_workspace(federations: Sequence[Federation], spec: ClassifierSpec) -> Workspace:
     """A workspace that fits every chunk ``train_round`` trains."""
-    sizes = [len(p) for p in partitions]
+    sizes = [len(p) for fed in federations for p in fed.partitions]
     chunks = client_chunks(sizes, num_params(spec))
-    return Workspace(spec, max(map(len, chunks)), min(config.batch_size, max(sizes)))
+    batch_size = _shared_config(federations).batch_size
+    return Workspace(spec, max(map(len, chunks)), min(batch_size, max(sizes)))
 
 
 def train_round(
-    config: FederationConfig,
-    partitions: Sequence[Dataset],
+    federations: Sequence[Federation],
     spec: ClassifierSpec,
-    incoming: Sequence[ModelWeights],
+    incoming: Sequence[Sequence[ModelWeights]],
     round_index: int,
     workspace: Workspace | None = None,
-) -> list[tuple[ModelWeights, float]]:
-    """One round of local training for every client, chunk by chunk
-    (``client_chunks``), as (weights, mean loss) in client order.
+) -> list[list[tuple[ModelWeights, float]]]:
+    """One round of local training for every client of every federation,
+    as (weights, mean loss) per federation in client order.
 
-    Client k starts from ``incoming[k]`` and shuffles with
-    ``shuffle_seed(master_seed, k, round_index)``. An error or a
-    non-finite result names the round and the first client, in client
-    order, that fails.
+    The (federation, client) pairs form one flat list that trains chunk
+    by chunk (``client_chunks``). Client k of federation f starts from
+    ``incoming[f][k]`` and shuffles with ``shuffle_seed(master_seed_f, k,
+    round_index)``, so its result does not depend on the other clients
+    in its chunk. An error or a non-finite result names the federation,
+    the round and the first client that fails, in federation order, then
+    client order.
     """
-    ws = round_workspace(config, partitions, spec) if workspace is None else workspace
+    config = _shared_config(federations)
+    if [len(weights) for weights in incoming] != [len(fed.partitions) for fed in federations]:
+        raise ValueError("need one incoming model per client of every federation")
+    ws = round_workspace(federations, spec) if workspace is None else workspace
+    # The flat list of clients: (federation, client id) and starting weights.
+    owners = [(fed, k) for fed in federations for k in range(len(fed.partitions))]
+    starts = [weights for per_fed in incoming for weights in per_fed]
+    shards = [fed.partitions[k] for fed, k in owners]
+    seeds = [shuffle_seed(fed.config.master_seed, k, round_index) for fed, k in owners]
 
     def train(ids: list[int]) -> list[tuple[ModelWeights, float]]:
         return train_clients(
-            [partitions[k] for k in ids],
-            [incoming[k] for k in ids],
+            [shards[i] for i in ids],
+            [starts[i] for i in ids],
             spec,
             config.optimizer,
             config.local_epochs,
             config.batch_size,
-            [shuffle_seed(config.master_seed, k, round_index) for k in ids],
+            [seeds[i] for i in ids],
             ws,
         )
 
-    results = {}
-    for chunk in client_chunks([len(p) for p in partitions], num_params(spec)):
-        try:
-            results.update(zip(chunk, train(chunk)))
-        except _WRAPPABLE:
-            # A stacked step cannot tell which client failed: retrain the
-            # chunk's clients one at a time to name the first that does.
-            for k in chunk:
-                with _in_context(f"round {round_index}, client {k}"):
-                    train([k])
-            raise
-    ordered = [results[k] for k in range(len(partitions))]
-    for k, (weights, loss) in enumerate(ordered):
-        with _in_context(f"round {round_index}, client {k}"):
+    results: dict[int, tuple[ModelWeights, float]] = {}
+
+    def checked(i: int) -> tuple[ModelWeights, float]:
+        """Client i's result, trained alone if no chunk produced it, in
+        the client's error context and checked for finiteness."""
+        fed, k = owners[i]
+        with _in_context(f"{_name(fed.config)}, round {round_index}, client {k}"):
+            weights, loss = results[i] if i in results else train([i])[0]
             if not (math.isfinite(loss) and np.isfinite(weights.values).all()):
                 raise NumericError("local training produced non-finite weights or loss")
-    return ordered
+        return weights, loss
+
+    try:
+        for chunk in client_chunks([len(shard) for shard in shards], num_params(spec)):
+            results.update(zip(chunk, train(chunk)))
+    except _WRAPPABLE:
+        # A stacked step cannot tell which client failed: check the
+        # trained clients and train the rest one at a time, in flat
+        # order, to name the first that fails.
+        for i in range(len(owners)):
+            checked(i)
+        raise
+    flat = iter([checked(i) for i in range(len(owners))])
+    return [[next(flat) for _ in fed.partitions] for fed in federations]
 
 
-def run_federation(
-    config: FederationConfig,
-    partitions: Sequence[Dataset],
-    spec: ClassifierSpec,
-    test_set: Dataset | None = None,
-    eval_every: int = 1,
-) -> FederationResult:
-    """The full R-round protocol. With a test set, the history carries a
-    fairness report for round 0 (the shared initialization), every
-    ``eval_every``-th round, and the final round."""
+def _check_federation(fed: Federation, spec: ClassifierSpec) -> None:
+    config, partitions = fed.config, fed.partitions
     if len(partitions) != config.num_clients:
         raise ConfigurationError(
             f"config expects {config.num_clients} clients but got {len(partitions)} partitions"
         )
-    if eval_every < 1:
-        raise ConfigurationError("eval_every must be >= 1")
     expected_head = head_mode_for(config.mode)
     if spec.head_mode is not expected_head:
         raise ConfigurationError(
@@ -404,58 +454,117 @@ def run_federation(
         if len(part) == 0:
             raise ConfigurationError(f"client {k} has an empty dataset")
         _check_compatible(spec, part, f"client {k} partition")
-    if test_set is not None:
-        _check_compatible(spec, test_set, "test set")
+    if fed.test_set is not None:
+        _check_compatible(spec, fed.test_set, "test set")
 
-    local_mode = config.mode is Mode.LOCAL_ONLY
-    init = init_weights(spec, derive_seed(config.master_seed, TAG_INIT))
-    local_weights = [init] * len(partitions)
-    workspace = round_workspace(config, partitions, spec)
 
-    def evaluate(round_index: int, global_weights: ModelWeights) -> FairnessReport | None:
-        if test_set is None:
-            return None
-        if not local_mode:
-            with _in_context(f"round {round_index}, evaluation"):
-                return evaluate_weights(spec, global_weights, test_set)
-        reports = []
-        for k, weights in enumerate(local_weights):
-            with _in_context(f"round {round_index}, client {k}, evaluation"):
-                reports.append(evaluate_weights(spec, weights, test_set))
-        return mean_reports(reports)
+def _evaluate(
+    fed: Federation,
+    spec: ClassifierSpec,
+    round_index: int,
+    global_weights: ModelWeights,
+    local_weights: Sequence[ModelWeights],
+) -> FairnessReport | None:
+    """The federation's report: of the global model, or in local mode the
+    mean of the clients' reports; None without a test set."""
+    if fed.test_set is None:
+        return None
+    where = f"{_name(fed.config)}, round {round_index}"
+    if fed.config.mode is not Mode.LOCAL_ONLY:
+        with _in_context(f"{where}, evaluation"):
+            return evaluate_weights(spec, global_weights, fed.test_set)
+    reports = []
+    for k, weights in enumerate(local_weights):
+        with _in_context(f"{where}, client {k}, evaluation"):
+            reports.append(evaluate_weights(spec, weights, fed.test_set))
+    return mean_reports(reports)
 
-    start = time.perf_counter()
-    global_weights = init
-    history = [
-        RoundSnapshot(0, evaluate(0, global_weights), None, time.perf_counter() - start)
+
+def run_lockstep(
+    federations: Sequence[Federation],
+    spec: ClassifierSpec,
+    eval_every: int = 1,
+) -> list[FederationResult]:
+    """The full R-round protocol for several federations on one head, one
+    ``FederationResult`` each, in order.
+
+    Each round trains every client of every federation through one
+    ``train_round``; aggregation and evaluation then run per federation.
+    The federations must share rounds, local epochs, batch size and
+    optimizer; each keeps its own mode, master seed, partitions and test
+    set, and its result is bit for bit the result of running it alone.
+    With a test set, a history carries a fairness report for round 0
+    (the shared initialization), every ``eval_every``-th round, and the
+    final round.
+    """
+    config = _shared_config(federations)
+    if eval_every < 1:
+        raise ConfigurationError("eval_every must be >= 1")
+    for fed in federations:
+        _check_federation(fed, spec)
+
+    workspace = round_workspace(federations, spec)
+    global_weights = [
+        init_weights(spec, derive_seed(fed.config.master_seed, TAG_INIT)) for fed in federations
     ]
+    local_weights = [[init] * len(fed.partitions) for fed, init in zip(federations, global_weights)]
+    histories = []
+    for f, fed in enumerate(federations):
+        start = time.perf_counter()
+        report = _evaluate(fed, spec, 0, global_weights[f], local_weights[f])
+        histories.append([RoundSnapshot(0, report, None, time.perf_counter() - start)])
 
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
+        incoming = [
+            local_weights[f]
+            if fed.config.mode is Mode.LOCAL_ONLY
+            else [global_weights[f]] * len(fed.partitions)
+            for f, fed in enumerate(federations)
+        ]
+        results = train_round(federations, spec, incoming, round_index, workspace)
+        trained = time.perf_counter() - start
 
-        incoming = local_weights if local_mode else [global_weights] * len(partitions)
-        results = train_round(config, partitions, spec, incoming, round_index, workspace)
-        local_weights = [weights for weights, _ in results]
-        losses = [loss for _, loss in results]
+        for f, fed in enumerate(federations):
+            start = time.perf_counter()
+            local_weights[f] = [weights for weights, _ in results[f]]
+            losses = [loss for _, loss in results[f]]
+            if fed.config.mode is not Mode.LOCAL_ONLY:
+                updates = local_weights[f]
+                with _in_context(f"{_name(fed.config)}, round {round_index}, aggregation"):
+                    global_weights[f] = fedavg_aggregate(
+                        [(k, updates[k], len(p)) for k, p in enumerate(fed.partitions)]
+                    )
+            due = round_index % eval_every == 0 or round_index == config.rounds
+            report = (
+                _evaluate(fed, spec, round_index, global_weights[f], local_weights[f])
+                if due
+                else None
+            )
+            mean_loss = sum(losses) / len(losses)
+            duration = trained + time.perf_counter() - start
+            histories[f].append(RoundSnapshot(round_index, report, mean_loss, duration))
 
-        if not local_mode:
-            with _in_context(f"round {round_index}, aggregation"):
-                global_weights = fedavg_aggregate(
-                    [(k, local_weights[k], len(part)) for k, part in enumerate(partitions)]
-                )
-
-        due = round_index % eval_every == 0 or round_index == config.rounds
-        report = evaluate(round_index, global_weights) if due else None
-        mean_loss = sum(losses) / len(losses)
-        history.append(
-            RoundSnapshot(round_index, report, mean_loss, time.perf_counter() - start)
+    return [
+        FederationResult(
+            mode=fed.config.mode,
+            spec=spec,
+            config=fed.config,
+            final_weights=None if fed.config.mode is Mode.LOCAL_ONLY else global_weights[f],
+            client_weights=dict(enumerate(local_weights[f])),
+            history=histories[f],
         )
+        for f, fed in enumerate(federations)
+    ]
 
-    return FederationResult(
-        mode=config.mode,
-        spec=spec,
-        config=config,
-        final_weights=None if local_mode else global_weights,
-        client_weights=dict(enumerate(local_weights)),
-        history=history,
-    )
+
+def run_federation(
+    config: FederationConfig,
+    partitions: Sequence[Dataset],
+    spec: ClassifierSpec,
+    test_set: Dataset | None = None,
+    eval_every: int = 1,
+) -> FederationResult:
+    """The full R-round protocol for one federation: ``run_lockstep`` with
+    a single federation."""
+    return run_lockstep([Federation(config, partitions, test_set)], spec, eval_every)[0]

@@ -234,16 +234,21 @@ class FairnessReport:
     @classmethod
     def from_dict(cls, payload: dict) -> "FairnessReport":
         """Inverse of ``to_dict``; also reads the bare ``Infinity`` token of
-        older files, which ``json.loads`` already turns into a float."""
+        older files, which ``json.loads`` already turns into a float. A
+        metric that is neither a number nor null raises ``TypeError``."""
+        values = {name: payload[name] for name in METRIC_NAMES}
+        if values["ser"] == _INF_TEXT:
+            values["ser"] = math.inf
+        for name, value in values.items():
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise TypeError(f"metric {name} must be a number or null, got {value!r}")
         return cls(
             num_classes=payload["num_classes"],
             num_groups=payload["num_groups"],
             total=payload["total"],
-            acc=payload["acc"],
-            ser=math.inf if payload["ser"] == _INF_TEXT else payload["ser"],
-            eo=payload["eo"],
-            ba=payload["ba"],
-            dp=payload["dp"],
+            **values,
             per_group_error=payload["per_group_error"],
             recall_by_group_class=payload["recall_by_group_class"],
             prediction_rate_by_group_class=payload["prediction_rate_by_group_class"],

@@ -5,8 +5,8 @@ than by calling library internals: metrics are recounted straight from
 the record list (no count tensor), losses are recomputed per example
 with scipy's log-sum-exp, gradients come from central finite
 differences, the federated average is a plain weighted sum, and
-client and centralized training are plain loops of single-model,
-single-batch steps.
+client, federated and centralized training are plain loops of
+single-model, single-batch steps.
 """
 
 from __future__ import annotations
@@ -19,8 +19,16 @@ from scipy.special import logsumexp
 
 from fedbias.data import Dataset
 from fedbias.exceptions import ConfigurationError
-from fedbias.federation import RoundSnapshot, _check_compatible, evaluate_weights
-from fedbias.metrics import FairnessReport, PredictionRecord
+from fedbias.federation import (
+    FederationConfig,
+    FederationResult,
+    Mode,
+    RoundSnapshot,
+    _check_compatible,
+    evaluate_weights,
+    fedavg_aggregate,
+)
+from fedbias.metrics import FairnessReport, PredictionRecord, mean_reports
 from fedbias.nn import (
     Batch,
     ClassifierSpec,
@@ -286,6 +294,60 @@ def reference_client_train(
             loss_total += loss
             loss_batches += 1
     return weights, loss_total / loss_batches
+
+
+# ---------------------------------------------------------------------------
+# One federation on its own, round by round.
+
+def reference_run_federation(
+    config: FederationConfig,
+    partitions: list[Dataset],
+    spec: ClassifierSpec,
+    test_set: Dataset | None = None,
+    eval_every: int = 1,
+) -> FederationResult:
+    """The R-round protocol for a single federation, each client trained
+    alone by ``reference_client_train`` in client order: what every
+    federation of a lockstep run must equal, bit for bit."""
+    local_mode = config.mode is Mode.LOCAL_ONLY
+    init = init_weights(spec, derive_seed(config.master_seed, TAG_INIT))
+    global_weights = init
+    local_weights = [init] * len(partitions)
+
+    def evaluate() -> FairnessReport | None:
+        if test_set is None:
+            return None
+        if not local_mode:
+            return evaluate_weights(spec, global_weights, test_set)
+        return mean_reports([evaluate_weights(spec, w, test_set) for w in local_weights])
+
+    history = [RoundSnapshot(0, evaluate(), None, 0.0)]
+    for round_index in range(1, config.rounds + 1):
+        incoming = local_weights if local_mode else [global_weights] * len(partitions)
+        results = [
+            reference_client_train(
+                part, incoming[k], spec, config.optimizer, config.local_epochs,
+                config.batch_size, shuffle_seed(config.master_seed, k, round_index),
+            )
+            for k, part in enumerate(partitions)
+        ]
+        local_weights = [weights for weights, _ in results]
+        losses = [loss for _, loss in results]
+        if not local_mode:
+            global_weights = fedavg_aggregate(
+                [(k, local_weights[k], len(part)) for k, part in enumerate(partitions)]
+            )
+        due = round_index % eval_every == 0 or round_index == config.rounds
+        report = evaluate() if due else None
+        history.append(RoundSnapshot(round_index, report, sum(losses) / len(losses), 0.0))
+    return FederationResult(
+        mode=config.mode,
+        spec=spec,
+        config=config,
+        final_weights=None if local_mode else global_weights,
+        client_weights=dict(enumerate(local_weights)),
+        history=history,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ from fedbias.data import (
     train_test_split,
 )
 from fedbias.federation import (
+    Federation,
     FederationConfig,
     Mode,
     fedavg_aggregate,
     predict_dataset,
     run_federation,
+    run_lockstep,
 )
 from fedbias.nn import (
     ClassifierSpec,
@@ -215,7 +217,8 @@ def test_6_grouped_head_reduces_parity_gaps_on_biased_data():
     started = time.perf_counter()
     medians = {}
     for mode in (Mode.FEDAVG_PLAIN, Mode.DBFED):
-        accs, dps, eos = [], [], []
+        # The 11 seeds of a mode train as one lockstep run: 55 clients.
+        federations = []
         for master_seed in range(11):
             config = parse_config(
                 f"""
@@ -238,15 +241,12 @@ run.eval_every = 30
             )
             dataset = config.load_dataset()
             parts, test = config.split_and_partition(dataset)
-            spec = config.classifier_spec(mode, input_dim=dataset.feature_dim)
-            result = run_federation(
-                config.federation_config(mode), parts, spec,
-                test_set=test, eval_every=config.eval_every,
-            )
-            rep = result.final_report
-            accs.append(rep.acc)
-            dps.append(rep.dp)
-            eos.append(rep.eo)
+            federations.append(Federation(config.federation_config(mode), parts, test))
+        spec = config.classifier_spec(mode, input_dim=dataset.feature_dim)
+        results = run_lockstep(federations, spec, eval_every=config.eval_every)
+        accs = [result.final_report.acc for result in results]
+        dps = [result.final_report.dp for result in results]
+        eos = [result.final_report.eo for result in results]
         medians[mode] = (
             statistics.median(accs),
             statistics.median(dps),

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fedbias.cli import main
@@ -157,6 +158,55 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 1
         assert "run.output" in capsys.readouterr().err
 
+    def test_lockstep_modes_match_each_mode_run_alone(self, tmp_path, capsys):
+        # fedavg and local share the plain head and train as one stack;
+        # every mode's lines must equal a run of that mode on its own.
+        text = BASE_CONFIG.replace("fedavg,dbfed", "local,dbfed,fedavg")
+        config = write_config(tmp_path, text)
+        together = tmp_path / "together.jsonl"
+        assert main(["train", "--config", str(config), "--out", str(together)]) == 0
+        rows = strip_durations(read_jsonl(together))
+        finals = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:3]]
+        assert finals == ["local final", "dbfed final", "fedavg final"]
+        assert [r["mode"] for r in rows[:-1]] == ["local"] * 3 + ["dbfed"] * 3 + ["fedavg"] * 3
+        for mode in ("local", "dbfed", "fedavg"):
+            alone = tmp_path / f"{mode}.jsonl"
+            argv = ["train", "--config", str(config), "--out", str(alone), "--mode", mode]
+            assert main(argv) == 0
+            solo = strip_durations(read_jsonl(alone))
+            assert [r for r in rows if r.get("mode") == mode] == solo[:-1]
+            assert rows[-1]["reports"][mode] == solo[-1]["reports"][mode]
+
+    def test_failure_in_second_lockstep_mode_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Give the local federation its own copies of the shared shards
+        # and poison their training; the error must name local.
+        import fedbias.cli as cli
+        import fedbias.federation as federation
+
+        run_lockstep, train_clients = federation.run_lockstep, federation.train_clients
+        copies = []
+
+        def split_shards(federations, *args):
+            fedavg, local = federations
+            copies.extend(p.subset(np.arange(len(p))) for p in local.partitions)
+            return run_lockstep([fedavg, local._replace(partitions=copies)], *args)
+
+        def poisoned(shards, *args):
+            results = train_clients(shards, *args)
+            return [
+                (weights, float("nan") if any(shard is c for c in copies) else loss)
+                for shard, (weights, loss) in zip(shards, results)
+            ]
+
+        monkeypatch.setattr(cli, "run_lockstep", split_shards)
+        monkeypatch.setattr(federation, "train_clients", poisoned)
+        config = write_config(tmp_path, BASE_CONFIG.replace("fedavg,dbfed", "fedavg,local"))
+        status = main(["train", "--config", str(config), "--out", str(tmp_path / "o.jsonl")])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: local seed 3, round 1, client 0: "), err
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE_CONFIG + "federation.quorum = 3\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
@@ -304,6 +354,20 @@ class TestCompare:
         results.write_text('{"kind": "round", "round": 0}\n' + line + "\n", encoding="utf-8")
         assert main(["compare", str(results)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {results}: line 2: ")
+
+
+    @pytest.mark.parametrize("value", ['"high"', "true", "[0.5]"])
+    def test_non_numeric_metric_exits_2_and_names_line(self, tmp_path, capsys, value):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_results_file(good, "fedavg", PERFECT, 2, 2)
+        write_results_file(bad, "dbfed", SKEWED, 2, 2)
+        text = bad.read_text(encoding="utf-8")
+        text = text.replace('"acc": 0.5', f'"acc": {value}')
+        bad.write_text('{"kind": "round", "round": 0}\n' + text, encoding="utf-8")
+        assert main(["compare", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 2: malformed summary"), err
+        assert "metric acc must be a number or null" in err
 
 
 class TestStrictJson:

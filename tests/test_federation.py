@@ -9,6 +9,7 @@ from fedbias.data import Dataset, SyntheticSpec, generate_synthetic, partition, 
 from fedbias.exceptions import ConfigurationError, NumericError, ProtocolError
 from fedbias.federation import (
     STACK_VALUES,
+    Federation,
     FederationConfig,
     Mode,
     client_chunks,
@@ -18,6 +19,7 @@ from fedbias.federation import (
     head_mode_for,
     predict_dataset,
     run_federation,
+    run_lockstep,
     train_clients,
     train_round,
 )
@@ -35,7 +37,13 @@ from fedbias.nn import (
     weight_layout,
 )
 from fedbias.seeding import TAG_INIT, derive_seed, shuffle_seed
-from oracles import fresh_state, reference_client_train, train_centralized, weighted_mean
+from oracles import (
+    fresh_state,
+    reference_client_train,
+    reference_run_federation,
+    train_centralized,
+    weighted_mean,
+)
 
 
 def toy_dataset(seed=0, size=40, num_classes=2, num_groups=2, dim=3) -> Dataset:
@@ -333,7 +341,8 @@ class TestRunFederation:
             return real(shards, *args)
 
         monkeypatch.setattr(federation, "train_clients", boom)
-        with pytest.raises(ValueError, match=r"^round 1, client 1: synthetic failure"):
+        message = r"^dbfed seed 21, round 1, client 1: synthetic failure$"
+        with pytest.raises(ValueError, match=message):
             run_federation(config, parts, spec, test_set=test)
 
 
@@ -378,7 +387,7 @@ class TestStackedEngine:
     @given(client_rounds(), st.integers(1, 50))
     def test_engine_equals_reference_loop_bitwise(self, case, round_index):
         config, shards, spec, incoming = case
-        results = train_round(config, shards, spec, incoming, round_index)
+        results = train_round([Federation(config, shards)], spec, [incoming], round_index)[0]
         for k, (shard, start, (weights, loss)) in enumerate(zip(shards, incoming, results)):
             expected, expected_loss = reference_client_train(
                 shard, start, spec, config.optimizer, config.local_epochs,
@@ -404,6 +413,169 @@ class TestStackedEngine:
             train_clients(shards, [w, w], spec, adam(), 1, 4, [0, 1])
 
 
+@st.composite
+def lockstep_runs(draw):
+    """(federations, spec, eval_every): up to three plain-head federations
+    (fedavg or local, each with its own master seed, shards and optional
+    test set) sharing one run shape. Shard sizes differ by at most one, so
+    the flat client list splits into chunks by size; a wide hidden layer
+    splits it further by the stack limit. A federation may reuse the
+    previous one's shards, as ``fedbias train`` does."""
+    n, d, m = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    hidden = draw(
+        st.one_of(
+            st.lists(st.integers(1, 6), max_size=2),
+            st.lists(st.integers(1500, 3000), min_size=1, max_size=1),
+        )
+    )
+    spec = ClassifierSpec(m, tuple(hidden), n, d, HeadMode.PLAIN)
+    optimizer = OptimizerConfig(kind=draw(st.sampled_from(OptimizerKind)), learning_rate=0.05)
+    rounds, epochs = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    batch = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.integers(1, 10))
+
+    def dataset(size):
+        return Dataset(
+            rng.normal(size=(size, m)), rng.integers(0, n, size), rng.integers(0, d, size), n, d
+        )
+
+    federations = []
+    for _ in range(draw(st.integers(1, 3))):
+        if federations and draw(st.booleans()):
+            shards = federations[-1].partitions
+        else:
+            count = draw(st.integers(1, 4))
+            shards = [dataset(base + draw(st.integers(0, 1))) for _ in range(count)]
+        mode = draw(st.sampled_from([Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY]))
+        config = FederationConfig(
+            rounds, len(shards), epochs, batch, optimizer, mode, draw(st.integers(0, 1000))
+        )
+        test = dataset(draw(st.integers(4, 12))) if draw(st.booleans()) else None
+        federations.append(Federation(config, shards, test))
+    return federations, spec, draw(st.integers(1, 3))
+
+
+def poison_losses(monkeypatch, poisoned):
+    """Make ``train_clients`` report a NaN loss for every shard in ``poisoned``."""
+    real = federation.train_clients
+
+    def patched(shards, *args):
+        results = real(shards, *args)
+        return [
+            (weights, float("nan") if any(shard is p for p in poisoned) else loss)
+            for shard, (weights, loss) in zip(shards, results)
+        ]
+
+    monkeypatch.setattr(federation, "train_clients", patched)
+
+
+class TestLockstep:
+    @settings(deadline=None, max_examples=60)
+    @given(lockstep_runs())
+    def test_each_federation_equals_its_run_alone_bitwise(self, case):
+        federations, spec, eval_every = case
+        results = run_lockstep(federations, spec, eval_every)
+        assert len(results) == len(federations)
+        for fed, result in zip(federations, results):
+            alone = reference_run_federation(
+                fed.config, fed.partitions, spec, fed.test_set, eval_every
+            )
+            assert result.mode is fed.config.mode and result.config == fed.config
+            assert [s.round_index for s in result.history] == [s.round_index for s in alone.history]
+            assert [repr(s.mean_train_loss) for s in result.history] == [
+                repr(s.mean_train_loss) for s in alone.history
+            ]
+            assert [repr(s.report and s.report.to_dict()) for s in result.history] == [
+                repr(s.report and s.report.to_dict()) for s in alone.history
+            ]
+            if alone.final_weights is None:
+                assert result.final_weights is None
+            else:
+                assert result.final_weights.values.tobytes() == alone.final_weights.values.tobytes()
+            assert result.client_weights.keys() == alone.client_weights.keys()
+            for k, weights in alone.client_weights.items():
+                assert result.client_weights[k].values.tobytes() == weights.values.tobytes()
+
+    def test_error_in_second_federation_names_it(self, monkeypatch):
+        # fedavg and local train in one stack; only local's shards fail.
+        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        local_parts = [p.subset(np.arange(len(p))) for p in parts]
+        local = FederationConfig(3, 3, 2, 8, adam(), Mode.LOCAL_ONLY, 22)
+        poison_losses(monkeypatch, local_parts[1:])
+        with pytest.raises(NumericError, match=r"^local seed 22, round 1, client 1: .*non-finite"):
+            run_lockstep(
+                [Federation(config, parts, test), Federation(local, local_parts, test)], spec
+            )
+
+    def test_first_failure_in_federation_then_client_order(self, monkeypatch):
+        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        other = [p.subset(np.arange(len(p))) for p in parts]
+        second = FederationConfig(3, 3, 2, 8, adam(), Mode.FEDAVG_PLAIN, 22)
+        poison_losses(monkeypatch, [parts[2], other[0]])
+        with pytest.raises(NumericError, match=r"^fedavg seed 21, round 1, client 2: "):
+            run_lockstep([Federation(config, parts), Federation(second, other)], spec)
+
+    def test_raised_error_names_first_client_across_chunks(self, monkeypatch):
+        # Sizes 5, 6, 5 train as chunks [0, 2] and [1]; clients 1 and 2
+        # both raise, and client order, not chunk order, decides.
+        spec = ClassifierSpec(3, (), 2, 2)
+        parts = [toy_dataset(seed=s, size=n) for s, n in enumerate([5, 6, 5])]
+        config = FederationConfig(1, 3, 1, 4, adam(), Mode.LOCAL_ONLY, 7)
+        real = federation.train_clients
+
+        def boom(shards, *args):
+            if any(shard is parts[1] or shard is parts[2] for shard in shards):
+                raise ValueError("synthetic failure")
+            return real(shards, *args)
+
+        monkeypatch.setattr(federation, "train_clients", boom)
+        message = r"^local seed 7, round 1, client 1: synthetic failure$"
+        with pytest.raises(ValueError, match=message):
+            run_lockstep([Federation(config, parts)], spec)
+
+    @pytest.mark.parametrize(
+        "target,mode,message",
+        [
+            ("fedavg_aggregate", Mode.FEDAVG_PLAIN, r"^fedavg seed 21, round 1, aggregation: "),
+            ("evaluate_weights", Mode.DBFED, r"^dbfed seed 21, round 0, evaluation: "),
+            ("evaluate_weights", Mode.LOCAL_ONLY, r"^local seed 21, round 0, client 0, evaluation: "),
+        ],
+    )
+    def test_aggregation_and_evaluation_contexts(self, monkeypatch, target, mode, message):
+        config, parts, spec, test = small_run_setup(mode)
+
+        def boom(*args):
+            raise ProtocolError("boom")
+
+        monkeypatch.setattr(federation, target, boom)
+        with pytest.raises(ProtocolError, match=message + "boom$"):
+            run_lockstep([Federation(config, parts, test)], spec)
+
+    def test_unequal_run_shapes_rejected(self):
+        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
+        local = FederationConfig(3, 2, 2, 8, adam(), Mode.LOCAL_ONLY, 21)
+        with pytest.raises(ConfigurationError, match="at least one federation"):
+            run_lockstep([], spec)
+        for changed in [
+            FederationConfig(4, 2, 2, 8, adam(), Mode.LOCAL_ONLY, 21),
+            FederationConfig(3, 2, 1, 8, adam(), Mode.LOCAL_ONLY, 21),
+            FederationConfig(3, 2, 2, 9, adam(), Mode.LOCAL_ONLY, 21),
+            FederationConfig(3, 2, 2, 8, adam(lr=0.02), Mode.LOCAL_ONLY, 21),
+        ]:
+            message = "^local seed 21 differs from fedavg seed 21"
+            with pytest.raises(ConfigurationError, match=message):
+                run_lockstep([Federation(config, parts), Federation(changed, parts)], spec)
+        # Different master seeds and client counts are fine.
+        run_lockstep([Federation(config, parts), Federation(local, parts[:1] * 2, test)], spec)
+
+    def test_federation_on_the_other_head_rejected(self):
+        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
+        dbfed = FederationConfig(3, 2, 2, 8, adam(), Mode.DBFED, 21)
+        with pytest.raises(ConfigurationError, match="mode dbfed requires head_mode"):
+            run_lockstep([Federation(config, parts), Federation(dbfed, parts)], spec)
+
+
 class TestNonFiniteTraining:
     """SGD at lr=1e6 on the demo data overflows every mode within ten
     rounds; each mode must stop with the round in the message rather
@@ -421,23 +593,14 @@ class TestNonFiniteTraining:
         parts = partition(train, 5, seed=3)
         spec = ClassifierSpec(8, (16,), 2, 2, head_mode_for(mode))
         config = FederationConfig(10, 5, 1, 64, sgd(lr=1e6), mode, 5)
-        with pytest.raises(NumericError, match=r"^round \d+, "):
+        with pytest.raises(NumericError, match=rf"^{mode.value} seed 5, round \d+, "):
             run_federation(config, parts, spec, test_set=test if with_test_set else None)
 
     def test_non_finite_client_update_names_round_and_client(self, monkeypatch):
         # Clients 1 and 2 both come back non-finite; client order decides.
         config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
-        real = federation.train_clients
-
-        def poisoned(shards, *args):
-            results = real(shards, *args)
-            return [
-                (weights, float("nan") if shard is not parts[0] else loss)
-                for shard, (weights, loss) in zip(shards, results)
-            ]
-
-        monkeypatch.setattr(federation, "train_clients", poisoned)
-        with pytest.raises(NumericError, match="^round 1, client 1: .*non-finite"):
+        poison_losses(monkeypatch, parts[1:])
+        with pytest.raises(NumericError, match="^fedavg seed 21, round 1, client 1: .*non-finite"):
             run_federation(config, parts, spec, test_set=test)
 
 
