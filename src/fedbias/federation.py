@@ -31,7 +31,8 @@ of all of them as one flat list through ``train_round``, then aggregates
 and evaluates each federation on its own. Each result equals a run of
 that federation alone, and ``run_federation`` is the one-federation case.
 Errors name the federation by mode and master seed
-(``"fedavg seed 3, round 2, client 1: ..."``).
+(``"fedavg seed 3, round 2, client 1: ..."``, or ``"fedavg seed 3: ..."``
+for the checks made before round 1).
 """
 
 from __future__ import annotations
@@ -61,14 +62,16 @@ from .nn import (
     HeadMode,
     ModelWeights,
     OptimizerConfig,
-    OptimizerState,
     Workspace,
-    backward,
+    _backward_core,
+    _check_targets,
+    _check_weights,
+    _optimizer_core,
     forward_batch,
     init_weights,
     num_params,
-    optimizer_step,
 )
+from .nn import backward, optimizer_step  # noqa: F401  (span targets of perfbench/tracing.py)
 from .seeding import TAG_INIT, derive_seed, shuffle_seed
 
 
@@ -183,11 +186,18 @@ def train_clients(
     Client k starts from ``incoming[k]`` with zero optimizer moments, and
     one generator seeded by ``seeds[k]`` drives its every epoch's shuffle;
     the trailing partial batch is trained on. The shards must have equal
-    lengths, so each step is one stacked ``backward`` and one stacked
-    ``optimizer_step`` over the (K, P) block of client weights, with each
+    lengths, so each step is one stacked backward pass and one stacked
+    optimizer update over the (K, P) block of client weights, with each
     client's rows gathered into the workspace. Returns each client's
     trained weights and mean loss over its batches, bit for bit what
     training that client alone gives.
+
+    The call checks once what ``backward`` checks at every call: the
+    incoming layouts, that the workspace fits, and the shards' label (and
+    under the grouped head, group) ranges, with ``backward``'s messages.
+    The steps then run the in-place cores of ``backward`` and
+    ``optimizer_step`` on the workspace plans of the full and the last
+    batch, and on layer views of the weight block taken once.
     """
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
@@ -201,36 +211,43 @@ def train_clients(
     k = len(shards)
     if len(incoming) != k or len(seeds) != k:
         raise ValueError("need one incoming model and one seed per client")
-    ws = Workspace(spec, k, min(batch_size, size)) if workspace is None else workspace
+    for weights in incoming:
+        _check_weights(spec, weights)
+    for shard in shards:
+        _check_targets(spec, shard.labels, shard.groups)
+    width = min(batch_size, size)
+    ws = Workspace(spec, k, width) if workspace is None else workspace
+    if ws.spec != spec:
+        raise ValueError("workspace does not fit this spec, stack or batch")
+    full = ws.plan(k, width)
+    last = ws.plan(k, size % width) if size % width else full
+
     block = ws.view(ws.weights, k, len(incoming[0]))
     np.stack([w.values for w in incoming], out=block)
     weights = incoming[0].with_values(block)
-    state = OptimizerState(
-        optimizer,
-        ws.view(ws.first_moment, *block.shape),
-        ws.view(ws.second_moment, *block.shape),
-    )
-    state.first_moment.fill(0.0)
-    state.second_moment.fill(0.0)
+    layers = weights.unflatten()
+    first_moment = ws.view(ws.first_moment, *block.shape)
+    second_moment = ws.view(ws.second_moment, *block.shape)
+    first_moment.fill(0.0)
+    second_moment.fill(0.0)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     loss_total = np.zeros(k)
-    loss_batches = 0
+    steps = 0
     for _ in range(epochs):
         orders = [rng.permutation(size) for rng in rngs]
         for start in range(0, size, batch_size):
-            batch = ws.batch(k, min(batch_size, size - start))
-            for shard, order, x, y, g in zip(
-                shards, orders, batch.features, batch.labels, batch.groups
-            ):
-                idx = order[start : start + len(batch)]
+            plan = full if start + width <= size else last
+            for shard, order, (x, y, g) in zip(shards, orders, plan.clients):
+                idx = order[start : start + plan.size]
                 shard.features.take(idx, axis=0, out=x, mode="clip")
                 shard.labels.take(idx, out=y, mode="clip")
                 shard.groups.take(idx, out=g, mode="clip")
-            gradient, loss = backward(spec, weights, batch, ws)
-            weights, state = optimizer_step(state, weights, gradient, ws)
-            loss_total += loss
-            loss_batches += 1
-    mean_loss = loss_total / loss_batches
+            loss_total += _backward_core(plan, layers, plan.features, plan.labels, plan.groups)
+            steps += 1
+            _optimizer_core(
+                optimizer, steps, block, first_moment, second_moment, plan.gradient, plan.scratch
+            )
+    mean_loss = loss_total / steps
     return [(weights.with_values(block[i].copy()), float(mean_loss[i])) for i in range(k)]
 
 
@@ -501,7 +518,8 @@ def run_lockstep(
     if eval_every < 1:
         raise ConfigurationError("eval_every must be >= 1")
     for fed in federations:
-        _check_federation(fed, spec)
+        with _in_context(_name(fed.config)):
+            _check_federation(fed, spec)
 
     workspace = round_workspace(federations, spec)
     global_weights = [

@@ -32,10 +32,10 @@ def block_softmax(
     results are written into its arrays; ``probs`` may be ``blocks``.
     """
     shift, total, probs = (None, None, None) if out is None else out
-    shift = np.max(blocks, axis=-1, out=shift)
+    shift = np.maximum.reduce(blocks, axis=-1, out=shift)
     probs = np.subtract(blocks, shift[..., None], out=probs)
     np.exp(probs, out=probs)
-    total = np.sum(probs, axis=-1, out=total)
+    total = np.add.reduce(probs, axis=-1, out=total)
     probs /= total[..., None]
     return shift, total, probs
 

@@ -14,6 +14,7 @@ per-layer shapes used to fold the vector back into matrices.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +78,10 @@ class ClassifierSpec:
 Layout = tuple[tuple[int, tuple[int, int]], ...]
 
 
+@functools.lru_cache(maxsize=64)
 def weight_layout(spec: ClassifierSpec) -> Layout:
-    """Per-layer (index, (fan_in, fan_out)) records, fixed by the layer dims."""
+    """Per-layer (index, (fan_in, fan_out)) records, fixed by the layer dims.
+    Cached per spec, so checking a model's layout costs one lookup."""
     dims = spec.layer_dims
     return tuple((i, (dims[i], dims[i + 1])) for i in range(len(dims) - 1))
 
@@ -183,12 +186,16 @@ class Workspace:
     stacks of up to ``models`` models on batches of up to ``batch_size``
     examples, allocated once and reused by each step.
 
-    A step takes C-contiguous views of the leading part of each buffer
+    A step of ``k`` models on ``b`` examples writes into the views of its
+    ``plan(k, b)``: C-contiguous views of the leading part of each buffer
     (``view``), so a smaller stack or a short last batch is laid out in
-    memory exactly like a freshly allocated array, and every NumPy
-    kernel sees the same shapes and strides it would see without the
-    workspace. ``weights``, ``first_moment`` and ``second_moment`` hold
-    the stacked model and optimizer state of the caller's run of steps.
+    memory exactly like a freshly allocated array, and every NumPy kernel
+    sees the same shapes and strides it would see without the workspace.
+    Each plan is built on first use and kept, so a run of steps takes its
+    views once per shape (a chunk's full batch and its ragged last batch)
+    instead of once per step. ``weights``, ``first_moment`` and
+    ``second_moment`` hold the stacked model and optimizer state of the
+    caller's run of steps.
     """
 
     def __init__(self, spec: ClassifierSpec, models: int, batch_size: int) -> None:
@@ -219,19 +226,60 @@ class Workspace:
         self.gradient, self.scratch = np.empty(models * p), np.empty(models * p)
         self.weights = np.empty(models * p)
         self.first_moment, self.second_moment = np.empty(models * p), np.empty(models * p)
+        self._plans: dict[tuple[int, int], StepPlan] = {}
 
     @staticmethod
     def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
         """The C-contiguous ``shape`` array at the start of ``buffer``."""
         return buffer[: math.prod(shape)].reshape(shape)
 
-    def batch(self, models: int, size: int) -> Batch:
-        """A stacked batch over the feature, label and group buffers."""
-        return Batch(
-            self.view(self.features, models, size, self.spec.input_dim),
-            self.view(self.labels, models, size),
-            self.view(self.groups, models, size),
-        )
+    def plan(self, models: int, size: int) -> StepPlan:
+        """The views a step of ``models`` models on ``size`` examples
+        writes into, built on the first call for that shape."""
+        plan = self._plans.get((models, size))
+        if plan is None:
+            if not (0 < models <= self.models and 0 < size <= self.batch_size):
+                raise ValueError("workspace does not fit this spec, stack or batch")
+            plan = self._plans[models, size] = StepPlan(self, models, size)
+        return plan
+
+
+class StepPlan:
+    """The views of a workspace's buffers that one stacked step of
+    ``models`` models on batches of ``size`` examples writes into.
+
+    ``features``, ``labels`` and ``groups`` hold the stacked batch, and
+    ``clients`` the same three views row by row, one triple per model,
+    for gathering each model's examples. Everything else is written by
+    ``backward``: the layer outputs and deltas, the loss terms of the
+    block softmax, and the (models, P) ``gradient`` with its per-layer
+    views in ``grads``; ``scratch`` is the optimizer's.
+    """
+
+    def __init__(self, ws: Workspace, models: int, size: int) -> None:
+        spec, view = ws.spec, ws.view
+        n, blocks, dims = spec.num_classes, spec.num_blocks, spec.layer_dims
+        rows = models * size
+        self.models, self.size, self.grouped = models, size, blocks > 1
+        self.features = view(ws.features, models, size, dims[0])
+        self.labels = view(ws.labels, models, size)
+        self.groups = view(ws.groups, models, size)
+        self.clients = list(zip(self.features, self.labels, self.groups))
+        self.outputs = [view(buf, models, size, w) for buf, w in zip(ws.outputs, dims[1:])]
+        self.deltas = [view(buf, models, size, w) for buf, w in zip(ws.deltas, dims[1:-1])]
+        # The logits with one row per example and with one row per block;
+        # ``block`` holds each example's own block of n logits, gathered
+        # apart under the grouped head and the logits themselves otherwise.
+        self.logits = self.outputs[-1].reshape(rows, blocks * n)
+        self.logit_blocks = self.logits.reshape(rows * blocks, n)
+        self.block_start, self.block_row = ws.block_start[:rows], ws.block_row[:rows]
+        self.block = view(ws.block, rows, n) if blocks > 1 else self.logits
+        self.entry_start, self.target = ws.entry_start[:rows], ws.target[:rows]
+        self.picked, self.shift, self.total = ws.picked[:rows], ws.shift[:rows], ws.total[:rows]
+        p = num_params(spec)
+        self.gradient = view(ws.gradient, models, p)
+        self.grads = _unflatten(self.gradient, weight_layout(spec))
+        self.scratch = view(ws.scratch, models, p)
 
 
 def _forward(
@@ -293,9 +341,10 @@ def backward(
     one size and returns (K, P) gradients and (K,) mean losses; row k is
     bit for bit what model k alone on batch k gives, because every
     product is one BLAS call per model and every reduction runs along a
-    model's own rows. A single model is the K = 1 case. With a
-    ``workspace`` the gradient is a view into it, overwritten by the next
-    call; without one, fresh buffers are allocated.
+    model's own rows. A single model is the K = 1 case. Every call checks
+    its weights, batch shape and target ranges. With a ``workspace`` the
+    gradient is a view into it, overwritten by the next call; without
+    one, fresh buffers are allocated.
     """
     _check_weights(spec, weights)
     stacked = weights.values.ndim == 2
@@ -311,60 +360,61 @@ def backward(
         )
     _check_targets(spec, labels, groups)
     ws = Workspace(spec, k, b) if workspace is None else workspace
-    if ws.spec != spec or k > ws.models or b > ws.batch_size:
+    if ws.spec != spec:
         raise ValueError("workspace does not fit this spec, stack or batch")
-    view = ws.view
-    n, blocks, rows = spec.num_classes, spec.num_blocks, k * b
-    layers = _unflatten(values, weights.layout)
+    plan = ws.plan(k, b)
+    mean_loss = _backward_core(plan, _unflatten(values, weights.layout), x, labels, groups)
+    if stacked:
+        return plan.gradient, mean_loss
+    return plan.gradient[0], float(mean_loss[0])
 
-    outs = [view(buf, k, b, w) for buf, w in zip(ws.outputs, spec.layer_dims[1:])]
-    acts = _forward(layers, x, outs)
-    logits = acts[-1].reshape(rows, blocks * n)
+
+def _backward_core(
+    plan: StepPlan,
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    labels: np.ndarray,
+    groups: np.ndarray,
+) -> np.ndarray:
+    """``backward`` of a checked (K, B) step into ``plan``: writes the
+    gradient to ``plan.gradient`` and returns the (K,) mean losses.
+    ``layers`` are the stacked models' layer views, ``x`` the (K, B, m)
+    features, ``labels`` and ``groups`` the (K, B) targets."""
+    k, b, logits, sliced = plan.models, plan.size, plan.logits, plan.block
+    acts = _forward(layers, x, plan.outputs)
 
     # Each example's block of n logits, one row per example.
-    if blocks > 1:
-        block_row = np.add(ws.block_start[:rows], groups.reshape(rows), out=ws.block_row[:rows])
-        sliced = np.take(
-            logits.reshape(rows * blocks, n), block_row, axis=0,
-            out=view(ws.block, rows, n), mode="clip",
-        )
-    else:
-        sliced = logits
-    target = np.add(ws.entry_start[:rows], labels.reshape(rows), out=ws.target[:rows])
-    picked = np.take(sliced.reshape(-1), target, out=ws.picked[:rows], mode="clip")
+    if plan.grouped:
+        block_row = np.add(plan.block_start, groups.reshape(k * b), out=plan.block_row)
+        plan.logit_blocks.take(block_row, axis=0, out=sliced, mode="clip")
+    target = np.add(plan.entry_start, labels.reshape(k * b), out=plan.target)
+    picked = sliced.reshape(-1).take(target, out=plan.picked, mode="clip")
 
-    shift, total, delta_slice = block_softmax(sliced, out=(ws.shift[:rows], ws.total[:rows], sliced))
+    shift, total, delta_slice = block_softmax(sliced, out=(plan.shift, plan.total, sliced))
     picked -= shift
     picked -= np.log(total, out=total)
-    mean_loss = -np.mean(picked.reshape(k, b), axis=-1)
+    # np.mean's own arithmetic: the pairwise sum, then one division.
+    mean_loss = -(np.add.reduce(picked.reshape(k, b), axis=-1) / b)
 
     # d(mean loss)/d(logits): softmax minus one-hot on each block, /B.
     delta_slice.reshape(-1)[target] -= 1.0
     delta_slice /= b
-    if blocks > 1:
+    if plan.grouped:
         logits.fill(0.0)
-        logits.reshape(rows * blocks, n)[block_row] = delta_slice
-    delta = outs[-1]
+        plan.logit_blocks[block_row] = delta_slice
+    delta = plan.outputs[-1]
 
-    gradient = view(ws.gradient, k, len(weights))
-    grads = _unflatten(gradient, weights.layout)
     for li in range(len(layers) - 1, -1, -1):
-        gw, gb = grads[li]
+        gw, gb = plan.grads[li]
         np.matmul(acts[li].transpose(0, 2, 1), delta, out=gw)
-        np.sum(delta, axis=1, out=gb)
+        np.add.reduce(delta, axis=1, out=gb)
         if li > 0:
             # ReLU mask: an activation is > 0 exactly where its
             # pre-activation was; the activation is not needed again.
             mask = np.greater(acts[li], 0.0, out=acts[li])
-            delta = np.matmul(
-                delta, layers[li][0].transpose(0, 2, 1),
-                out=view(ws.deltas[li - 1], k, b, spec.layer_dims[li]),
-            )
+            delta = np.matmul(delta, layers[li][0].transpose(0, 2, 1), out=plan.deltas[li - 1])
             delta *= mask
-
-    if stacked:
-        return gradient, mean_loss
-    return gradient[0], float(mean_loss[0])
+    return mean_loss
 
 
 @dataclass(frozen=True)
@@ -428,9 +478,23 @@ def optimizer_step(
         scratch = np.empty_like(values)
     else:
         scratch = workspace.view(workspace.scratch, *values.shape)
-
-    c = state.config
     t = state.step_count + 1
+    _optimizer_core(state.config, t, values, m, v, gradient, scratch)
+    return weights.with_values(values), OptimizerState(state.config, m, v, t)
+
+
+def _optimizer_core(
+    c: OptimizerConfig,
+    t: int,
+    values: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    gradient: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Update number ``t`` of ``optimizer_step``, in place: ``values``,
+    ``m`` and ``v`` are overwritten, and ``gradient`` and ``scratch``
+    are used as scratch."""
     if c.kind is OptimizerKind.SGD:
         # values - lr * (gradient + wd * values)
         np.multiply(values, c.weight_decay, out=scratch)
@@ -453,4 +517,3 @@ def optimizer_step(
         values -= step
         if c.weight_decay != 0.0:
             values -= np.multiply(values, c.learning_rate * c.weight_decay, out=scratch)
-    return weights.with_values(values), OptimizerState(c, m, v, t)

@@ -30,6 +30,7 @@ from fedbias.nn import (
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
+    Workspace,
     backward,
     init_weights,
     num_params,
@@ -88,7 +89,7 @@ class TestConfigAndState:
         # client_local_train call rejects the shard on its own.
         config, parts, spec, test = small_run_setup(Mode.DBFED)
         empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
-        with pytest.raises(ConfigurationError, match=r"^client 1 has an empty dataset"):
+        with pytest.raises(ConfigurationError, match=r"^dbfed seed 21: client 1 has an empty dataset"):
             run_federation(config, [parts[0], empty], spec, test_set=test)
         with pytest.raises(ConfigurationError, match="empty dataset"):
             client_local_train(empty, init_weights(spec, 0), spec, adam(), 1, 8, 0)
@@ -412,6 +413,69 @@ class TestStackedEngine:
         with pytest.raises(ConfigurationError, match="equal shard sizes"):
             train_clients(shards, [w, w], spec, adam(), 1, 4, [0, 1])
 
+    def test_chunk_checked_before_training(self):
+        spec = ClassifierSpec(3, (), 2, 2)
+        other = ClassifierSpec(3, (2,), 2, 2)
+        shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
+        w = init_weights(spec, 0)
+        for workspace in (Workspace(spec, 1, 4), Workspace(spec, 2, 3), Workspace(other, 2, 4)):
+            with pytest.raises(ValueError, match="^workspace does not fit"):
+                train_clients(shards, [w, w], spec, adam(), 1, 4, [0, 1], workspace)
+        with pytest.raises(ValueError, match="^weight layout does not match"):
+            train_clients(shards, [w, init_weights(other, 0)], spec, adam(), 1, 4, [0, 1])
+
+    def test_one_workspace_serves_steps_of_every_shape(self):
+        # Plans are cached per (models, batch) shape. A 3-client chunk with
+        # a ragged last batch, a stacked backward on that ragged shape,
+        # then a 2-client chunk must each equal the same call made on
+        # fresh buffers.
+        spec = ClassifierSpec(3, (5, 4), 3, 2, HeadMode.DOMAIN_INDEPENDENT)
+        rng = np.random.default_rng(16)
+        workspace = Workspace(spec, 3, 4)
+
+        def trained(shards, ws):
+            incoming = [init_weights(spec, k) for k in range(len(shards))]
+            seeds = [5, 6, 7][: len(shards)]
+            results = train_clients(shards, incoming, spec, adam(), 2, 4, seeds, ws)
+            return [(w.values.tobytes(), repr(loss)) for w, loss in results]
+
+        chunk = [toy_dataset(seed=s, size=10, num_classes=3) for s in range(3)]
+        assert trained(chunk, workspace) == trained(chunk, None)
+
+        stacked = random_weights(rng, spec).with_values(rng.normal(size=(3, num_params(spec))))
+        batch = Batch(
+            rng.normal(size=(3, 2, 3)), rng.integers(0, 3, (3, 2)), rng.integers(0, 2, (3, 2))
+        )
+        gradient, loss = backward(spec, stacked, batch, workspace)
+        fresh_gradient, fresh_loss = backward(spec, stacked, batch)
+        assert gradient.tobytes() == fresh_gradient.tobytes()
+        assert loss.tobytes() == fresh_loss.tobytes()
+
+        pair = [toy_dataset(seed=s, size=7, num_classes=3) for s in (3, 4)]
+        assert trained(pair, workspace) == trained(pair, None)
+
+
+class TestTargetRanges:
+    """``train_clients`` checks its shards' targets once, before its first
+    step, where ``backward`` checks every batch; the message is the same,
+    and a federated run prefixes it with the client that holds the shard."""
+
+    @pytest.mark.parametrize(
+        "mode,field,value,message",
+        [
+            (Mode.FEDAVG_PLAIN, "labels", 7, "label 7 out of range for 2 classes"),
+            (Mode.DBFED, "groups", 5, "group 5 out of range for 2 groups"),
+        ],
+    )
+    def test_target_changed_after_the_dataset_was_built(self, mode, field, value, message):
+        config, parts, spec, test = small_run_setup(mode, master_seed=3)
+        getattr(parts[0], field)[3] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_clients([parts[0]], [init_weights(spec, 0)], spec, adam(), 1, 8, [0])
+        where = f"{mode.value} seed 3, round 1, client 0"
+        with pytest.raises(ValueError, match=f"^{where}: {message}$"):
+            run_federation(config, parts, spec, test_set=test)
+
 
 @st.composite
 def lockstep_runs(draw):
@@ -568,6 +632,17 @@ class TestLockstep:
                 run_lockstep([Federation(config, parts), Federation(changed, parts)], spec)
         # Different master seeds and client counts are fine.
         run_lockstep([Federation(config, parts), Federation(local, parts[:1] * 2, test)], spec)
+
+    def test_pre_round_checks_name_the_federation(self):
+        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
+        empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
+        local = FederationConfig(3, 2, 2, 8, adam(), Mode.LOCAL_ONLY, 22)
+        fedavg = Federation(config, parts, test)
+        with pytest.raises(ConfigurationError, match="^local seed 22: client 1 has an empty dataset$"):
+            run_lockstep([fedavg, Federation(local, [parts[0], empty], test)], spec)
+        message = "^local seed 22: config expects 2 clients but got 3 partitions$"
+        with pytest.raises(ConfigurationError, match=message):
+            run_lockstep([fedavg, Federation(local, [*parts, parts[0]], test)], spec)
 
     def test_federation_on_the_other_head_rejected(self):
         config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
