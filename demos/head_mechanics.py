@@ -14,8 +14,10 @@ N, D = 3, 2
 
 
 def show(logits: np.ndarray) -> None:
-    # The softmax of each group's slice, the one the loss and prediction share.
-    _, _, probs = block_softmax(logits.reshape(D, N))
+    # The softmax of each group's slice, the one the loss and prediction
+    # share; it takes the class axis first, so transpose in and back out.
+    _, _, probs = block_softmax(logits.reshape(D, N).T)
+    probs = probs.T
     print("per-group class probabilities (rows = groups):")
     for d in range(D):
         row = ", ".join(f"{p:.3f}" for p in probs[d])

@@ -22,7 +22,7 @@ from .data import (
 from .exceptions import ConfigurationError
 from .federation import FederationConfig, Mode, head_mode_for
 from .nn import ClassifierSpec, OptimizerConfig, OptimizerKind
-from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, derive_seed
+from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, check_master_seed, derive_seed
 
 
 def _parse_widths(raw: str) -> tuple[int, ...]:
@@ -137,6 +137,7 @@ class ExperimentConfig:
             raise ConfigurationError("data.test_fraction must be strictly between 0 and 1")
         if self.eval_every < 1:
             raise ConfigurationError("run.eval_every must be >= 1")
+        check_master_seed(self.master_seed)
 
     def with_master_seed(self, master_seed: int) -> "ExperimentConfig":
         return replace(self, master_seed=master_seed)

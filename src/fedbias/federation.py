@@ -72,7 +72,7 @@ from .nn import (
     num_params,
 )
 from .nn import backward, optimizer_step  # noqa: F401  (span targets of perfbench/tracing.py)
-from .seeding import TAG_INIT, derive_seed, shuffle_seed
+from .seeding import TAG_INIT, check_master_seed, derive_seed, shuffle_seed
 
 
 class Mode(enum.Enum):
@@ -108,6 +108,7 @@ class FederationConfig:
             raise ConfigurationError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        check_master_seed(self.master_seed)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,15 @@ group and instead averages the per-group class probabilities with a
 uniform group weight, which drops out of the argmax and leaves a plain
 column-sum comparison.
 
+``block_softmax`` takes its blocks class-major: the class axis comes
+first, so class y of every block is one contiguous row. A block holds
+only ``num_classes`` entries, often 2 to 10, and NumPy reduces so short
+an axis one block at a time; across class rows the max, the shift, the
+sum and the division are each a few elementwise operations over all
+blocks at once. The sum adds the rows in the order ``np.add.reduce``
+adds a contiguous last axis, so every result is bit for bit what the
+row-major softmax gives.
+
 Probabilities come from max-shifted logits, so they stay finite
 whenever the logits are.
 """
@@ -20,23 +29,52 @@ import numpy as np
 from .exceptions import NumericError
 
 
+def _class_sum(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum over the first axis of non-negative ``rows``, added in the
+    order of ``np.add.reduce`` along a contiguous last axis (NumPy's
+    pairwise sum): left to right below 8 terms, eight running sums
+    combined as a tree up to 128 terms, and halves (cut at a multiple
+    of 8) above that."""
+    n = len(rows)
+    if n < 8:
+        return np.add.reduce(rows, axis=0, out=out)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _class_sum(rows[:half], out)
+        out += _class_sum(rows[half:])
+        return out
+    whole = n - n % 8
+    acc = rows[:8]
+    if whole > 8:
+        acc = acc + rows[8:16]
+        for i in range(16, whole, 8):
+            acc += rows[i : i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    out = np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
+    for i in range(whole, n):
+        out += rows[i]
+    return out
+
+
 def block_softmax(
     blocks: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Softmax along the last axis, each block shifted by its own max.
+    """Softmax along the first (class) axis, each block shifted by its own max.
 
-    Returns ``(shift, total, probs)``: the block maxima and the sums of
-    the shifted exponentials (both without the last axis), and the
-    probabilities. The log-softmax at entry y is
-    ``blocks[..., y] - shift - log(total)``. With ``out``, the three
-    results are written into its arrays; ``probs`` may be ``blocks``.
+    ``blocks`` is class-major, (num_classes, ...): ``blocks[y]`` holds
+    class y's logit of every block. Returns ``(shift, total, probs)``:
+    the block maxima and the sums of the shifted exponentials (both
+    without the class axis), and the probabilities, class-major like
+    ``blocks``. The log-softmax of class y is
+    ``blocks[y] - shift - log(total)``. With ``out``, the three results
+    are written into its arrays; ``probs`` may be ``blocks``.
     """
     shift, total, probs = (None, None, None) if out is None else out
-    shift = np.maximum.reduce(blocks, axis=-1, out=shift)
-    probs = np.subtract(blocks, shift[..., None], out=probs)
+    shift = np.maximum.reduce(blocks, axis=0, out=shift)
+    probs = np.subtract(blocks, shift, out=probs)
     np.exp(probs, out=probs)
-    total = np.add.reduce(probs, axis=-1, out=total)
-    probs /= total[..., None]
+    total = _class_sum(probs, out=total)
+    probs /= total
     return shift, total, probs
 
 
@@ -54,5 +92,14 @@ def predict_batch(logits: np.ndarray, num_classes: int, num_groups: int) -> np.n
         # monotone in the logits, so argmax the logits directly; that also
         # keeps apart distinct logits the softmax would round to a tie.
         return np.argmax(logits, axis=1)
-    _, _, probs = block_softmax(logits.reshape(len(logits), num_groups, num_classes))
-    return np.argmax(probs.sum(axis=1), axis=1)
+    # Class-major (N, D, B) blocks; the group sum adds whole rows in
+    # group order, as the row-major sum over the group axis does.
+    blocks = logits.reshape(len(logits), num_groups, num_classes).transpose(2, 1, 0)
+    _, _, probs = block_softmax(np.ascontiguousarray(blocks))
+    scores = np.add.reduce(probs, axis=1)
+    # The first maximal class, as np.argmax picks it.
+    best, winner = scores[0].copy(), np.zeros(len(logits), dtype=np.intp)
+    for y in range(1, num_classes):
+        np.copyto(winner, y, where=scores[y] > best)
+        np.maximum(best, scores[y], out=best)
+    return winner

@@ -46,6 +46,7 @@ METRIC_NAMES = ("acc", "ser", "eo", "ba", "dp")
 # Strict JSON has no infinity, so an infinite skewed error ratio (the
 # only metric that can be infinite) is written as this string.
 _INF_TEXT = "inf"
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -363,5 +364,17 @@ def load_prediction_log(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nd
             rows.append([int(c) for c in cells])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-    predicted, actual, group = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        lineno, value = next(
+            (i + 2, v)
+            for i, row in enumerate(rows)
+            for v in row
+            if not _INT64.min <= v <= _INT64.max
+        )
+        raise DataFormatError(
+            f"{path}: line {lineno}: {value} does not fit in a 64-bit integer"
+        ) from None
+    predicted, actual, group = table.T
     return predicted, actual, group

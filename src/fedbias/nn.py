@@ -196,6 +196,10 @@ class Workspace:
     instead of once per step. ``weights``, ``first_moment`` and
     ``second_moment`` hold the stacked model and optimizer state of the
     caller's run of steps.
+
+    Every buffer is row-major (one row per example) except ``block``,
+    which holds each example's own block of logits class-major, one row
+    per class, for the block softmax and the loss.
     """
 
     def __init__(self, spec: ClassifierSpec, models: int, batch_size: int) -> None:
@@ -214,12 +218,14 @@ class Workspace:
         # logits buffer becomes the output delta.
         self.outputs = [np.empty(rows * w) for w in dims[1:]]
         self.deltas = [np.empty(rows * w) for w in dims[1:-1]]
-        self.block = np.empty(rows * n)
+        self.block = np.empty(n * rows)
+        self.gathered = np.empty(rows * n if blocks > 1 else 0)
         self.shift, self.total, self.picked = np.empty(rows), np.empty(rows), np.empty(rows)
         # Row r of the logits, read as (rows * blocks, n), starts block 0
-        # of example r; entry (r, y) of the block array is at r * n + y.
-        self.block_start = np.arange(rows, dtype=np.int64) * blocks
-        self.entry_start = np.arange(rows, dtype=np.int64) * n
+        # of example r; entry (y, r) of the class-major block is at
+        # y * rows + r, with rows the step's own row count.
+        self.row = np.arange(rows, dtype=np.int64)
+        self.block_start = self.row * blocks
         self.block_row = np.empty(rows, dtype=np.int64)
         self.target = np.empty(rows, dtype=np.int64)
         p = num_params(spec)
@@ -254,6 +260,13 @@ class StepPlan:
     ``backward``: the layer outputs and deltas, the loss terms of the
     block softmax, and the (models, P) ``gradient`` with its per-layer
     views in ``grads``; ``scratch`` is the optimizer's.
+
+    ``block`` is the class-major (n, rows) copy of each example's own
+    block of n logits, in which the softmax, the loss and the output
+    delta are computed before the delta goes back into the row-major
+    ``logits``. Under the grouped head the blocks are first gathered
+    row-major into ``gathered`` (None under the plain head, whose logits
+    are the blocks).
     """
 
     def __init__(self, ws: Workspace, models: int, size: int) -> None:
@@ -267,14 +280,13 @@ class StepPlan:
         self.clients = list(zip(self.features, self.labels, self.groups))
         self.outputs = [view(buf, models, size, w) for buf, w in zip(ws.outputs, dims[1:])]
         self.deltas = [view(buf, models, size, w) for buf, w in zip(ws.deltas, dims[1:-1])]
-        # The logits with one row per example and with one row per block;
-        # ``block`` holds each example's own block of n logits, gathered
-        # apart under the grouped head and the logits themselves otherwise.
+        # The logits with one row per example and with one row per block.
         self.logits = self.outputs[-1].reshape(rows, blocks * n)
         self.logit_blocks = self.logits.reshape(rows * blocks, n)
+        self.block = view(ws.block, n, rows)
+        self.gathered = view(ws.gathered, rows, n) if blocks > 1 else None
         self.block_start, self.block_row = ws.block_start[:rows], ws.block_row[:rows]
-        self.block = view(ws.block, rows, n) if blocks > 1 else self.logits
-        self.entry_start, self.target = ws.entry_start[:rows], ws.target[:rows]
+        self.row, self.target = ws.row[:rows], ws.target[:rows]
         self.picked, self.shift, self.total = ws.picked[:rows], ws.shift[:rows], ws.total[:rows]
         p = num_params(spec)
         self.gradient = view(ws.gradient, models, p)
@@ -380,28 +392,37 @@ def _backward_core(
     gradient to ``plan.gradient`` and returns the (K,) mean losses.
     ``layers`` are the stacked models' layer views, ``x`` the (K, B, m)
     features, ``labels`` and ``groups`` the (K, B) targets."""
-    k, b, logits, sliced = plan.models, plan.size, plan.logits, plan.block
+    k, b, logits, block = plan.models, plan.size, plan.logits, plan.block
+    rows = k * b
     acts = _forward(layers, x, plan.outputs)
 
-    # Each example's block of n logits, one row per example.
+    # Each example's block of n logits, class-major: block[y, r] is class
+    # y of example r's block.
     if plan.grouped:
-        block_row = np.add(plan.block_start, groups.reshape(k * b), out=plan.block_row)
-        plan.logit_blocks.take(block_row, axis=0, out=sliced, mode="clip")
-    target = np.add(plan.entry_start, labels.reshape(k * b), out=plan.target)
-    picked = sliced.reshape(-1).take(target, out=plan.picked, mode="clip")
+        block_row = np.add(plan.block_start, groups.reshape(rows), out=plan.block_row)
+        own = plan.logit_blocks.take(block_row, axis=0, out=plan.gathered, mode="clip")
+        np.copyto(block, own.T)
+    else:
+        np.copyto(block, logits.T)
+    target = np.multiply(labels.reshape(rows), rows, out=plan.target)
+    target += plan.row
+    picked = block.reshape(-1).take(target, out=plan.picked, mode="clip")
 
-    shift, total, delta_slice = block_softmax(sliced, out=(plan.shift, plan.total, sliced))
+    shift, total, delta_block = block_softmax(block, out=(plan.shift, plan.total, block))
     picked -= shift
     picked -= np.log(total, out=total)
     # np.mean's own arithmetic: the pairwise sum, then one division.
     mean_loss = -(np.add.reduce(picked.reshape(k, b), axis=-1) / b)
 
     # d(mean loss)/d(logits): softmax minus one-hot on each block, /B.
-    delta_slice.reshape(-1)[target] -= 1.0
-    delta_slice /= b
+    delta_block.reshape(-1)[target] -= 1.0
+    delta_block /= b
+    # Back to the row-major logits buffer the products read.
     if plan.grouped:
         logits.fill(0.0)
-        plan.logit_blocks[block_row] = delta_slice
+        plan.logit_blocks[block_row] = delta_block.T
+    else:
+        np.copyto(logits, delta_block.T)
     delta = plan.outputs[-1]
 
     for li in range(len(layers) - 1, -1, -1):

@@ -6,7 +6,9 @@ the record list (no count tensor), losses are recomputed per example
 with scipy's log-sum-exp, gradients come from central finite
 differences, the federated average is a plain weighted sum, and
 client, federated and centralized training are plain loops of
-single-model, single-batch steps.
+single-model, single-batch steps. The one exception is the row-major
+head math, which is compared bit for bit and so keeps the engine's own
+forward pass and products around it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from fedbias.nn import (
     ModelWeights,
     OptimizerConfig,
     OptimizerState,
+    _forward,
+    _unflatten,
     backward,
     init_weights,
     num_params,
@@ -246,6 +250,66 @@ def random_gradcheck_instance(
         pre = hidden_preactivations(spec, values, batch.features)
         if all(np.min(np.abs(z)) > 1e-3 for z in pre):
             return spec, weights, batch
+
+
+# ---------------------------------------------------------------------------
+# The head math in its row-major form: each block's classes along the last
+# axis, where NumPy reduces one block at a time. The engine lays its
+# blocks out class-major and must reproduce these bits.
+
+def row_major_block_softmax(
+    blocks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(shift, total, probs)`` of the softmax along the last axis."""
+    shift = np.maximum.reduce(blocks, axis=-1)
+    probs = np.subtract(blocks, shift[..., None])
+    np.exp(probs, out=probs)
+    total = np.add.reduce(probs, axis=-1)
+    probs /= total[..., None]
+    return shift, total, probs
+
+
+def row_major_predict(logits: np.ndarray, num_classes: int, num_groups: int) -> np.ndarray:
+    """Group-marginalized prediction for (B, N*D) logits."""
+    if num_groups == 1:
+        return np.argmax(logits, axis=1)
+    _, _, probs = row_major_block_softmax(logits.reshape(len(logits), num_groups, num_classes))
+    return np.argmax(probs.sum(axis=1), axis=1)
+
+
+def row_major_backward(
+    spec: ClassifierSpec, values: np.ndarray, batch: Batch
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K, P) gradients and (K,) mean losses of K stacked models on a
+    (K, B) batch, with the loss taken on row-major blocks. The forward
+    pass and the products are the engine's own calls, so only the head
+    math differs from ``backward``."""
+    k, b = batch.labels.shape
+    n, blocks = spec.num_classes, spec.num_blocks
+    layers = _unflatten(values, weight_layout(spec))
+    acts = _forward(layers, batch.features)
+    rows = np.arange(k * b)
+    labels = batch.labels.reshape(-1)
+    block_row = rows * blocks + (batch.groups.reshape(-1) if blocks > 1 else 0)
+    sliced = acts[-1].reshape(k * b * blocks, n)[block_row]
+    picked = sliced[rows, labels]
+    shift, total, probs = row_major_block_softmax(sliced)
+    picked = picked - shift - np.log(total)
+    mean_loss = -(np.add.reduce(picked.reshape(k, b), axis=-1) / b)
+    probs[rows, labels] -= 1.0
+    probs /= b
+    delta = np.zeros((k * b * blocks, n))
+    delta[block_row] = probs
+    delta = delta.reshape(k, b, blocks * n)
+    grads = []
+    for li in range(len(layers) - 1, -1, -1):
+        gw = np.matmul(acts[li].transpose(0, 2, 1), delta)
+        grads[:0] = [gw.reshape(k, -1), np.add.reduce(delta, axis=1)]
+        if li > 0:
+            mask = acts[li] > 0.0
+            delta = np.matmul(delta, layers[li][0].transpose(0, 2, 1))
+            delta *= mask
+    return np.concatenate(grads, axis=1), mean_loss
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,14 @@ class TestGenerateData:
         main(["generate-data", "--config", str(config), "--out", str(b), "--seed", "9"])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "o.csv"
+        args = ["generate-data", "--config", str(config), "--out", str(out), "--seed", "-1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: run.master_seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_csv_source_config_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -207,6 +215,21 @@ class TestTrain:
         assert err.startswith("error: local seed 3, round 1, client 0: "), err
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "text, args, seed",
+        [
+            (BASE_CONFIG.replace("run.master_seed = 3", "run.master_seed = -3"), [], -3),
+            (BASE_CONFIG, ["--seed", "-1"], -1),
+        ],
+        ids=["config", "flag"],
+    )
+    def test_negative_seed_exits_1(self, tmp_path, capsys, text, args, seed):
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o.jsonl"
+        assert main(["train", "--config", str(config), "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err == f"error: run.master_seed must be >= 0, got {seed}\n"
+        assert not out.exists()
+
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE_CONFIG + "federation.quorum = 3\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
@@ -262,6 +285,14 @@ class TestMetrics:
         log.write_text("predicted,actual,group\n0,0,0\n0,zero,0\n", encoding="utf-8")
         assert main(["metrics", str(log), "2", "1"]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_overflowing_cell_exits_2_and_names_line(self, tmp_path, capsys):
+        log = tmp_path / "preds.csv"
+        big = "99999999999999999999"
+        log.write_text(f"predicted,actual,group\n0,0,0\n1,{big},0\n", encoding="utf-8")
+        assert main(["metrics", str(log), "2", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {log}: line 3: {big} does not fit in a 64-bit integer\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "nope.csv"), "2", "2"]) == 2

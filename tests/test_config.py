@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -136,6 +137,17 @@ class TestDerivedObjects:
         assert fc.rounds == 4
         assert fc.num_clients == 2
         assert fc.mode is Mode.DBFED
+
+    def test_negative_master_seed_rejected(self):
+        message = r"^run\.master_seed must be >= 0, got -3$"
+        with pytest.raises(ConfigurationError, match=message):
+            cfg(run__master_seed="-3")
+        with pytest.raises(ConfigurationError, match=message):
+            cfg().with_master_seed(-3)
+        fc = cfg().federation_config(Mode.DBFED)
+        with pytest.raises(ConfigurationError, match=message):
+            replace(fc, master_seed=-3)
+        assert cfg().with_master_seed(0).master_seed == 0
 
     def test_synthetic_seed_tracks_master_seed(self):
         a = cfg().synthetic_spec()

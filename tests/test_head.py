@@ -4,13 +4,18 @@
 Loss checks go through a bias-only network (no hidden layer, zero weight
 matrix), whose logits are exactly its bias vector, on a one-example
 batch, so ``backward``'s mean loss is that example's conditional
-cross-entropy. Prediction checks compare against scipy's softmax.
+cross-entropy. Prediction checks compare against scipy's softmax. The
+properties at the end check the class-major head math bit for bit
+against its row-major form in ``oracles``.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import log_softmax, softmax
 
 from fedbias.exceptions import NumericError
@@ -21,8 +26,10 @@ from fedbias.nn import (
     HeadMode,
     ModelWeights,
     backward,
+    num_params,
     weight_layout,
 )
+from oracles import row_major_backward, row_major_block_softmax, row_major_predict
 
 
 def loss_of(logits, label: int, group: int, num_classes: int, num_groups: int) -> float:
@@ -55,8 +62,10 @@ class TestBlockSoftmax:
     def test_matches_scipy_on_every_block(self):
         rng = np.random.default_rng(3)
         blocks = rng.normal(0, 4, (5, 3, 4))
-        shift, total, probs = block_softmax(blocks)
+        shift, total, probs = block_softmax(np.moveaxis(blocks, -1, 0))
         assert shift.shape == total.shape == (5, 3)
+        assert probs.shape == (4, 5, 3)
+        probs = np.moveaxis(probs, 0, -1)
         assert np.allclose(probs, softmax(blocks, axis=-1), rtol=1e-12, atol=0)
         log_probs = blocks - shift[..., None] - np.log(total)[..., None]
         assert np.allclose(log_probs, log_softmax(blocks, axis=-1), rtol=1e-12, atol=1e-12)
@@ -199,3 +208,107 @@ class TestPredictBatch:
             assert loss_of(logits, y, 0, 5, 1) == pytest.approx(
                 float(-log_softmax(logits)[y]), rel=1e-12
             )
+
+
+# Logits with ties, both zeros and magnitudes up to 800 (exp underflows).
+LOGITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 800.0, -800.0]),
+    st.floats(-800.0, 800.0),
+)
+# Class counts on both sides of 8 and 128, where the pairwise sum
+# changes shape.
+CLASSES = st.one_of(
+    st.integers(1, 300), st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 256, 300])
+)
+# A classifier needs at least two classes.
+SPEC_CLASSES = CLASSES.map(lambda n: max(n, 2))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRowMajorOracle:
+    """The class-major softmax, loss, gradient and prediction against the
+    row-major formulation, bit for bit. ``shift`` is compared with ``==``
+    only: see ``test_max_of_both_zeros_reaches_no_output``."""
+
+    @settings(deadline=None)
+    @given(data=st.data(), n=CLASSES, lead=st.sampled_from([(), (1,), (5,), (3, 2)]))
+    def test_block_softmax(self, data, n, lead):
+        blocks = data.draw(hnp.arrays(np.float64, (*lead, n), elements=LOGITS))
+        ref_shift, ref_total, ref_probs = row_major_block_softmax(blocks.copy())
+        shift, total, probs = block_softmax(np.ascontiguousarray(np.moveaxis(blocks, -1, 0)))
+        assert np.array_equal(shift, ref_shift)
+        assert same_bits(total, ref_total)
+        assert same_bits(np.ascontiguousarray(np.moveaxis(probs, 0, -1)), ref_probs)
+
+    def test_total_for_every_class_count(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 301):
+            blocks = rng.normal(0.0, 3.0, (n, 17))
+            _, total, _ = block_softmax(blocks.copy())
+            _, ref_total, _ = row_major_block_softmax(np.ascontiguousarray(blocks.T))
+            assert same_bits(total, ref_total), n
+
+    @settings(deadline=None)
+    @given(data=st.data(), n=SPEC_CLASSES, groups=st.integers(1, 4), size=st.integers(1, 12))
+    def test_predict_batch(self, data, n, groups, size):
+        logits = data.draw(hnp.arrays(np.float64, (size, n * groups), elements=LOGITS))
+        expected = row_major_predict(logits, n, groups)
+        assert np.array_equal(predict_batch(logits, n, groups), expected)
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n=SPEC_CLASSES,
+        groups=st.integers(1, 3),
+        grouped=st.booleans(),
+        hidden=st.sampled_from([(), (3,)]),
+        models=st.integers(1, 3),
+        size=st.integers(1, 5),
+    )
+    def test_backward(self, data, n, groups, grouped, hidden, models, size):
+        mode = HeadMode.DOMAIN_INDEPENDENT if grouped else HeadMode.PLAIN
+        spec = ClassifierSpec(2, hidden, n, groups, mode)
+        p = num_params(spec)
+        # The output bias carries the drawn logits. Examples with zero
+        # features have exactly those logits (ties included); the others
+        # add a product through the small weights.
+        values = data.draw(hnp.arrays(np.float64, (models, p), elements=st.floats(-1.0, 1.0)))
+        values[:, p - spec.output_dim :] = data.draw(
+            hnp.arrays(np.float64, (models, spec.output_dim), elements=LOGITS)
+        )
+        if hidden:
+            values[:, 2 * hidden[0] : 3 * hidden[0]] = 0.0
+        features = data.draw(
+            hnp.arrays(np.float64, (models, size, 2), elements=st.sampled_from([0.0, 1.5, -2.0]))
+        )
+        labels = data.draw(hnp.arrays(np.int64, (models, size), elements=st.integers(0, n - 1)))
+        group_ids = data.draw(
+            hnp.arrays(np.int64, (models, size), elements=st.integers(0, groups - 1))
+        )
+        batch = Batch(features, labels, group_ids)
+        gradient, loss = backward(spec, ModelWeights(values, weight_layout(spec)), batch)
+        ref_gradient, ref_loss = row_major_backward(spec, values, batch)
+        assert same_bits(loss, ref_loss)
+        assert same_bits(gradient, ref_gradient)
+
+    def test_max_of_both_zeros_reaches_no_output(self):
+        # Row-major, NumPy reduces a block of 9 or more classes with
+        # several running maxima, and [-0, +0, -1, ...] comes out as -0;
+        # across class rows the running max keeps the first zero it
+        # meets. exp(x - 0) and exp(x + 0) agree for every x, and such a
+        # block has total >= 2, so the loss terms agree too.
+        block = np.full(9, -1.0)
+        block[0], block[1] = -0.0, 0.0
+        blocks = np.tile(block, (4, 1))
+        ref_shift, ref_total, ref_probs = row_major_block_softmax(blocks.copy())
+        shift, total, probs = block_softmax(np.ascontiguousarray(blocks.T))
+        assert np.array_equal(shift, ref_shift)
+        assert same_bits(total, ref_total)
+        assert same_bits(probs.T.copy(), ref_probs)
+        assert np.all(total >= 2.0)
+        for y in range(9):
+            ref_loss = blocks[:, y] - ref_shift - np.log(ref_total)
+            assert same_bits(blocks[:, y] - shift - np.log(total), ref_loss), y
