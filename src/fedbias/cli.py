@@ -38,6 +38,7 @@ from .nn import ClassifierSpec
 
 # Lower is better for every metric except accuracy.
 _HIGHER_BETTER = {"acc"}
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -138,7 +139,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    log = load_prediction_log(args.predictions)
+    for name in ("num_classes", "num_groups"):
+        value = getattr(args, name)
+        if not 1 <= value <= _INT64_MAX:
+            raise ConfigurationError(f"{name} must be in [1, {_INT64_MAX}], got {value}")
+    log = load_prediction_log(args.predictions, args.num_classes, args.num_groups)
     report = full_report(tally(*log, args.num_classes, args.num_groups))
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
     print(payload)

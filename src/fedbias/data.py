@@ -8,10 +8,24 @@ CSV format: header ``feature_0,...,feature_{m-1},target,group``, one
 example per row, UTF-8, LF line endings. Floats are written as their
 shortest round-trippable decimal representation, so save followed by
 load reproduces a dataset bit for bit.
+
+Reading a dataset takes one of two paths that accept the same files and
+give the same arrays and the same errors. The fast path, ``read_rows``,
+parses the whole body with ``np.loadtxt``'s C parser, which converts
+floats with CPython's own correctly rounded routine. It hands the file
+to the per-line reader, the only path that names a bad line, whenever
+the two could disagree: an empty body, a header other than the exact
+one above, non-ASCII bytes, a line break other than LF that
+``str.splitlines`` honours, the byte 0x1F (whitespace to ``np.loadtxt``
+only), a blank line, a cell ``np.loadtxt`` refuses (it refuses every
+cell ``float()``/``int()`` refuse, and also ``1_0`` and int64 overflow,
+which the per-line reader judges as before), or a target or group out
+of range.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,22 +163,88 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     )
 
 
+# ASCII bytes that only the per-line reader reads right: the line breaks
+# other than LF that ``str.splitlines`` honours (``np.loadtxt`` reads in
+# text mode, which turns CR and CRLF into LF and keeps the rest inside a
+# cell), and 0x1F, which ``np.loadtxt`` strips from a cell as whitespace
+# while ``float()`` and ``int()`` refuse it.
+_PER_LINE_ONLY = b"\r\v\f\x1c\x1d\x1e\x1f"
+
+
+def read_rows(path: Path) -> np.ndarray | None:
+    """Every row after the header as one ``(x, y, g)`` record, parsed by
+    ``np.loadtxt``; None where the per-line reader must decide, including
+    when the header is not exactly ``feature_0,...,target,group``. Each
+    LF-terminated line after the header is one record, so record i is
+    line i + 2."""
+    data = path.read_bytes()
+    cut = data.find(b"\n")
+    # An empty body, or one that starts with a blank line and so may hold
+    # nothing else, stays away from np.loadtxt, which warns on no data.
+    if cut < 0 or data[cut + 1 : cut + 2] in (b"", b"\n"):
+        return None
+    if not data.isascii() or len(data.translate(None, _PER_LINE_ONLY)) != len(data):
+        return None
+    header = data[:cut].decode("ascii")
+    m = header.count(",") - 1
+    if m < 1 or header != ",".join([f"feature_{j}" for j in range(m)] + ["target", "group"]):
+        return None
+    dtype = np.dtype([("x", np.float64, (m,)), ("y", np.int64), ("g", np.int64)])
+    # np.loadtxt skips blank lines, so a later blank line shows up as a
+    # record count short of the line count.
+    lines = data.count(b"\n") - (1 if data.endswith(b"\n") else 0)
+    del data  # np.loadtxt reads the file again, in chunks
+    with warnings.catch_warnings():
+        # Older NumPy reads a float cell such as 3.0 in an int64 column
+        # through float, with a DeprecationWarning; int() refuses it.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
+                encoding="utf-8",
+            )
+        except (ValueError, DeprecationWarning):
+            return None
+    return rows if len(rows) == lines else None
+
+
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the package CSV format (lossless float text)."""
     m = dataset.feature_dim
     header = ",".join([f"feature_{j}" for j in range(m)] + ["target", "group"])
-    lines = [header]
-    for i in range(len(dataset)):
-        cells = [repr(float(v)) for v in dataset.features[i]]
-        cells.append(str(int(dataset.labels[i])))
-        cells.append(str(int(dataset.groups[i])))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row, y, g in zip(dataset.features, dataset.labels.tolist(), dataset.groups.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + f",{y},{g}\n")
 
 
 def load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
     """Parse a dataset CSV; rejects malformed rows with their line number."""
     path = Path(path)
+    rows = read_rows(path)
+    if (
+        rows is not None
+        and _within(rows["y"], num_classes)
+        and _within(rows["g"], num_groups)
+    ):
+        feats, labels, groups = (np.ascontiguousarray(rows[name]) for name in ("x", "y", "g"))
+    else:
+        feats, labels, groups = _parse_csv_lines(path, num_classes, num_groups)
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise DataFormatError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
+    return Dataset(feats, labels, groups, num_classes, num_groups)
+
+
+def _within(values: np.ndarray, limit: int) -> bool:
+    return values.min() >= 0 and values.max() < limit
+
+
+def _parse_csv_lines(
+    path: Path, num_classes: int, num_groups: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features, labels and groups read one line at a time; the first bad
+    line raises, naming its number."""
     with path.open("r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -204,11 +284,7 @@ def load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
             )
         labels[i] = y
         groups[i] = g
-
-    bad = ~np.isfinite(feats).all(axis=1)
-    if bad.any():
-        raise DataFormatError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
-    return Dataset(feats, labels, groups, num_classes, num_groups)
+    return feats, labels, groups
 
 
 def partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:

@@ -344,15 +344,22 @@ def mean_reports(reports: Sequence[FairnessReport]) -> FairnessReport:
     )
 
 
-def load_prediction_log(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_LOG_COLUMNS = ("predicted", "actual", "group")
+
+
+def load_prediction_log(
+    path: str | Path, num_classes: int, num_groups: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a ``predicted,actual,group`` CSV into three int64 arrays, in the
-    argument order of :func:`tally`; malformed rows name their line."""
+    argument order of :func:`tally`; malformed rows and cells outside
+    ``[0, num_classes)`` or ``[0, num_groups)`` name their line. Every row
+    is parsed before any range is checked."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header row")
-    if [c.strip() for c in lines[0].split(",")] != ["predicted", "actual", "group"]:
+    if [c.strip() for c in lines[0].split(",")] != list(_LOG_COLUMNS):
         raise DataFormatError(f"{path}: line 1: header must be 'predicted,actual,group'")
     rows = []
     for i, line in enumerate(lines[1:]):
@@ -376,5 +383,13 @@ def load_prediction_log(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nd
         raise DataFormatError(
             f"{path}: line {lineno}: {value} does not fit in a 64-bit integer"
         ) from None
+    limits = (num_classes, num_classes, num_groups)
+    bad = np.array([(column < 0) | (column >= limit) for column, limit in zip(table.T, limits)])
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        c = int(bad[:, i].argmax())
+        raise DataFormatError(
+            f"{path}: line {i + 2}: {_LOG_COLUMNS[c]} {table[i, c]} out of range [0, {limits[c]})"
+        )
     predicted, actual, group = table.T
     return predicted, actual, group

@@ -8,19 +8,21 @@ differences, the federated average is a plain weighted sum, and
 client, federated and centralized training are plain loops of
 single-model, single-batch steps. The one exception is the row-major
 head math, which is compared bit for bit and so keeps the engine's own
-forward pass and products around it.
+forward pass and products around it. The CSV readers and writer are
+kept in their one-cell-at-a-time form.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
 
 from fedbias.data import Dataset
-from fedbias.exceptions import ConfigurationError
+from fedbias.exceptions import ConfigurationError, DataFormatError
 from fedbias.federation import (
     FederationConfig,
     FederationResult,
@@ -310,6 +312,111 @@ def row_major_backward(
             delta = np.matmul(delta, layers[li][0].transpose(0, 2, 1))
             delta *= mask
     return np.concatenate(grads, axis=1), mean_loss
+
+
+# ---------------------------------------------------------------------------
+# CSV input and output one cell at a time, through float(), int() and repr().
+# The prediction-log reader here checks no cell ranges.
+
+_INT64 = np.iinfo(np.int64)
+
+
+def reference_save_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset in the package CSV format (lossless float text)."""
+    m = dataset.feature_dim
+    header = ",".join([f"feature_{j}" for j in range(m)] + ["target", "group"])
+    lines = [header]
+    for i in range(len(dataset)):
+        cells = [repr(float(v)) for v in dataset.features[i]]
+        cells.append(str(int(dataset.labels[i])))
+        cells.append(str(int(dataset.groups[i])))
+        lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
+    """Parse a dataset CSV; rejects malformed rows with their line number."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DataFormatError(f"{path}: empty file, expected a header row")
+
+    header = lines[0].split(",")
+    if len(header) < 3 or header[-2] != "target" or header[-1] != "group":
+        raise DataFormatError(f"{path}: line 1: header must end with 'target,group'")
+    m = len(header) - 2
+    expected = [f"feature_{j}" for j in range(m)]
+    if header[:m] != expected:
+        raise DataFormatError(f"{path}: line 1: feature columns must be feature_0..feature_{m - 1}")
+
+    feats = np.zeros((len(lines) - 1, m))
+    labels = np.zeros(len(lines) - 1, dtype=np.int64)
+    groups = np.zeros(len(lines) - 1, dtype=np.int64)
+    for i, line in enumerate(lines[1:]):
+        lineno = i + 2
+        cells = line.split(",")
+        if len(cells) != m + 2:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {m + 2} columns, found {len(cells)}"
+            )
+        try:
+            feats[i] = [float(c) for c in cells[:m]]
+            y = int(cells[m])
+            g = int(cells[m + 1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+        if not 0 <= y < num_classes:
+            raise DataFormatError(
+                f"{path}: line {lineno}: target {y} out of range [0, {num_classes})"
+            )
+        if not 0 <= g < num_groups:
+            raise DataFormatError(
+                f"{path}: line {lineno}: group {g} out of range [0, {num_groups})"
+            )
+        labels[i] = y
+        groups[i] = g
+
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise DataFormatError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
+    return Dataset(feats, labels, groups, num_classes, num_groups)
+
+
+def reference_load_prediction_log(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a ``predicted,actual,group`` CSV into three int64 arrays, in the
+    argument order of :func:`tally`; malformed rows name their line."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DataFormatError(f"{path}: empty file, expected a header row")
+    if [c.strip() for c in lines[0].split(",")] != ["predicted", "actual", "group"]:
+        raise DataFormatError(f"{path}: line 1: header must be 'predicted,actual,group'")
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        lineno = i + 2
+        cells = line.split(",")
+        if len(cells) != 3:
+            raise DataFormatError(f"{path}: line {lineno}: expected 3 columns, found {len(cells)}")
+        try:
+            rows.append([int(c) for c in cells])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        lineno, value = next(
+            (i + 2, v)
+            for i, row in enumerate(rows)
+            for v in row
+            if not _INT64.min <= v <= _INT64.max
+        )
+        raise DataFormatError(
+            f"{path}: line {lineno}: {value} does not fit in a 64-bit integer"
+        ) from None
+    predicted, actual, group = table.T
+    return predicted, actual, group
 
 
 # ---------------------------------------------------------------------------

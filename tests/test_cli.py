@@ -298,11 +298,53 @@ class TestMetrics:
         assert main(["metrics", str(tmp_path / "nope.csv"), "2", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_out_of_range_label_exits_3(self, tmp_path, capsys):
+    def test_out_of_range_label_exits_2_and_names_line(self, tmp_path, capsys):
         log = tmp_path / "preds.csv"
         log.write_text("predicted,actual,group\n5,0,0\n", encoding="utf-8")
-        assert main(["metrics", str(log), "2", "1"]) == 3
-        assert "error:" in capsys.readouterr().err
+        assert main(["metrics", str(log), "2", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {log}: line 2: predicted 5 out of range [0, 2)\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,5,1", "actual 5 out of range [0, 2)"),
+            ("1,1,-1", "group -1 out of range [0, 3)"),
+            ("2,-3,7", "predicted 2 out of range [0, 2)"),
+        ],
+        ids=["actual", "group", "first_bad_column"],
+    )
+    def test_out_of_range_cell_names_line_and_column(self, tmp_path, capsys, row, message):
+        log = tmp_path / "preds.csv"
+        log.write_text(f"predicted,actual,group\n0,0,0\n{row}\n0,x,0\n", encoding="utf-8")
+        # The whole log parses before ranges are checked, so line 4 wins.
+        assert main(["metrics", str(log), "2", "3"]) == 2
+        assert "line 4: invalid literal" in capsys.readouterr().err
+        log.write_text(f"predicted,actual,group\n0,0,0\n{row}\n", encoding="utf-8")
+        assert main(["metrics", str(log), "2", "3"]) == 2
+        assert capsys.readouterr().err == f"error: {log}: line 3: {message}\n"
+
+    @pytest.mark.parametrize(
+        "counts, name, value",
+        [
+            (["0", "1"], "num_classes", "0"),
+            (["-1", "2"], "num_classes", "-1"),
+            (["2", "99999999999999999999"], "num_groups", "99999999999999999999"),
+        ],
+        ids=["zero_classes", "negative_classes", "groups_beyond_int64"],
+    )
+    def test_count_argument_out_of_range_exits_1(self, tmp_path, capsys, counts, name, value):
+        log = tmp_path / "preds.csv"
+        log.write_text("predicted,actual,group\n0,0,0\n1,1,0\n", encoding="utf-8")
+        assert main(["metrics", str(log), *counts]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be in [1, 9223372036854775807], got {value}\n"
+
+    def test_count_arguments_are_checked_before_the_log(self, tmp_path, capsys):
+        log = tmp_path / "preds.csv"
+        log.write_text("predicted,actual,group\n1,5,1\nx\n", encoding="utf-8")
+        assert main(["metrics", str(log), "0", "2"]) == 1
+        assert "num_classes" in capsys.readouterr().err
 
 
 PERFECT = [R(0, 0, 0), R(1, 1, 0), R(0, 0, 1), R(1, 1, 1)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
@@ -13,6 +15,11 @@ from fedbias.data import (
     train_test_split,
 )
 from fedbias.exceptions import ConfigurationError, DataFormatError
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern matching ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 def small_spec(**overrides) -> SyntheticSpec:
@@ -158,25 +165,29 @@ class TestCsvRoundTrip:
             "feature_0,target,group\n0.5,0,0\n0.5,0,2\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataFormatError, match="line 3"):
+        message = f"{path}: line 3: group 2 out of range [0, 2)"
+        with pytest.raises(DataFormatError, match=exactly(message)):
             load_csv(path, 2, 2)
 
     def test_out_of_range_target_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("feature_0,target,group\n0.5,5,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="line 2"):
+        message = f"{path}: line 2: target 5 out of range [0, 2)"
+        with pytest.raises(DataFormatError, match=exactly(message)):
             load_csv(path, 2, 2)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("feature_0,target,group\n0.5,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="line 2"):
+        message = f"{path}: line 2: expected 3 columns, found 2"
+        with pytest.raises(DataFormatError, match=exactly(message)):
             load_csv(path, 2, 2)
 
     def test_unparseable_float_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("feature_0,target,group\nabc,0,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="line 2"):
+        message = f"{path}: line 2: could not convert string to float: 'abc'"
+        with pytest.raises(DataFormatError, match=exactly(message)):
             load_csv(path, 2, 2)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
@@ -186,13 +197,15 @@ class TestCsvRoundTrip:
             f"feature_0,feature_1,target,group\n0.5,1,0,0\n0.5,2,1,1\n0.5,{cell},0,1\n0.5,3,0,0\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataFormatError, match="line 4: non-finite"):
+        message = f"{path}: line 4: non-finite feature value"
+        with pytest.raises(DataFormatError, match=exactly(message)):
             load_csv(path, 2, 2)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label,grp\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="line 1"):
+        message = f"{path}: line 1: header must end with 'target,group'"
+        with pytest.raises(DataFormatError, match=exactly(message)):
             load_csv(path, 2, 2)
 
     def test_missing_file_raises_oserror(self, tmp_path):

@@ -309,7 +309,7 @@ class TestPredictionLogCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("predicted,actual,group\n1,0,1\n0,0,0\n", encoding="utf-8")
-        predicted, actual, group = load_prediction_log(path)
+        predicted, actual, group = load_prediction_log(path, 2, 2)
         assert predicted.tolist() == [1, 0]
         assert actual.tolist() == [0, 0]
         assert group.tolist() == [1, 0]
@@ -317,17 +317,20 @@ class TestPredictionLogCsv:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("a,b,c\n1,0,1\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="line 1"):
-            load_prediction_log(path)
+        message = f"{path}: line 1: header must be 'predicted,actual,group'"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_prediction_log(path, 2, 2)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("predicted,actual,group\n1,0,1\nx,0,1\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="line 3"):
-            load_prediction_log(path)
+        message = f"{path}: line 3: invalid literal for int() with base 10: 'x'"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_prediction_log(path, 2, 2)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("predicted,actual,group\n1,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="line 2"):
-            load_prediction_log(path)
+        message = f"{path}: line 2: expected 3 columns, found 2"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_prediction_log(path, 2, 2)
