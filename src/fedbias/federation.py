@@ -38,7 +38,9 @@ for the checks made before round 1).
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,8 +57,8 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .head import predict_batch
-from .metrics import FairnessReport, full_report, mean_reports, tally
-from .metrics import records_from_arrays  # noqa: F401  (a span target of perfbench/tracing.py)
+from .metrics import FairnessReport, full_report, tally
+from .metrics import mean_reports, records_from_arrays  # noqa: F401  (perfbench span targets)
 from .nn import (
     ClassifierSpec,
     HeadMode,
@@ -484,18 +486,24 @@ def _evaluate(
     local_weights: Sequence[ModelWeights],
 ) -> FairnessReport | None:
     """The federation's report: of the global model, or in local mode the
-    mean of the clients' reports; None without a test set."""
-    if fed.test_set is None:
+    mean of the clients' reports, scored as one stack; None without a test
+    set."""
+    test = fed.test_set
+    if test is None:
         return None
     where = f"{_name(fed.config)}, round {round_index}"
     if fed.config.mode is not Mode.LOCAL_ONLY:
         with _in_context(f"{where}, evaluation"):
-            return evaluate_weights(spec, global_weights, fed.test_set)
-    reports = []
+            return evaluate_weights(spec, global_weights, test)
+    predictions = np.empty((len(local_weights), len(test)), dtype=np.int64)
     for k, weights in enumerate(local_weights):
         with _in_context(f"{where}, client {k}, evaluation"):
-            reports.append(evaluate_weights(spec, weights, fed.test_set))
-    return mean_reports(reports)
+            predictions[k] = predict_dataset(spec, weights, test)
+    # The clients share the test set, so scoring fails for all of them or
+    # none (an empty test set); client 0 is the first, as in scoring one by one.
+    with _in_context(f"{where}, client 0, evaluation"):
+        counts = tally(predictions, test.labels, test.groups, test.num_classes, test.num_groups)
+        return full_report(counts)
 
 
 def run_lockstep(
@@ -560,7 +568,8 @@ def run_lockstep(
                 if due
                 else None
             )
-            mean_loss = sum(losses) / len(losses)
+            # Added left to right: sum() compensates from Python 3.12 on.
+            mean_loss = functools.reduce(operator.add, losses, 0.0) / len(losses)
             duration = trained + time.perf_counter() - start
             histories[f].append(RoundSnapshot(round_index, report, mean_loss, duration))
 

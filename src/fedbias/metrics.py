@@ -18,11 +18,17 @@ report carries five metrics as fields:
   variance of prediction rates.
 
 A metric that is undefined for the log is ``None`` and listed in the
-report's ``absent``. Variances are population variances. The count
-array's integer marginals are read out once; all ratio arithmetic on
-them uses plain Python floats in a fixed iteration order (groups, then
-classes, ascending), so an independent per-record recount reproduces
-every value bit for bit.
+report's ``absent``. Variances are population variances.
+
+Several clients' logs over one test set stack: ``tally`` of a
+(clients, n) ``predicted`` gives a (clients, group, actual, predicted)
+array, and ``full_report`` of that scores all clients at once and
+returns the mean of their reports, each field averaged in client order
+(the local-only baseline's score). Every float sum is added left to
+right in one fixed order (groups, then classes, then clients), never
+pairwise or compensated, and squared deviations go through Python's
+``**`` (libm ``pow``), so every value is the same on every Python
+version and equals, bit for bit, a per-record recount done that way.
 """
 
 from __future__ import annotations
@@ -30,11 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DataFormatError, UndefinedMetricError
+from .exceptions import ConfigurationError, DataFormatError, UndefinedMetricError
 
 CONVENTIONS = {
     "ser": "max_group_error / min_group_error",
@@ -47,6 +53,8 @@ METRIC_NAMES = ("acc", "ser", "eo", "ba", "dp")
 # only metric that can be infinite) is written as this string.
 _INF_TEXT = "inf"
 _INT64 = np.iinfo(np.int64)
+# The most int64 counts one NumPy array can hold: its size in bytes is an intp.
+_MAX_COUNTS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,23 @@ def tally(
     """Exact, order-independent counting of a prediction log given as three
     equal-length integer arrays, one entry per record. Entry [g, y, p] of
     the (num_groups, num_classes, num_classes) int64 result counts the
-    records of group g with actual class y predicted as p."""
+    records of group g with actual class y predicted as p.
+
+    A 2-D ``predicted`` holds one row per client, all scored on the one
+    ``actual`` and ``group``, and gives a (clients, num_groups,
+    num_classes, num_classes) result: one ``np.bincount`` counts every
+    client, with client k's flat index offset by k * num_groups *
+    num_classes**2. A count array NumPy cannot hold is rejected, naming
+    the arguments, before anything is allocated."""
+    predicted = np.asarray(predicted)
+    clients = len(predicted) if predicted.ndim == 2 else 1
+    cells = num_groups * num_classes * num_classes
+    if clients * cells > _MAX_COUNTS:
+        stack = f"{clients} clients, " if predicted.ndim == 2 else ""
+        raise ConfigurationError(
+            f"{stack}num_classes {num_classes} and num_groups {num_groups} need "
+            f"{clients * cells} counts, more than one NumPy array can hold ({_MAX_COUNTS})"
+        )
     columns = []
     for name, values, limit in (
         ("predicted", predicted, num_classes),
@@ -79,17 +103,22 @@ def tally(
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
         arr = arr.astype(np.int64, copy=False)
-        if arr.size and (arr.min() < 0 or arr.max() >= limit):
+        # One bound check: a negative index reads as a huge unsigned one.
+        if arr.size and arr.view(np.uint64).max() >= limit:
             raise ValueError(f"{name} index out of range [0, {limit})")
         columns.append(arr)
     pred, actual, group = columns
-    if not pred.ndim == actual.ndim == group.ndim == 1 or not (
-        len(pred) == len(actual) == len(group)
+    if not (pred.ndim in (1, 2) and actual.ndim == group.ndim == 1) or not (
+        pred.shape[-1] == len(actual) == len(group)
     ):
-        raise ValueError("predicted, actual and group must be 1-D arrays of one length")
+        raise ValueError(
+            "predicted (or each of its rows), actual and group must be 1-D arrays of one length"
+        )
     flat = (group * num_classes + actual) * num_classes + pred
-    size = num_groups * num_classes * num_classes
-    return np.bincount(flat, minlength=size).reshape(num_groups, num_classes, num_classes)
+    if pred.ndim == 2:
+        flat += np.arange(clients)[:, np.newaxis] * cells
+    counts = np.bincount(flat.ravel(), minlength=clients * cells)
+    return counts.reshape(pred.shape[:-1] + (num_groups, num_classes, num_classes))
 
 
 def records_from_arrays(
@@ -102,87 +131,17 @@ def records_from_arrays(
     ]
 
 
-class _Marginals(NamedTuple):
-    """The count array's integer marginals, read out once as Python ints,
-    and the per-group rates built from them. Every metric reads these."""
-
-    total: int
-    correct: int
-    group_totals: list[int]
-    predicted: list[list[int]]  # [g][c]: records of group g predicted as c
-    error: list[float | None]  # [g]: error rate; None for an empty group
-    recall: list[list[float | None]]  # [g][c]: None without class-c truth
-    rate: list[list[float | None]]  # [g][c]: share of group g predicted as c
+def _running_sum(values: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis``, added left to right as Python's ``sum`` does
+    before 3.12; ``np.sum`` adds pairwise, which moves last bits."""
+    return np.add.accumulate(values, axis=axis).take(-1, axis=axis)
 
 
-def _marginals(counts: np.ndarray) -> _Marginals:
-    truth = counts.sum(axis=2).tolist()
-    predicted = counts.sum(axis=1).tolist()
-    diagonal = np.diagonal(counts, axis1=1, axis2=2).tolist()
-    group_totals = [sum(row) for row in truth]
-    correct = [sum(row) for row in diagonal]
-    return _Marginals(
-        total=sum(group_totals),
-        correct=sum(correct),
-        group_totals=group_totals,
-        predicted=predicted,
-        error=[1.0 - k / n if n > 0 else None for k, n in zip(correct, group_totals)],
-        recall=[
-            [k / n if n > 0 else None for k, n in zip(diag_row, truth_row)]
-            for diag_row, truth_row in zip(diagonal, truth)
-        ],
-        rate=[
-            [k / n if n > 0 else None for k in pred_row]
-            for pred_row, n in zip(predicted, group_totals)
-        ],
-    )
-
-
-def _require_every_group(m: _Marginals) -> None:
-    if 0 in m.group_totals:
-        raise UndefinedMetricError(f"group {m.group_totals.index(0)} has no records")
-
-
-def _skewed_error_ratio(m: _Marginals) -> float:
-    _require_every_group(m)
-    max_e, min_e = max(m.error), min(m.error)
-    if max_e == 0.0:
-        return 1.0
-    if min_e == 0.0:
-        return math.inf
-    return max_e / min_e
-
-
-def _population_variance(values: Sequence[float]) -> float:
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / len(values)
-
-
-def _equal_opportunity(m: _Marginals) -> float:
-    variances = []
-    for recalls in zip(*m.recall):
-        present = [r for r in recalls if r is not None]
-        if len(present) >= 2:
-            variances.append(_population_variance(present))
-    if not variances:
-        raise UndefinedMetricError("no class has ground-truth samples in two or more groups")
-    return sum(variances) / len(variances)
-
-
-def _bias_amplification(m: _Marginals) -> float:
-    # full_report rejects an empty log, so at least one class is predicted.
-    shares = []
-    for per_group in zip(*m.predicted):
-        total_c = sum(per_group)
-        if total_c > 0:
-            shares.append(max(per_group) / total_c)
-    return sum(shares) / len(shares) - 1.0 / len(m.predicted)
-
-
-def _demographic_parity(m: _Marginals) -> float:
-    _require_every_group(m)
-    variances = [_population_variance(rates) for rates in zip(*m.rate)]
-    return sum(variances) / len(variances)
+def _squares(values: np.ndarray) -> np.ndarray:
+    """Elementwise ``v ** 2`` through Python's float power, which calls
+    libm ``pow``: that result is not always ``v * v``, and neither is
+    NumPy's array ``power``."""
+    return np.array([v**2 for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 @dataclass
@@ -259,89 +218,120 @@ class FairnessReport:
 
 def full_report(counts: np.ndarray) -> FairnessReport:
     """Compute all five metrics from a ``tally`` count array; degenerate
-    ones come back absent, not as errors."""
+    ones come back absent, not as errors.
+
+    A stacked (clients, num_groups, num_classes, num_classes) array gives
+    the mean of the clients' reports: every field is averaged over the
+    clients in client order, and a field absent for any client is absent.
+    All clients are scored at once, with NaN marking an absent value.
+    Each count, and so each sum of counts, is taken to be below 2**53,
+    where an int64 / int64 division in float64 is correctly rounded.
+    """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 3 or counts.shape[1] != counts.shape[2]:
+    if counts.ndim == 3:
+        counts = counts[np.newaxis]
+    if counts.ndim != 4 or counts.shape[2] != counts.shape[3]:
         raise ValueError("counts must have shape (num_groups, num_classes, num_classes)")
-    if np.any(counts < 0):
+    if counts.size and counts.min() < 0:
         raise ValueError("counts must be non-negative")
-    num_groups, num_classes, _ = counts.shape
-    m = _marginals(counts)
-    if m.total == 0:
+    clients, num_groups, n, _ = counts.shape
+    add = np.add
+    truth = add.reduce(counts, axis=3)  # [k, g, y]
+    predicted = add.reduce(counts, axis=2)  # [k, g, p]
+    diagonal = counts.diagonal(0, 2, 3)
+    group_totals = add.reduce(truth, axis=2)
+    total = add.reduce(group_totals, axis=1)
+    totals = set(total.tolist())
+    if 0 in totals:
         raise UndefinedMetricError("cannot build a report from an empty prediction log")
+    if len(totals) > 1:
+        raise ValueError("reports to average must describe the same test set")
+    correct = add.reduce(diagonal, axis=2)
+    # One row of fields per client, in _report's order, filled in place.
+    fields = np.empty((clients, 5 + num_groups * (2 * n + 1)))
+    error = fields[:, 5 : 5 + num_groups]
+    rates = fields[:, 5 + num_groups :].reshape(clients, num_groups, 2 * n)
+    # The per-class terms of BA, EO and DP.
+    terms = np.empty((clients, 3, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rates[k, g]: recall, then prediction rate, per class. An empty
+        # group or class makes a rate 0 / 0 = NaN, and fmax(NaN, 0) = 0
+        # drops it from the sums over groups and classes below.
+        np.divide(diagonal, truth, out=rates[..., :n])
+        np.divide(predicted, group_totals[..., np.newaxis], out=rates[..., n:])
+        np.subtract(1.0, correct / group_totals, out=error)
+        np.divide(add.reduce(correct, axis=1), total, out=fields[:, 0])
+        count = add.reduce(rates == rates, axis=1)
+        mean = _running_sum(np.fmax(rates, 0.0), axis=1) / count
+        squares = _squares(rates - mean[:, np.newaxis])
+        variances = terms.reshape(clients, 3 * n)[:, n:]
+        np.divide(_running_sum(np.fmax(squares, 0.0), axis=1), count, out=variances)
+        # BA runs over the predicted classes, EO over the classes with
+        # truth in two or more groups, DP over all classes.
+        dominant = np.maximum.reduce(predicted, axis=1)  # [k, p]: the top group's count
+        np.divide(dominant, add.reduce(predicted, axis=1), out=terms[:, 0])
+        terms[:, 1][count[:, :n] < 2] = np.nan
+        kept = add.reduce(terms == terms, axis=2)
+        np.divide(_running_sum(np.fmax(terms, 0.0), axis=2), kept, out=fields[:, 1:4])
+        # SER is at least 1, and 0 / 0 = NaN when no group errs: fmax makes it 1.
+        worst = np.maximum.reduce(error, axis=1)
+        np.fmax(worst / np.minimum.reduce(error, axis=1), 1.0, out=fields[:, 4])
+    fields[:, 1] -= 1.0 / num_groups
+    # An empty group (a NaN error) leaves DP and SER undefined, and a lone
+    # group has no cross-group ratio, though its raw max/min is 1.0.
+    fields[:, 3:5][np.isnan(worst)] = np.nan
+    if num_groups < 2:
+        fields[:, 4] = np.nan
+    return _report(_client_mean(fields), n, num_groups, int(total[0]))
 
-    def attempt(fn):
-        try:
-            return fn(m)
-        except UndefinedMetricError:
-            return None
 
-    # A lone group has no cross-group ratio to report, even though the
-    # raw max/min collapses to 1.0 there.
-    ser = attempt(_skewed_error_ratio) if num_groups >= 2 else None
+def _client_mean(fields: np.ndarray) -> np.ndarray:
+    """Each column's mean over the rows (clients), added in row order;
+    NaN wherever some row is NaN."""
+    if not len(fields):
+        raise ValueError("need at least one report to average")
+    # A lone client's fields are their own mean: x / 1 is x.
+    return fields[0] if len(fields) == 1 else _running_sum(fields, axis=0) / len(fields)
 
+
+def _report(fields: np.ndarray, num_classes: int, num_groups: int, total: int) -> FairnessReport:
+    """The report whose fields are ``fields``, packed as ``full_report``
+    packs a client's row: acc, ba, eo, dp, ser, the per-group errors, then
+    per group its recall row and its prediction-rate row. NaN is absent."""
+    values = [None if v != v else v for v in fields.tolist()]
+    acc, ba, eo, dp, ser = values[:5]
+    rows = [values[i : i + num_classes] for i in range(5 + num_groups, len(values), num_classes)]
     return FairnessReport(
         num_classes=num_classes,
         num_groups=num_groups,
-        total=m.total,
-        acc=m.correct / m.total,
+        total=total,
+        acc=acc,
         ser=ser,
-        eo=attempt(_equal_opportunity),
-        ba=_bias_amplification(m),
-        dp=attempt(_demographic_parity),
-        per_group_error=m.error,
-        recall_by_group_class=m.recall,
-        prediction_rate_by_group_class=m.rate,
+        eo=eo,
+        ba=ba,
+        dp=dp,
+        per_group_error=values[5 : 5 + num_groups],
+        recall_by_group_class=rows[0::2],
+        prediction_rate_by_group_class=rows[1::2],
     )
 
 
 def mean_reports(reports: Sequence[FairnessReport]) -> FairnessReport:
-    """Elementwise mean of reports sharing one test set (the local-only
-    baseline averages each client's metrics). A metric is present in the
-    mean only when present in every report."""
+    """Elementwise mean of reports sharing one test set, as ``full_report``
+    averages a stacked count array. A metric is present in the mean only
+    when present in every report."""
     if not reports:
         raise ValueError("need at least one report to average")
     first = reports[0]
-    for r in reports[1:]:
-        if (r.num_classes, r.num_groups, r.total) != (
-            first.num_classes,
-            first.num_groups,
-            first.total,
-        ):
-            raise ValueError("reports to average must describe the same test set")
-
-    def mean_scalar(values: list[float | None]) -> float | None:
-        if any(v is None for v in values):
-            return None
-        return sum(values) / len(values)
-
-    def mean_matrix(mats: list[list[list[float | None]]]) -> list[list[float | None]]:
-        out = []
-        for g in range(first.num_groups):
-            row = []
-            for c in range(first.num_classes):
-                row.append(mean_scalar([m[g][c] for m in mats]))
-            out.append(row)
-        return out
-
-    return FairnessReport(
-        num_classes=first.num_classes,
-        num_groups=first.num_groups,
-        total=first.total,
-        acc=mean_scalar([r.acc for r in reports]),
-        ser=mean_scalar([r.ser for r in reports]),
-        eo=mean_scalar([r.eo for r in reports]),
-        ba=mean_scalar([r.ba for r in reports]),
-        dp=mean_scalar([r.dp for r in reports]),
-        per_group_error=[
-            mean_scalar([r.per_group_error[g] for r in reports])
-            for g in range(first.num_groups)
-        ],
-        recall_by_group_class=mean_matrix([r.recall_by_group_class for r in reports]),
-        prediction_rate_by_group_class=mean_matrix(
-            [r.prediction_rate_by_group_class for r in reports]
-        ),
-    )
+    shape = (first.num_classes, first.num_groups, first.total)
+    if any((r.num_classes, r.num_groups, r.total) != shape for r in reports):
+        raise ValueError("reports to average must describe the same test set")
+    rows = []
+    for r in reports:
+        pairs = zip(r.recall_by_group_class, r.prediction_rate_by_group_class)
+        rates = [v for recall, rate in pairs for v in recall + rate]
+        rows.append([r.acc, r.ba, r.eo, r.dp, r.ser, *r.per_group_error, *rates])
+    return _report(_client_mean(np.array(rows, dtype=np.float64)), *shape)
 
 
 _LOG_COLUMNS = ("predicted", "actual", "group")

@@ -9,20 +9,26 @@ client, federated and centralized training are plain loops of
 single-model, single-batch steps. The one exception is the row-major
 head math, which is compared bit for bit and so keeps the engine's own
 forward pass and products around it. The CSV readers and writer are
-kept in their one-cell-at-a-time form.
+kept in their one-cell-at-a-time form, and the fairness report in its
+one-client-at-a-time form, in Python ints and floats. Float sums that
+tests compare bit for bit are added left to right (``lsum``), as the
+library adds them on every Python version.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
 from fedbias.data import Dataset
-from fedbias.exceptions import ConfigurationError, DataFormatError
+from fedbias.exceptions import ConfigurationError, DataFormatError, UndefinedMetricError
 from fedbias.federation import (
     FederationConfig,
     FederationResult,
@@ -32,7 +38,7 @@ from fedbias.federation import (
     evaluate_weights,
     fedavg_aggregate,
 )
-from fedbias.metrics import FairnessReport, PredictionRecord, mean_reports
+from fedbias.metrics import FairnessReport, PredictionRecord
 from fedbias.nn import (
     Batch,
     ClassifierSpec,
@@ -82,9 +88,6 @@ def brute_metrics(
         else:
             ser = worst / best
 
-    def popvar(values: list[float]) -> float:
-        mean = sum(values) / len(values)
-        return sum((v - mean) ** 2 for v in values) / len(values)
 
     eo_terms = []
     for c in range(num_classes):
@@ -94,15 +97,15 @@ def brute_metrics(
             if truth:
                 recalls.append(sum(1 for r in truth if r.predicted == c) / len(truth))
         if len(recalls) >= 2:
-            eo_terms.append(popvar(recalls))
-    eo = sum(eo_terms) / len(eo_terms) if eo_terms else None
+            eo_terms.append(population_variance(recalls))
+    eo = lsum(eo_terms) / len(eo_terms) if eo_terms else None
 
     ba_terms = []
     for c in range(num_classes):
         per_group = [sum(1 for r in by_group[g] if r.predicted == c) for g in range(num_groups)]
         if sum(per_group) > 0:
             ba_terms.append(max(per_group) / sum(per_group))
-    ba = sum(ba_terms) / len(ba_terms) - 1.0 / num_groups if ba_terms else None
+    ba = lsum(ba_terms) / len(ba_terms) - 1.0 / num_groups if ba_terms else None
 
     if any(not by_group[g] for g in range(num_groups)):
         dp = None
@@ -113,8 +116,8 @@ def brute_metrics(
                 sum(1 for r in by_group[g] if r.predicted == c) / len(by_group[g])
                 for g in range(num_groups)
             ]
-            dp_terms.append(popvar(rates))
-        dp = sum(dp_terms) / num_classes
+            dp_terms.append(population_variance(rates))
+        dp = lsum(dp_terms) / num_classes
 
     return {"acc": acc, "ser": ser, "eo": eo, "ba": ba, "dp": dp}
 
@@ -127,6 +130,147 @@ def brute_counts(
     for r in records:
         np.add.at(counts, (r.group, r.actual, r.predicted), 1)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# The report of one client at a time, in Python ints and floats, and the
+# mean of such reports: what the stacked ``full_report`` must equal.
+
+def lsum(values) -> float:
+    """Float sum added left to right, as ``sum`` adds floats before Python
+    3.12 (3.12 compensates, which moves last bits)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+class Marginals(NamedTuple):
+    """A (D, N, N) count array's integer marginals, read out as Python
+    ints, and the per-group rates built from them."""
+
+    total: int
+    correct: int
+    group_totals: list[int]
+    predicted: list[list[int]]  # [g][c]: records of group g predicted as c
+    error: list[float | None]  # [g]: error rate; None for an empty group
+    recall: list[list[float | None]]  # [g][c]: None without class-c truth
+    rate: list[list[float | None]]  # [g][c]: share of group g predicted as c
+
+
+def marginals(counts: np.ndarray) -> Marginals:
+    truth = counts.sum(axis=2).tolist()
+    predicted = counts.sum(axis=1).tolist()
+    diagonal = np.diagonal(counts, axis1=1, axis2=2).tolist()
+    group_totals = [sum(row) for row in truth]
+    correct = [sum(row) for row in diagonal]
+    return Marginals(
+        total=sum(group_totals),
+        correct=sum(correct),
+        group_totals=group_totals,
+        predicted=predicted,
+        error=[1.0 - k / n if n > 0 else None for k, n in zip(correct, group_totals)],
+        recall=[
+            [k / n if n > 0 else None for k, n in zip(diag_row, truth_row)]
+            for diag_row, truth_row in zip(diagonal, truth)
+        ],
+        rate=[
+            [k / n if n > 0 else None for k in pred_row]
+            for pred_row, n in zip(predicted, group_totals)
+        ],
+    )
+
+
+def population_variance(values: list[float]) -> float:
+    mean = lsum(values) / len(values)
+    return lsum((v - mean) ** 2 for v in values) / len(values)
+
+
+def scalar_full_report(counts: np.ndarray) -> FairnessReport:
+    """One client's report from its (D, N, N) counts, metric by metric;
+    an undefined metric is None."""
+    counts = np.asarray(counts, dtype=np.int64)
+    num_groups, num_classes, _ = counts.shape
+    m = marginals(counts)
+    if m.total == 0:
+        raise UndefinedMetricError("cannot build a report from an empty prediction log")
+    every_group = 0 not in m.group_totals
+
+    ser = None
+    if num_groups >= 2 and every_group:
+        worst, best = max(m.error), min(m.error)
+        ser = 1.0 if worst == 0.0 else math.inf if best == 0.0 else worst / best
+
+    eo_terms = []
+    for recalls in zip(*m.recall):
+        present = [r for r in recalls if r is not None]
+        if len(present) >= 2:
+            eo_terms.append(population_variance(present))
+
+    shares = []
+    for per_group in zip(*m.predicted):
+        total_c = sum(per_group)
+        if total_c > 0:
+            shares.append(max(per_group) / total_c)
+
+    dp = None
+    if every_group:
+        dp_terms = [population_variance(rates) for rates in zip(*m.rate)]
+        dp = lsum(dp_terms) / len(dp_terms)
+
+    return FairnessReport(
+        num_classes=num_classes,
+        num_groups=num_groups,
+        total=m.total,
+        acc=m.correct / m.total,
+        ser=ser,
+        eo=lsum(eo_terms) / len(eo_terms) if eo_terms else None,
+        ba=lsum(shares) / len(shares) - 1.0 / num_groups,
+        dp=dp,
+        per_group_error=m.error,
+        recall_by_group_class=m.recall,
+        prediction_rate_by_group_class=m.rate,
+    )
+
+
+def scalar_mean_reports(reports: list[FairnessReport]) -> FairnessReport:
+    """Field-by-field mean of reports over one test set, in report order;
+    a field is None when it is None in any report."""
+    first = reports[0]
+    for r in reports[1:]:
+        if (r.num_classes, r.num_groups, r.total) != (
+            first.num_classes,
+            first.num_groups,
+            first.total,
+        ):
+            raise ValueError("reports to average must describe the same test set")
+
+    def mean_scalar(values: list[float | None]) -> float | None:
+        if any(v is None for v in values):
+            return None
+        return lsum(values) / len(values)
+
+    def mean_matrix(mats: list[list[list[float | None]]]) -> list[list[float | None]]:
+        return [
+            [mean_scalar([m[g][c] for m in mats]) for c in range(first.num_classes)]
+            for g in range(first.num_groups)
+        ]
+
+    return FairnessReport(
+        num_classes=first.num_classes,
+        num_groups=first.num_groups,
+        total=first.total,
+        acc=mean_scalar([r.acc for r in reports]),
+        ser=mean_scalar([r.ser for r in reports]),
+        eo=mean_scalar([r.eo for r in reports]),
+        ba=mean_scalar([r.ba for r in reports]),
+        dp=mean_scalar([r.dp for r in reports]),
+        per_group_error=[
+            mean_scalar([r.per_group_error[g] for r in reports])
+            for g in range(first.num_groups)
+        ],
+        recall_by_group_class=mean_matrix([r.recall_by_group_class for r in reports]),
+        prediction_rate_by_group_class=mean_matrix(
+            [r.prediction_rate_by_group_class for r in reports]
+        ),
+    )
 
 
 def log_arrays(records: list[PredictionRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -490,7 +634,7 @@ def reference_run_federation(
             return None
         if not local_mode:
             return evaluate_weights(spec, global_weights, test_set)
-        return mean_reports([evaluate_weights(spec, w, test_set) for w in local_weights])
+        return scalar_mean_reports([evaluate_weights(spec, w, test_set) for w in local_weights])
 
     history = [RoundSnapshot(0, evaluate(), None, 0.0)]
     for round_index in range(1, config.rounds + 1):
@@ -510,7 +654,7 @@ def reference_run_federation(
             )
         due = round_index % eval_every == 0 or round_index == config.rounds
         report = evaluate() if due else None
-        history.append(RoundSnapshot(round_index, report, sum(losses) / len(losses), 0.0))
+        history.append(RoundSnapshot(round_index, report, lsum(losses) / len(losses), 0.0))
     return FederationResult(
         mode=config.mode,
         spec=spec,

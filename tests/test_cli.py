@@ -340,6 +340,26 @@ class TestMetrics:
         err = capsys.readouterr().err
         assert err == f"error: {name} must be in [1, 9223372036854775807], got {value}\n"
 
+    @pytest.mark.parametrize(
+        "num_classes, num_groups, size",
+        [
+            ("2", "9223372036854775807", "36893488147419103228"),
+            ("3037000499", "2", "18446744061852498002"),
+        ],
+        ids=["groups", "classes"],
+    )
+    def test_count_array_beyond_numpy_exits_1(
+        self, tmp_path, capsys, num_classes, num_groups, size
+    ):
+        # D * N**2 overflows int64 in both cases; the guard allocates nothing.
+        log = tmp_path / "preds.csv"
+        log.write_text("predicted,actual,group\n0,0,0\n1,1,1\n", encoding="utf-8")
+        assert main(["metrics", str(log), num_classes, num_groups]) == 1
+        assert capsys.readouterr().err == (
+            f"error: num_classes {num_classes} and num_groups {num_groups} need {size} "
+            "counts, more than one NumPy array can hold (1152921504606846975)\n"
+        )
+
     def test_count_arguments_are_checked_before_the_log(self, tmp_path, capsys):
         log = tmp_path / "preds.csv"
         log.write_text("predicted,actual,group\n1,5,1\nx\n", encoding="utf-8")

@@ -6,7 +6,12 @@ from hypothesis.extra import numpy as hnp
 
 import fedbias.federation as federation
 from fedbias.data import Dataset, SyntheticSpec, generate_synthetic, partition, train_test_split
-from fedbias.exceptions import ConfigurationError, NumericError, ProtocolError
+from fedbias.exceptions import (
+    ConfigurationError,
+    NumericError,
+    ProtocolError,
+    UndefinedMetricError,
+)
 from fedbias.federation import (
     STACK_VALUES,
     Federation,
@@ -40,6 +45,7 @@ from fedbias.nn import (
 from fedbias.seeding import TAG_INIT, derive_seed, shuffle_seed
 from oracles import (
     fresh_state,
+    lsum,
     reference_client_train,
     reference_run_federation,
     train_centralized,
@@ -603,7 +609,12 @@ class TestLockstep:
         [
             ("fedavg_aggregate", Mode.FEDAVG_PLAIN, r"^fedavg seed 21, round 1, aggregation: "),
             ("evaluate_weights", Mode.DBFED, r"^dbfed seed 21, round 0, evaluation: "),
-            ("evaluate_weights", Mode.LOCAL_ONLY, r"^local seed 21, round 0, client 0, evaluation: "),
+            # Local mode predicts client by client, then scores the stack.
+            (
+                "predict_dataset",
+                Mode.LOCAL_ONLY,
+                r"^local seed 21, round 0, client 0, evaluation: ",
+            ),
         ],
     )
     def test_aggregation_and_evaluation_contexts(self, monkeypatch, target, mode, message):
@@ -615,6 +626,34 @@ class TestLockstep:
         monkeypatch.setattr(federation, target, boom)
         with pytest.raises(ProtocolError, match=message + "boom$"):
             run_lockstep([Federation(config, parts, test)], spec)
+
+    @pytest.mark.parametrize(
+        "mode, where",
+        [
+            (Mode.LOCAL_ONLY, "local seed 21, round 0, client 0"),
+            (Mode.DBFED, "dbfed seed 21, round 0"),
+        ],
+    )
+    def test_empty_test_set_names_the_first_client_scored(self, mode, where):
+        config, parts, spec, _ = small_run_setup(mode)
+        empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
+        message = f"^{where}, evaluation: cannot build a report from an empty prediction log$"
+        with pytest.raises(UndefinedMetricError, match=message):
+            run_lockstep([Federation(config, parts, empty)], spec)
+
+    def test_mean_train_loss_adds_left_to_right(self, monkeypatch):
+        # sum() of these losses is 1.1735930735930735 on Python 3.12, which
+        # compensates, and 1.1735930735930737 added left to right.
+        losses = [1 / 3, 2 / 7, 5 / 11, 0.1]
+        config, parts, spec, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
+
+        def fixed(federations, spec, incoming, round_index, workspace=None):
+            return [[(w, loss) for w, loss in zip(incoming[0], losses)]]
+
+        monkeypatch.setattr(federation, "train_round", fixed)
+        result = run_lockstep([Federation(config, parts)], spec)[0]
+        assert [s.mean_train_loss for s in result.history[1:]] == [1.1735930735930737 / 4] * 3
+        assert lsum(losses) == 1.1735930735930737
 
     def test_unequal_run_shapes_rejected(self):
         config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fedbias.exceptions import DataFormatError, UndefinedMetricError
+from fedbias.exceptions import ConfigurationError, DataFormatError, UndefinedMetricError
 from fedbias.metrics import (
     FairnessReport,
     PredictionRecord,
@@ -66,6 +66,32 @@ class TestTally:
             tally([0, 1], [0], [0, 0], 2, 2)
         with pytest.raises(ValueError, match="integers"):
             tally(np.array([0.5]), [0], [0], 2, 2)
+        with pytest.raises(ValueError, match="one length"):
+            tally(np.zeros((3, 2), dtype=np.int64), [0], [0], 2, 2)
+
+    def test_stack_counts_each_client_on_the_shared_columns(self):
+        rng = np.random.default_rng(5)
+        predicted = rng.integers(0, 4, (6, 50))
+        actual, group = rng.integers(0, 4, 50), rng.integers(0, 3, 50)
+        stacked = tally(predicted, actual, group, 4, 3)
+        assert stacked.shape == (6, 3, 4, 4) and stacked.dtype == np.int64
+        for k, row in enumerate(predicted):
+            assert np.array_equal(stacked[k], tally(row, actual, group, 4, 3))
+
+    def test_count_array_beyond_numpy_rejected_before_anything_is_allocated(self):
+        # 2**58 clients, a zero-stride view, of 2 * 2**2 cells each: 2**61
+        # counts, more bytes than an intp can count. The guard runs before
+        # the columns are checked, which would scan 2**58 entries.
+        predicted = np.broadcast_to(np.zeros(1, dtype=np.int64), (2**58, 1))
+        message = (
+            "288230376151711744 clients, num_classes 2 and num_groups 2 need "
+            "2305843009213693952 counts, more than one NumPy array can hold "
+            "(1152921504606846975)"
+        )
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            tally(predicted, [0], [0], 2, 2)
+        # The client factor alone tips it: one client's counts fit.
+        assert tally(predicted[0], [0], [0], 2, 2).sum() == 1
 
 
 class TestAccuracy:
@@ -303,6 +329,53 @@ class TestMeanReports:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_reports([])
+
+
+class TestStackedReport:
+    def test_pow_trap(self):
+        # DP's squared deviations go through Python's float power (libm
+        # pow); multiplying each deviation by itself gives 0.05468750000000001.
+        predicted = np.array([1, 1, 1, 2, 1, 0, 2, 1])
+        actual = np.array([1, 3, 1, 3, 1, 2, 2, 3])
+        group = np.array([2, 1, 3, 1, 2, 3, 1, 0])
+        assert full_report(tally(predicted, actual, group, 4, 4)).dp == 0.0546875
+
+    def test_mean_carries_infinity_and_absence(self):
+        # Client 0 is perfect on group 1 only (SER inf); client 1 errs in
+        # both groups. Class 1 has truth in group 0 alone, so EO rests on
+        # class 0 for both clients.
+        actual = np.array([0, 0, 0, 1])
+        group = np.array([0, 1, 1, 0])
+        predicted = np.array([[1, 0, 0, 1], [1, 1, 0, 0]])
+        stacked = full_report(tally(predicted, actual, group, 2, 2))
+        reports = [full_report(tally(row, actual, group, 2, 2)) for row in predicted]
+        assert reports[0].ser == math.inf and stacked.ser == math.inf
+        assert stacked.recall_by_group_class[1] == [0.75, None]
+        assert repr(stacked.to_dict()) == repr(mean_reports(reports).to_dict())
+        # An empty group makes SER and DP absent for every client, and so
+        # for the mean.
+        lone = full_report(tally(predicted, actual, np.zeros(4, dtype=np.int64), 2, 2))
+        assert lone.absent == ["ser", "eo", "dp"]
+
+    def test_one_client_stack_is_the_plain_report(self):
+        rng = np.random.default_rng(6)
+        p, y, g = log_arrays(random_records(rng, 3, 2, 80))
+        once = full_report(tally(p, y, g, 3, 2))
+        assert repr(full_report(tally(p[np.newaxis], y, g, 3, 2)).to_dict()) == repr(
+            once.to_dict()
+        )
+
+    def test_stack_rejects_what_a_mean_of_reports_rejects(self):
+        counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        counts[:, 0, 0, 0] = [1, 2]
+        message = "^reports to average must describe the same test set$"
+        with pytest.raises(ValueError, match=message):
+            full_report(counts)
+        with pytest.raises(ValueError, match="^need at least one report to average$"):
+            full_report(np.zeros((0, 2, 2, 2), dtype=np.int64))
+        counts[1] = 0
+        with pytest.raises(UndefinedMetricError, match="empty prediction log"):
+            full_report(counts)
 
 
 class TestPredictionLogCsv:

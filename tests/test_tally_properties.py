@@ -1,5 +1,5 @@
 """Property tests of the array tally and the report built on it, against
-the per-record oracles."""
+the per-record oracles and the one-client-at-a-time report."""
 
 import json
 import math
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedbias.metrics import METRIC_NAMES, full_report, records_from_arrays, tally
-from oracles import brute_counts, brute_metrics
+from oracles import brute_counts, brute_metrics, scalar_full_report, scalar_mean_reports
 
 
 @st.composite
@@ -79,3 +79,39 @@ def test_report_invariant_under_group_relabeling(log, random):
         assert (a is None) == (b is None)
         if a is not None:
             assert math.isclose(a, b, rel_tol=1e-12)
+
+
+@st.composite
+def stacked_logs(draw):
+    """(predicted (K, n), actual, group, num_classes, num_groups): K clients'
+    predictions on one test set. Sub-range pools leave groups empty and
+    classes without truth, and a client that copies the truth on a whole
+    group leaves that group error-free, which can make SER infinite."""
+    num_clients = draw(st.integers(1, 60))
+    num_classes = draw(st.integers(2, 10))
+    num_groups = draw(st.integers(1, 5))
+    full = st.booleans()
+    class_pool = num_classes if draw(full) else draw(st.integers(1, num_classes))
+    group_pool = num_groups if draw(full) else draw(st.integers(1, num_groups))
+    size = draw(st.integers(1, 40))
+
+    def ints(shape, pool):
+        return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, pool - 1)))
+
+    actual, group = ints(size, class_pool), ints(size, group_pool)
+    guesses = ints((num_clients, size), class_pool)
+    right = draw(hnp.arrays(np.bool_, (num_clients, size)))
+    right_groups = draw(hnp.arrays(np.bool_, (num_clients, num_groups)))
+    right |= right_groups[:, group]
+    return np.where(right, actual, guesses), actual, group, num_classes, num_groups
+
+
+@settings(deadline=None)
+@given(stacked_logs())
+def test_stacked_report_equals_mean_of_scalar_reports(log):
+    predicted, actual, group, n, d = log
+    stacked = full_report(tally(predicted, actual, group, n, d))
+    expected = scalar_mean_reports(
+        [scalar_full_report(tally(row, actual, group, n, d)) for row in predicted]
+    )
+    assert repr(stacked.to_dict()) == repr(expected.to_dict())
