@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         config = config.with_master_seed(args.seed)
     if getattr(args, "mode", None):
-        config = config.with_modes((Mode(args.mode),))
+        config = replace(config, modes=(Mode(args.mode),))
     return config
 
 

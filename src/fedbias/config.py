@@ -8,7 +8,7 @@ has a default except the conditionally required data-source fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import (
@@ -58,68 +58,48 @@ def _parse_optimizer_kind(raw: str) -> OptimizerKind:
         raise ValueError(f"unknown optimizer {raw!r} (choose from {valid})") from None
 
 
-# key -> (attribute, parser, default); _REQUIRED means the key must be
-# present whenever its data source is selected.
+# _REQUIRED marks a key that must be present whenever its data source is
+# selected.
 _REQUIRED = object()
 
-_SCHEMA: dict[str, tuple[str, object, object]] = {
-    "data.source": ("source", str, "synthetic"),
-    "data.num_classes": ("num_classes", int, _REQUIRED),
-    "data.num_groups": ("num_groups", int, _REQUIRED),
-    "data.feature_dim": ("feature_dim", int, None),
-    "data.samples_per_group": ("samples_per_group", int, None),
-    "data.bias_strength": ("bias_strength", float, 0.0),
-    "data.group_shift": ("group_shift", float, 0.0),
-    "data.noise_sigma": ("noise_sigma", float, 1.0),
-    "data.csv_path": ("csv_path", str, None),
-    "data.test_fraction": ("test_fraction", float, 0.2),
-    "model.hidden": ("hidden_widths", _parse_widths, (16,)),
-    "federation.rounds": ("rounds", int, 30),
-    "federation.clients": ("num_clients", int, 5),
-    "federation.local_epochs": ("local_epochs", int, 3),
-    "federation.batch_size": ("batch_size", int, 128),
-    "optimizer.kind": ("optimizer_kind", _parse_optimizer_kind, OptimizerKind.ADAM),
-    "optimizer.learning_rate": ("learning_rate", float, 1e-4),
-    "optimizer.weight_decay": ("weight_decay", float, 3e-4),
-    "optimizer.beta1": ("beta1", float, 0.9),
-    "optimizer.beta2": ("beta2", float, 0.999),
-    "optimizer.epsilon": ("epsilon", float, 1e-8),
-    "run.modes": ("modes", _parse_modes, (Mode.DBFED,)),
-    "run.master_seed": ("master_seed", int, 0),
-    "run.eval_every": ("eval_every", int, 1),
-    "run.output": ("output_path", str, None),
-}
+
+def _key(key: str, parse, default=_REQUIRED):
+    """A field read from config key ``key`` by ``parse``; ``default`` when absent."""
+    return field(metadata={"key": key, "parse": parse, "default": default})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment run needs, already typed and validated."""
+    """Everything one experiment run needs, already typed and validated.
 
-    source: str
-    num_classes: int
-    num_groups: int
-    feature_dim: int | None
-    samples_per_group: int | None
-    bias_strength: float
-    group_shift: float
-    noise_sigma: float
-    csv_path: str | None
-    test_fraction: float
-    hidden_widths: tuple[int, ...]
-    rounds: int
-    num_clients: int
-    local_epochs: int
-    batch_size: int
-    optimizer_kind: OptimizerKind
-    learning_rate: float
-    weight_decay: float
-    beta1: float
-    beta2: float
-    epsilon: float
-    modes: tuple[Mode, ...]
-    master_seed: int
-    eval_every: int
-    output_path: str | None
+    Each field declares its config key, parser and default (see ``_key``);
+    the constructor still takes every field, with no defaults."""
+
+    source: str = _key("data.source", str, "synthetic")
+    num_classes: int = _key("data.num_classes", int)
+    num_groups: int = _key("data.num_groups", int)
+    feature_dim: int | None = _key("data.feature_dim", int, None)
+    samples_per_group: int | None = _key("data.samples_per_group", int, None)
+    bias_strength: float = _key("data.bias_strength", float, 0.0)
+    group_shift: float = _key("data.group_shift", float, 0.0)
+    noise_sigma: float = _key("data.noise_sigma", float, 1.0)
+    csv_path: str | None = _key("data.csv_path", str, None)
+    test_fraction: float = _key("data.test_fraction", float, 0.2)
+    hidden_widths: tuple[int, ...] = _key("model.hidden", _parse_widths, (16,))
+    rounds: int = _key("federation.rounds", int, 30)
+    num_clients: int = _key("federation.clients", int, 5)
+    local_epochs: int = _key("federation.local_epochs", int, 3)
+    batch_size: int = _key("federation.batch_size", int, 128)
+    optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer_kind, OptimizerKind.ADAM)
+    learning_rate: float = _key("optimizer.learning_rate", float, 1e-4)
+    weight_decay: float = _key("optimizer.weight_decay", float, 3e-4)
+    beta1: float = _key("optimizer.beta1", float, 0.9)
+    beta2: float = _key("optimizer.beta2", float, 0.999)
+    epsilon: float = _key("optimizer.epsilon", float, 1e-8)
+    modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
+    master_seed: int = _key("run.master_seed", int, 0)
+    eval_every: int = _key("run.eval_every", int, 1)
+    output_path: str | None = _key("run.output", str, None)
 
     def __post_init__(self) -> None:
         if self.source not in ("synthetic", "csv"):
@@ -141,9 +121,6 @@ class ExperimentConfig:
 
     def with_master_seed(self, master_seed: int) -> "ExperimentConfig":
         return replace(self, master_seed=master_seed)
-
-    def with_modes(self, modes: tuple[Mode, ...]) -> "ExperimentConfig":
-        return replace(self, modes=modes)
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(
@@ -211,9 +188,12 @@ class ExperimentConfig:
         return parts, test
 
 
+# Config key -> the ExperimentConfig field it sets, in field order.
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     values: dict[str, object] = {}
-    seen: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -223,23 +203,22 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in _SCHEMA:
+        f = _FIELDS.get(key)
+        if f is None:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if f.name in values:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        attr, parser, _ = _SCHEMA[key]
         try:
-            values[attr] = parser(raw_value)
+            values[f.name] = f.metadata["parse"](raw_value)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: {key}: {exc}") from None
 
-    for key, (attr, _, default) in _SCHEMA.items():
-        if attr in values:
+    for key, f in _FIELDS.items():
+        if f.name in values:
             continue
-        if default is _REQUIRED:
+        if f.metadata["default"] is _REQUIRED:
             raise ConfigurationError(f"missing required key {key!r}")
-        values[attr] = default
+        values[f.name] = f.metadata["default"]
     return ExperimentConfig(**values)
 
 

@@ -34,7 +34,7 @@ version and equals, bit for bit, a per-record recount done that way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -83,16 +83,15 @@ def tally(
     num_classes, num_classes) result: one ``np.bincount`` counts every
     client, with client k's flat index offset by k * num_groups *
     num_classes**2. A count array NumPy cannot hold is rejected, naming
-    the arguments, before anything is allocated."""
+    the arguments, before anything is allocated; one that memory cannot
+    hold is rejected the same way when its allocation fails."""
     predicted = np.asarray(predicted)
     clients = len(predicted) if predicted.ndim == 2 else 1
     cells = num_groups * num_classes * num_classes
+    stack = f"{clients} clients, " if predicted.ndim == 2 else ""
+    need = f"{stack}num_classes {num_classes} and num_groups {num_groups} need {clients * cells} counts"
     if clients * cells > _MAX_COUNTS:
-        stack = f"{clients} clients, " if predicted.ndim == 2 else ""
-        raise ConfigurationError(
-            f"{stack}num_classes {num_classes} and num_groups {num_groups} need "
-            f"{clients * cells} counts, more than one NumPy array can hold ({_MAX_COUNTS})"
-        )
+        raise ConfigurationError(f"{need}, more than one NumPy array can hold ({_MAX_COUNTS})")
     columns = []
     for name, values, limit in (
         ("predicted", predicted, num_classes),
@@ -117,7 +116,10 @@ def tally(
     flat = (group * num_classes + actual) * num_classes + pred
     if pred.ndim == 2:
         flat += np.arange(clients)[:, np.newaxis] * cells
-    counts = np.bincount(flat.ravel(), minlength=clients * cells)
+    try:
+        counts = np.bincount(flat.ravel(), minlength=clients * cells)
+    except MemoryError:
+        raise ConfigurationError(f"{need}, more than fit in memory") from None
     return counts.reshape(pred.shape[:-1] + (num_groups, num_classes, num_classes))
 
 
@@ -175,27 +177,16 @@ class FairnessReport:
         return getattr(self, name)
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "num_groups": self.num_groups,
-            "total": self.total,
-            "acc": self.acc,
-            "ser": _INF_TEXT if self.ser == math.inf else self.ser,
-            "eo": self.eo,
-            "ba": self.ba,
-            "dp": self.dp,
-            "per_group_error": self.per_group_error,
-            "recall_by_group_class": self.recall_by_group_class,
-            "prediction_rate_by_group_class": self.prediction_rate_by_group_class,
-            "absent": self.absent,
-            "conventions": self.conventions,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "conventions"}
+        out["ser"] = _INF_TEXT if self.ser == math.inf else self.ser
+        return {**out, "absent": self.absent, "conventions": self.conventions}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FairnessReport":
         """Inverse of ``to_dict``; also reads the bare ``Infinity`` token of
-        older files, which ``json.loads`` already turns into a float. A
-        metric that is neither a number nor null raises ``TypeError``."""
+        older files, which ``json.loads`` already turns into a float. The
+        metrics are read and checked first: one that is neither a number
+        nor null raises ``TypeError``."""
         values = {name: payload[name] for name in METRIC_NAMES}
         if values["ser"] == _INF_TEXT:
             values["ser"] = math.inf
@@ -204,14 +195,10 @@ class FairnessReport:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise TypeError(f"metric {name} must be a number or null, got {value!r}")
+        rest = [f.name for f in fields(cls) if f.name not in values and f.name != "conventions"]
         return cls(
-            num_classes=payload["num_classes"],
-            num_groups=payload["num_groups"],
-            total=payload["total"],
             **values,
-            per_group_error=payload["per_group_error"],
-            recall_by_group_class=payload["recall_by_group_class"],
-            prediction_rate_by_group_class=payload["prediction_rate_by_group_class"],
+            **{name: payload[name] for name in rest},
             conventions=dict(payload.get("conventions", CONVENTIONS)),
         )
 

@@ -360,6 +360,17 @@ class TestMetrics:
             "counts, more than one NumPy array can hold (1152921504606846975)\n"
         )
 
+    def test_count_array_beyond_memory_exits_1(self, tmp_path, capsys):
+        # 2 * 10**16 int64 counts (142 PiB) fit NumPy's index range but no
+        # address space, so the allocation itself fails.
+        log = tmp_path / "log.csv"
+        log.write_text("predicted,actual,group\n0,0,0\n1,1,1\n", encoding="utf-8")
+        assert main(["metrics", str(log), "100000000", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: num_classes 100000000 and num_groups 2 need 20000000000000000 "
+            "counts, more than fit in memory\n"
+        )
+
     def test_count_arguments_are_checked_before_the_log(self, tmp_path, capsys):
         log = tmp_path / "preds.csv"
         log.write_text("predicted,actual,group\n1,5,1\nx\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import inspect
 import re
 from dataclasses import replace
 
@@ -29,21 +30,44 @@ def cfg(text=None, **extra) -> ExperimentConfig:
 
 class TestParsing:
     def test_defaults(self):
-        c = cfg()
-        assert c.rounds == 30
-        assert c.num_clients == 5
-        assert c.local_epochs == 3
-        assert c.batch_size == 128
-        assert c.learning_rate == 1e-4
-        assert c.weight_decay == 3e-4
-        assert c.optimizer_kind is OptimizerKind.ADAM
-        assert c.modes == (Mode.DBFED,)
-        assert c.master_seed == 0
-        assert c.eval_every == 1
-        assert c.test_fraction == 0.2
-        assert c.hidden_widths == (16,)
-        assert c.bias_strength == 0.0
-        assert c.output_path is None
+        assert cfg() == ExperimentConfig(
+            source="synthetic",
+            num_classes=2,
+            num_groups=2,
+            feature_dim=3,
+            samples_per_group=50,
+            bias_strength=0.0,
+            group_shift=0.0,
+            noise_sigma=1.0,
+            csv_path=None,
+            test_fraction=0.2,
+            hidden_widths=(16,),
+            rounds=30,
+            num_clients=5,
+            local_epochs=3,
+            batch_size=128,
+            optimizer_kind=OptimizerKind.ADAM,
+            learning_rate=1e-4,
+            weight_decay=3e-4,
+            beta1=0.9,
+            beta2=0.999,
+            epsilon=1e-8,
+            modes=(Mode.DBFED,),
+            master_seed=0,
+            eval_every=1,
+            output_path=None,
+        )
+
+    def test_constructor_takes_every_field_in_order_without_defaults(self):
+        params = inspect.signature(ExperimentConfig).parameters.values()
+        assert [p.name for p in params] == [
+            "source", "num_classes", "num_groups", "feature_dim", "samples_per_group",
+            "bias_strength", "group_shift", "noise_sigma", "csv_path", "test_fraction",
+            "hidden_widths", "rounds", "num_clients", "local_epochs", "batch_size",
+            "optimizer_kind", "learning_rate", "weight_decay", "beta1", "beta2", "epsilon",
+            "modes", "master_seed", "eval_every", "output_path",
+        ]
+        assert all(p.default is inspect.Parameter.empty for p in params)
 
     def test_comments_and_blank_lines_ignored(self):
         c = parse_config(
@@ -122,7 +146,7 @@ class TestDerivedObjects:
     def test_with_overrides(self):
         c = cfg()
         assert c.with_master_seed(42).master_seed == 42
-        assert c.with_modes((Mode.LOCAL_ONLY,)).modes == (Mode.LOCAL_ONLY,)
+        assert replace(c, modes=(Mode.LOCAL_ONLY,)).modes == (Mode.LOCAL_ONLY,)
         # Originals untouched.
         assert c.master_seed == 0
 

@@ -9,8 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# three_mode_comparison.py is left out: its 15 training runs take several seconds.
-QUICK_DEMOS = ["head_mechanics", "metrics_tour", "biased_data", "federated_round"]
+QUICK_DEMOS = [
+    "head_mechanics",
+    "metrics_tour",
+    "biased_data",
+    "federated_round",
+    "three_mode_comparison",
+]
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)

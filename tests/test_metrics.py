@@ -297,6 +297,17 @@ class TestReportSerialization:
         assert back.ser == math.inf
         assert back.to_dict() == report.to_dict()
 
+    def test_metrics_are_read_before_other_keys(self):
+        payload = report_of([R(0, 0, 0), R(1, 1, 1)], 2, 2).to_dict()
+        del payload["acc"], payload["total"]
+        with pytest.raises(KeyError) as missing:
+            FairnessReport.from_dict(payload)
+        assert missing.value.args == ("acc",)
+        payload["acc"] = "1.0"
+        message = "^metric acc must be a number or null, got '1.0'$"
+        with pytest.raises(TypeError, match=message):
+            FairnessReport.from_dict(payload)
+
     def test_absent_list_in_payload(self):
         report = report_of([R(0, 0, 0), R(1, 1, 0)], 2, 1)
         payload = report.to_dict()
