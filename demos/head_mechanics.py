@@ -8,12 +8,11 @@ unknown, so we average the per-group softmax columns and take the argmax.
 import numpy as np
 
 from fedbias.head import block_softmax, predict_batch
-from fedbias.nn import Batch, ClassifierSpec, HeadMode, ModelWeights, backward, weight_layout
 
 N, D = 3, 2
 
 
-def show(logits: np.ndarray) -> None:
+def show(logits: np.ndarray) -> np.ndarray:
     # The softmax of each group's slice, the one the loss and prediction
     # share; it takes the class axis first, so transpose in and back out.
     _, _, probs = block_softmax(logits.reshape(D, N).T)
@@ -28,26 +27,23 @@ def show(logits: np.ndarray) -> None:
     # Knowing the group would mean reading only that group's slice.
     print("known-group predictions:",
           [int(np.argmax(logits[d * N : (d + 1) * N])) for d in range(D)])
+    return probs
 
 
 logits = np.array([1.0, 2.0, 0.5, 0.2, 2.5, 0.1])
 print("raw logits (group 0 slice | group 1 slice):")
 print(" ", logits[:N], "|", logits[N:])
 print()
-show(logits)
+probs = show(logits)
 
 # The marginal and the known-group rules can disagree: a class that is
 # mediocre in every group can still win the average.
 print("\na disagreement case:")
 show(np.log(np.array([0.50, 0.45, 0.05, 0.05, 0.45, 0.50])))
 
-# The training loss only ever sees the true group's slice. A network with
-# no hidden layer and a zero weight matrix outputs its bias, so setting
-# the bias to these logits lets the training loss score them directly.
-spec = ClassifierSpec(1, (), N, D, HeadMode.DOMAIN_INDEPENDENT)
-weights = ModelWeights(np.concatenate([np.zeros(N * D), logits]), weight_layout(spec))
+# The training loss only ever sees the true group's slice: the
+# cross-entropy of class y for an example of group d is -log of class y's
+# probability in group d's row of the first table.
 print("\ncross-entropy of class 1 under each group's slice:")
 for d in range(D):
-    batch = Batch(np.zeros((1, 1)), [1], [d])
-    _, loss = backward(spec, weights, batch)
-    print(f"  group {d}: {loss:.4f}")
+    print(f"  group {d}: {-np.log(probs[d, 1]):.4f}")

@@ -10,6 +10,7 @@ parse error, 3 runtime or numeric error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import replace
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .data import generate_synthetic, save_csv
+from .data import generate_synthetic, read_text, save_csv
 from .exceptions import (
     ConfigurationError,
     DataFormatError,
@@ -159,27 +160,27 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
     rows = []
     for path in paths:
         summary = None
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
-                if obj.get("kind") != "summary":
-                    continue
-                try:
-                    summary = [
-                        (mode, FairnessReport.from_dict(obj["reports"][mode]))
-                        for mode in obj["modes"]
-                    ]
-                except (KeyError, TypeError) as exc:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: malformed summary ({type(exc).__name__}: {exc})"
-                    ) from None
+        lines = io.StringIO(read_text(Path(path)), newline=None)
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
+            if obj.get("kind") != "summary":
+                continue
+            try:
+                summary = [
+                    (mode, FairnessReport.from_dict(obj["reports"][mode]))
+                    for mode in obj["modes"]
+                ]
+            except (KeyError, TypeError) as exc:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: malformed summary ({type(exc).__name__}: {exc})"
+                ) from None
         if summary is None:
             raise DataFormatError(f"{path}: no summary line (is this a results file?)")
         rows.extend((Path(path).stem, mode, report) for mode, report in summary)

@@ -225,6 +225,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text)

@@ -236,6 +236,17 @@ def load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
     return Dataset(feats, labels, groups, num_classes, num_groups)
 
 
+def read_text(path: Path) -> str:
+    """The file decoded as UTF-8. A byte sequence that is not UTF-8 raises
+    ``DataFormatError`` naming its line, counted in LF line breaks."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+
+
 def _within(values: np.ndarray, limit: int) -> bool:
     return values.min() >= 0 and values.max() < limit
 
@@ -245,8 +256,7 @@ def _parse_csv_lines(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Features, labels and groups read one line at a time; the first bad
     line raises, naming its number."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header row")
 

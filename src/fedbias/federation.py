@@ -65,15 +65,14 @@ from .nn import (
     ModelWeights,
     OptimizerConfig,
     Workspace,
-    _backward_core,
     _check_targets,
     _check_weights,
-    _optimizer_core,
+    backward,
     forward_batch,
     init_weights,
     num_params,
+    optimizer_step,
 )
-from .nn import backward, optimizer_step  # noqa: F401  (span targets of perfbench/tracing.py)
 from .seeding import TAG_INIT, check_master_seed, derive_seed, shuffle_seed
 
 
@@ -195,13 +194,15 @@ def train_clients(
     trained weights and mean loss over its batches, bit for bit what
     training that client alone gives.
 
-    The call checks once what ``backward`` checks at every call: the
-    incoming layouts, that the workspace fits, and the shards' label (and
-    under the grouped head, group) ranges, with ``backward``'s messages.
-    The steps then run the in-place cores of ``backward`` and
-    ``optimizer_step`` on the workspace plans of the full and the last
-    batch, and on layer views of the weight block taken once.
+    This is where a step's inputs are checked, once per call: at least
+    one client, the incoming layouts, that the workspace fits, and the
+    shards' label (and under the grouped head, group) ranges. The steps
+    then run ``backward`` and ``optimizer_step``, which check nothing, on
+    the workspace plans of the full and the last batch, and on layer
+    views of the weight block taken once.
     """
+    if not shards:
+        raise ValueError("need at least one client to train")
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
     if batch_size < 1:
@@ -245,9 +246,9 @@ def train_clients(
                 shard.features.take(idx, axis=0, out=x, mode="clip")
                 shard.labels.take(idx, out=y, mode="clip")
                 shard.groups.take(idx, out=g, mode="clip")
-            loss_total += _backward_core(plan, layers, plan.features, plan.labels, plan.groups)
+            loss_total += backward(plan, layers)
             steps += 1
-            _optimizer_core(
+            optimizer_step(
                 optimizer, steps, block, first_moment, second_moment, plan.gradient, plan.scratch
             )
     mean_loss = loss_total / steps

@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import read_text
 from .exceptions import ConfigurationError, DataFormatError, UndefinedMetricError
 
 CONVENTIONS = {
@@ -332,8 +333,7 @@ def load_prediction_log(
     ``[0, num_classes)`` or ``[0, num_groups)`` name their line. Every row
     is parsed before any range is checked."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header row")
     if [c.strip() for c in lines[0].split(",")] != list(_LOG_COLUMNS):

@@ -3,8 +3,8 @@
 Fixed architecture family: dense layers with ReLU hidden activations
 and a linear output layer, float64 throughout. Backpropagation is
 hand-derived for this family rather than going through a general
-autodiff graph, which keeps every operation a pure function of its
-inputs and makes bitwise reproducibility checks meaningful.
+autodiff graph: a step is a fixed sequence of NumPy calls into buffers
+allocated once, which makes bitwise reproducibility checks meaningful.
 
 Weights travel as one flat vector (`ModelWeights`) so they can be
 averaged componentwise by the federation layer; the layout records the
@@ -137,32 +137,6 @@ class ModelWeights:
         return _unflatten(self.values, self.layout)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A non-empty mini-batch: features (B, m), labels and groups (B,);
-    or a stack of K such batches, (K, B, m) and (K, B), one per model."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    groups: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        for name in ("labels", "groups"):
-            values = np.asarray(getattr(self, name))
-            if values.size and values.dtype.kind not in "iu":
-                raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
-            object.__setattr__(self, name, values.astype(np.int64, copy=False))
-        if self.features.ndim not in (2, 3) or self.features.shape[-2] == 0:
-            raise ValueError("batch must contain at least one example")
-        rows = self.features.shape[:-1]
-        if self.labels.shape != rows or self.groups.shape != rows:
-            raise ValueError("labels/groups must match the batch size")
-
-    def __len__(self) -> int:
-        return self.features.shape[-2]
-
-
 def init_weights(spec: ClassifierSpec, seed: int) -> ModelWeights:
     """Uniform fan-in-scaled init: weights U(-sqrt(6/fan_in), +sqrt(6/fan_in)),
     biases exactly zero. Deterministic given the seed."""
@@ -203,8 +177,6 @@ class Workspace:
     """
 
     def __init__(self, spec: ClassifierSpec, models: int, batch_size: int) -> None:
-        if models < 1 or batch_size < 1:
-            raise ValueError("a workspace needs at least one model and one example")
         self.spec = spec
         self.models = models
         self.batch_size = batch_size
@@ -335,76 +307,34 @@ def _check_targets(spec: ClassifierSpec, labels: np.ndarray, groups: np.ndarray)
             raise ValueError(f"{what} {bad} out of range for {count} {unit}")
 
 
-def backward(
-    spec: ClassifierSpec,
-    weights: ModelWeights,
-    batch: Batch,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Analytic gradient of the mean per-example cross-entropy.
+def backward(plan: StepPlan, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Analytic gradient of the mean per-example cross-entropy of K
+    stacked models, model k on batch k of the plan's (K, B, m) ``features``
+    and (K, B) ``labels`` and ``groups``; ``layers`` are the models' layer
+    views. Writes the (K, P) gradient to ``plan.gradient`` and returns the
+    (K,) mean losses.
 
-    Returns (gradient vector with the same layout as ``weights``, mean
-    loss). The per-example loss is the negative log of the stabilized
-    softmax over one block of ``num_classes`` logits, taken at the
-    target class: the block of the example's group under the
-    domain-independent head, the whole output under the plain head.
-
-    A stack of K models ((K, P) weights) takes a stack of K batches of
-    one size and returns (K, P) gradients and (K,) mean losses; row k is
-    bit for bit what model k alone on batch k gives, because every
-    product is one BLAS call per model and every reduction runs along a
-    model's own rows. A single model is the K = 1 case. Every call checks
-    its weights, batch shape and target ranges. With a ``workspace`` the
-    gradient is a view into it, overwritten by the next call; without
-    one, fresh buffers are allocated.
+    The per-example loss is the negative log of the stabilized softmax
+    over one block of ``num_classes`` logits, at the target class: the
+    block of the example's group under the domain-independent head, the
+    whole output under the plain head. Row k is bit for bit what model k
+    alone on batch k gives: every product is one BLAS call per model and
+    every reduction runs along a model's own rows. Nothing is checked
+    here; ``federation.train_clients`` checks layouts and targets once.
     """
-    _check_weights(spec, weights)
-    stacked = weights.values.ndim == 2
-    values = weights.values if stacked else weights.values[None]
-    x, labels, groups = batch.features, batch.labels, batch.groups
-    if not stacked:
-        x, labels, groups = x[None], labels[None], groups[None]
-    k, b = labels.shape
-    if x.shape != (len(values), b, spec.input_dim):
-        raise ValueError(
-            f"expected features of shape ({len(values)}, B, {spec.input_dim}) for "
-            f"{len(values)} stacked models, got {x.shape}"
-        )
-    _check_targets(spec, labels, groups)
-    ws = Workspace(spec, k, b) if workspace is None else workspace
-    if ws.spec != spec:
-        raise ValueError("workspace does not fit this spec, stack or batch")
-    plan = ws.plan(k, b)
-    mean_loss = _backward_core(plan, _unflatten(values, weights.layout), x, labels, groups)
-    if stacked:
-        return plan.gradient, mean_loss
-    return plan.gradient[0], float(mean_loss[0])
-
-
-def _backward_core(
-    plan: StepPlan,
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    x: np.ndarray,
-    labels: np.ndarray,
-    groups: np.ndarray,
-) -> np.ndarray:
-    """``backward`` of a checked (K, B) step into ``plan``: writes the
-    gradient to ``plan.gradient`` and returns the (K,) mean losses.
-    ``layers`` are the stacked models' layer views, ``x`` the (K, B, m)
-    features, ``labels`` and ``groups`` the (K, B) targets."""
     k, b, logits, block = plan.models, plan.size, plan.logits, plan.block
     rows = k * b
-    acts = _forward(layers, x, plan.outputs)
+    acts = _forward(layers, plan.features, plan.outputs)
 
     # Each example's block of n logits, class-major: block[y, r] is class
     # y of example r's block.
     if plan.grouped:
-        block_row = np.add(plan.block_start, groups.reshape(rows), out=plan.block_row)
+        block_row = np.add(plan.block_start, plan.groups.reshape(rows), out=plan.block_row)
         own = plan.logit_blocks.take(block_row, axis=0, out=plan.gathered, mode="clip")
         np.copyto(block, own.T)
     else:
         np.copyto(block, logits.T)
-    target = np.multiply(labels.reshape(rows), rows, out=plan.target)
+    target = np.multiply(plan.labels.reshape(rows), rows, out=plan.target)
     target += plan.row
     picked = block.reshape(-1).take(target, out=plan.picked, mode="clip")
 
@@ -440,7 +370,7 @@ def _backward_core(
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings an optimizer state is seeded from."""
+    """Optimizer kind and hyperparameters; ``optimizer_step`` reads them."""
 
     kind: OptimizerKind = OptimizerKind.ADAM
     learning_rate: float = 1e-4
@@ -461,51 +391,8 @@ class OptimizerConfig:
             raise ConfigurationError("adam epsilon must be > 0")
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Optimizer state; ``optimizer_step`` returns a new one. The moments
-    have the shape of the weights they step, (P,) or (K, P)."""
-
-    config: OptimizerConfig
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-
-
 def optimizer_step(
-    state: OptimizerState,
-    weights: ModelWeights,
-    gradient: np.ndarray,
-    workspace: Workspace | None = None,
-) -> tuple[ModelWeights, OptimizerState]:
-    """One update. SGD folds weight decay into the gradient; Adam runs the
-    bias-corrected moment update and then decays the stepped weights
-    directly (decoupled decay), so decay never enters the moments.
-
-    Every operation is elementwise, so a stack of models ((K, P) weights,
-    moments and gradient) steps each row exactly as it would step alone.
-    Without a workspace no input is changed. With one, the update is made
-    in place: the weights and moments are overwritten, the gradient is
-    used as scratch, and the results share their arrays.
-    """
-    gradient = np.asarray(gradient, dtype=np.float64)
-    if gradient.shape != weights.values.shape:
-        raise ValueError(
-            f"gradient length {gradient.shape} does not match weights {weights.values.shape}"
-        )
-    values, m, v = weights.values, state.first_moment, state.second_moment
-    if workspace is None:
-        values, m, v, gradient = values.copy(), m.copy(), v.copy(), gradient.copy()
-        scratch = np.empty_like(values)
-    else:
-        scratch = workspace.view(workspace.scratch, *values.shape)
-    t = state.step_count + 1
-    _optimizer_core(state.config, t, values, m, v, gradient, scratch)
-    return weights.with_values(values), OptimizerState(state.config, m, v, t)
-
-
-def _optimizer_core(
-    c: OptimizerConfig,
+    config: OptimizerConfig,
     t: int,
     values: np.ndarray,
     m: np.ndarray,
@@ -513,28 +400,32 @@ def _optimizer_core(
     gradient: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
-    """Update number ``t`` of ``optimizer_step``, in place: ``values``,
-    ``m`` and ``v`` are overwritten, and ``gradient`` and ``scratch``
-    are used as scratch."""
-    if c.kind is OptimizerKind.SGD:
+    """Update number ``t`` (from 1) of ``values`` with moments ``m`` and
+    ``v``, in place; ``gradient`` and ``scratch`` are used as scratch, and
+    all five share one shape. SGD folds weight decay into the gradient;
+    Adam runs the bias-corrected moment update and then decays the stepped
+    weights directly (decoupled decay), so decay never enters the moments.
+    Every operation is elementwise, so a stack of models ((K, P) arrays)
+    steps each row exactly as it would step alone."""
+    if config.kind is OptimizerKind.SGD:
         # values - lr * (gradient + wd * values)
-        np.multiply(values, c.weight_decay, out=scratch)
+        np.multiply(values, config.weight_decay, out=scratch)
         scratch += gradient
-        scratch *= c.learning_rate
+        scratch *= config.learning_rate
         values -= scratch
     else:
-        m *= c.beta1
-        m += np.multiply(gradient, 1.0 - c.beta1, out=scratch)
-        v *= c.beta2
+        m *= config.beta1
+        m += np.multiply(gradient, 1.0 - config.beta1, out=scratch)
+        v *= config.beta2
         squared = np.square(gradient, out=gradient)
-        squared *= 1.0 - c.beta2
+        squared *= 1.0 - config.beta2
         v += squared
         # values - lr * m_hat / (sqrt(v_hat) + eps)
-        step = np.divide(m, 1.0 - c.beta1**t, out=scratch)
-        step *= c.learning_rate
-        denom = np.sqrt(np.divide(v, 1.0 - c.beta2**t, out=gradient), out=gradient)
-        denom += c.epsilon
+        step = np.divide(m, 1.0 - config.beta1**t, out=scratch)
+        step *= config.learning_rate
+        denom = np.sqrt(np.divide(v, 1.0 - config.beta2**t, out=gradient), out=gradient)
+        denom += config.epsilon
         step /= denom
         values -= step
-        if c.weight_decay != 0.0:
-            values -= np.multiply(values, c.learning_rate * c.weight_decay, out=scratch)
+        if config.weight_decay != 0.0:
+            values -= np.multiply(values, config.learning_rate * config.weight_decay, out=scratch)

@@ -40,12 +40,11 @@ from fedbias.federation import (
 )
 from fedbias.metrics import FairnessReport, PredictionRecord
 from fedbias.nn import (
-    Batch,
     ClassifierSpec,
     HeadMode,
     ModelWeights,
     OptimizerConfig,
-    OptimizerState,
+    Workspace,
     _forward,
     _unflatten,
     backward,
@@ -300,6 +299,33 @@ def random_records(
 # ---------------------------------------------------------------------------
 # Loss and gradient recomputed per example.
 
+class Batch(NamedTuple):
+    """A mini-batch: features (B, m), labels and groups (B,); or a stack
+    of K such batches, (K, B, m) and (K, B), one per model."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    groups: np.ndarray
+
+
+def engine_backward(
+    spec: ClassifierSpec, values: np.ndarray, batch: Batch, workspace: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """``backward`` of K stacked models ((K, P) values) on a (K, B) batch,
+    through ``plan(K, B)`` of ``workspace`` or of a fresh
+    ``Workspace(spec, K, B)``: the (K, P) gradient and (K,) mean losses.
+    One model ((P,) values) on a (B,) batch is the K = 1 case and gives a
+    (P,) gradient and a float loss."""
+    values = np.asarray(values)
+    stacked = values.ndim == 2
+    arrays = [np.asarray(a) if stacked else np.asarray(a)[None] for a in batch]
+    k, b = arrays[1].shape
+    plan = (Workspace(spec, k, b) if workspace is None else workspace).plan(k, b)
+    for view, array in zip((plan.features, plan.labels, plan.groups), arrays):
+        view[...] = array
+    losses = backward(plan, _unflatten(values if stacked else values[None], weight_layout(spec)))
+    return (plan.gradient, losses) if stacked else (plan.gradient[0], float(losses[0]))
+
 def unpack_layers(spec: ClassifierSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Walk the flat vector with an explicit offset loop."""
     dims = [spec.input_dim, *spec.hidden_widths, spec.output_dim]
@@ -331,7 +357,7 @@ def reference_loss(spec: ClassifierSpec, values: np.ndarray, batch: Batch) -> fl
         start = int(d) * spec.num_classes if spec.head_mode is HeadMode.DOMAIN_INDEPENDENT else 0
         window = logits[start : start + spec.num_classes]
         total += float(logsumexp(window) - window[int(y)])
-    return total / len(batch)
+    return total / len(batch.labels)
 
 
 def fd_gradient(
@@ -427,9 +453,9 @@ def row_major_backward(
     spec: ClassifierSpec, values: np.ndarray, batch: Batch
 ) -> tuple[np.ndarray, np.ndarray]:
     """(K, P) gradients and (K,) mean losses of K stacked models on a
-    (K, B) batch, with the loss taken on row-major blocks. The forward
-    pass and the products are the engine's own calls, so only the head
-    math differs from ``backward``."""
+    (K, B) batch of arrays, with the loss taken on row-major blocks. The
+    forward pass and the products are the engine's own calls, so only
+    the head math differs from ``backward``."""
     k, b = batch.labels.shape
     n, blocks = spec.num_classes, spec.num_blocks
     layers = _unflatten(values, weight_layout(spec))
@@ -577,9 +603,16 @@ def weighted_mean(values_list: list[np.ndarray], counts: list[int]) -> np.ndarra
 # ---------------------------------------------------------------------------
 # One client's local training, one model and one batch at a time.
 
-def fresh_state(config: OptimizerConfig, num_values: int) -> OptimizerState:
-    """Optimizer state before the first step: zero moments, step count 0."""
-    return OptimizerState(config, np.zeros(num_values), np.zeros(num_values))
+def optimizer_steps(
+    config: OptimizerConfig, values, gradients
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``optimizer_step`` from zero moments, once per gradient in turn, on
+    a copy of ``values``: the stepped values and the two moments."""
+    values = np.array(values, dtype=float)
+    m, v, scratch = np.zeros_like(values), np.zeros_like(values), np.empty_like(values)
+    for t, gradient in enumerate(gradients, start=1):
+        optimizer_step(config, t, values, m, v, np.array(gradient, dtype=float), scratch)
+    return values, m, v
 
 
 def reference_client_train(
@@ -592,11 +625,11 @@ def reference_client_train(
     seed: int,
 ) -> tuple[ModelWeights, float]:
     """E passes over the shard with single-model ``backward`` and
-    ``optimizer_step`` calls: what the stacked client engine must equal,
-    bit for bit, for every client it trains."""
+    ``optimizer_step`` calls from zero moments: what the stacked client
+    engine must equal, bit for bit, for every client it trains."""
     rng = np.random.default_rng(seed)
-    weights = incoming
-    state = fresh_state(optimizer, len(incoming))
+    values = incoming.values.copy()
+    m, v, scratch = np.zeros_like(values), np.zeros_like(values), np.empty_like(values)
     loss_total = 0.0
     loss_batches = 0
     for _ in range(epochs):
@@ -604,11 +637,11 @@ def reference_client_train(
         for start in range(0, len(data), batch_size):
             idx = order[start : start + batch_size]
             batch = Batch(data.features[idx], data.labels[idx], data.groups[idx])
-            gradient, loss = backward(spec, weights, batch)
-            weights, state = optimizer_step(state, weights, gradient)
-            loss_total += loss
+            gradient, loss = engine_backward(spec, values, batch)
             loss_batches += 1
-    return weights, loss_total / loss_batches
+            optimizer_step(optimizer, loss_batches, values, m, v, gradient, scratch)
+            loss_total += loss
+    return incoming.with_values(values), loss_total / loss_batches
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +736,8 @@ def train_centralized(
     for round_index in range(1, rounds + 1):
         start = time.perf_counter()
         rng = np.random.default_rng(shuffle_seed(master_seed, 0, round_index))
-        state = fresh_state(optimizer, len(weights))
+        values = weights.values.copy()
+        m, v, scratch = np.zeros_like(values), np.zeros_like(values), np.empty_like(values)
         loss_total = 0.0
         loss_batches = 0
         for _ in range(local_epochs):
@@ -713,10 +747,11 @@ def train_centralized(
                 batch = Batch(
                     dataset.features[idx], dataset.labels[idx], dataset.groups[idx]
                 )
-                gradient, loss = backward(spec, weights, batch)
-                weights, state = optimizer_step(state, weights, gradient)
-                loss_total += loss
+                gradient, loss = engine_backward(spec, values, batch)
                 loss_batches += 1
+                optimizer_step(optimizer, loss_batches, values, m, v, gradient, scratch)
+                loss_total += loss
+        weights = weights.with_values(values)
         due = round_index % eval_every == 0 or round_index == rounds
         history.append(
             RoundSnapshot(

@@ -474,6 +474,40 @@ class TestCompare:
         assert "metric acc must be a number or null" in err
 
 
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is malformed input: a data, log or results
+    file exits 2 naming its line, a config file exits 1."""
+
+    @pytest.mark.parametrize(
+        "name,content,status,message",
+        [
+            ("data.csv", b"feature_0,target,group\n0.5,1,0\n\xff,0,1\n", 2, "{path}: line 3: "),
+            ("preds.csv", b"predicted,actual,group\n0,0,0\n1,\xff,1\n", 2, "{path}: line 3: "),
+            ("results.jsonl", b'{"kind": "round", "round": 0}\n\xff\n', 2, "{path}: line 2: "),
+            ("bad.cfg", b"data.num_classes = 2\n\xff = 1\n", 1, "cannot read config file {path}: "),
+        ],
+        ids=["dataset", "prediction_log", "results", "config"],
+    )
+    def test_exit_status_names_the_file(self, tmp_path, capsys, name, content, status, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        out = str(tmp_path / "out.jsonl")
+        csv_config = (
+            f"data.source = csv\ndata.csv_path = {path}\ndata.num_classes = 2\n"
+            "data.num_groups = 2\n"
+        )
+        argv = {
+            "data.csv": ["train", "--config", str(write_config(tmp_path, csv_config)), "--out", out],
+            "preds.csv": ["metrics", str(path), "2", "2"],
+            "results.jsonl": ["compare", str(path)],
+            "bad.cfg": ["train", "--config", str(path), "--out", out],
+        }[name]
+        assert main(argv) == status
+        err = capsys.readouterr().err
+        expected = "error: " + message.format(path=path) + "'utf-8' codec can't decode byte 0xff"
+        assert err.startswith(expected), err
+
+
 class TestStrictJson:
     def test_writers_spell_infinity_as_a_string(self, tmp_path, capsys):
         # BASE_CONFIG's dbfed run ends with one error-free test group.

@@ -29,23 +29,22 @@ from fedbias.federation import (
     train_round,
 )
 from fedbias.nn import (
-    Batch,
     ClassifierSpec,
     HeadMode,
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
     Workspace,
-    backward,
     init_weights,
     num_params,
-    optimizer_step,
     weight_layout,
 )
 from fedbias.seeding import TAG_INIT, derive_seed, shuffle_seed
 from oracles import (
-    fresh_state,
+    Batch,
+    engine_backward,
     lsum,
+    optimizer_steps,
     reference_client_train,
     reference_run_federation,
     train_centralized,
@@ -124,10 +123,9 @@ class TestClientLocalTrain:
         weights, _ = client_local_train(data, incoming, spec, sgd(lr=0.1), 1, 100, seed)
         order = np.random.default_rng(seed).permutation(len(data))
         batch = Batch(data.features[order], data.labels[order], data.groups[order])
-        gradient, _ = backward(spec, incoming, batch)
-        state = fresh_state(sgd(lr=0.1), len(incoming))
-        expected, _ = optimizer_step(state, incoming, gradient)
-        assert np.array_equal(weights.values, expected.values)
+        gradient, _ = engine_backward(spec, incoming.values, batch)
+        expected, _, _ = optimizer_steps(sgd(lr=0.1), incoming.values, [gradient])
+        assert np.array_equal(weights.values, expected)
 
     def test_identical_clients_identical_output(self):
         spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
@@ -149,10 +147,9 @@ class TestClientLocalTrain:
         weights, _ = client_local_train(data, incoming, spec, sgd(), 1, 8, 11)
         order = np.random.default_rng(11).permutation(10)
         head = Batch(data.features[order[:8]], data.labels[order[:8]], data.groups[order[:8]])
-        gradient, _ = backward(spec, incoming, head)
-        state = fresh_state(sgd(), len(incoming))
-        after_head, _ = optimizer_step(state, incoming, gradient)
-        assert not np.array_equal(weights.values, after_head.values)
+        gradient, _ = engine_backward(spec, incoming.values, head)
+        after_head, _, _ = optimizer_steps(sgd(), incoming.values, [gradient])
+        assert not np.array_equal(weights.values, after_head)
 
 
 @st.composite
@@ -412,6 +409,11 @@ class TestStackedEngine:
         assert client_chunks([5, 5, 5], STACK_VALUES + 1) == [[0], [1], [2]]
         assert client_chunks([5] * 7, STACK_VALUES // 3) == [[0, 1, 2], [3, 4], [5, 6]]
 
+    def test_empty_chunk_rejected(self):
+        spec = ClassifierSpec(3, (), 2, 2)
+        with pytest.raises(ValueError, match="^need at least one client to train$"):
+            train_clients([], [], spec, adam(), 1, 4, [])
+
     def test_unequal_shards_rejected_in_one_stack(self):
         spec = ClassifierSpec(3, (), 2, 2)
         shards = [toy_dataset(size=5), toy_dataset(size=6)]
@@ -448,12 +450,12 @@ class TestStackedEngine:
         chunk = [toy_dataset(seed=s, size=10, num_classes=3) for s in range(3)]
         assert trained(chunk, workspace) == trained(chunk, None)
 
-        stacked = random_weights(rng, spec).with_values(rng.normal(size=(3, num_params(spec))))
+        stacked = rng.normal(size=(3, num_params(spec)))
         batch = Batch(
             rng.normal(size=(3, 2, 3)), rng.integers(0, 3, (3, 2)), rng.integers(0, 2, (3, 2))
         )
-        gradient, loss = backward(spec, stacked, batch, workspace)
-        fresh_gradient, fresh_loss = backward(spec, stacked, batch)
+        gradient, loss = engine_backward(spec, stacked, batch, workspace)
+        fresh_gradient, fresh_loss = engine_backward(spec, stacked, batch)
         assert gradient.tobytes() == fresh_gradient.tobytes()
         assert loss.tobytes() == fresh_loss.tobytes()
 
@@ -463,8 +465,8 @@ class TestStackedEngine:
 
 class TestTargetRanges:
     """``train_clients`` checks its shards' targets once, before its first
-    step, where ``backward`` checks every batch; the message is the same,
-    and a federated run prefixes it with the client that holds the shard."""
+    step, and a federated run prefixes the message with the client that
+    holds the shard."""
 
     @pytest.mark.parametrize(
         "mode,field,value,message",

@@ -20,25 +20,22 @@ from scipy.special import log_softmax, softmax
 
 from fedbias.exceptions import NumericError
 from fedbias.head import block_softmax, predict_batch
-from fedbias.nn import (
+from fedbias.nn import ClassifierSpec, HeadMode, num_params
+from oracles import (
     Batch,
-    ClassifierSpec,
-    HeadMode,
-    ModelWeights,
-    backward,
-    num_params,
-    weight_layout,
+    engine_backward,
+    row_major_backward,
+    row_major_block_softmax,
+    row_major_predict,
 )
-from oracles import row_major_backward, row_major_block_softmax, row_major_predict
 
 
 def loss_of(logits, label: int, group: int, num_classes: int, num_groups: int) -> float:
     """``backward``'s loss for one example whose logits are ``logits``."""
     spec = ClassifierSpec(1, (), num_classes, num_groups, HeadMode.DOMAIN_INDEPENDENT)
     bias = np.asarray(logits, dtype=float)
-    weights = ModelWeights(np.concatenate([np.zeros(bias.size), bias]), weight_layout(spec))
     batch = Batch(np.zeros((1, 1)), [label], [group])
-    return backward(spec, weights, batch)[1]
+    return engine_backward(spec, np.concatenate([np.zeros(bias.size), bias]), batch)[1]
 
 
 def probs_of(logits, num_classes: int, num_groups: int) -> np.ndarray:
@@ -289,7 +286,7 @@ class TestRowMajorOracle:
             hnp.arrays(np.int64, (models, size), elements=st.integers(0, groups - 1))
         )
         batch = Batch(features, labels, group_ids)
-        gradient, loss = backward(spec, ModelWeights(values, weight_layout(spec)), batch)
+        gradient, loss = engine_backward(spec, values, batch)
         ref_gradient, ref_loss = row_major_backward(spec, values, batch)
         assert same_bits(loss, ref_loss)
         assert same_bits(gradient, ref_gradient)

@@ -1,27 +1,27 @@
 import numpy as np
 import pytest
 
+from fedbias.data import Dataset
 from fedbias.exceptions import ConfigurationError
+from fedbias.federation import train_clients
 from fedbias.nn import (
-    Batch,
     ClassifierSpec,
     HeadMode,
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
-    OptimizerState,
     Workspace,
-    backward,
     forward_batch,
     init_weights,
     num_params,
-    optimizer_step,
     weight_layout,
 )
 from oracles import (
+    Batch,
+    engine_backward,
     fd_gradient,
-    fresh_state,
     guarded_rel_error,
+    optimizer_steps,
     random_gradcheck_instance,
     reference_loss,
     unpack_layers,
@@ -146,8 +146,8 @@ class TestBackward:
         x = np.array([[0.4, -0.6]])
         single = Batch(x, [1], [0])
         doubled = Batch(np.repeat(x, 2, axis=0), [1, 1], [0, 0])
-        g1, l1 = backward(spec, w, single)
-        g2, l2 = backward(spec, w, doubled)
+        g1, l1 = engine_backward(spec, w.values, single)
+        g2, l2 = engine_backward(spec, w.values, doubled)
         assert np.array_equal(g1, g2)
         assert l1 == l2
 
@@ -156,7 +156,7 @@ class TestBackward:
         for _ in range(20):
             mode = HeadMode.PLAIN if rng.random() < 0.5 else HeadMode.DOMAIN_INDEPENDENT
             spec, w, batch = random_gradcheck_instance(rng, mode)
-            _, loss = backward(spec, w, batch)
+            _, loss = engine_backward(spec, w.values, batch)
             assert loss == pytest.approx(reference_loss(spec, w.values, batch), rel=1e-12)
 
     def test_gradient_matches_finite_differences_4_8_4(self):
@@ -165,7 +165,7 @@ class TestBackward:
         rng = np.random.default_rng(11)
         w = ModelWeights(rng.uniform(-0.5, 0.5, num_params(spec)), weight_layout(spec))
         batch = Batch(rng.uniform(-1, 1, (5, 4)), rng.integers(0, 2, 5), rng.integers(0, 2, 5))
-        analytic, _ = backward(spec, w, batch)
+        analytic, _ = engine_backward(spec, w.values, batch)
         numeric = fd_gradient(spec, w, batch)
         assert guarded_rel_error(analytic, numeric) <= 1e-5
 
@@ -174,7 +174,7 @@ class TestBackward:
         for mode in (HeadMode.PLAIN, HeadMode.DOMAIN_INDEPENDENT):
             for _ in range(5):
                 spec, w, batch = random_gradcheck_instance(rng, mode)
-                analytic, _ = backward(spec, w, batch)
+                analytic, _ = engine_backward(spec, w.values, batch)
                 numeric = fd_gradient(spec, w, batch)
                 assert guarded_rel_error(analytic, numeric) <= 1e-5
 
@@ -183,22 +183,21 @@ class TestBackward:
         # class wins by 40 nats, so loss ~ e^-40 and the gradient is tiny.
         spec = ClassifierSpec(2, (), 2, 1)
         values = np.concatenate([np.array([[20.0, -20.0], [0.0, 0.0]]).ravel(), np.zeros(2)])
-        w = ModelWeights(values, weight_layout(spec))
         batch = Batch(np.array([[1.0, 0.0]]), [0], [0])
-        gradient, loss = backward(spec, w, batch)
+        gradient, loss = engine_backward(spec, values, batch)
         assert loss < 1e-6
         assert np.linalg.norm(gradient) < 1e-4
 
     def test_gradient_linear_over_sub_batches(self):
         spec = ClassifierSpec(3, (4,), 3, 1)
         rng = np.random.default_rng(13)
-        w = ModelWeights(rng.uniform(-0.5, 0.5, num_params(spec)), weight_layout(spec))
+        values = rng.uniform(-0.5, 0.5, num_params(spec))
         feats = rng.uniform(-1, 1, (7, 3))
         labels = rng.integers(0, 3, 7)
         groups = np.zeros(7, dtype=int)
-        whole, _ = backward(spec, w, Batch(feats, labels, groups))
-        g_a, _ = backward(spec, w, Batch(feats[:3], labels[:3], groups[:3]))
-        g_b, _ = backward(spec, w, Batch(feats[3:], labels[3:], groups[3:]))
+        whole, _ = engine_backward(spec, values, Batch(feats, labels, groups))
+        g_a, _ = engine_backward(spec, values, Batch(feats[:3], labels[:3], groups[:3]))
+        g_b, _ = engine_backward(spec, values, Batch(feats[3:], labels[3:], groups[3:]))
         recombined = (3 * g_a + 4 * g_b) / 7
         assert np.max(np.abs(whole - recombined)) <= 1e-12
 
@@ -207,15 +206,10 @@ class TestBackward:
         # must be rejected rather than read with the wrong block count.
         plain = spec_2_3_2()
         di = ClassifierSpec(2, (3,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
-        batch = Batch(np.zeros((1, 2)), [0], [0])
-        with pytest.raises(ValueError, match="weight layout does not match"):
-            backward(plain, init_weights(di, 0), batch)
-        with pytest.raises(ValueError, match="weight layout does not match"):
-            backward(di, init_weights(plain, 0), batch)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            Batch(np.zeros((0, 2)), [], [])
+        shard = Dataset(np.zeros((1, 2)), [0], [0], 2, 2)
+        for spec, other in ((plain, di), (di, plain)):
+            with pytest.raises(ValueError, match="weight layout does not match"):
+                train_clients([shard], [init_weights(other, 0)], spec, OptimizerConfig(), 1, 1, [0])
 
     @pytest.mark.parametrize("field", ["labels", "groups"])
     def test_non_integer_labels_and_groups_rejected(self, field):
@@ -224,7 +218,7 @@ class TestBackward:
         columns = {"labels": [0, 1], "groups": [0, 1]}
         columns[field] = np.array([0.7, 1.9])
         with pytest.raises(ValueError, match=f"^{field} must hold integers, got dtype float64$"):
-            Batch(np.zeros((2, 2)), columns["labels"], columns["groups"])
+            Dataset(np.zeros((2, 2)), columns["labels"], columns["groups"], 2, 2)
 
     @pytest.mark.parametrize(
         "label,group,message",
@@ -237,22 +231,25 @@ class TestBackward:
     )
     def test_target_out_of_range_rejected(self, label, group, message):
         # -1 would otherwise wrap to the last class or block, and N or D
-        # would index past the logits.
+        # would index past the logits. The shard is valid when built and
+        # changed afterwards, which only the training check can catch.
         spec = ClassifierSpec(2, (3,), 2, 3, HeadMode.DOMAIN_INDEPENDENT)
-        batch = Batch(np.zeros((2, 2)), [1, label], [group, 2])
+        shard = Dataset(np.zeros((2, 2)), [1, 0], [0, 2], 2, 3)
+        shard.labels[1], shard.groups[0] = label, group
         with pytest.raises(ValueError, match=f"^{message}$"):
-            backward(spec, init_weights(spec, 0), batch)
+            train_clients([shard], [init_weights(spec, 0)], spec, OptimizerConfig(), 1, 2, [0])
 
     def test_plain_head_ignores_groups(self):
         spec = spec_2_3_2()
         x = np.array([[0.4, -0.6]])
-        g_any, l_any = backward(spec, init_weights(spec, 6), Batch(x, [1], [-1]))
-        g_zero, l_zero = backward(spec, init_weights(spec, 6), Batch(x, [1], [0]))
+        values = init_weights(spec, 6).values
+        g_any, l_any = engine_backward(spec, values, Batch(x, [1], [-1]))
+        g_zero, l_zero = engine_backward(spec, values, Batch(x, [1], [0]))
         assert np.array_equal(g_any, g_zero) and l_any == l_zero
 
     def test_stacked_rows_match_single_model_calls(self):
         # One workspace serves a three-model stack, then a shorter stack
-        # on a shorter batch; each row must equal its one-model call.
+        # on a shorter batch; each row must equal its one-model step.
         rng = np.random.default_rng(14)
         spec = ClassifierSpec(3, (5, 4), 3, 2, HeadMode.DOMAIN_INDEPENDENT)
         workspace = Workspace(spec, 3, 6)
@@ -262,75 +259,56 @@ class TestBackward:
                 rng.normal(size=(k, size, 3)), rng.integers(0, 3, (k, size)),
                 rng.integers(0, 2, (k, size)),
             )
-            stacked = ModelWeights(values, weight_layout(spec))
-            gradients, losses = backward(spec, stacked, batch, workspace)
+            gradients, losses = engine_backward(spec, values, batch, workspace)
             assert gradients.shape == (k, num_params(spec)) and losses.shape == (k,)
             for i in range(k):
                 single = Batch(batch.features[i], batch.labels[i], batch.groups[i])
-                gradient, loss = backward(spec, stacked.with_values(values[i]), single)
+                gradient, loss = engine_backward(spec, values[i], single)
                 assert gradients[i].tobytes() == gradient.tobytes()
                 assert losses[i] == loss
 
     def test_stack_shape_and_workspace_checked(self):
         spec = spec_2_3_2()
-        stacked = ModelWeights(np.zeros((2, num_params(spec))), weight_layout(spec))
-        targets = np.zeros((3, 1), dtype=np.int64)
-        with pytest.raises(ValueError, match="2 stacked models"):
-            backward(spec, stacked, Batch(np.zeros((3, 1, 2)), targets, targets))
-        targets = np.zeros((2, 4), dtype=np.int64)
-        batch = Batch(np.zeros((2, 4, 2)), targets, targets)
+        zeros = np.zeros(4, dtype=np.int64)
+        shards = [Dataset(np.zeros((4, 2)), zeros, zeros, 2, 1)] * 2
+        w = init_weights(spec, 0)
+        workspace = Workspace(spec, 2, 3)
         with pytest.raises(ValueError, match="workspace does not fit"):
-            backward(spec, stacked, batch, Workspace(spec, 2, 3))
-
-
-def tiny_weights(values: list[float]) -> ModelWeights:
-    # Layout with a 1x1 weight and its bias: two free parameters.
-    return ModelWeights(np.asarray(values, dtype=float), ((0, (1, 1)),))
+            train_clients(shards, [w, w], spec, OptimizerConfig(), 1, 4, [0, 1], workspace)
 
 
 class TestOptimizers:
     def test_sgd_hand_computed(self):
         # theta <- theta - eta * g with eta = 0.1, g = 0.5: 1.0 -> 0.95.
         config = OptimizerConfig(kind=OptimizerKind.SGD, learning_rate=0.1, weight_decay=0.0)
-        state = fresh_state(config, 2)
-        w = tiny_weights([1.0, 1.0])
-        stepped, new_state = optimizer_step(state, w, np.array([0.5, 0.5]))
-        assert np.array_equal(stepped.values, [0.95, 0.95])
-        assert new_state.step_count == 1
+        stepped, _, _ = optimizer_steps(config, [1.0, 1.0], [[0.5, 0.5]])
+        assert np.array_equal(stepped, [0.95, 0.95])
 
     def test_sgd_weight_decay_folded_into_gradient(self):
         config = OptimizerConfig(kind=OptimizerKind.SGD, learning_rate=0.5, weight_decay=0.2)
-        state = fresh_state(config, 2)
-        w = tiny_weights([2.0, -1.0])
+        w = np.array([2.0, -1.0])
         g = np.array([0.0, 0.0])
-        stepped, _ = optimizer_step(state, w, g)
-        expected = w.values - 0.5 * (g + 0.2 * w.values)
-        assert np.array_equal(stepped.values, expected)
+        stepped, _, _ = optimizer_steps(config, w, [g])
+        expected = w - 0.5 * (g + 0.2 * w)
+        assert np.array_equal(stepped, expected)
 
     def test_zero_gradient_zero_decay_is_identity(self):
         for kind in OptimizerKind:
             config = OptimizerConfig(kind=kind, learning_rate=0.01, weight_decay=0.0)
-            state = fresh_state(config, 2)
-            w = tiny_weights([0.3, -0.7])
-            stepped, _ = optimizer_step(state, w, np.zeros(2))
-            assert np.array_equal(stepped.values, w.values)
+            stepped, _, _ = optimizer_steps(config, [0.3, -0.7], [np.zeros(2)])
+            assert np.array_equal(stepped, [0.3, -0.7])
 
     def test_adam_first_step_magnitude(self):
         # Bias correction makes the very first step ~ eta * g / (|g| + eps).
         config = OptimizerConfig(kind=OptimizerKind.ADAM, learning_rate=0.001, weight_decay=0.0)
-        state = fresh_state(config, 2)
-        w = tiny_weights([0.0, 0.0])
-        stepped, new_state = optimizer_step(state, w, np.array([1.0, 1.0]))
-        assert stepped.values[0] == pytest.approx(-0.001, rel=1e-6)
-        assert new_state.step_count == 1
+        stepped, _, _ = optimizer_steps(config, [0.0, 0.0], [[1.0, 1.0]])
+        assert stepped[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_adam_matches_hand_rolled_two_steps(self):
         config = OptimizerConfig(kind=OptimizerKind.ADAM, learning_rate=0.01, weight_decay=0.004)
-        state = fresh_state(config, 2)
-        w = tiny_weights([0.5, -0.25])
         grads = [np.array([0.3, -0.8]), np.array([-0.1, 0.4])]
 
-        theta = w.values.copy()
+        theta = np.array([0.5, -0.25])
         m = np.zeros(2)
         v = np.zeros(2)
         for t, g in enumerate(grads, start=1):
@@ -341,45 +319,20 @@ class TestOptimizers:
             theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
             theta = theta - config.learning_rate * config.weight_decay * theta
 
-        for g in grads:
-            w, state = optimizer_step(state, w, g)
-        assert np.allclose(w.values, theta, rtol=0, atol=0)
-        assert state.step_count == 2
-
-    def test_gradient_length_checked(self):
-        state = fresh_state(OptimizerConfig(), 2)
-        with pytest.raises(ValueError):
-            optimizer_step(state, tiny_weights([1.0, 2.0]), np.zeros(3))
-
-    def test_inputs_not_mutated(self):
-        config = OptimizerConfig(kind=OptimizerKind.ADAM, learning_rate=0.01)
-        state = fresh_state(config, 2)
-        w = tiny_weights([1.0, 2.0])
-        before = w.values.copy()
-        moment_before = state.first_moment.copy()
-        optimizer_step(state, w, np.array([0.5, -0.5]))
-        assert np.array_equal(w.values, before)
-        assert np.array_equal(state.first_moment, moment_before)
+        stepped, _, _ = optimizer_steps(config, [0.5, -0.25], grads)
+        assert np.allclose(stepped, theta, rtol=0, atol=0)
 
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     def test_in_place_stacked_step_matches_single_steps(self, kind):
         config = OptimizerConfig(kind=kind, learning_rate=0.01, weight_decay=0.004)
         rng = np.random.default_rng(15)
         values = rng.normal(size=(3, 2))
-        stacked = ModelWeights(values.copy(), ((0, (1, 1)),))
-        state = OptimizerState(config, np.zeros((3, 2)), np.zeros((3, 2)))
-        singles = [(tiny_weights(row), fresh_state(config, 2)) for row in values]
-        # Only the scratch buffer is used; 3 models x 4 values cover (3, 2).
-        workspace = Workspace(ClassifierSpec(1, (), 2, 1), 3, 1)
-        for _ in range(3):
-            grads = rng.normal(size=(3, 2))
-            singles = [optimizer_step(s, w, g) for (w, s), g in zip(singles, grads)]
-            stacked, state = optimizer_step(state, stacked, grads.copy(), workspace)
-        assert state.step_count == 3
-        for i, (w, s) in enumerate(singles):
-            assert stacked.values[i].tobytes() == w.values.tobytes()
-            assert state.first_moment[i].tobytes() == s.first_moment.tobytes()
-            assert state.second_moment[i].tobytes() == s.second_moment.tobytes()
+        grads = rng.normal(size=(3, 3, 2))
+        stacked = optimizer_steps(config, values, grads)
+        for i in range(3):
+            single = optimizer_steps(config, values[i], grads[:, i])
+            for got, expected in zip(stacked, single):
+                assert got[i].tobytes() == expected.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import fedbias.federation as federation
+from fedbias.data import Dataset
+from fedbias.federation import FederationConfig, Mode, run_federation
+from fedbias.nn import ClassifierSpec, HeadMode, OptimizerConfig
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -30,3 +37,26 @@ def test_every_span_target_resolves():
             where = f"{module_name}.{cls}" if cls else module_name
             missing.append(f"{span} ({where}.{attr})")
     assert missing == []
+
+
+def test_training_steps_call_the_traced_step_functions(monkeypatch):
+    # The tracer wraps the step functions where train_clients looks them
+    # up; a run that bypasses those names leaves their spans at 0 calls.
+    calls = {"backward": 0, "optimizer_step": 0}
+    for name in calls:
+        original = getattr(federation, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(federation, name, counted)
+    rng = np.random.default_rng(0)
+    shards = [
+        Dataset(rng.normal(size=(6, 2)), rng.integers(0, 2, 6), rng.integers(0, 2, 6), 2, 2)
+        for _ in range(2)
+    ]
+    config = FederationConfig(2, 2, 1, 4, OptimizerConfig(), Mode.DBFED, 0)
+    run_federation(config, shards, ClassifierSpec(2, (), 2, 2, HeadMode.DOMAIN_INDEPENDENT))
+    # 2 rounds of 2 steps (a full batch of 4 and a last batch of 2).
+    assert calls == {"backward": 4, "optimizer_step": 4}
