@@ -10,8 +10,11 @@ parse error, 3 runtime or numeric error.
 from __future__ import annotations
 
 import argparse
+import csv
+import errno
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -89,6 +92,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_path = args.out or config.output_path
     if out_path is None:
         raise ConfigurationError("no results path: pass --out or set run.output")
+    # Fail before training, with the message opening the file would give.
+    if not Path(out_path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_path))
 
     dataset = config.load_dataset()
     partitions, test_set = config.split_and_partition(dataset)
@@ -177,7 +183,7 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
                     (mode, FairnessReport.from_dict(obj["reports"][mode]))
                     for mode in obj["modes"]
                 ]
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(
                     f"{path}: line {lineno}: malformed summary ({type(exc).__name__}: {exc})"
                 ) from None
@@ -226,7 +232,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     if args.out:
         with Path(args.out).open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("mode,acc,ser,eo,ba,dp,best_metrics\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["mode", *METRIC_NAMES, "best_metrics"])
             for label, report in labeled:
                 cells = [
                     "" if report.metric(n) is None else repr(report.metric(n))
@@ -237,7 +244,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     for n in METRIC_NAMES
                     if report.metric(n) is not None and report.metric(n) == best[n]
                 )
-                fh.write(",".join([label, *cells, flags]) + "\n")
+                writer.writerow([label, *cells, flags])
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

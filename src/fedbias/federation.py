@@ -21,8 +21,8 @@ every shuffle is seeded by (master_seed, k, round), so a client's update
 does not depend on which clients trained with it or before it. That lets
 ``train_clients`` run a chunk of clients in lockstep: each step is one
 stacked backward pass and one optimizer update over the chunk's (K', P)
-weight block, in buffers allocated once per run, and every client's
-result is bit for bit what training it alone gives.
+weight block, and every client's result is bit for bit what training it
+alone gives.
 
 The same holds across federations. ``run_lockstep`` runs several
 federations on one head (fedavg and local over the same shards, or one
@@ -64,7 +64,7 @@ from .nn import (
     HeadMode,
     ModelWeights,
     OptimizerConfig,
-    Workspace,
+    StepPlan,
     _check_targets,
     _check_weights,
     backward,
@@ -181,7 +181,6 @@ def train_clients(
     epochs: int,
     batch_size: int,
     seeds: Sequence[int],
-    workspace: Workspace | None = None,
 ) -> list[tuple[ModelWeights, float]]:
     """E full passes of K clients over their own shards, in lockstep.
 
@@ -190,16 +189,16 @@ def train_clients(
     the trailing partial batch is trained on. The shards must have equal
     lengths, so each step is one stacked backward pass and one stacked
     optimizer update over the (K, P) block of client weights, with each
-    client's rows gathered into the workspace. Returns each client's
+    client's rows gathered into the step plan. Returns each client's
     trained weights and mean loss over its batches, bit for bit what
     training that client alone gives.
 
     This is where a step's inputs are checked, once per call: at least
-    one client, the incoming layouts, that the workspace fits, and the
-    shards' label (and under the grouped head, group) ranges. The steps
-    then run ``backward`` and ``optimizer_step``, which check nothing, on
-    the workspace plans of the full and the last batch, and on layer
-    views of the weight block taken once.
+    one client, the incoming layouts, and the shards' label (and under
+    the grouped head, group) ranges. The steps then run ``backward`` and
+    ``optimizer_step``, which check nothing, on the call's plans of the
+    full and the last batch, and on layer views of the weight block
+    taken once.
     """
     if not shards:
         raise ValueError("need at least one client to train")
@@ -220,20 +219,13 @@ def train_clients(
     for shard in shards:
         _check_targets(spec, shard.labels, shard.groups)
     width = min(batch_size, size)
-    ws = Workspace(spec, k, width) if workspace is None else workspace
-    if ws.spec != spec:
-        raise ValueError("workspace does not fit this spec, stack or batch")
-    full = ws.plan(k, width)
-    last = ws.plan(k, size % width) if size % width else full
+    full = StepPlan(spec, k, width)
+    last = StepPlan(spec, k, size % width) if size % width else full
 
-    block = ws.view(ws.weights, k, len(incoming[0]))
-    np.stack([w.values for w in incoming], out=block)
+    block = np.stack([w.values for w in incoming])
     weights = incoming[0].with_values(block)
     layers = weights.unflatten()
-    first_moment = ws.view(ws.first_moment, *block.shape)
-    second_moment = ws.view(ws.second_moment, *block.shape)
-    first_moment.fill(0.0)
-    second_moment.fill(0.0)
+    first_moment, second_moment = np.zeros_like(block), np.zeros_like(block)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     loss_total = np.zeros(k)
     steps = 0
@@ -385,20 +377,11 @@ def _shared_config(federations: Sequence[Federation]) -> FederationConfig:
     return first
 
 
-def round_workspace(federations: Sequence[Federation], spec: ClassifierSpec) -> Workspace:
-    """A workspace that fits every chunk ``train_round`` trains."""
-    sizes = [len(p) for fed in federations for p in fed.partitions]
-    chunks = client_chunks(sizes, num_params(spec))
-    batch_size = _shared_config(federations).batch_size
-    return Workspace(spec, max(map(len, chunks)), min(batch_size, max(sizes)))
-
-
 def train_round(
     federations: Sequence[Federation],
     spec: ClassifierSpec,
     incoming: Sequence[Sequence[ModelWeights]],
     round_index: int,
-    workspace: Workspace | None = None,
 ) -> list[list[tuple[ModelWeights, float]]]:
     """One round of local training for every client of every federation,
     as (weights, mean loss) per federation in client order.
@@ -414,7 +397,6 @@ def train_round(
     config = _shared_config(federations)
     if [len(weights) for weights in incoming] != [len(fed.partitions) for fed in federations]:
         raise ValueError("need one incoming model per client of every federation")
-    ws = round_workspace(federations, spec) if workspace is None else workspace
     # The flat list of clients: (federation, client id) and starting weights.
     owners = [(fed, k) for fed in federations for k in range(len(fed.partitions))]
     starts = [weights for per_fed in incoming for weights in per_fed]
@@ -430,7 +412,6 @@ def train_round(
             config.local_epochs,
             config.batch_size,
             [seeds[i] for i in ids],
-            ws,
         )
 
     results: dict[int, tuple[ModelWeights, float]] = {}
@@ -531,7 +512,6 @@ def run_lockstep(
         with _in_context(_name(fed.config)):
             _check_federation(fed, spec)
 
-    workspace = round_workspace(federations, spec)
     global_weights = [
         init_weights(spec, derive_seed(fed.config.master_seed, TAG_INIT)) for fed in federations
     ]
@@ -550,7 +530,7 @@ def run_lockstep(
             else [global_weights[f]] * len(fed.partitions)
             for f, fed in enumerate(federations)
         ]
-        results = train_round(federations, spec, incoming, round_index, workspace)
+        results = train_round(federations, spec, incoming, round_index)
         trained = time.perf_counter() - start
 
         for f, fed in enumerate(federations):

@@ -187,7 +187,8 @@ class FairnessReport:
         """Inverse of ``to_dict``; also reads the bare ``Infinity`` token of
         older files, which ``json.loads`` already turns into a float. The
         metrics are read and checked first: one that is neither a number
-        nor null raises ``TypeError``."""
+        nor null raises ``TypeError``, and a non-finite one other than an
+        infinite ``ser`` (``NaN``, ``-Infinity``) raises ``ValueError``."""
         values = {name: payload[name] for name in METRIC_NAMES}
         if values["ser"] == _INF_TEXT:
             values["ser"] = math.inf
@@ -196,6 +197,10 @@ class FairnessReport:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise TypeError(f"metric {name} must be a number or null, got {value!r}")
+            if isinstance(value, float) and not (
+                math.isfinite(value) or (name == "ser" and value == math.inf)
+            ):
+                raise ValueError(f"metric {name} must be finite, got {value!r}")
         rest = [f.name for f in fields(cls) if f.name not in values and f.name != "conventions"]
         return cls(
             **values,

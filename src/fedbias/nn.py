@@ -3,8 +3,9 @@
 Fixed architecture family: dense layers with ReLU hidden activations
 and a linear output layer, float64 throughout. Backpropagation is
 hand-derived for this family rather than going through a general
-autodiff graph: a step is a fixed sequence of NumPy calls into buffers
-allocated once, which makes bitwise reproducibility checks meaningful.
+autodiff graph: a step is a fixed sequence of NumPy calls into the
+arrays of its ``StepPlan``, which makes bitwise reproducibility checks
+meaningful.
 
 Weights travel as one flat vector (`ModelWeights`) so they can be
 averaged componentwise by the federation layer; the layout records the
@@ -155,115 +156,52 @@ def _check_weights(spec: ClassifierSpec, weights: ModelWeights) -> None:
         raise ValueError("weight layout does not match the classifier spec")
 
 
-class Workspace:
-    """Every buffer that ``backward`` and ``optimizer_step`` write, for
-    stacks of up to ``models`` models on batches of up to ``batch_size``
-    examples, allocated once and reused by each step.
-
-    A step of ``k`` models on ``b`` examples writes into the views of its
-    ``plan(k, b)``: C-contiguous views of the leading part of each buffer
-    (``view``), so a smaller stack or a short last batch is laid out in
-    memory exactly like a freshly allocated array, and every NumPy kernel
-    sees the same shapes and strides it would see without the workspace.
-    Each plan is built on first use and kept, so a run of steps takes its
-    views once per shape (a chunk's full batch and its ragged last batch)
-    instead of once per step. ``weights``, ``first_moment`` and
-    ``second_moment`` hold the stacked model and optimizer state of the
-    caller's run of steps.
-
-    Every buffer is row-major (one row per example) except ``block``,
-    which holds each example's own block of logits class-major, one row
-    per class, for the block softmax and the loss.
-    """
-
-    def __init__(self, spec: ClassifierSpec, models: int, batch_size: int) -> None:
-        self.spec = spec
-        self.models = models
-        self.batch_size = batch_size
-        rows = models * batch_size
-        dims = spec.layer_dims
-        n, blocks = spec.num_classes, spec.num_blocks
-        self.features = np.empty(rows * dims[0])
-        self.labels = np.empty(rows, dtype=np.int64)
-        self.groups = np.empty(rows, dtype=np.int64)
-        # Each layer's output (hidden activations, then logits); the
-        # logits buffer becomes the output delta.
-        self.outputs = [np.empty(rows * w) for w in dims[1:]]
-        self.deltas = [np.empty(rows * w) for w in dims[1:-1]]
-        self.block = np.empty(n * rows)
-        self.gathered = np.empty(rows * n if blocks > 1 else 0)
-        self.shift, self.total, self.picked = np.empty(rows), np.empty(rows), np.empty(rows)
-        # Row r of the logits, read as (rows * blocks, n), starts block 0
-        # of example r; entry (y, r) of the class-major block is at
-        # y * rows + r, with rows the step's own row count.
-        self.row = np.arange(rows, dtype=np.int64)
-        self.block_start = self.row * blocks
-        self.block_row = np.empty(rows, dtype=np.int64)
-        self.target = np.empty(rows, dtype=np.int64)
-        p = num_params(spec)
-        self.gradient, self.scratch = np.empty(models * p), np.empty(models * p)
-        self.weights = np.empty(models * p)
-        self.first_moment, self.second_moment = np.empty(models * p), np.empty(models * p)
-        self._plans: dict[tuple[int, int], StepPlan] = {}
-
-    @staticmethod
-    def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
-        """The C-contiguous ``shape`` array at the start of ``buffer``."""
-        return buffer[: math.prod(shape)].reshape(shape)
-
-    def plan(self, models: int, size: int) -> StepPlan:
-        """The views a step of ``models`` models on ``size`` examples
-        writes into, built on the first call for that shape."""
-        plan = self._plans.get((models, size))
-        if plan is None:
-            if not (0 < models <= self.models and 0 < size <= self.batch_size):
-                raise ValueError("workspace does not fit this spec, stack or batch")
-            plan = self._plans[models, size] = StepPlan(self, models, size)
-        return plan
-
-
 class StepPlan:
-    """The views of a workspace's buffers that one stacked step of
-    ``models`` models on batches of ``size`` examples writes into.
+    """The arrays that one stacked step of ``models`` models on batches of
+    ``size`` examples writes into, each allocated at exactly its shape.
 
     ``features``, ``labels`` and ``groups`` hold the stacked batch, and
-    ``clients`` the same three views row by row, one triple per model,
+    ``clients`` the same three arrays row by row, one triple per model,
     for gathering each model's examples. Everything else is written by
     ``backward``: the layer outputs and deltas, the loss terms of the
     block softmax, and the (models, P) ``gradient`` with its per-layer
     views in ``grads``; ``scratch`` is the optimizer's.
 
-    ``block`` is the class-major (n, rows) copy of each example's own
-    block of n logits, in which the softmax, the loss and the output
-    delta are computed before the delta goes back into the row-major
-    ``logits``. Under the grouped head the blocks are first gathered
-    row-major into ``gathered`` (None under the plain head, whose logits
-    are the blocks).
+    Every array is row-major (one row per example) except ``block``, the
+    class-major (n, rows) copy of each example's own block of n logits,
+    in which the softmax, the loss and the output delta are computed
+    before the delta goes back into the row-major ``logits``. Under the
+    grouped head the blocks are first gathered row-major into
+    ``gathered`` (None under the plain head, whose logits are the blocks).
     """
 
-    def __init__(self, ws: Workspace, models: int, size: int) -> None:
-        spec, view = ws.spec, ws.view
+    def __init__(self, spec: ClassifierSpec, models: int, size: int) -> None:
         n, blocks, dims = spec.num_classes, spec.num_blocks, spec.layer_dims
         rows = models * size
         self.models, self.size, self.grouped = models, size, blocks > 1
-        self.features = view(ws.features, models, size, dims[0])
-        self.labels = view(ws.labels, models, size)
-        self.groups = view(ws.groups, models, size)
+        self.features = np.empty((models, size, dims[0]))
+        self.labels = np.empty((models, size), dtype=np.int64)
+        self.groups = np.empty((models, size), dtype=np.int64)
         self.clients = list(zip(self.features, self.labels, self.groups))
-        self.outputs = [view(buf, models, size, w) for buf, w in zip(ws.outputs, dims[1:])]
-        self.deltas = [view(buf, models, size, w) for buf, w in zip(ws.deltas, dims[1:-1])]
+        # Each layer's output (hidden activations, then logits); the
+        # logits become the output delta.
+        self.outputs = [np.empty((models, size, w)) for w in dims[1:]]
+        self.deltas = [np.empty((models, size, w)) for w in dims[1:-1]]
         # The logits with one row per example and with one row per block.
         self.logits = self.outputs[-1].reshape(rows, blocks * n)
         self.logit_blocks = self.logits.reshape(rows * blocks, n)
-        self.block = view(ws.block, n, rows)
-        self.gathered = view(ws.gathered, rows, n) if blocks > 1 else None
-        self.block_start, self.block_row = ws.block_start[:rows], ws.block_row[:rows]
-        self.row, self.target = ws.row[:rows], ws.target[:rows]
-        self.picked, self.shift, self.total = ws.picked[:rows], ws.shift[:rows], ws.total[:rows]
+        self.block = np.empty((n, rows))
+        self.gathered = np.empty((rows, n)) if blocks > 1 else None
+        # Row block_start[r] of ``logit_blocks`` is block 0 of example r;
+        # entry (y, r) of ``block`` is at y * rows + r.
+        self.row = np.arange(rows, dtype=np.int64)
+        self.block_start = self.row * blocks
+        self.block_row = np.empty(rows, dtype=np.int64)
+        self.target = np.empty(rows, dtype=np.int64)
+        self.picked, self.shift, self.total = np.empty(rows), np.empty(rows), np.empty(rows)
         p = num_params(spec)
-        self.gradient = view(ws.gradient, models, p)
+        self.gradient, self.scratch = np.empty((models, p)), np.empty((models, p))
         self.grads = _unflatten(self.gradient, weight_layout(spec))
-        self.scratch = view(ws.scratch, models, p)
 
 
 def _forward(

@@ -44,7 +44,7 @@ from fedbias.nn import (
     HeadMode,
     ModelWeights,
     OptimizerConfig,
-    Workspace,
+    StepPlan,
     _forward,
     _unflatten,
     backward,
@@ -309,18 +309,18 @@ class Batch(NamedTuple):
 
 
 def engine_backward(
-    spec: ClassifierSpec, values: np.ndarray, batch: Batch, workspace: Workspace | None = None
+    spec: ClassifierSpec, values: np.ndarray, batch: Batch
 ) -> tuple[np.ndarray, np.ndarray | float]:
     """``backward`` of K stacked models ((K, P) values) on a (K, B) batch,
-    through ``plan(K, B)`` of ``workspace`` or of a fresh
-    ``Workspace(spec, K, B)``: the (K, P) gradient and (K,) mean losses.
+    through a fresh ``StepPlan(spec, K, B)``: the (K, P) gradient and (K,)
+    mean losses.
     One model ((P,) values) on a (B,) batch is the K = 1 case and gives a
     (P,) gradient and a float loss."""
     values = np.asarray(values)
     stacked = values.ndim == 2
     arrays = [np.asarray(a) if stacked else np.asarray(a)[None] for a in batch]
     k, b = arrays[1].shape
-    plan = (Workspace(spec, k, b) if workspace is None else workspace).plan(k, b)
+    plan = StepPlan(spec, k, b)
     for view, array in zip((plan.features, plan.labels, plan.groups), arrays):
         view[...] = array
     losses = backward(plan, _unflatten(values if stacked else values[None], weight_layout(spec)))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -230,6 +231,14 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: run.master_seed must be >= 0, got {seed}\n"
         assert not out.exists()
 
+    def test_missing_results_directory_exits_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.jsonl"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no "final" summary: nothing was trained
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE_CONFIG + "federation.quorum = 3\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
@@ -414,6 +423,18 @@ class TestCompare:
         assert by_label["a:dbfed"][6] == "acc;ser;eo;ba;dp"
         assert by_label["b:dbfed"][6] == "ba;dp"
 
+    def test_comma_in_file_stem_keeps_seven_fields(self, tmp_path, capsys):
+        a, b = tmp_path / "x,1.jsonl", tmp_path / "y.jsonl"
+        write_results_file(a, "dbfed", PERFECT, 2, 2)
+        write_results_file(b, "dbfed", SKEWED, 2, 2)
+        out_csv = tmp_path / "table.csv"
+        assert main(["compare", str(a), str(b), "--out", str(out_csv)]) == 0
+        text = out_csv.read_text(encoding="utf-8")
+        rows = list(csv.reader(text.splitlines()))
+        assert [len(row) for row in rows] == [7, 7, 7]
+        assert [row[0] for row in rows[1:]] == ["x,1:dbfed", "y:dbfed"]
+        assert text.splitlines()[1].startswith('"x,1:dbfed",1.0,')
+
     def test_absent_metrics_render_as_absent(self, tmp_path, capsys):
         results = tmp_path / "solo.jsonl"
         write_results_file(results, "local", [R(0, 0, 0), R(1, 1, 0)], 2, 1)
@@ -472,6 +493,25 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line 2: malformed summary"), err
         assert "metric acc must be a number or null" in err
+
+
+    @pytest.mark.parametrize(
+        "name,value,shown",
+        [("acc", "NaN", "nan"), ("acc", "Infinity", "inf"), ("ser", "-Infinity", "-inf")],
+        ids=["nan", "inf", "negative_inf_ser"],
+    )
+    def test_non_finite_metric_exits_2_and_names_line(self, tmp_path, capsys, name, value, shown):
+        # Only ser may be +inf ("inf", or the bare Infinity of older files).
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_results_file(good, "fedavg", PERFECT, 2, 2)
+        write_results_file(bad, "dbfed", SKEWED, 2, 2)
+        original = {"acc": '"acc": 0.5', "ser": '"ser": "inf"'}[name]
+        text = bad.read_text(encoding="utf-8").replace(original, f'"{name}": {value}')
+        bad.write_text('{"kind": "round", "round": 0}\n' + text, encoding="utf-8")
+        assert main(["compare", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 2: malformed summary"), err
+        assert f"metric {name} must be finite, got {shown}" in err
 
 
 class TestNonUtf8Input:

@@ -34,7 +34,6 @@ from fedbias.nn import (
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
-    Workspace,
     init_weights,
     num_params,
     weight_layout,
@@ -409,6 +408,25 @@ class TestStackedEngine:
         assert client_chunks([5, 5, 5], STACK_VALUES + 1) == [[0], [1], [2]]
         assert client_chunks([5] * 7, STACK_VALUES // 3) == [[0, 1, 2], [3, 4], [5, 6]]
 
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), max_size=80),
+        st.integers(1, 2 * STACK_VALUES) | st.integers(STACK_VALUES // 80, STACK_VALUES // 2),
+    )
+    def test_chunks_partition_each_size_class_evenly(self, sizes, num_values):
+        cap = max(1, STACK_VALUES // num_values)
+        chunks = client_chunks(sizes, num_values)
+        assert sorted(k for chunk in chunks for k in chunk) == list(range(len(sizes)))
+        assert all(0 < len(chunk) <= cap for chunk in chunks)
+        assert all(len({sizes[k] for k in chunk}) == 1 for chunk in chunks)
+        for size in set(sizes):
+            ids = [k for k, s in enumerate(sizes) if s == size]
+            own = [chunk for chunk in chunks if sizes[chunk[0]] == size]
+            # In order, in the fewest chunks the cap allows, balanced to within one.
+            assert [k for chunk in own for k in chunk] == ids
+            assert len(own) == -(-len(ids) // cap)
+            assert max(map(len, own)) - min(map(len, own)) <= 1
+
     def test_empty_chunk_rejected(self):
         spec = ClassifierSpec(3, (), 2, 2)
         with pytest.raises(ValueError, match="^need at least one client to train$"):
@@ -426,41 +444,8 @@ class TestStackedEngine:
         other = ClassifierSpec(3, (2,), 2, 2)
         shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
         w = init_weights(spec, 0)
-        for workspace in (Workspace(spec, 1, 4), Workspace(spec, 2, 3), Workspace(other, 2, 4)):
-            with pytest.raises(ValueError, match="^workspace does not fit"):
-                train_clients(shards, [w, w], spec, adam(), 1, 4, [0, 1], workspace)
         with pytest.raises(ValueError, match="^weight layout does not match"):
             train_clients(shards, [w, init_weights(other, 0)], spec, adam(), 1, 4, [0, 1])
-
-    def test_one_workspace_serves_steps_of_every_shape(self):
-        # Plans are cached per (models, batch) shape. A 3-client chunk with
-        # a ragged last batch, a stacked backward on that ragged shape,
-        # then a 2-client chunk must each equal the same call made on
-        # fresh buffers.
-        spec = ClassifierSpec(3, (5, 4), 3, 2, HeadMode.DOMAIN_INDEPENDENT)
-        rng = np.random.default_rng(16)
-        workspace = Workspace(spec, 3, 4)
-
-        def trained(shards, ws):
-            incoming = [init_weights(spec, k) for k in range(len(shards))]
-            seeds = [5, 6, 7][: len(shards)]
-            results = train_clients(shards, incoming, spec, adam(), 2, 4, seeds, ws)
-            return [(w.values.tobytes(), repr(loss)) for w, loss in results]
-
-        chunk = [toy_dataset(seed=s, size=10, num_classes=3) for s in range(3)]
-        assert trained(chunk, workspace) == trained(chunk, None)
-
-        stacked = rng.normal(size=(3, num_params(spec)))
-        batch = Batch(
-            rng.normal(size=(3, 2, 3)), rng.integers(0, 3, (3, 2)), rng.integers(0, 2, (3, 2))
-        )
-        gradient, loss = engine_backward(spec, stacked, batch, workspace)
-        fresh_gradient, fresh_loss = engine_backward(spec, stacked, batch)
-        assert gradient.tobytes() == fresh_gradient.tobytes()
-        assert loss.tobytes() == fresh_loss.tobytes()
-
-        pair = [toy_dataset(seed=s, size=7, num_classes=3) for s in (3, 4)]
-        assert trained(pair, workspace) == trained(pair, None)
 
 
 class TestTargetRanges:
@@ -649,7 +634,7 @@ class TestLockstep:
         losses = [1 / 3, 2 / 7, 5 / 11, 0.1]
         config, parts, spec, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
 
-        def fixed(federations, spec, incoming, round_index, workspace=None):
+        def fixed(federations, spec, incoming, round_index):
             return [[(w, loss) for w, loss in zip(incoming[0], losses)]]
 
         monkeypatch.setattr(federation, "train_round", fixed)

@@ -10,7 +10,6 @@ from fedbias.nn import (
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
-    Workspace,
     forward_batch,
     init_weights,
     num_params,
@@ -248,33 +247,23 @@ class TestBackward:
         assert np.array_equal(g_any, g_zero) and l_any == l_zero
 
     def test_stacked_rows_match_single_model_calls(self):
-        # One workspace serves a three-model stack, then a shorter stack
-        # on a shorter batch; each row must equal its one-model step.
+        # A three-model stack, then a shorter stack on a shorter batch;
+        # each row must equal its one-model step.
         rng = np.random.default_rng(14)
         spec = ClassifierSpec(3, (5, 4), 3, 2, HeadMode.DOMAIN_INDEPENDENT)
-        workspace = Workspace(spec, 3, 6)
         for k, size in ((3, 6), (2, 4)):
             values = rng.normal(size=(k, num_params(spec)))
             batch = Batch(
                 rng.normal(size=(k, size, 3)), rng.integers(0, 3, (k, size)),
                 rng.integers(0, 2, (k, size)),
             )
-            gradients, losses = engine_backward(spec, values, batch, workspace)
+            gradients, losses = engine_backward(spec, values, batch)
             assert gradients.shape == (k, num_params(spec)) and losses.shape == (k,)
             for i in range(k):
                 single = Batch(batch.features[i], batch.labels[i], batch.groups[i])
                 gradient, loss = engine_backward(spec, values[i], single)
                 assert gradients[i].tobytes() == gradient.tobytes()
                 assert losses[i] == loss
-
-    def test_stack_shape_and_workspace_checked(self):
-        spec = spec_2_3_2()
-        zeros = np.zeros(4, dtype=np.int64)
-        shards = [Dataset(np.zeros((4, 2)), zeros, zeros, 2, 1)] * 2
-        w = init_weights(spec, 0)
-        workspace = Workspace(spec, 2, 3)
-        with pytest.raises(ValueError, match="workspace does not fit"):
-            train_clients(shards, [w, w], spec, OptimizerConfig(), 1, 4, [0, 1], workspace)
 
 
 class TestOptimizers:
