@@ -14,13 +14,7 @@ submodules ``nn``, ``head``, ``federation``, ``metrics`` and ``data``.
 """
 
 from .config import ExperimentConfig, load_config, parse_config
-from .exceptions import (
-    ConfigurationError,
-    DataFormatError,
-    NumericError,
-    ProtocolError,
-    UndefinedMetricError,
-)
+from .exceptions import ConfigurationError, DataFormatError, NumericError
 from .federation import FederationResult, Mode, run_federation
 from .metrics import FairnessReport, full_report, load_prediction_log, tally
 
@@ -34,8 +28,6 @@ __all__ = [
     "FederationResult",
     "Mode",
     "NumericError",
-    "ProtocolError",
-    "UndefinedMetricError",
     "full_report",
     "load_config",
     "load_prediction_log",

@@ -23,13 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .data import generate_synthetic, read_text, save_csv
-from .exceptions import (
-    ConfigurationError,
-    DataFormatError,
-    NumericError,
-    ProtocolError,
-    UndefinedMetricError,
-)
+from .exceptions import ConfigurationError, DataFormatError
 from .federation import Federation, Mode, run_lockstep
 from .federation import run_federation  # noqa: F401  (a span target of perfbench/tracing.py)
 from .metrics import (
@@ -93,8 +87,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if out_path is None:
         raise ConfigurationError("no results path: pass --out or set run.output")
     # Fail before training, with the message opening the file would give.
-    if not Path(out_path).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_path))
+    path = Path(out_path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
     dataset = config.load_dataset()
     partitions, test_set = config.split_and_partition(dataset)
@@ -139,7 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         }
     )
 
-    with Path(out_path).open("w", encoding="utf-8", newline="\n") as fh:
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
         for obj in lines:
             fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote {out_path}: {len(lines)} lines")
@@ -298,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolError, UndefinedMetricError, NumericError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

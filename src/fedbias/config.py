@@ -93,9 +93,6 @@ class ExperimentConfig:
     optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer_kind, OptimizerKind.ADAM)
     learning_rate: float = _key("optimizer.learning_rate", float, 1e-4)
     weight_decay: float = _key("optimizer.weight_decay", float, 3e-4)
-    beta1: float = _key("optimizer.beta1", float, 0.9)
-    beta2: float = _key("optimizer.beta2", float, 0.999)
-    epsilon: float = _key("optimizer.epsilon", float, 1e-8)
     modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
     master_seed: int = _key("run.master_seed", int, 0)
     eval_every: int = _key("run.eval_every", int, 1)
@@ -127,9 +124,6 @@ class ExperimentConfig:
             kind=self.optimizer_kind,
             learning_rate=self.learning_rate,
             weight_decay=self.weight_decay,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
         )
 
     def federation_config(self, mode: Mode) -> FederationConfig:

@@ -1,8 +1,9 @@
 """Error types shared across the package.
 
-The CLI maps these onto exit statuses: configuration problems exit 1,
-data/parse problems exit 2, everything else that is raised at runtime
-(protocol violations, undefined metrics, numeric failures) exits 3.
+The CLI maps errors onto exit statuses: configuration problems exit 1,
+data/parse problems (and OS errors on files) exit 2, and every other
+``ValueError`` or ``ArithmeticError`` raised at runtime (a malformed
+aggregation, an empty prediction log, a ``NumericError``) exits 3.
 """
 
 
@@ -12,14 +13,6 @@ class ConfigurationError(ValueError):
 
 class DataFormatError(ValueError):
     """A data file could not be parsed. Messages name the offending line."""
-
-
-class ProtocolError(ValueError):
-    """Client/server exchange violated the federation contract."""
-
-
-class UndefinedMetricError(ValueError):
-    """A metric has no defined value for the given prediction log."""
 
 
 class NumericError(ArithmeticError):

@@ -49,13 +49,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .data import Dataset
-from .exceptions import (
-    ConfigurationError,
-    DataFormatError,
-    NumericError,
-    ProtocolError,
-    UndefinedMetricError,
-)
+from .exceptions import ConfigurationError, NumericError
 from .head import predict_batch
 from .metrics import FairnessReport, full_report, tally
 from .metrics import mean_reports, records_from_arrays  # noqa: F401  (perfbench span targets)
@@ -132,8 +126,6 @@ class FederationResult:
     """``final_weights`` is the last global model; None in local mode,
     where each client's own model is in ``client_weights``."""
 
-    mode: Mode
-    spec: ClassifierSpec
     config: FederationConfig
     final_weights: ModelWeights | None
     client_weights: dict[int, ModelWeights]
@@ -276,17 +268,17 @@ def fedavg_aggregate(
     [min_k, max_k].
     """
     if not contributions:
-        raise ProtocolError("no client contributions to aggregate")
+        raise ValueError("no client contributions to aggregate")
     ordered = sorted(contributions, key=lambda c: c[0])
     ids = [cid for cid, _, _ in ordered]
     if len(set(ids)) != len(ids):
-        raise ProtocolError(f"duplicate client ids in aggregation: {ids}")
+        raise ValueError(f"duplicate client ids in aggregation: {ids}")
     base = ordered[0][1]
     for cid, w, n_k in ordered:
         if w.layout != base.layout:
-            raise ProtocolError(f"client {cid} weight layout disagrees with client {ids[0]}")
+            raise ValueError(f"client {cid} weight layout disagrees with client {ids[0]}")
         if n_k <= 0:
-            raise ProtocolError(f"client {cid} reports a non-positive sample count")
+            raise ValueError(f"client {cid} reports a non-positive sample count")
     total = sum(n_k for _, _, n_k in ordered)
     stacked = np.stack([w.values for _, w, _ in ordered])
     coef = np.array([n_k / total for _, _, n_k in ordered])
@@ -315,15 +307,8 @@ def evaluate_weights(
     return full_report(counts)
 
 
-_WRAPPABLE = (
-    ConfigurationError,
-    DataFormatError,
-    ProtocolError,
-    UndefinedMetricError,
-    NumericError,
-    ValueError,
-    ArithmeticError,
-)
+# Every library error subclasses one of these.
+_WRAPPABLE = (ValueError, ArithmeticError)
 
 
 @contextmanager
@@ -556,8 +541,6 @@ def run_lockstep(
 
     return [
         FederationResult(
-            mode=fed.config.mode,
-            spec=spec,
             config=fed.config,
             final_weights=None if fed.config.mode is Mode.LOCAL_ONLY else global_weights[f],
             client_weights=dict(enumerate(local_weights[f])),

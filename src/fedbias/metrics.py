@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import read_text
-from .exceptions import ConfigurationError, DataFormatError, UndefinedMetricError
+from .exceptions import ConfigurationError, DataFormatError
 
 CONVENTIONS = {
     "ser": "max_group_error / min_group_error",
@@ -236,7 +236,7 @@ def full_report(counts: np.ndarray) -> FairnessReport:
     total = add.reduce(group_totals, axis=1)
     totals = set(total.tolist())
     if 0 in totals:
-        raise UndefinedMetricError("cannot build a report from an empty prediction log")
+        raise ValueError("cannot build a report from an empty prediction log")
     if len(totals) > 1:
         raise ValueError("reports to average must describe the same test set")
     correct = add.reduce(diagonal, axis=2)

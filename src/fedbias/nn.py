@@ -306,6 +306,11 @@ def backward(plan: StepPlan, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.
     return mean_loss
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Optimizer kind and hyperparameters; ``optimizer_step`` reads them."""
@@ -313,9 +318,6 @@ class OptimizerConfig:
     kind: OptimizerKind = OptimizerKind.ADAM
     learning_rate: float = 1e-4
     weight_decay: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         # 0 is allowed: it makes training a (useful) no-op in tests.
@@ -323,10 +325,6 @@ class OptimizerConfig:
             raise ConfigurationError("learning_rate must be >= 0")
         if self.weight_decay < 0.0:
             raise ConfigurationError("weight_decay must be >= 0")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ConfigurationError("adam betas must be in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ConfigurationError("adam epsilon must be > 0")
 
 
 def optimizer_step(
@@ -352,17 +350,17 @@ def optimizer_step(
         scratch *= config.learning_rate
         values -= scratch
     else:
-        m *= config.beta1
-        m += np.multiply(gradient, 1.0 - config.beta1, out=scratch)
-        v *= config.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(gradient, 1.0 - ADAM_BETA1, out=scratch)
+        v *= ADAM_BETA2
         squared = np.square(gradient, out=gradient)
-        squared *= 1.0 - config.beta2
+        squared *= 1.0 - ADAM_BETA2
         v += squared
         # values - lr * m_hat / (sqrt(v_hat) + eps)
-        step = np.divide(m, 1.0 - config.beta1**t, out=scratch)
+        step = np.divide(m, 1.0 - ADAM_BETA1**t, out=scratch)
         step *= config.learning_rate
-        denom = np.sqrt(np.divide(v, 1.0 - config.beta2**t, out=gradient), out=gradient)
-        denom += config.epsilon
+        denom = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=gradient), out=gradient)
+        denom += ADAM_EPSILON
         step /= denom
         values -= step
         if config.weight_decay != 0.0:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from fedbias.data import Dataset
-from fedbias.exceptions import ConfigurationError, DataFormatError, UndefinedMetricError
+from fedbias.exceptions import ConfigurationError, DataFormatError
 from fedbias.federation import (
     FederationConfig,
     FederationResult,
@@ -189,7 +189,7 @@ def scalar_full_report(counts: np.ndarray) -> FairnessReport:
     num_groups, num_classes, _ = counts.shape
     m = marginals(counts)
     if m.total == 0:
-        raise UndefinedMetricError("cannot build a report from an empty prediction log")
+        raise ValueError("cannot build a report from an empty prediction log")
     every_group = 0 not in m.group_totals
 
     ser = None
@@ -689,8 +689,6 @@ def reference_run_federation(
         report = evaluate() if due else None
         history.append(RoundSnapshot(round_index, report, lsum(losses) / len(losses), 0.0))
     return FederationResult(
-        mode=config.mode,
-        spec=spec,
         config=config,
         final_weights=None if local_mode else global_weights,
         client_weights=dict(enumerate(local_weights)),

@@ -239,6 +239,15 @@ class TestTrain:
         assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
 
+    def test_results_path_that_is_a_directory_exits_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        out.mkdir()
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no "final" summary: nothing was trained
+        assert captured.err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert list(out.iterdir()) == []
+
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE_CONFIG + "federation.quorum = 3\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 1

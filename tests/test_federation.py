@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import fedbias.federation as federation
 from fedbias.data import Dataset, SyntheticSpec, generate_synthetic, partition, train_test_split
-from fedbias.exceptions import (
-    ConfigurationError,
-    NumericError,
-    ProtocolError,
-    UndefinedMetricError,
-)
+from fedbias.exceptions import ConfigurationError, NumericError
 from fedbias.federation import (
     STACK_VALUES,
     Federation,
@@ -89,13 +86,11 @@ class TestConfigAndState:
             FederationConfig(1, 1, 1, 0, adam(), Mode.DBFED, 0)
 
     def test_empty_client_dataset_rejected(self):
-        # run_federation names the client before round 1 starts; a direct
-        # client_local_train call rejects the shard on its own.
-        config, parts, spec, test = small_run_setup(Mode.DBFED)
+        # A direct client_local_train call rejects the shard on its own
+        # (a run names the client first: TestFailureParity).
+        spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
         empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
-        with pytest.raises(ConfigurationError, match=r"^dbfed seed 21: client 1 has an empty dataset"):
-            run_federation(config, [parts[0], empty], spec, test_set=test)
-        with pytest.raises(ConfigurationError, match="empty dataset"):
+        with pytest.raises(ConfigurationError, match="^cannot train on an empty dataset$"):
             client_local_train(empty, init_weights(spec, 0), spec, adam(), 1, 8, 0)
 
     def test_mode_helpers(self):
@@ -225,13 +220,14 @@ class TestFedavgAggregate:
         spec = ClassifierSpec(2, (), 2, 1)
         other = ClassifierSpec(3, (), 2, 1)
         w = init_weights(spec, 0)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ValueError, match=r"^no client contributions to aggregate$"):
             fedavg_aggregate([])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ValueError, match=r"^duplicate client ids in aggregation: \[0, 0\]$"):
             fedavg_aggregate([(0, w, 5), (0, w, 5)])
-        with pytest.raises(ProtocolError):
+        message = r"^client 1 weight layout disagrees with client 0$"
+        with pytest.raises(ValueError, match=message):
             fedavg_aggregate([(0, w, 5), (1, init_weights(other, 0), 5)])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ValueError, match=r"^client 0 reports a non-positive sample count$"):
             fedavg_aggregate([(0, w, 0)])
 
 
@@ -538,7 +534,7 @@ class TestLockstep:
             alone = reference_run_federation(
                 fed.config, fed.partitions, spec, fed.test_set, eval_every
             )
-            assert result.mode is fed.config.mode and result.config == fed.config
+            assert result.config == fed.config
             assert [s.round_index for s in result.history] == [s.round_index for s in alone.history]
             assert [repr(s.mean_train_loss) for s in result.history] == [
                 repr(s.mean_train_loss) for s in alone.history
@@ -608,25 +604,11 @@ class TestLockstep:
         config, parts, spec, test = small_run_setup(mode)
 
         def boom(*args):
-            raise ProtocolError("boom")
+            raise ValueError("boom")
 
         monkeypatch.setattr(federation, target, boom)
-        with pytest.raises(ProtocolError, match=message + "boom$"):
+        with pytest.raises(ValueError, match=message + "boom$"):
             run_lockstep([Federation(config, parts, test)], spec)
-
-    @pytest.mark.parametrize(
-        "mode, where",
-        [
-            (Mode.LOCAL_ONLY, "local seed 21, round 0, client 0"),
-            (Mode.DBFED, "dbfed seed 21, round 0"),
-        ],
-    )
-    def test_empty_test_set_names_the_first_client_scored(self, mode, where):
-        config, parts, spec, _ = small_run_setup(mode)
-        empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
-        message = f"^{where}, evaluation: cannot build a report from an empty prediction log$"
-        with pytest.raises(UndefinedMetricError, match=message):
-            run_lockstep([Federation(config, parts, empty)], spec)
 
     def test_mean_train_loss_adds_left_to_right(self, monkeypatch):
         # sum() of these losses is 1.1735930735930735 on Python 3.12, which
@@ -703,6 +685,37 @@ class TestNonFiniteTraining:
         poison_losses(monkeypatch, parts[1:])
         with pytest.raises(NumericError, match="^fedavg seed 21, round 1, client 1: .*non-finite"):
             run_federation(config, parts, spec, test_set=test)
+
+
+class TestFailureParity:
+    """The same fault stops every mode with the same error type, and a
+    message naming the mode, the master seed and where the run stopped."""
+
+    @pytest.mark.parametrize("mode", [m.value for m in Mode])
+    @pytest.mark.parametrize("fault", ["nan_feature", "empty_shard", "empty_test"])
+    def test_same_error_in_every_mode(self, fault, mode):
+        mode = Mode(mode)
+        config, parts, spec, test = small_run_setup(mode, num_clients=3)
+        empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
+        if fault == "nan_feature":
+            # Clients 1 and 2 both diverge; client order decides.
+            for part in parts[1:]:
+                part.features[0, 0] = np.nan
+            error = NumericError
+            where = ", round 1, client 1: local training produced non-finite weights or loss"
+        elif fault == "empty_shard":
+            parts[1] = empty
+            error, where = ConfigurationError, ": client 1 has an empty dataset"
+        else:
+            test = empty
+            # A local round scores its clients as one stack; client 0 is the first.
+            client = "client 0, " if mode is Mode.LOCAL_ONLY else ""
+            error = ValueError
+            where = f", round 0, {client}evaluation: cannot build a report from an empty prediction log"
+        message = f"^{mode.value} seed 21{re.escape(where)}$"
+        with pytest.raises(error, match=message) as raised:
+            run_federation(config, parts, spec, test_set=test)
+        assert raised.type is error
 
 
 class TestCentralizedEquivalence:
