@@ -9,7 +9,7 @@ group's labels with features alone.
 import statistics
 
 from fedbias.config import parse_config
-from fedbias.federation import Mode, run_federation
+from fedbias.federation import Federation, Mode, run_lockstep
 from fedbias.metrics import METRIC_NAMES
 
 CONFIG = """
@@ -31,27 +31,31 @@ run.eval_every = 30
 
 SEEDS = range(5)
 
+# Each seed draws its own data, split and client shards.
+seeded = []
+for master_seed in SEEDS:
+    config = parse_config(CONFIG + f"run.master_seed = {master_seed}\n")
+    dataset = config.load_dataset()
+    seeded.append((master_seed, *config.split_and_partition(dataset)))
+
+# The seeds share one run shape, and fedavg and local share the plain
+# head, so each head trains all of its (mode, seed) pairs in one lockstep run.
 rows = {}
-for mode in (Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY, Mode.DBFED):
-    finals = []
-    for master_seed in SEEDS:
-        config = parse_config(CONFIG + f"run.master_seed = {master_seed}\n")
-        dataset = config.load_dataset()
-        partitions, test_set = config.split_and_partition(dataset)
-        spec = config.classifier_spec(mode, input_dim=dataset.feature_dim)
-        result = run_federation(
-            config.federation_config(mode),
-            partitions,
-            spec,
-            test_set=test_set,
-            eval_every=config.eval_every,
-        )
-        finals.append(result.final_report)
-    rows[mode.value] = {
-        name: statistics.median(r.metric(name) for r in finals)
-        for name in METRIC_NAMES
-    }
-    print(f"finished {mode.value} ({len(finals)} seeds)")
+for modes in ((Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY), (Mode.DBFED,)):
+    spec = config.classifier_spec(modes[0], input_dim=dataset.feature_dim)
+    federations = [
+        Federation(mode, master_seed, partitions, test_set)
+        for mode in modes
+        for master_seed, partitions, test_set in seeded
+    ]
+    results = iter(run_lockstep(config.federation_config(), federations, spec))
+    for mode in modes:
+        finals = [next(results).final_report for _ in SEEDS]
+        rows[mode.value] = {
+            name: statistics.median(r.metric(name) for r in finals)
+            for name in METRIC_NAMES
+        }
+        print(f"finished {mode.value} ({len(finals)} seeds)")
 
 print(f"\nmedian test metrics over {len(list(SEEDS))} seeds"
       " (ACC higher is better, rest lower):")

@@ -15,7 +15,7 @@ submodules ``nn``, ``head``, ``federation``, ``metrics`` and ``data``.
 
 from .config import ExperimentConfig, load_config, parse_config
 from .exceptions import ConfigurationError, DataFormatError, NumericError
-from .federation import FederationResult, Mode, run_federation
+from .federation import Federation, FederationResult, Mode, run_federation
 from .metrics import FairnessReport, full_report, load_prediction_log, tally
 
 __version__ = "0.1.0"
@@ -25,6 +25,7 @@ __all__ = [
     "DataFormatError",
     "ExperimentConfig",
     "FairnessReport",
+    "Federation",
     "FederationResult",
     "Mode",
     "NumericError",

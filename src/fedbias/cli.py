@@ -104,10 +104,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         groups.setdefault(spec, []).append(mode)
     results = {}
     for spec, modes in groups.items():
-        federations = [
-            Federation(config.federation_config(mode), partitions, test_set) for mode in modes
-        ]
-        results.update(zip(modes, run_lockstep(federations, spec, config.eval_every)))
+        federations = [Federation(mode, config.master_seed, partitions, test_set) for mode in modes]
+        results.update(zip(modes, run_lockstep(config.federation_config(), federations, spec)))
 
     lines: list[dict] = []
     summary: dict[str, dict] = {}

@@ -8,6 +8,7 @@ has a default except the conditionally required data-source fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -23,6 +24,13 @@ from .exceptions import ConfigurationError
 from .federation import FederationConfig, Mode, head_mode_for
 from .nn import ClassifierSpec, OptimizerConfig, OptimizerKind
 from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, check_master_seed, derive_seed
+
+
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
 
 
 def _parse_widths(raw: str) -> tuple[int, ...]:
@@ -43,8 +51,6 @@ def _parse_modes(raw: str) -> tuple[Mode, ...]:
         except ValueError:
             valid = ", ".join(m.value for m in Mode)
             raise ValueError(f"unknown mode {name!r} (choose from {valid})") from None
-    if not modes:
-        raise ValueError("at least one mode is required")
     if len(set(modes)) != len(modes):
         raise ValueError("modes must not repeat")
     return tuple(modes)
@@ -80,19 +86,19 @@ class ExperimentConfig:
     num_groups: int = _key("data.num_groups", int)
     feature_dim: int | None = _key("data.feature_dim", int, None)
     samples_per_group: int | None = _key("data.samples_per_group", int, None)
-    bias_strength: float = _key("data.bias_strength", float, 0.0)
-    group_shift: float = _key("data.group_shift", float, 0.0)
-    noise_sigma: float = _key("data.noise_sigma", float, 1.0)
+    bias_strength: float = _key("data.bias_strength", _parse_finite, 0.0)
+    group_shift: float = _key("data.group_shift", _parse_finite, 0.0)
+    noise_sigma: float = _key("data.noise_sigma", _parse_finite, 1.0)
     csv_path: str | None = _key("data.csv_path", str, None)
-    test_fraction: float = _key("data.test_fraction", float, 0.2)
+    test_fraction: float = _key("data.test_fraction", _parse_finite, 0.2)
     hidden_widths: tuple[int, ...] = _key("model.hidden", _parse_widths, (16,))
     rounds: int = _key("federation.rounds", int, 30)
     num_clients: int = _key("federation.clients", int, 5)
     local_epochs: int = _key("federation.local_epochs", int, 3)
     batch_size: int = _key("federation.batch_size", int, 128)
     optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer_kind, OptimizerKind.ADAM)
-    learning_rate: float = _key("optimizer.learning_rate", float, 1e-4)
-    weight_decay: float = _key("optimizer.weight_decay", float, 3e-4)
+    learning_rate: float = _key("optimizer.learning_rate", _parse_finite, 1e-4)
+    weight_decay: float = _key("optimizer.weight_decay", _parse_finite, 3e-4)
     modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
     master_seed: int = _key("run.master_seed", int, 0)
     eval_every: int = _key("run.eval_every", int, 1)
@@ -126,15 +132,13 @@ class ExperimentConfig:
             weight_decay=self.weight_decay,
         )
 
-    def federation_config(self, mode: Mode) -> FederationConfig:
+    def federation_config(self) -> FederationConfig:
         return FederationConfig(
             rounds=self.rounds,
-            num_clients=self.num_clients,
             local_epochs=self.local_epochs,
             batch_size=self.batch_size,
             optimizer=self.optimizer_config(),
-            mode=mode,
-            master_seed=self.master_seed,
+            eval_every=self.eval_every,
         )
 
     def classifier_spec(self, mode: Mode, input_dim: int) -> ClassifierSpec:

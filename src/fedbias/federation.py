@@ -26,11 +26,12 @@ alone gives.
 
 The same holds across federations. ``run_lockstep`` runs several
 federations on one head (fedavg and local over the same shards, or one
-mode at many master seeds) round by round: each round trains the clients
-of all of them as one flat list through ``train_round``, then aggregates
-and evaluates each federation on its own. Each result equals a run of
-that federation alone, and ``run_federation`` is the one-federation case.
-Errors name the federation by mode and master seed
+mode at many master seeds) under one shared ``FederationConfig``, round
+by round: each round trains the clients of all of them as one flat list
+through ``train_round``, then aggregates and evaluates each federation
+on its own. Each result equals a run of that federation alone, and
+``run_federation`` is the one-federation case. Errors name the
+federation by mode and master seed
 (``"fedavg seed 3, round 2, client 1: ..."``, or ``"fedavg seed 3: ..."``
 for the checks made before round 1).
 """
@@ -82,28 +83,27 @@ def head_mode_for(mode: Mode) -> HeadMode:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """Run shape: R rounds, K clients, E local epochs per round."""
+    """The run shape every federation of a run shares: R rounds of E local
+    epochs in batches of B under one optimizer, with a test-set evaluation
+    every ``eval_every``-th round."""
 
     rounds: int
-    num_clients: int
     local_epochs: int
     batch_size: int
     optimizer: OptimizerConfig
-    mode: Mode
-    master_seed: int
+    eval_every: int = 1
 
     def __post_init__(self) -> None:
         # rounds = 0 is a valid no-op run that just reports the
         # initialized model.
         if self.rounds < 0:
             raise ConfigurationError("rounds must be >= 0")
-        if self.num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1")
         if self.local_epochs < 1:
             raise ConfigurationError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        check_master_seed(self.master_seed)
+        if self.eval_every < 1:
+            raise ConfigurationError("eval_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,6 @@ class FederationResult:
     """``final_weights`` is the last global model; None in local mode,
     where each client's own model is in ``client_weights``."""
 
-    config: FederationConfig
     final_weights: ModelWeights | None
     client_weights: dict[int, ModelWeights]
     history: list[RoundSnapshot]
@@ -333,43 +332,30 @@ def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None
 
 
 class Federation(NamedTuple):
-    """One federation of a lockstep run: its run shape (with its own mode
-    and master seed), its client shards and an optional test set."""
+    """What one federation of a run holds on its own: its mode, its master
+    seed, its client shards (client k is the k-th) and an optional test
+    set. The run shape comes from the ``FederationConfig`` of the run."""
 
-    config: FederationConfig
+    mode: Mode
+    master_seed: int
     partitions: Sequence[Dataset]
     test_set: Dataset | None = None
 
 
-def _name(config: FederationConfig) -> str:
-    return f"{config.mode.value} seed {config.master_seed}"
-
-
-def _shared_config(federations: Sequence[Federation]) -> FederationConfig:
-    """The first federation's config, once every federation is checked to
-    share its rounds, local epochs, batch size and optimizer."""
-    if not federations:
-        raise ConfigurationError("a lockstep run needs at least one federation")
-    first = federations[0].config
-    shape = (first.rounds, first.local_epochs, first.batch_size, first.optimizer)
-    for fed in federations[1:]:
-        c = fed.config
-        if (c.rounds, c.local_epochs, c.batch_size, c.optimizer) != shape:
-            raise ConfigurationError(
-                f"{_name(c)} differs from {_name(first)} in rounds, local epochs, "
-                "batch size or optimizer; federations in one lockstep run must share them"
-            )
-    return first
+def _name(fed: Federation) -> str:
+    return f"{fed.mode.value} seed {fed.master_seed}"
 
 
 def train_round(
+    config: FederationConfig,
     federations: Sequence[Federation],
     spec: ClassifierSpec,
     incoming: Sequence[Sequence[ModelWeights]],
     round_index: int,
 ) -> list[list[tuple[ModelWeights, float]]]:
-    """One round of local training for every client of every federation,
-    as (weights, mean loss) per federation in client order.
+    """One round of local training, under ``config``'s local epochs, batch
+    size and optimizer, for every client of every federation, as
+    (weights, mean loss) per federation in client order.
 
     The (federation, client) pairs form one flat list that trains chunk
     by chunk (``client_chunks``). Client k of federation f starts from
@@ -379,14 +365,13 @@ def train_round(
     the round and the first client that fails, in federation order, then
     client order.
     """
-    config = _shared_config(federations)
     if [len(weights) for weights in incoming] != [len(fed.partitions) for fed in federations]:
         raise ValueError("need one incoming model per client of every federation")
     # The flat list of clients: (federation, client id) and starting weights.
     owners = [(fed, k) for fed in federations for k in range(len(fed.partitions))]
     starts = [weights for per_fed in incoming for weights in per_fed]
     shards = [fed.partitions[k] for fed, k in owners]
-    seeds = [shuffle_seed(fed.config.master_seed, k, round_index) for fed, k in owners]
+    seeds = [shuffle_seed(fed.master_seed, k, round_index) for fed, k in owners]
 
     def train(ids: list[int]) -> list[tuple[ModelWeights, float]]:
         return train_clients(
@@ -405,7 +390,7 @@ def train_round(
         """Client i's result, trained alone if no chunk produced it, in
         the client's error context and checked for finiteness."""
         fed, k = owners[i]
-        with _in_context(f"{_name(fed.config)}, round {round_index}, client {k}"):
+        with _in_context(f"{_name(fed)}, round {round_index}, client {k}"):
             weights, loss = results[i] if i in results else train([i])[0]
             if not (math.isfinite(loss) and np.isfinite(weights.values).all()):
                 raise NumericError("local training produced non-finite weights or loss")
@@ -426,18 +411,16 @@ def train_round(
 
 
 def _check_federation(fed: Federation, spec: ClassifierSpec) -> None:
-    config, partitions = fed.config, fed.partitions
-    if len(partitions) != config.num_clients:
-        raise ConfigurationError(
-            f"config expects {config.num_clients} clients but got {len(partitions)} partitions"
-        )
-    expected_head = head_mode_for(config.mode)
+    check_master_seed(fed.master_seed)
+    if not fed.partitions:
+        raise ConfigurationError("a federation needs at least one client")
+    expected_head = head_mode_for(fed.mode)
     if spec.head_mode is not expected_head:
         raise ConfigurationError(
-            f"mode {config.mode.value} requires head_mode {expected_head.value}, "
+            f"mode {fed.mode.value} requires head_mode {expected_head.value}, "
             f"got {spec.head_mode.value}"
         )
-    for k, part in enumerate(partitions):
+    for k, part in enumerate(fed.partitions):
         if len(part) == 0:
             raise ConfigurationError(f"client {k} has an empty dataset")
         _check_compatible(spec, part, f"client {k} partition")
@@ -458,8 +441,8 @@ def _evaluate(
     test = fed.test_set
     if test is None:
         return None
-    where = f"{_name(fed.config)}, round {round_index}"
-    if fed.config.mode is not Mode.LOCAL_ONLY:
+    where = f"{_name(fed)}, round {round_index}"
+    if fed.mode is not Mode.LOCAL_ONLY:
         with _in_context(f"{where}, evaluation"):
             return evaluate_weights(spec, global_weights, test)
     predictions = np.empty((len(local_weights), len(test)), dtype=np.int64)
@@ -474,31 +457,28 @@ def _evaluate(
 
 
 def run_lockstep(
+    config: FederationConfig,
     federations: Sequence[Federation],
     spec: ClassifierSpec,
-    eval_every: int = 1,
 ) -> list[FederationResult]:
-    """The full R-round protocol for several federations on one head, one
-    ``FederationResult`` each, in order.
+    """The full R-round protocol of ``config`` for several federations on
+    one head, one ``FederationResult`` each, in order.
 
     Each round trains every client of every federation through one
     ``train_round``; aggregation and evaluation then run per federation.
-    The federations must share rounds, local epochs, batch size and
-    optimizer; each keeps its own mode, master seed, partitions and test
-    set, and its result is bit for bit the result of running it alone.
-    With a test set, a history carries a fairness report for round 0
-    (the shared initialization), every ``eval_every``-th round, and the
+    Each federation's result is bit for bit the result of running it
+    alone. With a test set, a history carries a fairness report for
+    round 0 (the initialization), every ``eval_every``-th round, and the
     final round.
     """
-    config = _shared_config(federations)
-    if eval_every < 1:
-        raise ConfigurationError("eval_every must be >= 1")
+    if not federations:
+        raise ConfigurationError("a lockstep run needs at least one federation")
     for fed in federations:
-        with _in_context(_name(fed.config)):
+        with _in_context(_name(fed)):
             _check_federation(fed, spec)
 
     global_weights = [
-        init_weights(spec, derive_seed(fed.config.master_seed, TAG_INIT)) for fed in federations
+        init_weights(spec, derive_seed(fed.master_seed, TAG_INIT)) for fed in federations
     ]
     local_weights = [[init] * len(fed.partitions) for fed, init in zip(federations, global_weights)]
     histories = []
@@ -511,24 +491,24 @@ def run_lockstep(
         start = time.perf_counter()
         incoming = [
             local_weights[f]
-            if fed.config.mode is Mode.LOCAL_ONLY
+            if fed.mode is Mode.LOCAL_ONLY
             else [global_weights[f]] * len(fed.partitions)
             for f, fed in enumerate(federations)
         ]
-        results = train_round(federations, spec, incoming, round_index)
+        results = train_round(config, federations, spec, incoming, round_index)
         trained = time.perf_counter() - start
 
         for f, fed in enumerate(federations):
             start = time.perf_counter()
             local_weights[f] = [weights for weights, _ in results[f]]
             losses = [loss for _, loss in results[f]]
-            if fed.config.mode is not Mode.LOCAL_ONLY:
+            if fed.mode is not Mode.LOCAL_ONLY:
                 updates = local_weights[f]
-                with _in_context(f"{_name(fed.config)}, round {round_index}, aggregation"):
+                with _in_context(f"{_name(fed)}, round {round_index}, aggregation"):
                     global_weights[f] = fedavg_aggregate(
                         [(k, updates[k], len(p)) for k, p in enumerate(fed.partitions)]
                     )
-            due = round_index % eval_every == 0 or round_index == config.rounds
+            due = round_index % config.eval_every == 0 or round_index == config.rounds
             report = (
                 _evaluate(fed, spec, round_index, global_weights[f], local_weights[f])
                 if due
@@ -541,8 +521,7 @@ def run_lockstep(
 
     return [
         FederationResult(
-            config=fed.config,
-            final_weights=None if fed.config.mode is Mode.LOCAL_ONLY else global_weights[f],
+            final_weights=None if fed.mode is Mode.LOCAL_ONLY else global_weights[f],
             client_weights=dict(enumerate(local_weights[f])),
             history=histories[f],
         )
@@ -551,12 +530,8 @@ def run_lockstep(
 
 
 def run_federation(
-    config: FederationConfig,
-    partitions: Sequence[Dataset],
-    spec: ClassifierSpec,
-    test_set: Dataset | None = None,
-    eval_every: int = 1,
+    config: FederationConfig, federation: Federation, spec: ClassifierSpec
 ) -> FederationResult:
     """The full R-round protocol for one federation: ``run_lockstep`` with
     a single federation."""
-    return run_lockstep([Federation(config, partitions, test_set)], spec, eval_every)[0]
+    return run_lockstep(config, [federation], spec)[0]

@@ -30,6 +30,7 @@ from scipy.special import logsumexp
 from fedbias.data import Dataset
 from fedbias.exceptions import ConfigurationError, DataFormatError
 from fedbias.federation import (
+    Federation,
     FederationConfig,
     FederationResult,
     Mode,
@@ -648,17 +649,14 @@ def reference_client_train(
 # One federation on its own, round by round.
 
 def reference_run_federation(
-    config: FederationConfig,
-    partitions: list[Dataset],
-    spec: ClassifierSpec,
-    test_set: Dataset | None = None,
-    eval_every: int = 1,
+    config: FederationConfig, federation: Federation, spec: ClassifierSpec
 ) -> FederationResult:
     """The R-round protocol for a single federation, each client trained
     alone by ``reference_client_train`` in client order: what every
     federation of a lockstep run must equal, bit for bit."""
-    local_mode = config.mode is Mode.LOCAL_ONLY
-    init = init_weights(spec, derive_seed(config.master_seed, TAG_INIT))
+    mode, master_seed, partitions, test_set = federation
+    local_mode = mode is Mode.LOCAL_ONLY
+    init = init_weights(spec, derive_seed(master_seed, TAG_INIT))
     global_weights = init
     local_weights = [init] * len(partitions)
 
@@ -675,7 +673,7 @@ def reference_run_federation(
         results = [
             reference_client_train(
                 part, incoming[k], spec, config.optimizer, config.local_epochs,
-                config.batch_size, shuffle_seed(config.master_seed, k, round_index),
+                config.batch_size, shuffle_seed(master_seed, k, round_index),
             )
             for k, part in enumerate(partitions)
         ]
@@ -685,11 +683,10 @@ def reference_run_federation(
             global_weights = fedavg_aggregate(
                 [(k, local_weights[k], len(part)) for k, part in enumerate(partitions)]
             )
-        due = round_index % eval_every == 0 or round_index == config.rounds
+        due = round_index % config.eval_every == 0 or round_index == config.rounds
         report = evaluate() if due else None
         history.append(RoundSnapshot(round_index, report, lsum(losses) / len(losses), 0.0))
     return FederationResult(
-        config=config,
         final_weights=None if local_mode else global_weights,
         client_weights=dict(enumerate(local_weights)),
         history=history,

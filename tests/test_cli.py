@@ -99,6 +99,13 @@ class TestGenerateData:
         assert capsys.readouterr().err == "error: run.master_seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_non_finite_config_value_exits_1_before_writing(self, tmp_path, capsys):
+        config = write_config(tmp_path, BASE_CONFIG + "data.noise_sigma = nan\n")
+        out = tmp_path / "o.csv"
+        assert main(["generate-data", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: line 15: data.noise_sigma: must be finite, got nan\n"
+        assert not out.exists()
+
     def test_csv_source_config_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -195,10 +202,10 @@ class TestTrain:
         run_lockstep, train_clients = federation.run_lockstep, federation.train_clients
         copies = []
 
-        def split_shards(federations, *args):
+        def split_shards(config, federations, spec):
             fedavg, local = federations
             copies.extend(p.subset(np.arange(len(p))) for p in local.partitions)
-            return run_lockstep([fedavg, local._replace(partitions=copies)], *args)
+            return run_lockstep(config, [fedavg, local._replace(partitions=copies)], spec)
 
         def poisoned(shards, *args):
             results = train_clients(shards, *args)

@@ -89,10 +89,28 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=r"line 2"):
             parse_config("data.num_classes = 2\nno equals sign here\n")
 
-    def test_bad_value_reports_line(self):
-        message = "line 1: data.num_classes: invalid literal for int() with base 10: 'two'"
+    @pytest.mark.parametrize(
+        "key,value,error",
+        [
+            pytest.param(
+                "data.num_classes", "two", "invalid literal for int() with base 10: 'two'", id="two"
+            ),
+            *(
+                pytest.param(key, value, f"must be finite, got {value}", id=f"{key}-{value}")
+                for key in (
+                    "optimizer.learning_rate",
+                    "optimizer.weight_decay",
+                    "data.noise_sigma",
+                    "data.group_shift",
+                )
+                for value in ("nan", "inf")
+            ),
+        ],
+    )
+    def test_bad_value_reports_line(self, key, value, error):
+        message = f"line 1: {key}: {error}"
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            parse_config("data.num_classes = two\n")
+            parse_config(f"{key} = {value}\n")
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigurationError, match=r"data\.num_groups"):
@@ -126,6 +144,9 @@ class TestParsing:
             cfg(run__modes="fedavg,secure")
         with pytest.raises(ConfigurationError, match=r"repeat"):
             cfg(run__modes="dbfed,dbfed")
+        message = r"^line 5: run\.modes: unknown mode '' \(choose from fedavg, local, dbfed\)$"
+        with pytest.raises(ConfigurationError, match=message):
+            cfg(run__modes="")
 
     def test_fraction_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -158,10 +179,10 @@ class TestDerivedObjects:
         assert c.classifier_spec(Mode.DBFED, 3).input_dim == 3
 
     def test_federation_config_carries_settings(self):
-        fc = cfg(federation__rounds="4", federation__clients="2").federation_config(Mode.DBFED)
-        assert fc.rounds == 4
-        assert fc.num_clients == 2
-        assert fc.mode is Mode.DBFED
+        c = cfg(federation__rounds="4", federation__local_epochs="2", run__eval_every="3")
+        fc = c.federation_config()
+        assert (fc.rounds, fc.local_epochs, fc.batch_size, fc.eval_every) == (4, 2, 128, 3)
+        assert fc.optimizer == c.optimizer_config()
 
     def test_negative_master_seed_rejected(self):
         message = r"^run\.master_seed must be >= 0, got -3$"
@@ -169,9 +190,6 @@ class TestDerivedObjects:
             cfg(run__master_seed="-3")
         with pytest.raises(ConfigurationError, match=message):
             cfg().with_master_seed(-3)
-        fc = cfg().federation_config(Mode.DBFED)
-        with pytest.raises(ConfigurationError, match=message):
-            replace(fc, master_seed=-3)
         assert cfg().with_master_seed(0).master_seed == 0
 
     def test_synthetic_seed_tracks_master_seed(self):

@@ -73,17 +73,17 @@ def random_weights(rng, spec) -> ModelWeights:
 
 class TestConfigAndState:
     def test_round_zero_allowed(self):
-        FederationConfig(0, 1, 1, 8, adam(), Mode.FEDAVG_PLAIN, 0)
+        FederationConfig(0, 1, 8, adam())
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FederationConfig(-1, 1, 1, 8, adam(), Mode.DBFED, 0)
-        with pytest.raises(ConfigurationError):
-            FederationConfig(1, 0, 1, 8, adam(), Mode.DBFED, 0)
-        with pytest.raises(ConfigurationError):
-            FederationConfig(1, 1, 0, 8, adam(), Mode.DBFED, 0)
-        with pytest.raises(ConfigurationError):
-            FederationConfig(1, 1, 1, 0, adam(), Mode.DBFED, 0)
+        with pytest.raises(ConfigurationError, match="^rounds must be >= 0$"):
+            FederationConfig(-1, 1, 8, adam())
+        with pytest.raises(ConfigurationError, match="^local_epochs must be >= 1$"):
+            FederationConfig(1, 0, 8, adam())
+        with pytest.raises(ConfigurationError, match="^batch_size must be >= 1$"):
+            FederationConfig(1, 1, 0, adam())
+        with pytest.raises(ConfigurationError, match="^eval_every must be >= 1$"):
+            FederationConfig(1, 1, 8, adam(), eval_every=0)
 
     def test_empty_client_dataset_rejected(self):
         # A direct client_local_train call rejects the shard on its own
@@ -232,21 +232,21 @@ class TestFedavgAggregate:
 
 
 def small_run_setup(mode: Mode, master_seed=21, num_clients=2):
+    """(config, federation, spec): 3 rounds of 2 epochs, and a federation
+    of ``mode`` with its client shards and test set."""
     data = generate_synthetic(
         SyntheticSpec(2, 2, 3, 30, bias_strength=0.5, group_shift=0.5, seed=1)
     )
     train, test = train_test_split(data, 0.25, seed=2)
     parts = partition(train, num_clients, seed=3)
     spec = ClassifierSpec(3, (4,), 2, 2, head_mode_for(mode))
-    config = FederationConfig(3, num_clients, 2, 8, adam(), mode, master_seed)
-    return config, parts, spec, test
+    return FederationConfig(3, 2, 8, adam()), Federation(mode, master_seed, parts, test), spec
 
 
 class TestRunFederation:
     def test_zero_rounds_returns_initialization(self):
-        config, parts, spec, test = small_run_setup(Mode.DBFED)
-        config = FederationConfig(0, 2, 2, 8, adam(), Mode.DBFED, 21)
-        result = run_federation(config, parts, spec, test_set=test)
+        _, fed, spec = small_run_setup(Mode.DBFED)
+        result = run_federation(FederationConfig(0, 2, 8, adam()), fed, spec)
         expected = init_weights(spec, derive_seed(21, TAG_INIT))
         assert np.array_equal(result.final_weights.values, expected.values)
         assert len(result.history) == 1
@@ -254,23 +254,23 @@ class TestRunFederation:
         assert result.history[0].report is not None
 
     def test_history_covers_all_rounds(self):
-        config, parts, spec, test = small_run_setup(Mode.DBFED)
-        result = run_federation(config, parts, spec, test_set=test)
+        config, fed, spec = small_run_setup(Mode.DBFED)
+        result = run_federation(config, fed, spec)
         assert [s.round_index for s in result.history] == [0, 1, 2, 3]
         assert all(s.report is not None for s in result.history)
 
     def test_eval_cadence(self):
-        config, parts, spec, test = small_run_setup(Mode.DBFED)
-        result = run_federation(config, parts, spec, test_set=test, eval_every=2)
+        _, fed, spec = small_run_setup(Mode.DBFED)
+        result = run_federation(FederationConfig(3, 2, 8, adam(), eval_every=2), fed, spec)
         evaluated = [s.round_index for s in result.history if s.report is not None]
         # Round 0, the cadence round, and the final round.
         assert evaluated == [0, 2, 3]
 
     def test_bitwise_deterministic(self):
         for mode in Mode:
-            config, parts, spec, test = small_run_setup(mode, num_clients=3)
-            a = run_federation(config, parts, spec, test_set=test)
-            b = run_federation(config, parts, spec, test_set=test)
+            config, fed, spec = small_run_setup(mode, num_clients=3)
+            a = run_federation(config, fed, spec)
+            b = run_federation(config, fed, spec)
             if mode is not Mode.LOCAL_ONLY:
                 assert np.array_equal(a.final_weights.values, b.final_weights.values)
             for cid in a.client_weights:
@@ -282,28 +282,29 @@ class TestRunFederation:
 
     def test_client_isolation(self):
         # Round-1 local weights of client 0 cannot depend on client 1's shard.
-        config, parts, spec, _ = small_run_setup(Mode.DBFED)
-        config = FederationConfig(1, 2, 2, 8, adam(), Mode.DBFED, 21)
-        mutated = [parts[0], toy_dataset(seed=99)]
-        a = run_federation(config, parts, spec)
-        b = run_federation(config, mutated, spec)
+        _, fed, spec = small_run_setup(Mode.DBFED)
+        config = FederationConfig(1, 2, 8, adam())
+        mutated = [fed.partitions[0], toy_dataset(seed=99)]
+        a = run_federation(config, Federation(Mode.DBFED, 21, fed.partitions), spec)
+        b = run_federation(config, Federation(Mode.DBFED, 21, mutated), spec)
         assert np.array_equal(a.client_weights[0].values, b.client_weights[0].values)
 
     def test_identical_partitions_aggregate_to_client_weights(self):
         # Same data and same incoming weights: forcing both clients onto
         # one shuffle seed makes their updates, and thus the convex
         # combination, equal to either one.
-        config, parts, spec, _ = small_run_setup(Mode.DBFED)
+        _, fed, spec = small_run_setup(Mode.DBFED)
+        part = fed.partitions[0]
         incoming = init_weights(spec, 5)
-        weights, _ = client_local_train(parts[0], incoming, spec, adam(), 2, 8, seed=123)
-        twin, _ = client_local_train(parts[0], incoming, spec, adam(), 2, 8, seed=123)
-        n = len(parts[0])
+        weights, _ = client_local_train(part, incoming, spec, adam(), 2, 8, seed=123)
+        twin, _ = client_local_train(part, incoming, spec, adam(), 2, 8, seed=123)
+        n = len(part)
         merged = fedavg_aggregate([(0, weights, n), (1, twin, n)])
         assert np.array_equal(merged.values, weights.values)
 
     def test_local_mode_has_no_global_weights(self):
-        config, parts, spec, test = small_run_setup(Mode.LOCAL_ONLY)
-        result = run_federation(config, parts, spec, test_set=test)
+        config, fed, spec = small_run_setup(Mode.LOCAL_ONLY)
+        result = run_federation(config, fed, spec)
         assert result.final_weights is None
         assert set(result.client_weights) == {0, 1}
         assert not np.array_equal(
@@ -312,42 +313,43 @@ class TestRunFederation:
         assert result.final_report is not None
 
     def test_mode_head_mismatch_rejected(self):
-        config, parts, spec, test = small_run_setup(Mode.DBFED)
+        config, fed, spec = small_run_setup(Mode.DBFED)
         plain_spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.PLAIN)
         with pytest.raises(ConfigurationError):
-            run_federation(config, parts, plain_spec, test_set=test)
+            run_federation(config, fed, plain_spec)
 
-    def test_partition_count_mismatch_rejected(self):
-        config, parts, spec, test = small_run_setup(Mode.DBFED)
-        with pytest.raises(ConfigurationError):
-            run_federation(config, parts[:1], spec, test_set=test)
+    def test_empty_partition_list_rejected(self):
+        config, fed, spec = small_run_setup(Mode.DBFED)
+        message = "^dbfed seed 21: a federation needs at least one client$"
+        with pytest.raises(ConfigurationError, match=message):
+            run_federation(config, fed._replace(partitions=[]), spec)
 
     def test_incompatible_test_set_rejected(self):
-        config, parts, spec, _ = small_run_setup(Mode.DBFED)
+        config, fed, spec = small_run_setup(Mode.DBFED)
         wrong = toy_dataset(seed=1, dim=5)
         with pytest.raises(ConfigurationError):
-            run_federation(config, parts, spec, test_set=wrong)
+            run_federation(config, fed._replace(test_set=wrong), spec)
 
     def test_client_errors_carry_round_and_client(self, monkeypatch):
         # The error surfaces from a stack of clients; the run retrains them
         # one at a time, so the message names the first client that fails.
-        config, parts, spec, test = small_run_setup(Mode.DBFED, num_clients=3)
+        config, fed, spec = small_run_setup(Mode.DBFED, num_clients=3)
         real = federation.train_clients
 
         def boom(shards, *args):
-            if any(shard is parts[1] for shard in shards):
+            if any(shard is fed.partitions[1] for shard in shards):
                 raise ValueError("synthetic failure")
             return real(shards, *args)
 
         monkeypatch.setattr(federation, "train_clients", boom)
         message = r"^dbfed seed 21, round 1, client 1: synthetic failure$"
         with pytest.raises(ValueError, match=message):
-            run_federation(config, parts, spec, test_set=test)
+            run_federation(config, fed, spec)
 
 
 @st.composite
 def client_rounds(draw):
-    """One round of K clients: (config, shards, spec, incoming). Shard
+    """One round of K clients: (config, federation, spec, incoming). Shard
     sizes differ by at most one, so some clients take an extra step or a
     longer last batch. A wide hidden layer makes P large enough that the
     stack limit splits K clients into several chunks."""
@@ -368,29 +370,27 @@ def client_rounds(draw):
         learning_rate=0.05,
         weight_decay=draw(st.sampled_from([0.0, 0.01])),
     )
-    config = FederationConfig(
-        1, k, draw(st.integers(1, 3)), draw(st.integers(1, 8)), optimizer,
-        Mode.LOCAL_ONLY, draw(st.integers(0, 1000)),
-    )
+    config = FederationConfig(1, draw(st.integers(1, 3)), draw(st.integers(1, 8)), optimizer)
+    master_seed = draw(st.integers(0, 1000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shards = [
         Dataset(rng.normal(size=(s, m)), rng.integers(0, n, s), rng.integers(0, d, s), n, d)
         for s in sizes
     ]
     incoming = [init_weights(spec, int(rng.integers(0, 1000))) for _ in range(k)]
-    return config, shards, spec, incoming
+    return config, Federation(Mode.LOCAL_ONLY, master_seed, shards), spec, incoming
 
 
 class TestStackedEngine:
     @settings(deadline=None, max_examples=100)
     @given(client_rounds(), st.integers(1, 50))
     def test_engine_equals_reference_loop_bitwise(self, case, round_index):
-        config, shards, spec, incoming = case
-        results = train_round([Federation(config, shards)], spec, [incoming], round_index)[0]
-        for k, (shard, start, (weights, loss)) in enumerate(zip(shards, incoming, results)):
+        config, fed, spec, incoming = case
+        results = train_round(config, [fed], spec, [incoming], round_index)[0]
+        for k, (shard, start, (weights, loss)) in enumerate(zip(fed.partitions, incoming, results)):
             expected, expected_loss = reference_client_train(
                 shard, start, spec, config.optimizer, config.local_epochs,
-                config.batch_size, shuffle_seed(config.master_seed, k, round_index),
+                config.batch_size, shuffle_seed(fed.master_seed, k, round_index),
             )
             assert weights.values.tobytes() == expected.values.tobytes()
             assert repr(loss) == repr(expected_loss)
@@ -457,20 +457,21 @@ class TestTargetRanges:
         ],
     )
     def test_target_changed_after_the_dataset_was_built(self, mode, field, value, message):
-        config, parts, spec, test = small_run_setup(mode, master_seed=3)
-        getattr(parts[0], field)[3] = value
+        config, fed, spec = small_run_setup(mode, master_seed=3)
+        part = fed.partitions[0]
+        getattr(part, field)[3] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
-            train_clients([parts[0]], [init_weights(spec, 0)], spec, adam(), 1, 8, [0])
+            train_clients([part], [init_weights(spec, 0)], spec, adam(), 1, 8, [0])
         where = f"{mode.value} seed 3, round 1, client 0"
         with pytest.raises(ValueError, match=f"^{where}: {message}$"):
-            run_federation(config, parts, spec, test_set=test)
+            run_federation(config, fed, spec)
 
 
 @st.composite
 def lockstep_runs(draw):
-    """(federations, spec, eval_every): up to three plain-head federations
+    """(config, federations, spec): up to three plain-head federations
     (fedavg or local, each with its own master seed, shards and optional
-    test set) sharing one run shape. Shard sizes differ by at most one, so
+    test set) under one run shape. Shard sizes differ by at most one, so
     the flat client list splits into chunks by size; a wide hidden layer
     splits it further by the stack limit. A federation may reuse the
     previous one's shards, as ``fedbias train`` does."""
@@ -501,12 +502,11 @@ def lockstep_runs(draw):
             count = draw(st.integers(1, 4))
             shards = [dataset(base + draw(st.integers(0, 1))) for _ in range(count)]
         mode = draw(st.sampled_from([Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY]))
-        config = FederationConfig(
-            rounds, len(shards), epochs, batch, optimizer, mode, draw(st.integers(0, 1000))
-        )
+        master_seed = draw(st.integers(0, 1000))
         test = dataset(draw(st.integers(4, 12))) if draw(st.booleans()) else None
-        federations.append(Federation(config, shards, test))
-    return federations, spec, draw(st.integers(1, 3))
+        federations.append(Federation(mode, master_seed, shards, test))
+    config = FederationConfig(rounds, epochs, batch, optimizer, draw(st.integers(1, 3)))
+    return config, federations, spec
 
 
 def poison_losses(monkeypatch, poisoned):
@@ -527,14 +527,11 @@ class TestLockstep:
     @settings(deadline=None, max_examples=60)
     @given(lockstep_runs())
     def test_each_federation_equals_its_run_alone_bitwise(self, case):
-        federations, spec, eval_every = case
-        results = run_lockstep(federations, spec, eval_every)
+        config, federations, spec = case
+        results = run_lockstep(config, federations, spec)
         assert len(results) == len(federations)
         for fed, result in zip(federations, results):
-            alone = reference_run_federation(
-                fed.config, fed.partitions, spec, fed.test_set, eval_every
-            )
-            assert result.config == fed.config
+            alone = reference_run_federation(config, fed, spec)
             assert [s.round_index for s in result.history] == [s.round_index for s in alone.history]
             assert [repr(s.mean_train_loss) for s in result.history] == [
                 repr(s.mean_train_loss) for s in alone.history
@@ -552,29 +549,28 @@ class TestLockstep:
 
     def test_error_in_second_federation_names_it(self, monkeypatch):
         # fedavg and local train in one stack; only local's shards fail.
-        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
-        local_parts = [p.subset(np.arange(len(p))) for p in parts]
-        local = FederationConfig(3, 3, 2, 8, adam(), Mode.LOCAL_ONLY, 22)
+        config, fedavg, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        local_parts = [p.subset(np.arange(len(p))) for p in fedavg.partitions]
+        local = Federation(Mode.LOCAL_ONLY, 22, local_parts, fedavg.test_set)
         poison_losses(monkeypatch, local_parts[1:])
         with pytest.raises(NumericError, match=r"^local seed 22, round 1, client 1: .*non-finite"):
-            run_lockstep(
-                [Federation(config, parts, test), Federation(local, local_parts, test)], spec
-            )
+            run_lockstep(config, [fedavg, local], spec)
 
     def test_first_failure_in_federation_then_client_order(self, monkeypatch):
-        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        parts = fed.partitions
         other = [p.subset(np.arange(len(p))) for p in parts]
-        second = FederationConfig(3, 3, 2, 8, adam(), Mode.FEDAVG_PLAIN, 22)
+        second = Federation(Mode.FEDAVG_PLAIN, 22, other)
         poison_losses(monkeypatch, [parts[2], other[0]])
         with pytest.raises(NumericError, match=r"^fedavg seed 21, round 1, client 2: "):
-            run_lockstep([Federation(config, parts), Federation(second, other)], spec)
+            run_lockstep(config, [fed._replace(test_set=None), second], spec)
 
     def test_raised_error_names_first_client_across_chunks(self, monkeypatch):
         # Sizes 5, 6, 5 train as chunks [0, 2] and [1]; clients 1 and 2
         # both raise, and client order, not chunk order, decides.
         spec = ClassifierSpec(3, (), 2, 2)
         parts = [toy_dataset(seed=s, size=n) for s, n in enumerate([5, 6, 5])]
-        config = FederationConfig(1, 3, 1, 4, adam(), Mode.LOCAL_ONLY, 7)
+        config = FederationConfig(1, 1, 4, adam())
         real = federation.train_clients
 
         def boom(shards, *args):
@@ -585,7 +581,7 @@ class TestLockstep:
         monkeypatch.setattr(federation, "train_clients", boom)
         message = r"^local seed 7, round 1, client 1: synthetic failure$"
         with pytest.raises(ValueError, match=message):
-            run_lockstep([Federation(config, parts)], spec)
+            run_lockstep(config, [Federation(Mode.LOCAL_ONLY, 7, parts)], spec)
 
     @pytest.mark.parametrize(
         "target,mode,message",
@@ -601,62 +597,52 @@ class TestLockstep:
         ],
     )
     def test_aggregation_and_evaluation_contexts(self, monkeypatch, target, mode, message):
-        config, parts, spec, test = small_run_setup(mode)
+        config, fed, spec = small_run_setup(mode)
 
         def boom(*args):
             raise ValueError("boom")
 
         monkeypatch.setattr(federation, target, boom)
         with pytest.raises(ValueError, match=message + "boom$"):
-            run_lockstep([Federation(config, parts, test)], spec)
+            run_lockstep(config, [fed], spec)
 
     def test_mean_train_loss_adds_left_to_right(self, monkeypatch):
         # sum() of these losses is 1.1735930735930735 on Python 3.12, which
         # compensates, and 1.1735930735930737 added left to right.
         losses = [1 / 3, 2 / 7, 5 / 11, 0.1]
-        config, parts, spec, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
 
-        def fixed(federations, spec, incoming, round_index):
+        def fixed(config, federations, spec, incoming, round_index):
             return [[(w, loss) for w, loss in zip(incoming[0], losses)]]
 
         monkeypatch.setattr(federation, "train_round", fixed)
-        result = run_lockstep([Federation(config, parts)], spec)[0]
+        result = run_lockstep(config, [fed._replace(test_set=None)], spec)[0]
         assert [s.mean_train_loss for s in result.history[1:]] == [1.1735930735930737 / 4] * 3
         assert lsum(losses) == 1.1735930735930737
 
     def test_unequal_run_shapes_rejected(self):
-        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
-        local = FederationConfig(3, 2, 2, 8, adam(), Mode.LOCAL_ONLY, 21)
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN)
         with pytest.raises(ConfigurationError, match="at least one federation"):
-            run_lockstep([], spec)
-        for changed in [
-            FederationConfig(4, 2, 2, 8, adam(), Mode.LOCAL_ONLY, 21),
-            FederationConfig(3, 2, 1, 8, adam(), Mode.LOCAL_ONLY, 21),
-            FederationConfig(3, 2, 2, 9, adam(), Mode.LOCAL_ONLY, 21),
-            FederationConfig(3, 2, 2, 8, adam(lr=0.02), Mode.LOCAL_ONLY, 21),
-        ]:
-            message = "^local seed 21 differs from fedavg seed 21"
-            with pytest.raises(ConfigurationError, match=message):
-                run_lockstep([Federation(config, parts), Federation(changed, parts)], spec)
-        # Different master seeds and client counts are fine.
-        run_lockstep([Federation(config, parts), Federation(local, parts[:1] * 2, test)], spec)
+            run_lockstep(config, [], spec)
+        # Different modes, master seeds and client counts are fine.
+        local = Federation(Mode.LOCAL_ONLY, 22, fed.partitions[:1] * 3, fed.test_set)
+        run_lockstep(config, [fed._replace(test_set=None), local], spec)
 
     def test_pre_round_checks_name_the_federation(self):
-        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
+        config, fedavg, spec = small_run_setup(Mode.FEDAVG_PLAIN)
         empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
-        local = FederationConfig(3, 2, 2, 8, adam(), Mode.LOCAL_ONLY, 22)
-        fedavg = Federation(config, parts, test)
+        local = Federation(Mode.LOCAL_ONLY, 22, [fedavg.partitions[0], empty], fedavg.test_set)
         with pytest.raises(ConfigurationError, match="^local seed 22: client 1 has an empty dataset$"):
-            run_lockstep([fedavg, Federation(local, [parts[0], empty], test)], spec)
-        message = "^local seed 22: config expects 2 clients but got 3 partitions$"
+            run_lockstep(config, [fedavg, local], spec)
+        message = r"^local seed -3: run\.master_seed must be >= 0, got -3$"
         with pytest.raises(ConfigurationError, match=message):
-            run_lockstep([fedavg, Federation(local, [*parts, parts[0]], test)], spec)
+            run_lockstep(config, [fedavg, fedavg._replace(mode=Mode.LOCAL_ONLY, master_seed=-3)], spec)
 
     def test_federation_on_the_other_head_rejected(self):
-        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN)
-        dbfed = FederationConfig(3, 2, 2, 8, adam(), Mode.DBFED, 21)
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN)
+        dbfed = Federation(Mode.DBFED, 21, fed.partitions)
         with pytest.raises(ConfigurationError, match="mode dbfed requires head_mode"):
-            run_lockstep([Federation(config, parts), Federation(dbfed, parts)], spec)
+            run_lockstep(config, [fed._replace(test_set=None), dbfed], spec)
 
 
 class TestNonFiniteTraining:
@@ -675,16 +661,17 @@ class TestNonFiniteTraining:
         train, test = train_test_split(data, 0.2, seed=2)
         parts = partition(train, 5, seed=3)
         spec = ClassifierSpec(8, (16,), 2, 2, head_mode_for(mode))
-        config = FederationConfig(10, 5, 1, 64, sgd(lr=1e6), mode, 5)
+        config = FederationConfig(10, 1, 64, sgd(lr=1e6))
+        fed = Federation(mode, 5, parts, test if with_test_set else None)
         with pytest.raises(NumericError, match=rf"^{mode.value} seed 5, round \d+, "):
-            run_federation(config, parts, spec, test_set=test if with_test_set else None)
+            run_federation(config, fed, spec)
 
     def test_non_finite_client_update_names_round_and_client(self, monkeypatch):
         # Clients 1 and 2 both come back non-finite; client order decides.
-        config, parts, spec, test = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
-        poison_losses(monkeypatch, parts[1:])
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        poison_losses(monkeypatch, fed.partitions[1:])
         with pytest.raises(NumericError, match="^fedavg seed 21, round 1, client 1: .*non-finite"):
-            run_federation(config, parts, spec, test_set=test)
+            run_federation(config, fed, spec)
 
 
 class TestFailureParity:
@@ -695,7 +682,8 @@ class TestFailureParity:
     @pytest.mark.parametrize("fault", ["nan_feature", "empty_shard", "empty_test"])
     def test_same_error_in_every_mode(self, fault, mode):
         mode = Mode(mode)
-        config, parts, spec, test = small_run_setup(mode, num_clients=3)
+        config, fed, spec = small_run_setup(mode, num_clients=3)
+        parts = fed.partitions
         empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
         if fault == "nan_feature":
             # Clients 1 and 2 both diverge; client order decides.
@@ -707,14 +695,14 @@ class TestFailureParity:
             parts[1] = empty
             error, where = ConfigurationError, ": client 1 has an empty dataset"
         else:
-            test = empty
+            fed = fed._replace(test_set=empty)
             # A local round scores its clients as one stack; client 0 is the first.
             client = "client 0, " if mode is Mode.LOCAL_ONLY else ""
             error = ValueError
             where = f", round 0, {client}evaluation: cannot build a report from an empty prediction log"
         message = f"^{mode.value} seed 21{re.escape(where)}$"
         with pytest.raises(error, match=message) as raised:
-            run_federation(config, parts, spec, test_set=test)
+            run_federation(config, fed, spec)
         assert raised.type is error
 
 
@@ -726,14 +714,14 @@ class TestCentralizedEquivalence:
         )
         train, test = train_test_split(data, 0.2, seed=8)
         spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
-        config = FederationConfig(rounds, 1, epochs, batch, adam(), Mode.DBFED, 31)
-        fed = run_federation(config, [train], spec, test_set=test)
+        config = FederationConfig(rounds, epochs, batch, adam())
+        result = run_federation(config, Federation(Mode.DBFED, 31, [train], test), spec)
         central_weights, central_history = train_centralized(
             train, spec, adam(), rounds, epochs, batch, 31, test_set=test,
         )
-        assert np.array_equal(fed.final_weights.values, central_weights.values)
-        assert len(fed.history) == len(central_history)
-        for sf, sc in zip(fed.history, central_history):
+        assert np.array_equal(result.final_weights.values, central_weights.values)
+        assert len(result.history) == len(central_history)
+        for sf, sc in zip(result.history, central_history):
             assert sf.report.to_dict() == sc.report.to_dict()
 
 
