@@ -38,24 +38,24 @@ for master_seed in SEEDS:
     dataset = config.load_dataset()
     seeded.append((master_seed, *config.split_and_partition(dataset)))
 
-# The seeds share one run shape, and fedavg and local share the plain
-# head, so each head trains all of its (mode, seed) pairs in one lockstep run.
+# The seeds share one run shape, so all (mode, seed) pairs train in one
+# lockstep run, each mode on its own head.
+MODES = (Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY, Mode.DBFED)
+spec = config.classifier_spec(MODES[0], input_dim=dataset.feature_dim)
+federations = [
+    Federation(mode, master_seed, partitions, test_set)
+    for mode in MODES
+    for master_seed, partitions, test_set in seeded
+]
+results = iter(run_lockstep(config.federation_config(), federations, spec))
 rows = {}
-for modes in ((Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY), (Mode.DBFED,)):
-    spec = config.classifier_spec(modes[0], input_dim=dataset.feature_dim)
-    federations = [
-        Federation(mode, master_seed, partitions, test_set)
-        for mode in modes
-        for master_seed, partitions, test_set in seeded
-    ]
-    results = iter(run_lockstep(config.federation_config(), federations, spec))
-    for mode in modes:
-        finals = [next(results).final_report for _ in SEEDS]
-        rows[mode.value] = {
-            name: statistics.median(r.metric(name) for r in finals)
-            for name in METRIC_NAMES
-        }
-        print(f"finished {mode.value} ({len(finals)} seeds)")
+for mode in MODES:
+    finals = [next(results).final_report for _ in SEEDS]
+    rows[mode.value] = {
+        name: statistics.median(r.metric(name) for r in finals)
+        for name in METRIC_NAMES
+    }
+    print(f"finished {mode.value} ({len(finals)} seeds)")
 
 print(f"\nmedian test metrics over {len(list(SEEDS))} seeds"
       " (ACC higher is better, rest lower):")

@@ -33,7 +33,6 @@ from .metrics import (
     load_prediction_log,
     tally,
 )
-from .nn import ClassifierSpec
 
 # Lower is better for every metric except accuracy.
 _HIGHER_BETTER = {"acc"}
@@ -96,21 +95,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = config.load_dataset()
     partitions, test_set = config.split_and_partition(dataset)
 
-    # Modes on an equal classifier spec (fedavg and local share the plain
-    # head) train as one lockstep run over the shared partitions.
-    groups: dict[ClassifierSpec, list[Mode]] = {}
-    for mode in config.modes:
-        spec = config.classifier_spec(mode, input_dim=dataset.feature_dim)
-        groups.setdefault(spec, []).append(mode)
-    results = {}
-    for spec, modes in groups.items():
-        federations = [Federation(mode, config.master_seed, partitions, test_set) for mode in modes]
-        results.update(zip(modes, run_lockstep(config.federation_config(), federations, spec)))
+    # Every mode trains in one lockstep run over the shared partitions,
+    # each on its own head.
+    spec = config.classifier_spec(config.modes[0], input_dim=dataset.feature_dim)
+    federations = [
+        Federation(mode, config.master_seed, partitions, test_set) for mode in config.modes
+    ]
+    results = run_lockstep(config.federation_config(), federations, spec)
 
     lines: list[dict] = []
     summary: dict[str, dict] = {}
-    for mode in config.modes:
-        result = results[mode]
+    for mode, result in zip(config.modes, results):
         for snap in result.history:
             if snap.report is None:
                 continue

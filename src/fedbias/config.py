@@ -33,6 +33,18 @@ def _parse_finite(raw: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """A parser of integers no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_widths(raw: str) -> tuple[int, ...]:
     if raw.lower() in ("", "none"):
         return ()
@@ -92,10 +104,10 @@ class ExperimentConfig:
     csv_path: str | None = _key("data.csv_path", str, None)
     test_fraction: float = _key("data.test_fraction", _parse_finite, 0.2)
     hidden_widths: tuple[int, ...] = _key("model.hidden", _parse_widths, (16,))
-    rounds: int = _key("federation.rounds", int, 30)
-    num_clients: int = _key("federation.clients", int, 5)
-    local_epochs: int = _key("federation.local_epochs", int, 3)
-    batch_size: int = _key("federation.batch_size", int, 128)
+    rounds: int = _key("federation.rounds", _int_at_least(0), 30)
+    num_clients: int = _key("federation.clients", _int_at_least(1), 5)
+    local_epochs: int = _key("federation.local_epochs", _int_at_least(1), 3)
+    batch_size: int = _key("federation.batch_size", _int_at_least(1), 128)
     optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer_kind, OptimizerKind.ADAM)
     learning_rate: float = _key("optimizer.learning_rate", _parse_finite, 1e-4)
     weight_decay: float = _key("optimizer.weight_decay", _parse_finite, 3e-4)

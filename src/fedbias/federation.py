@@ -12,26 +12,26 @@ returned weights. Three modes share this loop:
 - ``local``: no aggregation; each client keeps training its own model,
   and evaluation averages the clients' individual reports.
 
-The classifier spec's head decides the loss (``nn.backward``), so the
-mode enters training only through the runner's check that the spec
-carries the mode's head.
+A federation's mode picks its head (``head_mode_for``) and the head
+decides the loss (``nn.backward``); the rest of the network shape comes
+from the run's classifier spec.
 
 Client k is the k-th partition. Clients never share mutable state, and
 every shuffle is seeded by (master_seed, k, round), so a client's update
 does not depend on which clients trained with it or before it. That lets
-``train_clients`` run a chunk of clients in lockstep: each step is one
-stacked backward pass and one optimizer update over the chunk's (K', P)
-weight block, and every client's result is bit for bit what training it
-alone gives.
+``train_clients`` run a chunk of clients on one head in lockstep: each
+step is one stacked backward pass and one optimizer update over the
+chunk's (K', P) weight block, and every client's result is bit for bit
+what training it alone gives.
 
-The same holds across federations. ``run_lockstep`` runs several
-federations on one head (fedavg and local over the same shards, or one
-mode at many master seeds) under one shared ``FederationConfig``, round
-by round: each round trains the clients of all of them as one flat list
-through ``train_round``, then aggregates and evaluates each federation
-on its own. Each result equals a run of that federation alone, and
-``run_federation`` is the one-federation case. Errors name the
-federation by mode and master seed
+The same holds across federations. ``run_lockstep`` runs federations of
+any mode (fedavg, local and dbfed over the same shards, or one mode at
+many master seeds) under one shared ``FederationConfig``, round by
+round: each round trains the clients of all of them as one flat list
+through ``train_round``, which draws each distinct shuffle once, then
+aggregates and evaluates each federation on its own. Each result equals
+a run of that federation alone, and ``run_federation`` is the
+one-federation case. Errors name the federation by mode and master seed
 (``"fedavg seed 3, round 2, client 1: ..."``, or ``"fedavg seed 3: ..."``
 for the checks made before round 1).
 """
@@ -44,7 +44,7 @@ import math
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -111,8 +111,8 @@ class RoundSnapshot:
     """Per-round bookkeeping; ``report`` is filled on evaluation rounds.
 
     ``duration_sec`` covers the round's training, which a lockstep run
-    shares among its federations, plus this federation's own aggregation
-    and evaluation.
+    shares among its federations (every head of the run trains in it),
+    plus this federation's own aggregation and evaluation.
     """
 
     round_index: int
@@ -169,30 +169,38 @@ def train_clients(
     incoming: Sequence[ModelWeights],
     spec: ClassifierSpec,
     optimizer: OptimizerConfig,
-    epochs: int,
     batch_size: int,
-    seeds: Sequence[int],
-) -> list[tuple[ModelWeights, float]]:
+    orders: Sequence[Sequence[np.ndarray]],
+    *,
+    check_targets: bool = True,
+) -> tuple[ModelWeights, np.ndarray]:
     """E full passes of K clients over their own shards, in lockstep.
 
-    Client k starts from ``incoming[k]`` with zero optimizer moments, and
-    one generator seeded by ``seeds[k]`` drives its every epoch's shuffle;
-    the trailing partial batch is trained on. The shards must have equal
-    lengths, so each step is one stacked backward pass and one stacked
-    optimizer update over the (K, P) block of client weights, with each
-    client's rows gathered into the step plan. Returns each client's
-    trained weights and mean loss over its batches, bit for bit what
-    training that client alone gives.
+    Client k starts from ``incoming[k]`` with zero optimizer moments and
+    visits its shard in ``orders[k][e]`` in epoch e, a permutation of the
+    shard's indices; every client has the same number E of epoch orders,
+    and the trailing partial batch is trained on. The shards must have
+    equal lengths, so each step is one stacked backward pass and one
+    stacked optimizer update over the (K, P) block of client weights,
+    with each client's rows gathered into the step plan. Returns the
+    trained (K, P) stack and the (K,) mean losses over each client's
+    batches; row k is bit for bit what training client k alone gives.
 
     This is where a step's inputs are checked, once per call: at least
-    one client, the incoming layouts, and the shards' label (and under
-    the grouped head, group) ranges. The steps then run ``backward`` and
-    ``optimizer_step``, which check nothing, on the call's plans of the
-    full and the last batch, and on layer views of the weight block
-    taken once.
+    one client, the orders' shape, the incoming layouts and, unless the
+    caller checked them already (``check_targets=False``), the shards'
+    label (and under the grouped head, group) ranges. The steps then run
+    ``backward`` and ``optimizer_step``, which check nothing, on the
+    call's plans of the full and the last batch, and on layer views of
+    the weight block taken once. Nothing checks that the results are
+    finite.
     """
     if not shards:
         raise ValueError("need at least one client to train")
+    k = len(shards)
+    if len(incoming) != k or len(orders) != k:
+        raise ValueError("need one incoming model and one set of epoch orders per client")
+    epochs = len(orders[0])
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
     if batch_size < 1:
@@ -202,13 +210,13 @@ def train_clients(
         raise ConfigurationError("cannot train on an empty dataset")
     if any(len(shard) != size for shard in shards):
         raise ConfigurationError("clients trained in one stack need equal shard sizes")
-    k = len(shards)
-    if len(incoming) != k or len(seeds) != k:
-        raise ValueError("need one incoming model and one seed per client")
+    if any(len(own) != epochs or any(len(order) != size for order in own) for own in orders):
+        raise ValueError("need one order of each client's shard per epoch, as many as client 0's")
     for weights in incoming:
         _check_weights(spec, weights)
-    for shard in shards:
-        _check_targets(spec, shard.labels, shard.groups)
+    if check_targets:
+        for shard in shards:
+            _check_targets(spec, shard.labels, shard.groups)
     width = min(batch_size, size)
     full = StepPlan(spec, k, width)
     last = StepPlan(spec, k, size % width) if size % width else full
@@ -217,15 +225,13 @@ def train_clients(
     weights = incoming[0].with_values(block)
     layers = weights.unflatten()
     first_moment, second_moment = np.zeros_like(block), np.zeros_like(block)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     loss_total = np.zeros(k)
     steps = 0
-    for _ in range(epochs):
-        orders = [rng.permutation(size) for rng in rngs]
+    for epoch in range(epochs):
         for start in range(0, size, batch_size):
             plan = full if start + width <= size else last
-            for shard, order, (x, y, g) in zip(shards, orders, plan.clients):
-                idx = order[start : start + plan.size]
+            for shard, own, (x, y, g) in zip(shards, orders, plan.clients):
+                idx = own[epoch][start : start + plan.size]
                 shard.features.take(idx, axis=0, out=x, mode="clip")
                 shard.labels.take(idx, out=y, mode="clip")
                 shard.groups.take(idx, out=g, mode="clip")
@@ -234,8 +240,13 @@ def train_clients(
             optimizer_step(
                 optimizer, steps, block, first_moment, second_moment, plan.gradient, plan.scratch
             )
-    mean_loss = loss_total / steps
-    return [(weights.with_values(block[i].copy()), float(mean_loss[i])) for i in range(k)]
+    return weights, loss_total / steps
+
+
+def _unstack(trained: ModelWeights, losses: np.ndarray) -> list[tuple[ModelWeights, float]]:
+    """One (weights, mean loss) per row of a ``train_clients`` result."""
+    rows = zip(trained.values, losses)
+    return [(trained.with_values(row.copy()), float(loss)) for row, loss in rows]
 
 
 def client_local_train(
@@ -248,10 +259,14 @@ def client_local_train(
     seed: int,
 ) -> tuple[ModelWeights, float]:
     """E full passes over one client shard starting from ``incoming``:
-    ``train_clients`` with a single client. Returns the trained weights and
-    the mean loss over all batches; the call is a pure function of its
-    arguments."""
-    return train_clients([data], [incoming], spec, optimizer, epochs, batch_size, [seed])[0]
+    ``train_clients`` with a single client, whose E epoch orders are
+    drawn in turn from one generator seeded by ``seed``. Returns the
+    trained weights and the mean loss over all batches; the call is a
+    pure function of its arguments."""
+    rng = np.random.default_rng(seed)
+    orders = [rng.permutation(len(data)) for _ in range(epochs)]
+    trained = train_clients([data], [incoming], spec, optimizer, batch_size, [orders])
+    return _unstack(*trained)[0]
 
 
 def fedavg_aggregate(
@@ -346,6 +361,11 @@ def _name(fed: Federation) -> str:
     return f"{fed.mode.value} seed {fed.master_seed}"
 
 
+def _head_spec(spec: ClassifierSpec, mode: Mode) -> ClassifierSpec:
+    """The network shape of ``spec`` with the head of ``mode``."""
+    return replace(spec, head_mode=head_mode_for(mode))
+
+
 def train_round(
     config: FederationConfig,
     federations: Sequence[Federation],
@@ -354,78 +374,107 @@ def train_round(
     round_index: int,
 ) -> list[list[tuple[ModelWeights, float]]]:
     """One round of local training, under ``config``'s local epochs, batch
-    size and optimizer, for every client of every federation, as
-    (weights, mean loss) per federation in client order.
+    size and optimizer, for every client of every federation, each on the
+    head of its federation's mode, as (weights, mean loss) per federation
+    in client order.
 
     The (federation, client) pairs form one flat list that trains chunk
-    by chunk (``client_chunks``). Client k of federation f starts from
+    by chunk: clients on one head and of one shard size share chunks
+    (``client_chunks``). Client k of federation f starts from
     ``incoming[f][k]`` and shuffles with ``shuffle_seed(master_seed_f, k,
-    round_index)``, so its result does not depend on the other clients
-    in its chunk. An error or a non-finite result names the federation,
-    the round and the first client that fails, in federation order, then
-    client order.
+    round_index)``; that shuffle is drawn once for every client that
+    shares its master seed, client id and shard size, and its result
+    does not depend on the other clients in its chunk. Targets are not
+    range-checked here: ``run_lockstep`` checks them once per run.
+
+    A chunk's results are checked for finiteness at once. After an error
+    or a non-finite chunk, the clients are checked one at a time, and a
+    client no chunk trained is trained alone, so the error names the
+    federation, the round and the first client that fails, in federation
+    order, then client order.
     """
     if [len(weights) for weights in incoming] != [len(fed.partitions) for fed in federations]:
         raise ValueError("need one incoming model per client of every federation")
-    # The flat list of clients: (federation, client id) and starting weights.
+    # The flat list of clients: (federation, client id), starting weights,
+    # head and epoch orders.
     owners = [(fed, k) for fed in federations for k in range(len(fed.partitions))]
     starts = [weights for per_fed in incoming for weights in per_fed]
     shards = [fed.partitions[k] for fed, k in owners]
-    seeds = [shuffle_seed(fed.master_seed, k, round_index) for fed, k in owners]
+    heads = {fed.mode: _head_spec(spec, fed.mode) for fed in federations}
+    specs = [heads[fed.mode] for fed, _ in owners]
+    draws: dict[tuple[int, int, int], list[np.ndarray]] = {}
+    orders = []
+    for fed, k in owners:
+        key = (fed.master_seed, k, len(fed.partitions[k]))
+        if key not in draws:
+            rng = np.random.default_rng(shuffle_seed(fed.master_seed, k, round_index))
+            draws[key] = [rng.permutation(key[2]) for _ in range(config.local_epochs)]
+        orders.append(draws[key])
 
-    def train(ids: list[int]) -> list[tuple[ModelWeights, float]]:
+    def train(ids: list[int]) -> tuple[ModelWeights, np.ndarray]:
         return train_clients(
             [shards[i] for i in ids],
             [starts[i] for i in ids],
-            spec,
+            specs[ids[0]],
             config.optimizer,
-            config.local_epochs,
             config.batch_size,
-            [seeds[i] for i in ids],
+            [orders[i] for i in ids],
+            check_targets=False,
         )
 
     results: dict[int, tuple[ModelWeights, float]] = {}
 
-    def checked(i: int) -> tuple[ModelWeights, float]:
-        """Client i's result, trained alone if no chunk produced it, in
-        the client's error context and checked for finiteness."""
+    def check(i: int) -> None:
+        """Check client i's result for finiteness, in the client's error
+        context, training it alone first if no chunk produced it."""
         fed, k = owners[i]
         with _in_context(f"{_name(fed)}, round {round_index}, client {k}"):
-            weights, loss = results[i] if i in results else train([i])[0]
+            weights, loss = results[i] if i in results else _unstack(*train([i]))[0]
             if not (math.isfinite(loss) and np.isfinite(weights.values).all()):
                 raise NumericError("local training produced non-finite weights or loss")
-        return weights, loss
 
+    by_head: dict[ClassifierSpec, list[int]] = {}
+    for i, own in enumerate(specs):
+        by_head.setdefault(own, []).append(i)
+    chunks = [
+        [ids[j] for j in chunk]
+        for own, ids in by_head.items()
+        for chunk in client_chunks([len(shards[i]) for i in ids], num_params(own))
+    ]
     try:
-        for chunk in client_chunks([len(shard) for shard in shards], num_params(spec)):
-            results.update(zip(chunk, train(chunk)))
+        for chunk in chunks:
+            trained, losses = train(chunk)
+            results.update(zip(chunk, _unstack(trained, losses)))
+            if not (np.isfinite(losses).all() and np.isfinite(trained.values).all()):
+                raise NumericError("local training produced non-finite weights or loss")
     except _WRAPPABLE:
         # A stacked step cannot tell which client failed: check the
         # trained clients and train the rest one at a time, in flat
         # order, to name the first that fails.
         for i in range(len(owners)):
-            checked(i)
+            check(i)
         raise
-    flat = iter([checked(i) for i in range(len(owners))])
+    flat = iter([results[i] for i in range(len(owners))])
     return [[next(flat) for _ in fed.partitions] for fed in federations]
 
 
 def _check_federation(fed: Federation, spec: ClassifierSpec) -> None:
-    check_master_seed(fed.master_seed)
-    if not fed.partitions:
-        raise ConfigurationError("a federation needs at least one client")
-    expected_head = head_mode_for(fed.mode)
-    if spec.head_mode is not expected_head:
-        raise ConfigurationError(
-            f"mode {fed.mode.value} requires head_mode {expected_head.value}, "
-            f"got {spec.head_mode.value}"
-        )
+    """The checks made once per run before round 1, against the spec of
+    the federation's head, each error under the federation's name; the
+    client targets checked last are those every round then trusts."""
+    with _in_context(_name(fed)):
+        check_master_seed(fed.master_seed)
+        if not fed.partitions:
+            raise ConfigurationError("a federation needs at least one client")
+        for k, part in enumerate(fed.partitions):
+            if len(part) == 0:
+                raise ConfigurationError(f"client {k} has an empty dataset")
+            _check_compatible(spec, part, f"client {k} partition")
+        if fed.test_set is not None:
+            _check_compatible(spec, fed.test_set, "test set")
     for k, part in enumerate(fed.partitions):
-        if len(part) == 0:
-            raise ConfigurationError(f"client {k} has an empty dataset")
-        _check_compatible(spec, part, f"client {k} partition")
-    if fed.test_set is not None:
-        _check_compatible(spec, fed.test_set, "test set")
+        with _in_context(f"{_name(fed)}, client {k}"):
+            _check_targets(spec, part.labels, part.groups)
 
 
 def _evaluate(
@@ -461,30 +510,36 @@ def run_lockstep(
     federations: Sequence[Federation],
     spec: ClassifierSpec,
 ) -> list[FederationResult]:
-    """The full R-round protocol of ``config`` for several federations on
-    one head, one ``FederationResult`` each, in order.
+    """The full R-round protocol of ``config`` for federations of any mode,
+    one ``FederationResult`` each, in order.
 
-    Each round trains every client of every federation through one
-    ``train_round``; aggregation and evaluation then run per federation.
-    Each federation's result is bit for bit the result of running it
-    alone. With a test set, a history carries a fairness report for
-    round 0 (the initialization), every ``eval_every``-th round, and the
-    final round.
+    ``spec`` gives the network shape every federation shares; each
+    federation trains and predicts on the head of its own mode
+    (``head_mode_for``), whatever head ``spec`` names. Each federation
+    and its clients are checked once, in order, before round 1,
+    including the clients' label and group ranges. Each round trains
+    every client of every federation through one ``train_round``;
+    aggregation and evaluation then run per federation. Each
+    federation's result is bit for bit the result of running it alone.
+    With a test set, a history carries a fairness report for round 0
+    (the initialization), every ``eval_every``-th round, and the final
+    round.
     """
     if not federations:
         raise ConfigurationError("a lockstep run needs at least one federation")
-    for fed in federations:
-        with _in_context(_name(fed)):
-            _check_federation(fed, spec)
+    specs = [_head_spec(spec, fed.mode) for fed in federations]
+    for fed, own in zip(federations, specs):
+        _check_federation(fed, own)
 
     global_weights = [
-        init_weights(spec, derive_seed(fed.master_seed, TAG_INIT)) for fed in federations
+        init_weights(own, derive_seed(fed.master_seed, TAG_INIT))
+        for fed, own in zip(federations, specs)
     ]
     local_weights = [[init] * len(fed.partitions) for fed, init in zip(federations, global_weights)]
     histories = []
     for f, fed in enumerate(federations):
         start = time.perf_counter()
-        report = _evaluate(fed, spec, 0, global_weights[f], local_weights[f])
+        report = _evaluate(fed, specs[f], 0, global_weights[f], local_weights[f])
         histories.append([RoundSnapshot(0, report, None, time.perf_counter() - start)])
 
     for round_index in range(1, config.rounds + 1):
@@ -510,7 +565,7 @@ def run_lockstep(
                     )
             due = round_index % config.eval_every == 0 or round_index == config.rounds
             report = (
-                _evaluate(fed, spec, round_index, global_weights[f], local_weights[f])
+                _evaluate(fed, specs[f], round_index, global_weights[f], local_weights[f])
                 if due
                 else None
             )

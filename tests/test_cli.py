@@ -175,8 +175,8 @@ class TestTrain:
         assert "run.output" in capsys.readouterr().err
 
     def test_lockstep_modes_match_each_mode_run_alone(self, tmp_path, capsys):
-        # fedavg and local share the plain head and train as one stack;
-        # every mode's lines must equal a run of that mode on its own.
+        # All three modes train in one lockstep run, on both heads; every
+        # mode's lines must equal a run of that mode on its own.
         text = BASE_CONFIG.replace("fedavg,dbfed", "local,dbfed,fedavg")
         config = write_config(tmp_path, text)
         together = tmp_path / "together.jsonl"
@@ -194,8 +194,10 @@ class TestTrain:
             assert rows[-1]["reports"][mode] == solo[-1]["reports"][mode]
 
     def test_failure_in_second_lockstep_mode_exits_3(self, tmp_path, capsys, monkeypatch):
-        # Give the local federation its own copies of the shared shards
-        # and poison their training; the error must name local.
+        # All three modes train in one lockstep run, on both heads. Give
+        # dbfed and local their own copies of the shared shards and poison
+        # their training; the error must name dbfed, the first failing
+        # mode in run.modes order.
         import fedbias.cli as cli
         import fedbias.federation as federation
 
@@ -203,24 +205,26 @@ class TestTrain:
         copies = []
 
         def split_shards(config, federations, spec):
-            fedavg, local = federations
-            copies.extend(p.subset(np.arange(len(p))) for p in local.partitions)
-            return run_lockstep(config, [fedavg, local._replace(partitions=copies)], spec)
+            assert [fed.mode.value for fed in federations] == ["fedavg", "dbfed", "local"]
+            split = [federations[0]]
+            for fed in federations[1:]:
+                own = [p.subset(np.arange(len(p))) for p in fed.partitions]
+                copies.extend(own)
+                split.append(fed._replace(partitions=own))
+            return run_lockstep(config, split, spec)
 
-        def poisoned(shards, *args):
-            results = train_clients(shards, *args)
-            return [
-                (weights, float("nan") if any(shard is c for c in copies) else loss)
-                for shard, (weights, loss) in zip(shards, results)
-            ]
+        def poisoned(shards, *args, **kwargs):
+            trained, losses = train_clients(shards, *args, **kwargs)
+            bad = [any(shard is c for c in copies) for shard in shards]
+            return trained, np.where(bad, np.nan, losses)
 
         monkeypatch.setattr(cli, "run_lockstep", split_shards)
         monkeypatch.setattr(federation, "train_clients", poisoned)
-        config = write_config(tmp_path, BASE_CONFIG.replace("fedavg,dbfed", "fedavg,local"))
+        config = write_config(tmp_path, BASE_CONFIG.replace("fedavg,dbfed", "fedavg,dbfed,local"))
         status = main(["train", "--config", str(config), "--out", str(tmp_path / "o.jsonl")])
         assert status == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: local seed 3, round 1, client 0: "), err
+        assert err.startswith("error: dbfed seed 3, round 1, client 0: "), err
         assert not (tmp_path / "o.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -259,6 +263,36 @@ class TestTrain:
         config = write_config(tmp_path, BASE_CONFIG + "federation.quorum = 3\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "generate-data"])
+@pytest.mark.parametrize(
+    "key, value, low",
+    [
+        ("federation.rounds", "-1", 0),
+        ("federation.clients", "0", 1),
+        ("federation.local_epochs", "0", 1),
+        ("federation.batch_size", "0", 1),
+    ],
+)
+def test_run_shape_below_its_bound_exits_1_before_any_data(
+    tmp_path, capsys, command, key, value, low
+):
+    # The data source is a CSV that does not exist, so only a value
+    # rejected while the config is parsed gives this message.
+    text = (
+        "data.source = csv\n"
+        f"data.csv_path = {tmp_path / 'missing.csv'}\n"
+        "data.num_classes = 2\n"
+        "data.num_groups = 2\n"
+        f"{key} = {value}\n"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 5: {key}: must be >= {low}, got {value}\n"
+    assert not out.exists()
 
 
 class TestMetrics:

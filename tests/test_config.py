@@ -95,6 +95,11 @@ class TestParsing:
             pytest.param(
                 "data.num_classes", "two", "invalid literal for int() with base 10: 'two'", id="two"
             ),
+            pytest.param("federation.rounds", "-1", "must be >= 0, got -1", id="rounds"),
+            *(
+                pytest.param(f"federation.{key}", "0", "must be >= 1, got 0", id=key)
+                for key in ("clients", "local_epochs", "batch_size")
+            ),
             *(
                 pytest.param(key, value, f"must be finite, got {value}", id=f"{key}-{value}")
                 for key in (

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,11 +313,19 @@ class TestRunFederation:
         )
         assert result.final_report is not None
 
-    def test_mode_head_mismatch_rejected(self):
-        config, fed, spec = small_run_setup(Mode.DBFED)
-        plain_spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.PLAIN)
-        with pytest.raises(ConfigurationError):
-            run_federation(config, fed, plain_spec)
+    def test_mode_picks_the_head(self):
+        # The spec gives the network shape and the mode picks the head, so
+        # a spec naming the other head runs the same federation bit for bit.
+        for mode, other in [
+            (Mode.DBFED, HeadMode.PLAIN),
+            (Mode.FEDAVG_PLAIN, HeadMode.DOMAIN_INDEPENDENT),
+        ]:
+            config, fed, spec = small_run_setup(mode)
+            a = run_federation(config, fed, spec)
+            b = run_federation(config, fed, replace(spec, head_mode=other))
+            assert len(b.final_weights) == num_params(spec)
+            assert a.final_weights.values.tobytes() == b.final_weights.values.tobytes()
+            assert a.final_report.to_dict() == b.final_report.to_dict()
 
     def test_empty_partition_list_rejected(self):
         config, fed, spec = small_run_setup(Mode.DBFED)
@@ -336,10 +345,10 @@ class TestRunFederation:
         config, fed, spec = small_run_setup(Mode.DBFED, num_clients=3)
         real = federation.train_clients
 
-        def boom(shards, *args):
+        def boom(shards, *args, **kwargs):
             if any(shard is fed.partitions[1] for shard in shards):
                 raise ValueError("synthetic failure")
-            return real(shards, *args)
+            return real(shards, *args, **kwargs)
 
         monkeypatch.setattr(federation, "train_clients", boom)
         message = r"^dbfed seed 21, round 1, client 1: synthetic failure$"
@@ -349,10 +358,12 @@ class TestRunFederation:
 
 @st.composite
 def client_rounds(draw):
-    """One round of K clients: (config, federation, spec, incoming). Shard
-    sizes differ by at most one, so some clients take an extra step or a
-    longer last batch. A wide hidden layer makes P large enough that the
-    stack limit splits K clients into several chunks."""
+    """One round of K clients: (config, federation, spec, incoming), the
+    federation's mode on the head the spec names (local on the plain head,
+    dbfed on the grouped one). Shard sizes differ by at most one, so some
+    clients take an extra step or a longer last batch. A wide hidden layer
+    makes P large enough that the stack limit splits K clients into
+    several chunks."""
     head = draw(st.sampled_from(HeadMode))
     n, d, m = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     hidden = draw(
@@ -378,7 +389,8 @@ def client_rounds(draw):
         for s in sizes
     ]
     incoming = [init_weights(spec, int(rng.integers(0, 1000))) for _ in range(k)]
-    return config, Federation(Mode.LOCAL_ONLY, master_seed, shards), spec, incoming
+    mode = Mode.DBFED if head is HeadMode.DOMAIN_INDEPENDENT else Mode.LOCAL_ONLY
+    return config, Federation(mode, master_seed, shards), spec, incoming
 
 
 class TestStackedEngine:
@@ -426,14 +438,24 @@ class TestStackedEngine:
     def test_empty_chunk_rejected(self):
         spec = ClassifierSpec(3, (), 2, 2)
         with pytest.raises(ValueError, match="^need at least one client to train$"):
-            train_clients([], [], spec, adam(), 1, 4, [])
+            train_clients([], [], spec, adam(), 4, [])
 
     def test_unequal_shards_rejected_in_one_stack(self):
         spec = ClassifierSpec(3, (), 2, 2)
         shards = [toy_dataset(size=5), toy_dataset(size=6)]
         w = init_weights(spec, 0)
         with pytest.raises(ConfigurationError, match="equal shard sizes"):
-            train_clients(shards, [w, w], spec, adam(), 1, 4, [0, 1])
+            train_clients(shards, [w, w], spec, adam(), 4, [[np.arange(5)], [np.arange(6)]])
+
+    @pytest.mark.parametrize(
+        "orders", [[[np.arange(6)], [np.arange(6)] * 2], [[np.arange(6)], [np.arange(5)]]]
+    )
+    def test_epoch_orders_must_cover_each_shard_every_epoch(self, orders):
+        spec = ClassifierSpec(3, (), 2, 2)
+        shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
+        w = init_weights(spec, 0)
+        with pytest.raises(ValueError, match="^need one order of each client's shard per epoch"):
+            train_clients(shards, [w, w], spec, adam(), 4, orders)
 
     def test_chunk_checked_before_training(self):
         spec = ClassifierSpec(3, (), 2, 2)
@@ -441,13 +463,14 @@ class TestStackedEngine:
         shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
         w = init_weights(spec, 0)
         with pytest.raises(ValueError, match="^weight layout does not match"):
-            train_clients(shards, [w, init_weights(other, 0)], spec, adam(), 1, 4, [0, 1])
+            train_clients(shards, [w, init_weights(other, 0)], spec, adam(), 4, [[np.arange(6)]] * 2)
 
 
 class TestTargetRanges:
-    """``train_clients`` checks its shards' targets once, before its first
-    step, and a federated run prefixes the message with the client that
-    holds the shard."""
+    """A direct ``train_clients`` call checks its shards' targets before
+    its first step. A run checks every client's targets once, against its
+    federation's head, before round 1, and prefixes the message with the
+    federation and the client that holds the shard."""
 
     @pytest.mark.parametrize(
         "mode,field,value,message",
@@ -461,20 +484,43 @@ class TestTargetRanges:
         part = fed.partitions[0]
         getattr(part, field)[3] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
-            train_clients([part], [init_weights(spec, 0)], spec, adam(), 1, 8, [0])
-        where = f"{mode.value} seed 3, round 1, client 0"
+            train_clients([part], [init_weights(spec, 0)], spec, adam(), 8, [[np.arange(len(part))]])
+        where = f"{mode.value} seed 3, client 0"
         with pytest.raises(ValueError, match=f"^{where}: {message}$"):
             run_federation(config, fed, spec)
+
+    def test_each_federation_checks_its_own_head(self):
+        # The plain head ignores groups, so only dbfed rejects a group out
+        # of range on the shard fedavg shares with it.
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, master_seed=3)
+        fed.partitions[1].groups[0] = 5
+        feds = [fed, fed._replace(mode=Mode.DBFED)]
+        message = "^dbfed seed 3, client 1: group 5 out of range for 2 groups$"
+        with pytest.raises(ValueError, match=message):
+            run_lockstep(config, feds, spec)
+        run_federation(config, fed, spec)
+
+    def test_checked_once_per_run(self, monkeypatch):
+        # Three federations of 4 clients over 2 rounds: one check each.
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
+        calls = []
+        real = federation._check_targets
+        monkeypatch.setattr(
+            federation, "_check_targets", lambda *args: calls.append(args) or real(*args)
+        )
+        run_lockstep(FederationConfig(2, 1, 8, adam()), [fed._replace(mode=m) for m in Mode], spec)
+        assert len(calls) == 12
 
 
 @st.composite
 def lockstep_runs(draw):
-    """(config, federations, spec): up to three plain-head federations
-    (fedavg or local, each with its own master seed, shards and optional
-    test set) under one run shape. Shard sizes differ by at most one, so
-    the flat client list splits into chunks by size; a wide hidden layer
-    splits it further by the stack limit. A federation may reuse the
-    previous one's shards, as ``fedbias train`` does."""
+    """(config, federations, spec): up to three federations of any mode,
+    so one run may mix heads (each with its own master seed, shards and
+    optional test set), under one run shape on a spec of either head.
+    Shard sizes differ by at most one, so the flat client list splits
+    into chunks by head and size; a wide hidden layer splits it further
+    by the stack limit. A federation may reuse the previous one's shards,
+    as ``fedbias train`` does."""
     n, d, m = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     hidden = draw(
         st.one_of(
@@ -482,7 +528,7 @@ def lockstep_runs(draw):
             st.lists(st.integers(1500, 3000), min_size=1, max_size=1),
         )
     )
-    spec = ClassifierSpec(m, tuple(hidden), n, d, HeadMode.PLAIN)
+    spec = ClassifierSpec(m, tuple(hidden), n, d, draw(st.sampled_from(HeadMode)))
     optimizer = OptimizerConfig(kind=draw(st.sampled_from(OptimizerKind)), learning_rate=0.05)
     rounds, epochs = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     batch = draw(st.integers(1, 8))
@@ -501,7 +547,7 @@ def lockstep_runs(draw):
         else:
             count = draw(st.integers(1, 4))
             shards = [dataset(base + draw(st.integers(0, 1))) for _ in range(count)]
-        mode = draw(st.sampled_from([Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY]))
+        mode = draw(st.sampled_from(Mode))
         master_seed = draw(st.integers(0, 1000))
         test = dataset(draw(st.integers(4, 12))) if draw(st.booleans()) else None
         federations.append(Federation(mode, master_seed, shards, test))
@@ -513,12 +559,10 @@ def poison_losses(monkeypatch, poisoned):
     """Make ``train_clients`` report a NaN loss for every shard in ``poisoned``."""
     real = federation.train_clients
 
-    def patched(shards, *args):
-        results = real(shards, *args)
-        return [
-            (weights, float("nan") if any(shard is p for p in poisoned) else loss)
-            for shard, (weights, loss) in zip(shards, results)
-        ]
+    def patched(shards, *args, **kwargs):
+        trained, losses = real(shards, *args, **kwargs)
+        bad = [any(shard is p for p in poisoned) for shard in shards]
+        return trained, np.where(bad, np.nan, losses)
 
     monkeypatch.setattr(federation, "train_clients", patched)
 
@@ -531,7 +575,8 @@ class TestLockstep:
         results = run_lockstep(config, federations, spec)
         assert len(results) == len(federations)
         for fed, result in zip(federations, results):
-            alone = reference_run_federation(config, fed, spec)
+            own = replace(spec, head_mode=head_mode_for(fed.mode))
+            alone = reference_run_federation(config, fed, own)
             assert [s.round_index for s in result.history] == [s.round_index for s in alone.history]
             assert [repr(s.mean_train_loss) for s in result.history] == [
                 repr(s.mean_train_loss) for s in alone.history
@@ -573,10 +618,10 @@ class TestLockstep:
         config = FederationConfig(1, 1, 4, adam())
         real = federation.train_clients
 
-        def boom(shards, *args):
+        def boom(shards, *args, **kwargs):
             if any(shard is parts[1] or shard is parts[2] for shard in shards):
                 raise ValueError("synthetic failure")
-            return real(shards, *args)
+            return real(shards, *args, **kwargs)
 
         monkeypatch.setattr(federation, "train_clients", boom)
         message = r"^local seed 7, round 1, client 1: synthetic failure$"
@@ -638,11 +683,42 @@ class TestLockstep:
         with pytest.raises(ConfigurationError, match=message):
             run_lockstep(config, [fedavg, fedavg._replace(mode=Mode.LOCAL_ONLY, master_seed=-3)], spec)
 
-    def test_federation_on_the_other_head_rejected(self):
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN)
-        dbfed = Federation(Mode.DBFED, 21, fed.partitions)
-        with pytest.raises(ConfigurationError, match="mode dbfed requires head_mode"):
-            run_lockstep(config, [fed._replace(test_set=None), dbfed], spec)
+    def test_federations_on_both_heads_share_a_run(self, monkeypatch):
+        # fedavg, local and dbfed over one set of shards: each round trains
+        # the plain-head clients and the grouped-head clients in their own
+        # chunks, and each federation equals its run alone.
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        federations = [fed._replace(mode=mode) for mode in Mode]
+        trained = {head: 0 for head in HeadMode}
+        real = federation.train_clients
+
+        def counted(shards, incoming, spec, *args, **kwargs):
+            trained[spec.head_mode] += len(shards)
+            return real(shards, incoming, spec, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "train_clients", counted)
+        results = run_lockstep(config, federations, spec)
+        assert trained == {HeadMode.PLAIN: 2 * 3 * 3, HeadMode.DOMAIN_INDEPENDENT: 3 * 3}
+        monkeypatch.setattr(federation, "train_clients", real)
+        for one, result in zip(federations, results):
+            alone = run_federation(config, one, spec)
+            assert [s.report.to_dict() for s in result.history] == [
+                s.report.to_dict() for s in alone.history
+            ]
+            for k, weights in alone.client_weights.items():
+                assert result.client_weights[k].values.tobytes() == weights.values.tobytes()
+
+    def test_one_shuffle_draw_per_master_seed_and_client(self, monkeypatch):
+        # Three modes share the master seed and the shards: 4 clients over
+        # 2 rounds make 8 draws, not 24.
+        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
+        calls = []
+        real = federation.shuffle_seed
+        monkeypatch.setattr(
+            federation, "shuffle_seed", lambda *args: calls.append(args) or real(*args)
+        )
+        run_lockstep(FederationConfig(2, 2, 8, adam()), [fed._replace(mode=m) for m in Mode], spec)
+        assert sorted(calls) == [(21, k, r) for k in range(4) for r in (1, 2)]
 
 
 class TestNonFiniteTraining:

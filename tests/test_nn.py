@@ -208,7 +208,7 @@ class TestBackward:
         shard = Dataset(np.zeros((1, 2)), [0], [0], 2, 2)
         for spec, other in ((plain, di), (di, plain)):
             with pytest.raises(ValueError, match="weight layout does not match"):
-                train_clients([shard], [init_weights(other, 0)], spec, OptimizerConfig(), 1, 1, [0])
+                train_clients([shard], [init_weights(other, 0)], spec, OptimizerConfig(), 1, [[[0]]])
 
     @pytest.mark.parametrize("field", ["labels", "groups"])
     def test_non_integer_labels_and_groups_rejected(self, field):
@@ -236,7 +236,7 @@ class TestBackward:
         shard = Dataset(np.zeros((2, 2)), [1, 0], [0, 2], 2, 3)
         shard.labels[1], shard.groups[0] = label, group
         with pytest.raises(ValueError, match=f"^{message}$"):
-            train_clients([shard], [init_weights(spec, 0)], spec, OptimizerConfig(), 1, 2, [0])
+            train_clients([shard], [init_weights(spec, 0)], spec, OptimizerConfig(), 2, [[[0, 1]]])
 
     def test_plain_head_ignores_groups(self):
         spec = spec_2_3_2()
