@@ -41,7 +41,7 @@ for master_seed in SEEDS:
 # The seeds share one run shape, so all (mode, seed) pairs train in one
 # lockstep run, each mode on its own head.
 MODES = (Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY, Mode.DBFED)
-spec = config.classifier_spec(MODES[0], input_dim=dataset.feature_dim)
+spec = config.classifier_spec(input_dim=dataset.feature_dim)
 federations = [
     Federation(mode, master_seed, partitions, test_set)
     for mode in MODES

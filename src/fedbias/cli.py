@@ -97,7 +97,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     # Every mode trains in one lockstep run over the shared partitions,
     # each on its own head.
-    spec = config.classifier_spec(config.modes[0], input_dim=dataset.feature_dim)
+    spec = config.classifier_spec(input_dim=dataset.feature_dim)
     federations = [
         Federation(mode, config.master_seed, partitions, test_set) for mode in config.modes
     ]

@@ -21,7 +21,7 @@ from .data import (
     train_test_split,
 )
 from .exceptions import ConfigurationError
-from .federation import FederationConfig, Mode, head_mode_for
+from .federation import FederationConfig, Mode
 from .nn import ClassifierSpec, OptimizerConfig, OptimizerKind
 from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, check_master_seed, derive_seed
 
@@ -94,10 +94,10 @@ class ExperimentConfig:
     the constructor still takes every field, with no defaults."""
 
     source: str = _key("data.source", str, "synthetic")
-    num_classes: int = _key("data.num_classes", int)
-    num_groups: int = _key("data.num_groups", int)
-    feature_dim: int | None = _key("data.feature_dim", int, None)
-    samples_per_group: int | None = _key("data.samples_per_group", int, None)
+    num_classes: int = _key("data.num_classes", _int_at_least(2))
+    num_groups: int = _key("data.num_groups", _int_at_least(1))
+    feature_dim: int | None = _key("data.feature_dim", _int_at_least(1), None)
+    samples_per_group: int | None = _key("data.samples_per_group", _int_at_least(1), None)
     bias_strength: float = _key("data.bias_strength", _parse_finite, 0.0)
     group_shift: float = _key("data.group_shift", _parse_finite, 0.0)
     noise_sigma: float = _key("data.noise_sigma", _parse_finite, 1.0)
@@ -112,8 +112,8 @@ class ExperimentConfig:
     learning_rate: float = _key("optimizer.learning_rate", _parse_finite, 1e-4)
     weight_decay: float = _key("optimizer.weight_decay", _parse_finite, 3e-4)
     modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
-    master_seed: int = _key("run.master_seed", int, 0)
-    eval_every: int = _key("run.eval_every", int, 1)
+    master_seed: int = _key("run.master_seed", _int_at_least(0), 0)
+    eval_every: int = _key("run.eval_every", _int_at_least(1), 1)
     output_path: str | None = _key("run.output", str, None)
 
     def __post_init__(self) -> None:
@@ -130,8 +130,6 @@ class ExperimentConfig:
             raise ConfigurationError("data.source = csv requires data.csv_path")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("data.test_fraction must be strictly between 0 and 1")
-        if self.eval_every < 1:
-            raise ConfigurationError("run.eval_every must be >= 1")
         check_master_seed(self.master_seed)
 
     def with_master_seed(self, master_seed: int) -> "ExperimentConfig":
@@ -153,13 +151,13 @@ class ExperimentConfig:
             eval_every=self.eval_every,
         )
 
-    def classifier_spec(self, mode: Mode, input_dim: int) -> ClassifierSpec:
+    def classifier_spec(self, input_dim: int) -> ClassifierSpec:
+        """The network shape; each federation's mode picks its head."""
         return ClassifierSpec(
             input_dim=input_dim,
             hidden_widths=self.hidden_widths,
             num_classes=self.num_classes,
             num_groups=self.num_groups,
-            head_mode=head_mode_for(mode),
         )
 
     def synthetic_spec(self) -> SyntheticSpec:

@@ -34,12 +34,14 @@ import numpy as np
 from .exceptions import ConfigurationError, DataFormatError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Array-backed collection of labeled examples.
 
     ``features`` is (n, m) float64, ``labels`` and ``groups`` are (n,)
-    int64 with values in [0, num_classes) and [0, num_groups).
+    int64 with values in [0, num_classes) and [0, num_groups). The
+    constructor checks those ranges once and keeps read-only views (not
+    copies) of the arrays, so the check holds for the dataset's life.
     """
 
     features: np.ndarray
@@ -49,24 +51,30 @@ class Dataset:
     num_groups: int
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be a 2-D array, got shape {self.features.shape}")
-        for name in ("labels", "groups"):
+        features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ValueError(f"features must be a 2-D array, got shape {features.shape}")
+        if self.num_classes < 1 or self.num_groups < 1:
+            raise ValueError("num_classes and num_groups must be positive")
+        arrays = {"features": features}
+        for name, count, unit in (
+            ("labels", self.num_classes, "classes"),
+            ("groups", self.num_groups, "groups"),
+        ):
             values = np.asarray(getattr(self, name))
             if values.size and values.dtype.kind not in "iu":
                 raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
-            setattr(self, name, values.astype(np.int64, copy=False))
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.groups.shape != (n,):
-            raise ValueError("features, labels and groups must have matching length")
-        if self.num_classes < 1 or self.num_groups < 1:
-            raise ValueError("num_classes and num_groups must be positive")
-        if n > 0:
-            if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-                raise ValueError("label out of range [0, num_classes)")
-            if self.groups.min() < 0 or self.groups.max() >= self.num_groups:
-                raise ValueError("group out of range [0, num_groups)")
+            values = arrays[name] = values.astype(np.int64, copy=False)
+            if values.shape != (len(features),):
+                raise ValueError("features, labels and groups must have matching length")
+            low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+            if low < 0 or high >= count:
+                bad = low if low < 0 else high
+                raise ValueError(f"{name[:-1]} {bad} out of range for {count} {unit}")
+        for name, values in arrays.items():
+            view = values.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -16,9 +16,11 @@ A federation's mode picks its head (``head_mode_for``) and the head
 decides the loss (``nn.backward``); the rest of the network shape comes
 from the run's classifier spec.
 
-Client k is the k-th partition. Clients never share mutable state, and
-every shuffle is seeded by (master_seed, k, round), so a client's update
-does not depend on which clients trained with it or before it. That lets
+Client k is the k-th partition, a read-only ``Dataset`` whose labels and
+groups were range-checked when it was built, so no run scans them again.
+Clients never share mutable state, and every shuffle is seeded by
+(master_seed, k, round), so a client's update does not depend on which
+clients trained with it or before it. That lets
 ``train_clients`` run a chunk of clients on one head in lockstep: each
 step is one stacked backward pass and one optimizer update over the
 chunk's (K', P) weight block, and every client's result is bit for bit
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 import operator
 import time
 from contextlib import contextmanager
@@ -60,7 +61,6 @@ from .nn import (
     ModelWeights,
     OptimizerConfig,
     StepPlan,
-    _check_targets,
     _check_weights,
     backward,
     forward_batch,
@@ -164,6 +164,18 @@ def client_chunks(sizes: Sequence[int], num_values: int) -> list[list[int]]:
     return chunks
 
 
+def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None:
+    if dataset.num_classes != spec.num_classes or dataset.num_groups != spec.num_groups:
+        raise ConfigurationError(
+            f"{what} has {dataset.num_classes} classes / {dataset.num_groups} groups, "
+            f"model expects {spec.num_classes} / {spec.num_groups}"
+        )
+    if dataset.feature_dim != spec.input_dim:
+        raise ConfigurationError(
+            f"{what} has {dataset.feature_dim} features, model expects {spec.input_dim}"
+        )
+
+
 def train_clients(
     shards: Sequence[Dataset],
     incoming: Sequence[ModelWeights],
@@ -171,8 +183,6 @@ def train_clients(
     optimizer: OptimizerConfig,
     batch_size: int,
     orders: Sequence[Sequence[np.ndarray]],
-    *,
-    check_targets: bool = True,
 ) -> tuple[ModelWeights, np.ndarray]:
     """E full passes of K clients over their own shards, in lockstep.
 
@@ -187,9 +197,11 @@ def train_clients(
     batches; row k is bit for bit what training client k alone gives.
 
     This is where a step's inputs are checked, once per call: at least
-    one client, the orders' shape, the incoming layouts and, unless the
-    caller checked them already (``check_targets=False``), the shards'
-    label (and under the grouped head, group) ranges. The steps then run
+    one client, the orders' shape, the incoming layouts, and each shard's
+    class count, group count and feature width against ``spec``. A
+    ``Dataset`` checked its labels and groups against its own counts when
+    it was built and cannot change since, so equal counts keep every
+    target inside the head's logits without a scan. The steps then run
     ``backward`` and ``optimizer_step``, which check nothing, on the
     call's plans of the full and the last batch, and on layer views of
     the weight block taken once. Nothing checks that the results are
@@ -214,9 +226,8 @@ def train_clients(
         raise ValueError("need one order of each client's shard per epoch, as many as client 0's")
     for weights in incoming:
         _check_weights(spec, weights)
-    if check_targets:
-        for shard in shards:
-            _check_targets(spec, shard.labels, shard.groups)
+    for i, shard in enumerate(shards):
+        _check_compatible(spec, shard, f"shard {i}")
     width = min(batch_size, size)
     full = StepPlan(spec, k, width)
     last = StepPlan(spec, k, size % width) if size % width else full
@@ -334,18 +345,6 @@ def _in_context(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None:
-    if dataset.num_classes != spec.num_classes or dataset.num_groups != spec.num_groups:
-        raise ConfigurationError(
-            f"{what} has {dataset.num_classes} classes / {dataset.num_groups} groups, "
-            f"model expects {spec.num_classes} / {spec.num_groups}"
-        )
-    if dataset.feature_dim != spec.input_dim:
-        raise ConfigurationError(
-            f"{what} has {dataset.feature_dim} features, model expects {spec.input_dim}"
-        )
-
-
 class Federation(NamedTuple):
     """What one federation of a run holds on its own: its mode, its master
     seed, its client shards (client k is the k-th) and an optional test
@@ -384,24 +383,23 @@ def train_round(
     ``incoming[f][k]`` and shuffles with ``shuffle_seed(master_seed_f, k,
     round_index)``; that shuffle is drawn once for every client that
     shares its master seed, client id and shard size, and its result
-    does not depend on the other clients in its chunk. Targets are not
-    range-checked here: ``run_lockstep`` checks them once per run.
+    does not depend on the other clients in its chunk.
 
-    A chunk's results are checked for finiteness at once. After an error
-    or a non-finite chunk, the clients are checked one at a time, and a
-    client no chunk trained is trained alone, so the error names the
-    federation, the round and the first client that fails, in federation
-    order, then client order.
+    Every chunk trains; then a non-finite weight or loss raises
+    ``NumericError`` naming the federation, the round and the first such
+    client, in federation order, then client order. ``run_lockstep`` has
+    checked everything else before round 1, so an exception from inside
+    a chunk (one a caller's ``np.seterr(all="raise")`` turns a warning
+    into) propagates as it is.
     """
     if [len(weights) for weights in incoming] != [len(fed.partitions) for fed in federations]:
         raise ValueError("need one incoming model per client of every federation")
     # The flat list of clients: (federation, client id), starting weights,
-    # head and epoch orders.
+    # shards and epoch orders.
     owners = [(fed, k) for fed in federations for k in range(len(fed.partitions))]
     starts = [weights for per_fed in incoming for weights in per_fed]
     shards = [fed.partitions[k] for fed, k in owners]
     heads = {fed.mode: _head_spec(spec, fed.mode) for fed in federations}
-    specs = [heads[fed.mode] for fed, _ in owners]
     draws: dict[tuple[int, int, int], list[np.ndarray]] = {}
     orders = []
     for fed, k in owners:
@@ -411,57 +409,39 @@ def train_round(
             draws[key] = [rng.permutation(key[2]) for _ in range(config.local_epochs)]
         orders.append(draws[key])
 
-    def train(ids: list[int]) -> tuple[ModelWeights, np.ndarray]:
-        return train_clients(
-            [shards[i] for i in ids],
-            [starts[i] for i in ids],
-            specs[ids[0]],
-            config.optimizer,
-            config.batch_size,
-            [orders[i] for i in ids],
-            check_targets=False,
-        )
-
-    results: dict[int, tuple[ModelWeights, float]] = {}
-
-    def check(i: int) -> None:
-        """Check client i's result for finiteness, in the client's error
-        context, training it alone first if no chunk produced it."""
-        fed, k = owners[i]
-        with _in_context(f"{_name(fed)}, round {round_index}, client {k}"):
-            weights, loss = results[i] if i in results else _unstack(*train([i]))[0]
-            if not (math.isfinite(loss) and np.isfinite(weights.values).all()):
-                raise NumericError("local training produced non-finite weights or loss")
-
     by_head: dict[ClassifierSpec, list[int]] = {}
-    for i, own in enumerate(specs):
-        by_head.setdefault(own, []).append(i)
-    chunks = [
-        [ids[j] for j in chunk]
-        for own, ids in by_head.items()
-        for chunk in client_chunks([len(shards[i]) for i in ids], num_params(own))
-    ]
-    try:
-        for chunk in chunks:
-            trained, losses = train(chunk)
+    for i, (fed, _) in enumerate(owners):
+        by_head.setdefault(heads[fed.mode], []).append(i)
+    results: dict[int, tuple[ModelWeights, float]] = {}
+    finite = np.empty(len(owners), dtype=bool)
+    for own, ids in by_head.items():
+        for chunk in client_chunks([len(shards[i]) for i in ids], num_params(own)):
+            chunk = [ids[j] for j in chunk]
+            trained, losses = train_clients(
+                [shards[i] for i in chunk],
+                [starts[i] for i in chunk],
+                own,
+                config.optimizer,
+                config.batch_size,
+                [orders[i] for i in chunk],
+            )
+            finite[chunk] = np.isfinite(losses) & np.isfinite(trained.values).all(axis=1)
             results.update(zip(chunk, _unstack(trained, losses)))
-            if not (np.isfinite(losses).all() and np.isfinite(trained.values).all()):
-                raise NumericError("local training produced non-finite weights or loss")
-    except _WRAPPABLE:
-        # A stacked step cannot tell which client failed: check the
-        # trained clients and train the rest one at a time, in flat
-        # order, to name the first that fails.
-        for i in range(len(owners)):
-            check(i)
-        raise
+    if not finite.all():
+        fed, k = owners[int(finite.argmin())]
+        raise NumericError(
+            f"{_name(fed)}, round {round_index}, client {k}: "
+            "local training produced non-finite weights or loss"
+        )
     flat = iter([results[i] for i in range(len(owners))])
     return [[next(flat) for _ in fed.partitions] for fed in federations]
 
 
 def _check_federation(fed: Federation, spec: ClassifierSpec) -> None:
     """The checks made once per run before round 1, against the spec of
-    the federation's head, each error under the federation's name; the
-    client targets checked last are those every round then trusts."""
+    the federation's head, each error under the federation's name. Equal
+    class and group counts are all the targets need: each ``Dataset``
+    checked its own ranges when it was built."""
     with _in_context(_name(fed)):
         check_master_seed(fed.master_seed)
         if not fed.partitions:
@@ -472,9 +452,6 @@ def _check_federation(fed: Federation, spec: ClassifierSpec) -> None:
             _check_compatible(spec, part, f"client {k} partition")
         if fed.test_set is not None:
             _check_compatible(spec, fed.test_set, "test set")
-    for k, part in enumerate(fed.partitions):
-        with _in_context(f"{_name(fed)}, client {k}"):
-            _check_targets(spec, part.labels, part.groups)
 
 
 def _evaluate(
@@ -516,8 +493,9 @@ def run_lockstep(
     ``spec`` gives the network shape every federation shares; each
     federation trains and predicts on the head of its own mode
     (``head_mode_for``), whatever head ``spec`` names. Each federation
-    and its clients are checked once, in order, before round 1,
-    including the clients' label and group ranges. Each round trains
+    and its clients are checked once, in order, before round 1; a
+    client's labels and groups need no check of their own, since its
+    ``Dataset`` checked them when it was built. Each round trains
     every client of every federation through one ``train_round``;
     aggregation and evaluation then run per federation. Each
     federation's result is bit for bit the result of running it alone.

@@ -234,17 +234,6 @@ def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) ->
     return _forward(weights.unflatten(), x)[-1]
 
 
-def _check_targets(spec: ClassifierSpec, labels: np.ndarray, groups: np.ndarray) -> None:
-    checks = [("label", labels, spec.num_classes, "classes")]
-    if spec.num_blocks > 1:
-        checks.append(("group", groups, spec.num_groups, "groups"))
-    for what, values, count, unit in checks:
-        low, high = int(values.min()), int(values.max())
-        if low < 0 or high >= count:
-            bad = low if low < 0 else high
-            raise ValueError(f"{what} {bad} out of range for {count} {unit}")
-
-
 def backward(plan: StepPlan, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Analytic gradient of the mean per-example cross-entropy of K
     stacked models, model k on batch k of the plan's (K, B, m) ``features``
@@ -258,7 +247,8 @@ def backward(plan: StepPlan, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.
     whole output under the plain head. Row k is bit for bit what model k
     alone on batch k gives: every product is one BLAS call per model and
     every reduction runs along a model's own rows. Nothing is checked
-    here; ``federation.train_clients`` checks layouts and targets once.
+    here; ``federation.train_clients`` checks layouts and shard shapes
+    once, and each ``Dataset`` checked its targets when it was built.
     """
     k, b, logits, block = plan.models, plan.size, plan.logits, plan.block
     rows = k * b

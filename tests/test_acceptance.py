@@ -242,7 +242,7 @@ run.eval_every = 30
             dataset = config.load_dataset()
             parts, test = config.split_and_partition(dataset)
             federations.append(Federation(mode, master_seed, parts, test))
-        spec = config.classifier_spec(mode, input_dim=dataset.feature_dim)
+        spec = config.classifier_spec(input_dim=dataset.feature_dim)
         results = run_lockstep(config.federation_config(), federations, spec)
         accs = [result.final_report.acc for result in results]
         dps = [result.final_report.dp for result in results]

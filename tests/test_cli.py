@@ -228,18 +228,23 @@ class TestTrain:
         assert not (tmp_path / "o.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "text, args, seed",
+        "text, args, error",
         [
-            (BASE_CONFIG.replace("run.master_seed = 3", "run.master_seed = -3"), [], -3),
-            (BASE_CONFIG, ["--seed", "-1"], -1),
+            # A config line is refused with its line number, the flag without.
+            (
+                BASE_CONFIG.replace("run.master_seed = 3", "run.master_seed = -3"),
+                [],
+                "line 14: run.master_seed: must be >= 0, got -3",
+            ),
+            (BASE_CONFIG, ["--seed", "-1"], "run.master_seed must be >= 0, got -1"),
         ],
         ids=["config", "flag"],
     )
-    def test_negative_seed_exits_1(self, tmp_path, capsys, text, args, seed):
+    def test_negative_seed_exits_1(self, tmp_path, capsys, text, args, error):
         config = write_config(tmp_path, text)
         out = tmp_path / "o.jsonl"
         assert main(["train", "--config", str(config), "--out", str(out), *args]) == 1
-        assert capsys.readouterr().err == f"error: run.master_seed must be >= 0, got {seed}\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
     def test_missing_results_directory_exits_2_before_training(self, tmp_path, capsys):
@@ -273,6 +278,8 @@ class TestTrain:
         ("federation.clients", "0", 1),
         ("federation.local_epochs", "0", 1),
         ("federation.batch_size", "0", 1),
+        ("run.eval_every", "0", 1),
+        ("run.master_seed", "-1", 0),
     ],
 )
 def test_run_shape_below_its_bound_exits_1_before_any_data(

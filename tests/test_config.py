@@ -7,7 +7,7 @@ import pytest
 from fedbias.config import ExperimentConfig, load_config, parse_config
 from fedbias.exceptions import ConfigurationError
 from fedbias.federation import Mode
-from fedbias.nn import HeadMode, OptimizerKind
+from fedbias.nn import OptimizerKind
 
 _BASE = {
     "data.num_classes": "2",
@@ -100,6 +100,17 @@ class TestParsing:
                 pytest.param(f"federation.{key}", "0", "must be >= 1, got 0", id=key)
                 for key in ("clients", "local_epochs", "batch_size")
             ),
+            pytest.param("data.num_classes", "1", "must be >= 2, got 1", id="num_classes"),
+            *(
+                pytest.param(key, "0", "must be >= 1, got 0", id=key.split(".")[1])
+                for key in (
+                    "data.num_groups",
+                    "data.feature_dim",
+                    "data.samples_per_group",
+                    "run.eval_every",
+                )
+            ),
+            pytest.param("run.master_seed", "-1", "must be >= 0, got -1", id="master_seed"),
             *(
                 pytest.param(key, value, f"must be finite, got {value}", id=f"{key}-{value}")
                 for key in (
@@ -177,11 +188,11 @@ class TestDerivedObjects:
         # Originals untouched.
         assert c.master_seed == 0
 
-    def test_classifier_spec_head_tracks_mode(self):
-        c = cfg()
-        assert c.classifier_spec(Mode.DBFED, 3).head_mode is HeadMode.DOMAIN_INDEPENDENT
-        assert c.classifier_spec(Mode.FEDAVG_PLAIN, 3).head_mode is HeadMode.PLAIN
-        assert c.classifier_spec(Mode.DBFED, 3).input_dim == 3
+    def test_classifier_spec_carries_the_network_shape(self):
+        # The shape only: each federation's mode picks its head in the run.
+        spec = cfg(model__hidden="5,4").classifier_spec(3)
+        assert (spec.input_dim, spec.hidden_widths) == (3, (5, 4))
+        assert (spec.num_classes, spec.num_groups) == (2, 2)
 
     def test_federation_config_carries_settings(self):
         c = cfg(federation__rounds="4", federation__local_epochs="2", run__eval_every="3")
@@ -190,10 +201,12 @@ class TestDerivedObjects:
         assert fc.optimizer == c.optimizer_config()
 
     def test_negative_master_seed_rejected(self):
-        message = r"^run\.master_seed must be >= 0, got -3$"
+        # A config line is refused with its line number; an override has
+        # none, and the constructor refuses it.
+        message = r"^line 5: run\.master_seed: must be >= 0, got -3$"
         with pytest.raises(ConfigurationError, match=message):
             cfg(run__master_seed="-3")
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=r"^run\.master_seed must be >= 0, got -3$"):
             cfg().with_master_seed(-3)
         assert cfg().with_master_seed(0).master_seed == 0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+import fedbias.data as data_module
 from fedbias.data import (
     Dataset,
     SyntheticSpec,
@@ -314,3 +315,53 @@ class TestDatasetValidation:
     def test_any_integer_kind_accepted(self):
         ds = Dataset(np.zeros((2, 2)), np.array([0, 1], dtype=np.uint8), [1, 0], 2, 2)
         assert ds.labels.dtype == ds.groups.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            "constructor",
+            "subset",
+            "partition",
+            "train_test_split",
+            "generate_synthetic",
+            "load_csv_fast",
+            "load_csv_per_line",
+        ],
+    )
+    def test_every_dataset_is_read_only(self, build, tmp_path, monkeypatch):
+        # The constructor's range checks are the only target checks, so no
+        # way of building a dataset may leave its arrays writable.
+        rng = np.random.default_rng(5)
+        source = (rng.normal(size=(6, 2)), rng.integers(0, 2, 6), rng.integers(0, 3, 6))
+        base = Dataset(*source, 2, 3)
+        path = tmp_path / "data.csv"
+        save_csv(base, path)
+        if build == "load_csv_per_line":
+            # A CR byte sends the file to the per-line reader.
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        per_line = []
+        real = data_module._parse_csv_lines
+        monkeypatch.setattr(
+            data_module, "_parse_csv_lines", lambda *args: per_line.append(args) or real(*args)
+        )
+        built = {
+            "constructor": lambda: base,
+            "subset": lambda: base.subset(np.arange(3)),
+            "partition": lambda: partition(base, 2, seed=0)[1],
+            "train_test_split": lambda: train_test_split(base, 0.5, seed=0)[0],
+            "generate_synthetic": lambda: generate_synthetic(small_spec()),
+            "load_csv_fast": lambda: load_csv(path, 2, 3),
+            "load_csv_per_line": lambda: load_csv(path, 2, 3),
+        }[build]()
+        assert bool(per_line) == (build == "load_csv_per_line")
+        for name in ("features", "labels", "groups"):
+            array = getattr(built, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+                array[0] = 1
+        # The caller's own arrays stay writable, and the constructor takes
+        # views of them, not copies.
+        for array in source:
+            array[0] = 1
+        views = (base.features, base.labels, base.groups)
+        assert all(np.shares_memory(a, b) for a, b in zip(source, views))

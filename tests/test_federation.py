@@ -339,22 +339,6 @@ class TestRunFederation:
         with pytest.raises(ConfigurationError):
             run_federation(config, fed._replace(test_set=wrong), spec)
 
-    def test_client_errors_carry_round_and_client(self, monkeypatch):
-        # The error surfaces from a stack of clients; the run retrains them
-        # one at a time, so the message names the first client that fails.
-        config, fed, spec = small_run_setup(Mode.DBFED, num_clients=3)
-        real = federation.train_clients
-
-        def boom(shards, *args, **kwargs):
-            if any(shard is fed.partitions[1] for shard in shards):
-                raise ValueError("synthetic failure")
-            return real(shards, *args, **kwargs)
-
-        monkeypatch.setattr(federation, "train_clients", boom)
-        message = r"^dbfed seed 21, round 1, client 1: synthetic failure$"
-        with pytest.raises(ValueError, match=message):
-            run_federation(config, fed, spec)
-
 
 @st.composite
 def client_rounds(draw):
@@ -467,10 +451,9 @@ class TestStackedEngine:
 
 
 class TestTargetRanges:
-    """A direct ``train_clients`` call checks its shards' targets before
-    its first step. A run checks every client's targets once, against its
-    federation's head, before round 1, and prefixes the message with the
-    federation and the client that holds the shard."""
+    """A dataset checks its labels and groups when it is built and keeps
+    them read-only, so no run or ``train_clients`` call scans them again:
+    a target out of range can neither be built in nor written in later."""
 
     @pytest.mark.parametrize(
         "mode,field,value,message",
@@ -480,36 +463,14 @@ class TestTargetRanges:
         ],
     )
     def test_target_changed_after_the_dataset_was_built(self, mode, field, value, message):
-        config, fed, spec = small_run_setup(mode, master_seed=3)
-        part = fed.partitions[0]
-        getattr(part, field)[3] = value
+        part = small_run_setup(mode, master_seed=3)[1].partitions[0]
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            getattr(part, field)[3] = value
+        assert getattr(part, field)[3] != value
+        changed = getattr(part, field).copy()
+        changed[3] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
-            train_clients([part], [init_weights(spec, 0)], spec, adam(), 8, [[np.arange(len(part))]])
-        where = f"{mode.value} seed 3, client 0"
-        with pytest.raises(ValueError, match=f"^{where}: {message}$"):
-            run_federation(config, fed, spec)
-
-    def test_each_federation_checks_its_own_head(self):
-        # The plain head ignores groups, so only dbfed rejects a group out
-        # of range on the shard fedavg shares with it.
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, master_seed=3)
-        fed.partitions[1].groups[0] = 5
-        feds = [fed, fed._replace(mode=Mode.DBFED)]
-        message = "^dbfed seed 3, client 1: group 5 out of range for 2 groups$"
-        with pytest.raises(ValueError, match=message):
-            run_lockstep(config, feds, spec)
-        run_federation(config, fed, spec)
-
-    def test_checked_once_per_run(self, monkeypatch):
-        # Three federations of 4 clients over 2 rounds: one check each.
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
-        calls = []
-        real = federation._check_targets
-        monkeypatch.setattr(
-            federation, "_check_targets", lambda *args: calls.append(args) or real(*args)
-        )
-        run_lockstep(FederationConfig(2, 1, 8, adam()), [fed._replace(mode=m) for m in Mode], spec)
-        assert len(calls) == 12
+            replace(part, **{field: changed})
 
 
 @st.composite
@@ -612,20 +573,17 @@ class TestLockstep:
 
     def test_raised_error_names_first_client_across_chunks(self, monkeypatch):
         # Sizes 5, 6, 5 train as chunks [0, 2] and [1]; clients 1 and 2
-        # both raise, and client order, not chunk order, decides.
+        # both come back non-finite, and client order, not chunk order, decides.
         spec = ClassifierSpec(3, (), 2, 2)
         parts = [toy_dataset(seed=s, size=n) for s, n in enumerate([5, 6, 5])]
+        assert client_chunks([5, 6, 5], num_params(spec)) == [[0, 2], [1]]
         config = FederationConfig(1, 1, 4, adam())
-        real = federation.train_clients
-
-        def boom(shards, *args, **kwargs):
-            if any(shard is parts[1] or shard is parts[2] for shard in shards):
-                raise ValueError("synthetic failure")
-            return real(shards, *args, **kwargs)
-
-        monkeypatch.setattr(federation, "train_clients", boom)
-        message = r"^local seed 7, round 1, client 1: synthetic failure$"
-        with pytest.raises(ValueError, match=message):
+        poison_losses(monkeypatch, parts[1:])
+        message = (
+            r"^local seed 7, round 1, client 1: "
+            r"local training produced non-finite weights or loss$"
+        )
+        with pytest.raises(NumericError, match=message):
             run_lockstep(config, [Federation(Mode.LOCAL_ONLY, 7, parts)], spec)
 
     @pytest.mark.parametrize(
@@ -763,8 +721,10 @@ class TestFailureParity:
         empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
         if fault == "nan_feature":
             # Clients 1 and 2 both diverge; client order decides.
-            for part in parts[1:]:
-                part.features[0, 0] = np.nan
+            for k in (1, 2):
+                features = parts[k].features.copy()
+                features[0, 0] = np.nan
+                parts[k] = replace(parts[k], features=features)
             error = NumericError
             where = ", round 1, client 1: local training produced non-finite weights or loss"
         elif fault == "empty_shard":

@@ -230,12 +230,28 @@ class TestBackward:
     )
     def test_target_out_of_range_rejected(self, label, group, message):
         # -1 would otherwise wrap to the last class or block, and N or D
-        # would index past the logits. The shard is valid when built and
-        # changed afterwards, which only the training check can catch.
-        spec = ClassifierSpec(2, (3,), 2, 3, HeadMode.DOMAIN_INDEPENDENT)
-        shard = Dataset(np.zeros((2, 2)), [1, 0], [0, 2], 2, 3)
-        shard.labels[1], shard.groups[0] = label, group
+        # would index past the logits. The dataset refuses the target when
+        # it is built, and its arrays are read-only, so the target cannot
+        # be written in afterwards: training need not look again.
         with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(np.zeros((2, 2)), [1, label], [group, 2], 2, 3)
+        shard = Dataset(np.zeros((2, 2)), [1, 0], [0, 2], 2, 3)
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            shard.labels[1] = label
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            shard.groups[0] = group
+
+    @pytest.mark.parametrize(
+        "num_classes,num_groups,head",
+        [(3, 3, HeadMode.PLAIN), (2, 2, HeadMode.DOMAIN_INDEPENDENT), (2, 2, HeadMode.PLAIN)],
+    )
+    def test_spec_counts_must_match_the_shard(self, num_classes, num_groups, head):
+        # The shard holds group 2, past the logits of a two-group head:
+        # train_clients compares the counts instead of scanning targets.
+        spec = ClassifierSpec(2, (3,), num_classes, num_groups, head)
+        shard = Dataset(np.zeros((2, 2)), [1, 0], [0, 2], 2, 3)
+        message = f"^shard 0 has 2 classes / 3 groups, model expects {num_classes} / {num_groups}$"
+        with pytest.raises(ConfigurationError, match=message):
             train_clients([shard], [init_weights(spec, 0)], spec, OptimizerConfig(), 2, [[[0, 1]]])
 
     def test_plain_head_ignores_groups(self):
