@@ -41,13 +41,12 @@ for master_seed in SEEDS:
 # The seeds share one run shape, so all (mode, seed) pairs train in one
 # lockstep run, each mode on its own head.
 MODES = (Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY, Mode.DBFED)
-spec = config.classifier_spec(input_dim=dataset.feature_dim)
 federations = [
     Federation(mode, master_seed, partitions, test_set)
     for mode in MODES
     for master_seed, partitions, test_set in seeded
 ]
-results = iter(run_lockstep(config.federation_config(), federations, spec))
+results = iter(run_lockstep(config.federation_config(), federations))
 rows = {}
 for mode in MODES:
     finals = [next(results).final_report for _ in SEEDS]

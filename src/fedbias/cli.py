@@ -92,16 +92,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
-    dataset = config.load_dataset()
-    partitions, test_set = config.split_and_partition(dataset)
+    partitions, test_set = config.split_and_partition(config.load_dataset())
 
     # Every mode trains in one lockstep run over the shared partitions,
     # each on its own head.
-    spec = config.classifier_spec(input_dim=dataset.feature_dim)
     federations = [
         Federation(mode, config.master_seed, partitions, test_set) for mode in config.modes
     ]
-    results = run_lockstep(config.federation_config(), federations, spec)
+    results = run_lockstep(config.federation_config(), federations)
 
     lines: list[dict] = []
     summary: dict[str, dict] = {}

@@ -22,7 +22,7 @@ from .data import (
 )
 from .exceptions import ConfigurationError
 from .federation import FederationConfig, Mode
-from .nn import ClassifierSpec, OptimizerConfig, OptimizerKind
+from .nn import OptimizerConfig, OptimizerKind
 from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, check_master_seed, derive_seed
 
 
@@ -135,29 +135,14 @@ class ExperimentConfig:
     def with_master_seed(self, master_seed: int) -> "ExperimentConfig":
         return replace(self, master_seed=master_seed)
 
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            kind=self.optimizer_kind,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-        )
-
     def federation_config(self) -> FederationConfig:
         return FederationConfig(
             rounds=self.rounds,
             local_epochs=self.local_epochs,
             batch_size=self.batch_size,
-            optimizer=self.optimizer_config(),
-            eval_every=self.eval_every,
-        )
-
-    def classifier_spec(self, input_dim: int) -> ClassifierSpec:
-        """The network shape; each federation's mode picks its head."""
-        return ClassifierSpec(
-            input_dim=input_dim,
+            optimizer=OptimizerConfig(self.optimizer_kind, self.learning_rate, self.weight_decay),
             hidden_widths=self.hidden_widths,
-            num_classes=self.num_classes,
-            num_groups=self.num_groups,
+            eval_every=self.eval_every,
         )
 
     def synthetic_spec(self) -> SyntheticSpec:

@@ -40,8 +40,8 @@ class Dataset:
 
     ``features`` is (n, m) float64, ``labels`` and ``groups`` are (n,)
     int64 with values in [0, num_classes) and [0, num_groups). The
-    constructor checks those ranges once and keeps read-only views (not
-    copies) of the arrays, so the check holds for the dataset's life.
+    constructor range-checks its own copies of the labels and groups and
+    keeps read-only views of all three arrays, so the check holds for life.
     """
 
     features: np.ndarray
@@ -64,7 +64,7 @@ class Dataset:
             values = np.asarray(getattr(self, name))
             if values.size and values.dtype.kind not in "iu":
                 raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
-            values = arrays[name] = values.astype(np.int64, copy=False)
+            values = arrays[name] = np.array(values, dtype=np.int64)
             if values.shape != (len(features),):
                 raise ValueError("features, labels and groups must have matching length")
             low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)

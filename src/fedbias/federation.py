@@ -4,17 +4,18 @@ One round is: the server sends the current global weights to every
 client, each client runs E epochs of mini-batch training on its own
 shard (optimizer moments start fresh each round), and the server
 replaces the global weights with the sample-count-weighted mean of the
-returned weights. Three modes share this loop:
+returned weights. Three modes share this loop, each one ``Mode`` row:
+its head (which decides the loss in ``nn.backward``) and whether it
+aggregates.
 
-- ``fedavg``: plain cross-entropy on a plain N-unit head.
+- ``fedavg``: plain cross-entropy on a plain N-unit head, aggregated.
 - ``dbfed``: group-conditioned cross-entropy on the N*D-unit head, with
-  group-marginalized prediction at evaluation time.
-- ``local``: no aggregation; each client keeps training its own model,
-  and evaluation averages the clients' individual reports.
+  group-marginalized prediction at evaluation time, aggregated.
+- ``local``: the plain head, no aggregation; each client keeps training
+  its own model, and evaluation averages the clients' individual reports.
 
-A federation's mode picks its head (``head_mode_for``) and the head
-decides the loss (``nn.backward``); the rest of the network shape comes
-from the run's classifier spec.
+A federation's network is its first client's shape, the run's
+``FederationConfig.hidden_widths`` and its mode's head.
 
 Client k is the k-th partition, a read-only ``Dataset`` whose labels and
 groups were range-checked when it was built, so no run scans them again.
@@ -45,7 +46,7 @@ import functools
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,25 +73,32 @@ from .seeding import TAG_INIT, check_master_seed, derive_seed, shuffle_seed
 
 
 class Mode(enum.Enum):
-    FEDAVG_PLAIN = "fedavg"
-    LOCAL_ONLY = "local"
-    DBFED = "dbfed"
+    """A comparison arm: its name, its clients' head, and whether it aggregates."""
 
+    head: HeadMode
+    aggregates: bool
 
-def head_mode_for(mode: Mode) -> HeadMode:
-    return HeadMode.DOMAIN_INDEPENDENT if mode is Mode.DBFED else HeadMode.PLAIN
+    FEDAVG_PLAIN = ("fedavg", HeadMode.PLAIN, True)
+    LOCAL_ONLY = ("local", HeadMode.PLAIN, False)
+    DBFED = ("dbfed", HeadMode.DOMAIN_INDEPENDENT, True)
+
+    def __new__(cls, value: str, head: HeadMode, aggregates: bool) -> "Mode":
+        member = object.__new__(cls)
+        member._value_, member.head, member.aggregates = value, head, aggregates
+        return member
 
 
 @dataclass(frozen=True)
 class FederationConfig:
     """The run shape every federation of a run shares: R rounds of E local
-    epochs in batches of B under one optimizer, with a test-set evaluation
-    every ``eval_every``-th round."""
+    epochs in batches of B under one optimizer on hidden layers of
+    ``hidden_widths``, with a test-set evaluation every ``eval_every``-th round."""
 
     rounds: int
     local_epochs: int
     batch_size: int
     optimizer: OptimizerConfig
+    hidden_widths: tuple[int, ...]
     eval_every: int = 1
 
     def __post_init__(self) -> None:
@@ -123,8 +131,8 @@ class RoundSnapshot:
 
 @dataclass
 class FederationResult:
-    """``final_weights`` is the last global model; None in local mode,
-    where each client's own model is in ``client_weights``."""
+    """``final_weights`` is the last global model; None for a mode that does
+    not aggregate, whose clients' own models are in ``client_weights``."""
 
     final_weights: ModelWeights | None
     client_weights: dict[int, ModelWeights]
@@ -360,22 +368,25 @@ def _name(fed: Federation) -> str:
     return f"{fed.mode.value} seed {fed.master_seed}"
 
 
-def _head_spec(spec: ClassifierSpec, mode: Mode) -> ClassifierSpec:
-    """The network shape of ``spec`` with the head of ``mode``."""
-    return replace(spec, head_mode=head_mode_for(mode))
+def _spec(config: FederationConfig, fed: Federation) -> ClassifierSpec:
+    """The network the federation trains: its first client's feature width,
+    class and group counts, the run's hidden widths and its mode's head."""
+    first = fed.partitions[0]
+    return ClassifierSpec(
+        first.feature_dim, config.hidden_widths, first.num_classes, first.num_groups, fed.mode.head
+    )
 
 
 def train_round(
     config: FederationConfig,
     federations: Sequence[Federation],
-    spec: ClassifierSpec,
     incoming: Sequence[Sequence[ModelWeights]],
     round_index: int,
 ) -> list[list[tuple[ModelWeights, float]]]:
     """One round of local training, under ``config``'s local epochs, batch
-    size and optimizer, for every client of every federation, each on the
-    head of its federation's mode, as (weights, mean loss) per federation
-    in client order.
+    size and optimizer, for every client of every federation, each on its
+    federation's network (``_spec``), as (weights, mean loss) per
+    federation in client order.
 
     The (federation, client) pairs form one flat list that trains chunk
     by chunk: clients on one head and of one shard size share chunks
@@ -399,7 +410,6 @@ def train_round(
     owners = [(fed, k) for fed in federations for k in range(len(fed.partitions))]
     starts = [weights for per_fed in incoming for weights in per_fed]
     shards = [fed.partitions[k] for fed, k in owners]
-    heads = {fed.mode: _head_spec(spec, fed.mode) for fed in federations}
     draws: dict[tuple[int, int, int], list[np.ndarray]] = {}
     orders = []
     for fed, k in owners:
@@ -410,8 +420,9 @@ def train_round(
         orders.append(draws[key])
 
     by_head: dict[ClassifierSpec, list[int]] = {}
-    for i, (fed, _) in enumerate(owners):
-        by_head.setdefault(heads[fed.mode], []).append(i)
+    flat_ids = iter(range(len(owners)))
+    for fed in federations:
+        by_head.setdefault(_spec(config, fed), []).extend(next(flat_ids) for _ in fed.partitions)
     results: dict[int, tuple[ModelWeights, float]] = {}
     finite = np.empty(len(owners), dtype=bool)
     for own, ids in by_head.items():
@@ -437,21 +448,23 @@ def train_round(
     return [[next(flat) for _ in fed.partitions] for fed in federations]
 
 
-def _check_federation(fed: Federation, spec: ClassifierSpec) -> None:
-    """The checks made once per run before round 1, against the spec of
-    the federation's head, each error under the federation's name. Equal
-    class and group counts are all the targets need: each ``Dataset``
-    checked its own ranges when it was built."""
+def _check_federation(config: FederationConfig, fed: Federation) -> ClassifierSpec:
+    """The federation's network (``_spec``), once the checks made before
+    round 1 show that every client and the test set fit it; each error
+    names the federation. Equal class and group counts are all the targets
+    need: each ``Dataset`` checked its own ranges when it was built."""
     with _in_context(_name(fed)):
         check_master_seed(fed.master_seed)
         if not fed.partitions:
             raise ConfigurationError("a federation needs at least one client")
+        spec = _spec(config, fed)
         for k, part in enumerate(fed.partitions):
             if len(part) == 0:
                 raise ConfigurationError(f"client {k} has an empty dataset")
             _check_compatible(spec, part, f"client {k} partition")
         if fed.test_set is not None:
             _check_compatible(spec, fed.test_set, "test set")
+    return spec
 
 
 def _evaluate(
@@ -461,14 +474,14 @@ def _evaluate(
     global_weights: ModelWeights,
     local_weights: Sequence[ModelWeights],
 ) -> FairnessReport | None:
-    """The federation's report: of the global model, or in local mode the
-    mean of the clients' reports, scored as one stack; None without a test
-    set."""
+    """The federation's report: of the global model, or for a mode that does
+    not aggregate the mean of the clients' reports, scored as one stack;
+    None without a test set."""
     test = fed.test_set
     if test is None:
         return None
     where = f"{_name(fed)}, round {round_index}"
-    if fed.mode is not Mode.LOCAL_ONLY:
+    if fed.mode.aggregates:
         with _in_context(f"{where}, evaluation"):
             return evaluate_weights(spec, global_weights, test)
     predictions = np.empty((len(local_weights), len(test)), dtype=np.int64)
@@ -482,20 +495,16 @@ def _evaluate(
         return full_report(counts)
 
 
-def run_lockstep(
-    config: FederationConfig,
-    federations: Sequence[Federation],
-    spec: ClassifierSpec,
-) -> list[FederationResult]:
+def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) -> list[FederationResult]:
     """The full R-round protocol of ``config`` for federations of any mode,
     one ``FederationResult`` each, in order.
 
-    ``spec`` gives the network shape every federation shares; each
-    federation trains and predicts on the head of its own mode
-    (``head_mode_for``), whatever head ``spec`` names. Each federation
-    and its clients are checked once, in order, before round 1; a
-    client's labels and groups need no check of their own, since its
-    ``Dataset`` checked them when it was built. Each round trains
+    Each federation trains and predicts on its own network: its first
+    client's feature width, class and group counts, ``config``'s hidden
+    widths and the head of its mode's row. Each federation and its
+    clients are checked against that network once, in order, before
+    round 1; a client's labels and groups need no check of their own,
+    since its ``Dataset`` checked them when it was built. Each round trains
     every client of every federation through one ``train_round``;
     aggregation and evaluation then run per federation. Each
     federation's result is bit for bit the result of running it alone.
@@ -505,9 +514,7 @@ def run_lockstep(
     """
     if not federations:
         raise ConfigurationError("a lockstep run needs at least one federation")
-    specs = [_head_spec(spec, fed.mode) for fed in federations]
-    for fed, own in zip(federations, specs):
-        _check_federation(fed, own)
+    specs = [_check_federation(config, fed) for fed in federations]
 
     global_weights = [
         init_weights(own, derive_seed(fed.master_seed, TAG_INIT))
@@ -523,19 +530,17 @@ def run_lockstep(
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
         incoming = [
-            local_weights[f]
-            if fed.mode is Mode.LOCAL_ONLY
-            else [global_weights[f]] * len(fed.partitions)
+            [global_weights[f]] * len(fed.partitions) if fed.mode.aggregates else local_weights[f]
             for f, fed in enumerate(federations)
         ]
-        results = train_round(config, federations, spec, incoming, round_index)
+        results = train_round(config, federations, incoming, round_index)
         trained = time.perf_counter() - start
 
         for f, fed in enumerate(federations):
             start = time.perf_counter()
             local_weights[f] = [weights for weights, _ in results[f]]
             losses = [loss for _, loss in results[f]]
-            if fed.mode is not Mode.LOCAL_ONLY:
+            if fed.mode.aggregates:
                 updates = local_weights[f]
                 with _in_context(f"{_name(fed)}, round {round_index}, aggregation"):
                     global_weights[f] = fedavg_aggregate(
@@ -554,7 +559,7 @@ def run_lockstep(
 
     return [
         FederationResult(
-            final_weights=None if fed.mode is Mode.LOCAL_ONLY else global_weights[f],
+            final_weights=global_weights[f] if fed.mode.aggregates else None,
             client_weights=dict(enumerate(local_weights[f])),
             history=histories[f],
         )
@@ -562,9 +567,7 @@ def run_lockstep(
     ]
 
 
-def run_federation(
-    config: FederationConfig, federation: Federation, spec: ClassifierSpec
-) -> FederationResult:
+def run_federation(config: FederationConfig, federation: Federation) -> FederationResult:
     """The full R-round protocol for one federation: ``run_lockstep`` with
     a single federation."""
-    return run_lockstep(config, [federation], spec)[0]
+    return run_lockstep(config, [federation])[0]

@@ -131,8 +131,8 @@ def test_3_single_client_training_equals_centralized():
     optimizer = OptimizerConfig(kind=OptimizerKind.ADAM, learning_rate=0.01)
     ok = True
     for rounds, epochs, batch in [(1, 1, 16), (2, 3, 8), (4, 2, 32)]:
-        config = FederationConfig(rounds, epochs, batch, optimizer)
-        fed = run_federation(config, Federation(Mode.DBFED, 55, [train], test), spec)
+        config = FederationConfig(rounds, epochs, batch, optimizer, (8,))
+        fed = run_federation(config, Federation(Mode.DBFED, 55, [train], test))
         central_weights, central_history = train_centralized(
             train, spec, optimizer, rounds, epochs, batch, 55, test_set=test,
         )
@@ -194,8 +194,8 @@ def test_5_single_group_head_collapses_to_plain_classifier():
         spec = ClassifierSpec(4, (6,), 3, 1, head_mode=(
             HeadMode.DOMAIN_INDEPENDENT if mode is Mode.DBFED else HeadMode.PLAIN
         ))
-        config = FederationConfig(2, 2, 16, optimizer)
-        result = run_federation(config, Federation(mode, 77, parts), spec)
+        config = FederationConfig(2, 2, 16, optimizer, (6,))
+        result = run_federation(config, Federation(mode, 77, parts))
         finals[mode] = (spec, result.final_weights)
     # With one group the grouped head has exactly N outputs, so the induced
     # weight correspondence is the identity.
@@ -242,8 +242,7 @@ run.eval_every = 30
             dataset = config.load_dataset()
             parts, test = config.split_and_partition(dataset)
             federations.append(Federation(mode, master_seed, parts, test))
-        spec = config.classifier_spec(input_dim=dataset.feature_dim)
-        results = run_lockstep(config.federation_config(), federations, spec)
+        results = run_lockstep(config.federation_config(), federations)
         accs = [result.final_report.acc for result in results]
         dps = [result.final_report.dp for result in results]
         eos = [result.final_report.eo for result in results]

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from fedbias.cli import main
 from fedbias.data import load_csv
 from fedbias.metrics import PredictionRecord, full_report, tally
 from oracles import log_arrays
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BASE_CONFIG = """
 data.num_classes = 2
@@ -204,14 +210,14 @@ class TestTrain:
         run_lockstep, train_clients = federation.run_lockstep, federation.train_clients
         copies = []
 
-        def split_shards(config, federations, spec):
+        def split_shards(config, federations):
             assert [fed.mode.value for fed in federations] == ["fedavg", "dbfed", "local"]
             split = [federations[0]]
             for fed in federations[1:]:
                 own = [p.subset(np.arange(len(p))) for p in fed.partitions]
                 copies.extend(own)
                 split.append(fed._replace(partitions=own))
-            return run_lockstep(config, split, spec)
+            return run_lockstep(config, split)
 
         def poisoned(shards, *args, **kwargs):
             trained, losses = train_clients(shards, *args, **kwargs)
@@ -268,6 +274,40 @@ class TestTrain:
         config = write_config(tmp_path, BASE_CONFIG + "federation.quorum = 3\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_results_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Three modes on 128-wide layers, once with one BLAS thread and once
+        # with two, each in its own process: BLAS reads the count when it loads.
+        text = """
+data.num_classes = 10
+data.num_groups = 2
+data.feature_dim = 64
+data.samples_per_group = 150
+model.hidden = 128,128
+federation.rounds = 2
+federation.clients = 3
+federation.local_epochs = 1
+federation.batch_size = 32
+run.modes = fedavg,local,dbfed
+"""
+        config = write_config(tmp_path, text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.jsonl"
+            argv = ["train", "--config", str(config), "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedbias.cli", *argv],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(strip_durations(read_jsonl(out)))
+        assert len(runs[0]) == 10
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("command", ["train", "generate-data"])

@@ -7,7 +7,7 @@ import pytest
 from fedbias.config import ExperimentConfig, load_config, parse_config
 from fedbias.exceptions import ConfigurationError
 from fedbias.federation import Mode
-from fedbias.nn import OptimizerKind
+from fedbias.nn import OptimizerConfig, OptimizerKind
 
 _BASE = {
     "data.num_classes": "2",
@@ -188,17 +188,17 @@ class TestDerivedObjects:
         # Originals untouched.
         assert c.master_seed == 0
 
-    def test_classifier_spec_carries_the_network_shape(self):
-        # The shape only: each federation's mode picks its head in the run.
-        spec = cfg(model__hidden="5,4").classifier_spec(3)
-        assert (spec.input_dim, spec.hidden_widths) == (3, (5, 4))
-        assert (spec.num_classes, spec.num_groups) == (2, 2)
+    def test_federation_config_carries_the_hidden_widths(self):
+        # The rest of a federation's network comes from its data and its mode.
+        assert cfg(model__hidden="5,4").federation_config().hidden_widths == (5, 4)
+        assert cfg(model__hidden="none").federation_config().hidden_widths == ()
 
     def test_federation_config_carries_settings(self):
         c = cfg(federation__rounds="4", federation__local_epochs="2", run__eval_every="3")
         fc = c.federation_config()
         assert (fc.rounds, fc.local_epochs, fc.batch_size, fc.eval_every) == (4, 2, 128, 3)
-        assert fc.optimizer == c.optimizer_config()
+        assert fc.optimizer == OptimizerConfig(OptimizerKind.ADAM, 1e-4, 3e-4)
+        assert fc.hidden_widths == (16,)
 
     def test_negative_master_seed_rejected(self):
         # A config line is refused with its line number; an override has

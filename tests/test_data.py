@@ -359,9 +359,20 @@ class TestDatasetValidation:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="^assignment destination is read-only$"):
                 array[0] = 1
-        # The caller's own arrays stay writable, and the constructor takes
-        # views of them, not copies.
+        # The caller's own arrays stay writable. The constructor takes a view
+        # of the features and copies of the labels and groups, the arrays
+        # its range check covers.
         for array in source:
             array[0] = 1
-        views = (base.features, base.labels, base.groups)
-        assert all(np.shares_memory(a, b) for a, b in zip(source, views))
+        assert np.shares_memory(source[0], base.features)
+        assert not np.shares_memory(source[1], base.labels)
+        assert not np.shares_memory(source[2], base.groups)
+
+    def test_targets_written_into_the_callers_arrays_do_not_reach_it(self):
+        # A -1 written after the range check would otherwise train as the
+        # last class on the grouped head.
+        labels, groups = np.array([0, 1, 1]), np.array([1, 0, 1])
+        ds = Dataset(np.zeros((3, 2)), labels, groups, 2, 2)
+        labels[1], groups[0] = -1, 7
+        assert ds.labels.tolist() == [0, 1, 1]
+        assert ds.groups.tolist() == [1, 0, 1]

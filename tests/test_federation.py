@@ -19,7 +19,6 @@ from fedbias.federation import (
     client_local_train,
     evaluate_weights,
     fedavg_aggregate,
-    head_mode_for,
     predict_dataset,
     run_federation,
     run_lockstep,
@@ -68,23 +67,31 @@ def sgd(lr=0.05, wd=0.0) -> OptimizerConfig:
     return OptimizerConfig(kind=OptimizerKind.SGD, learning_rate=lr, weight_decay=wd)
 
 
+# Each mode's row, written out: its head and whether the server aggregates.
+MODE_ROWS = {
+    Mode.FEDAVG_PLAIN: (HeadMode.PLAIN, True),
+    Mode.LOCAL_ONLY: (HeadMode.PLAIN, False),
+    Mode.DBFED: (HeadMode.DOMAIN_INDEPENDENT, True),
+}
+
+
 def random_weights(rng, spec) -> ModelWeights:
     return ModelWeights(rng.normal(size=num_params(spec)), weight_layout(spec))
 
 
 class TestConfigAndState:
     def test_round_zero_allowed(self):
-        FederationConfig(0, 1, 8, adam())
+        FederationConfig(0, 1, 8, adam(), (4,))
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError, match="^rounds must be >= 0$"):
-            FederationConfig(-1, 1, 8, adam())
+            FederationConfig(-1, 1, 8, adam(), (4,))
         with pytest.raises(ConfigurationError, match="^local_epochs must be >= 1$"):
-            FederationConfig(1, 0, 8, adam())
+            FederationConfig(1, 0, 8, adam(), (4,))
         with pytest.raises(ConfigurationError, match="^batch_size must be >= 1$"):
-            FederationConfig(1, 1, 0, adam())
+            FederationConfig(1, 1, 0, adam(), (4,))
         with pytest.raises(ConfigurationError, match="^eval_every must be >= 1$"):
-            FederationConfig(1, 1, 8, adam(), eval_every=0)
+            FederationConfig(1, 1, 8, adam(), (4,), eval_every=0)
 
     def test_empty_client_dataset_rejected(self):
         # A direct client_local_train call rejects the shard on its own
@@ -94,10 +101,10 @@ class TestConfigAndState:
         with pytest.raises(ConfigurationError, match="^cannot train on an empty dataset$"):
             client_local_train(empty, init_weights(spec, 0), spec, adam(), 1, 8, 0)
 
-    def test_mode_helpers(self):
-        assert head_mode_for(Mode.DBFED) is HeadMode.DOMAIN_INDEPENDENT
-        assert head_mode_for(Mode.FEDAVG_PLAIN) is HeadMode.PLAIN
-        assert head_mode_for(Mode.LOCAL_ONLY) is HeadMode.PLAIN
+    def test_mode_table(self):
+        assert {mode: (mode.head, mode.aggregates) for mode in Mode} == MODE_ROWS
+        assert [mode.value for mode in Mode] == ["fedavg", "local", "dbfed"]
+        assert all(Mode(mode.value) is mode for mode in Mode)
 
 
 class TestClientLocalTrain:
@@ -233,21 +240,22 @@ class TestFedavgAggregate:
 
 
 def small_run_setup(mode: Mode, master_seed=21, num_clients=2):
-    """(config, federation, spec): 3 rounds of 2 epochs, and a federation
-    of ``mode`` with its client shards and test set."""
+    """(config, federation, spec): 3 rounds of 2 epochs, a federation of
+    ``mode`` with its client shards and test set, and the network it trains."""
     data = generate_synthetic(
         SyntheticSpec(2, 2, 3, 30, bias_strength=0.5, group_shift=0.5, seed=1)
     )
     train, test = train_test_split(data, 0.25, seed=2)
     parts = partition(train, num_clients, seed=3)
-    spec = ClassifierSpec(3, (4,), 2, 2, head_mode_for(mode))
-    return FederationConfig(3, 2, 8, adam()), Federation(mode, master_seed, parts, test), spec
+    spec = ClassifierSpec(3, (4,), 2, 2, MODE_ROWS[mode][0])
+    config = FederationConfig(3, 2, 8, adam(), (4,))
+    return config, Federation(mode, master_seed, parts, test), spec
 
 
 class TestRunFederation:
     def test_zero_rounds_returns_initialization(self):
         _, fed, spec = small_run_setup(Mode.DBFED)
-        result = run_federation(FederationConfig(0, 2, 8, adam()), fed, spec)
+        result = run_federation(FederationConfig(0, 2, 8, adam(), (4,)), fed)
         expected = init_weights(spec, derive_seed(21, TAG_INIT))
         assert np.array_equal(result.final_weights.values, expected.values)
         assert len(result.history) == 1
@@ -255,23 +263,23 @@ class TestRunFederation:
         assert result.history[0].report is not None
 
     def test_history_covers_all_rounds(self):
-        config, fed, spec = small_run_setup(Mode.DBFED)
-        result = run_federation(config, fed, spec)
+        config, fed, _ = small_run_setup(Mode.DBFED)
+        result = run_federation(config, fed)
         assert [s.round_index for s in result.history] == [0, 1, 2, 3]
         assert all(s.report is not None for s in result.history)
 
     def test_eval_cadence(self):
-        _, fed, spec = small_run_setup(Mode.DBFED)
-        result = run_federation(FederationConfig(3, 2, 8, adam(), eval_every=2), fed, spec)
+        _, fed, _ = small_run_setup(Mode.DBFED)
+        result = run_federation(FederationConfig(3, 2, 8, adam(), (4,), eval_every=2), fed)
         evaluated = [s.round_index for s in result.history if s.report is not None]
         # Round 0, the cadence round, and the final round.
         assert evaluated == [0, 2, 3]
 
     def test_bitwise_deterministic(self):
         for mode in Mode:
-            config, fed, spec = small_run_setup(mode, num_clients=3)
-            a = run_federation(config, fed, spec)
-            b = run_federation(config, fed, spec)
+            config, fed, _ = small_run_setup(mode, num_clients=3)
+            a = run_federation(config, fed)
+            b = run_federation(config, fed)
             if mode is not Mode.LOCAL_ONLY:
                 assert np.array_equal(a.final_weights.values, b.final_weights.values)
             for cid in a.client_weights:
@@ -283,11 +291,11 @@ class TestRunFederation:
 
     def test_client_isolation(self):
         # Round-1 local weights of client 0 cannot depend on client 1's shard.
-        _, fed, spec = small_run_setup(Mode.DBFED)
-        config = FederationConfig(1, 2, 8, adam())
+        _, fed, _ = small_run_setup(Mode.DBFED)
+        config = FederationConfig(1, 2, 8, adam(), (4,))
         mutated = [fed.partitions[0], toy_dataset(seed=99)]
-        a = run_federation(config, Federation(Mode.DBFED, 21, fed.partitions), spec)
-        b = run_federation(config, Federation(Mode.DBFED, 21, mutated), spec)
+        a = run_federation(config, Federation(Mode.DBFED, 21, fed.partitions))
+        b = run_federation(config, Federation(Mode.DBFED, 21, mutated))
         assert np.array_equal(a.client_weights[0].values, b.client_weights[0].values)
 
     def test_identical_partitions_aggregate_to_client_weights(self):
@@ -304,8 +312,8 @@ class TestRunFederation:
         assert np.array_equal(merged.values, weights.values)
 
     def test_local_mode_has_no_global_weights(self):
-        config, fed, spec = small_run_setup(Mode.LOCAL_ONLY)
-        result = run_federation(config, fed, spec)
+        config, fed, _ = small_run_setup(Mode.LOCAL_ONLY)
+        result = run_federation(config, fed)
         assert result.final_weights is None
         assert set(result.client_weights) == {0, 1}
         assert not np.array_equal(
@@ -313,38 +321,24 @@ class TestRunFederation:
         )
         assert result.final_report is not None
 
-    def test_mode_picks_the_head(self):
-        # The spec gives the network shape and the mode picks the head, so
-        # a spec naming the other head runs the same federation bit for bit.
-        for mode, other in [
-            (Mode.DBFED, HeadMode.PLAIN),
-            (Mode.FEDAVG_PLAIN, HeadMode.DOMAIN_INDEPENDENT),
-        ]:
-            config, fed, spec = small_run_setup(mode)
-            a = run_federation(config, fed, spec)
-            b = run_federation(config, fed, replace(spec, head_mode=other))
-            assert len(b.final_weights) == num_params(spec)
-            assert a.final_weights.values.tobytes() == b.final_weights.values.tobytes()
-            assert a.final_report.to_dict() == b.final_report.to_dict()
-
     def test_empty_partition_list_rejected(self):
-        config, fed, spec = small_run_setup(Mode.DBFED)
+        config, fed, _ = small_run_setup(Mode.DBFED)
         message = "^dbfed seed 21: a federation needs at least one client$"
         with pytest.raises(ConfigurationError, match=message):
-            run_federation(config, fed._replace(partitions=[]), spec)
+            run_federation(config, fed._replace(partitions=[]))
 
     def test_incompatible_test_set_rejected(self):
         config, fed, spec = small_run_setup(Mode.DBFED)
         wrong = toy_dataset(seed=1, dim=5)
         with pytest.raises(ConfigurationError):
-            run_federation(config, fed._replace(test_set=wrong), spec)
+            run_federation(config, fed._replace(test_set=wrong))
 
 
 @st.composite
 def client_rounds(draw):
     """One round of K clients: (config, federation, spec, incoming), the
     federation's mode on the head the spec names (local on the plain head,
-    dbfed on the grouped one). Shard sizes differ by at most one, so some
+    dbfed on the grouped one, as the mode table says). Shard sizes differ by at most one, so some
     clients take an extra step or a longer last batch. A wide hidden layer
     makes P large enough that the stack limit splits K clients into
     several chunks."""
@@ -365,7 +359,8 @@ def client_rounds(draw):
         learning_rate=0.05,
         weight_decay=draw(st.sampled_from([0.0, 0.01])),
     )
-    config = FederationConfig(1, draw(st.integers(1, 3)), draw(st.integers(1, 8)), optimizer)
+    epochs, batch = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    config = FederationConfig(1, epochs, batch, optimizer, tuple(hidden))
     master_seed = draw(st.integers(0, 1000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shards = [
@@ -382,7 +377,7 @@ class TestStackedEngine:
     @given(client_rounds(), st.integers(1, 50))
     def test_engine_equals_reference_loop_bitwise(self, case, round_index):
         config, fed, spec, incoming = case
-        results = train_round(config, [fed], spec, [incoming], round_index)[0]
+        results = train_round(config, [fed], [incoming], round_index)[0]
         for k, (shard, start, (weights, loss)) in enumerate(zip(fed.partitions, incoming, results)):
             expected, expected_loss = reference_client_train(
                 shard, start, spec, config.optimizer, config.local_epochs,
@@ -475,9 +470,9 @@ class TestTargetRanges:
 
 @st.composite
 def lockstep_runs(draw):
-    """(config, federations, spec): up to three federations of any mode,
-    so one run may mix heads (each with its own master seed, shards and
-    optional test set), under one run shape on a spec of either head.
+    """(config, federations): up to three federations of any mode, so one
+    run may mix heads (each with its own master seed, shards and optional
+    test set), under one run shape.
     Shard sizes differ by at most one, so the flat client list splits
     into chunks by head and size; a wide hidden layer splits it further
     by the stack limit. A federation may reuse the previous one's shards,
@@ -489,7 +484,6 @@ def lockstep_runs(draw):
             st.lists(st.integers(1500, 3000), min_size=1, max_size=1),
         )
     )
-    spec = ClassifierSpec(m, tuple(hidden), n, d, draw(st.sampled_from(HeadMode)))
     optimizer = OptimizerConfig(kind=draw(st.sampled_from(OptimizerKind)), learning_rate=0.05)
     rounds, epochs = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     batch = draw(st.integers(1, 8))
@@ -512,8 +506,8 @@ def lockstep_runs(draw):
         master_seed = draw(st.integers(0, 1000))
         test = dataset(draw(st.integers(4, 12))) if draw(st.booleans()) else None
         federations.append(Federation(mode, master_seed, shards, test))
-    config = FederationConfig(rounds, epochs, batch, optimizer, draw(st.integers(1, 3)))
-    return config, federations, spec
+    config = FederationConfig(rounds, epochs, batch, optimizer, tuple(hidden), draw(st.integers(1, 3)))
+    return config, federations
 
 
 def poison_losses(monkeypatch, poisoned):
@@ -532,11 +526,15 @@ class TestLockstep:
     @settings(deadline=None, max_examples=60)
     @given(lockstep_runs())
     def test_each_federation_equals_its_run_alone_bitwise(self, case):
-        config, federations, spec = case
-        results = run_lockstep(config, federations, spec)
+        config, federations = case
+        results = run_lockstep(config, federations)
         assert len(results) == len(federations)
         for fed, result in zip(federations, results):
-            own = replace(spec, head_mode=head_mode_for(fed.mode))
+            part = fed.partitions[0]
+            own = ClassifierSpec(
+                part.feature_dim, config.hidden_widths, part.num_classes, part.num_groups,
+                MODE_ROWS[fed.mode][0],
+            )
             alone = reference_run_federation(config, fed, own)
             assert [s.round_index for s in result.history] == [s.round_index for s in alone.history]
             assert [repr(s.mean_train_loss) for s in result.history] == [
@@ -555,21 +553,21 @@ class TestLockstep:
 
     def test_error_in_second_federation_names_it(self, monkeypatch):
         # fedavg and local train in one stack; only local's shards fail.
-        config, fedavg, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        config, fedavg, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
         local_parts = [p.subset(np.arange(len(p))) for p in fedavg.partitions]
         local = Federation(Mode.LOCAL_ONLY, 22, local_parts, fedavg.test_set)
         poison_losses(monkeypatch, local_parts[1:])
         with pytest.raises(NumericError, match=r"^local seed 22, round 1, client 1: .*non-finite"):
-            run_lockstep(config, [fedavg, local], spec)
+            run_lockstep(config, [fedavg, local])
 
     def test_first_failure_in_federation_then_client_order(self, monkeypatch):
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
         parts = fed.partitions
         other = [p.subset(np.arange(len(p))) for p in parts]
         second = Federation(Mode.FEDAVG_PLAIN, 22, other)
         poison_losses(monkeypatch, [parts[2], other[0]])
         with pytest.raises(NumericError, match=r"^fedavg seed 21, round 1, client 2: "):
-            run_lockstep(config, [fed._replace(test_set=None), second], spec)
+            run_lockstep(config, [fed._replace(test_set=None), second])
 
     def test_raised_error_names_first_client_across_chunks(self, monkeypatch):
         # Sizes 5, 6, 5 train as chunks [0, 2] and [1]; clients 1 and 2
@@ -577,14 +575,14 @@ class TestLockstep:
         spec = ClassifierSpec(3, (), 2, 2)
         parts = [toy_dataset(seed=s, size=n) for s, n in enumerate([5, 6, 5])]
         assert client_chunks([5, 6, 5], num_params(spec)) == [[0, 2], [1]]
-        config = FederationConfig(1, 1, 4, adam())
+        config = FederationConfig(1, 1, 4, adam(), ())
         poison_losses(monkeypatch, parts[1:])
         message = (
             r"^local seed 7, round 1, client 1: "
             r"local training produced non-finite weights or loss$"
         )
         with pytest.raises(NumericError, match=message):
-            run_lockstep(config, [Federation(Mode.LOCAL_ONLY, 7, parts)], spec)
+            run_lockstep(config, [Federation(Mode.LOCAL_ONLY, 7, parts)])
 
     @pytest.mark.parametrize(
         "target,mode,message",
@@ -600,52 +598,52 @@ class TestLockstep:
         ],
     )
     def test_aggregation_and_evaluation_contexts(self, monkeypatch, target, mode, message):
-        config, fed, spec = small_run_setup(mode)
+        config, fed, _ = small_run_setup(mode)
 
         def boom(*args):
             raise ValueError("boom")
 
         monkeypatch.setattr(federation, target, boom)
         with pytest.raises(ValueError, match=message + "boom$"):
-            run_lockstep(config, [fed], spec)
+            run_lockstep(config, [fed])
 
     def test_mean_train_loss_adds_left_to_right(self, monkeypatch):
         # sum() of these losses is 1.1735930735930735 on Python 3.12, which
         # compensates, and 1.1735930735930737 added left to right.
         losses = [1 / 3, 2 / 7, 5 / 11, 0.1]
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
+        config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
 
-        def fixed(config, federations, spec, incoming, round_index):
+        def fixed(config, federations, incoming, round_index):
             return [[(w, loss) for w, loss in zip(incoming[0], losses)]]
 
         monkeypatch.setattr(federation, "train_round", fixed)
-        result = run_lockstep(config, [fed._replace(test_set=None)], spec)[0]
+        result = run_lockstep(config, [fed._replace(test_set=None)])[0]
         assert [s.mean_train_loss for s in result.history[1:]] == [1.1735930735930737 / 4] * 3
         assert lsum(losses) == 1.1735930735930737
 
     def test_unequal_run_shapes_rejected(self):
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN)
+        config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN)
         with pytest.raises(ConfigurationError, match="at least one federation"):
-            run_lockstep(config, [], spec)
+            run_lockstep(config, [])
         # Different modes, master seeds and client counts are fine.
         local = Federation(Mode.LOCAL_ONLY, 22, fed.partitions[:1] * 3, fed.test_set)
-        run_lockstep(config, [fed._replace(test_set=None), local], spec)
+        run_lockstep(config, [fed._replace(test_set=None), local])
 
     def test_pre_round_checks_name_the_federation(self):
-        config, fedavg, spec = small_run_setup(Mode.FEDAVG_PLAIN)
+        config, fedavg, _ = small_run_setup(Mode.FEDAVG_PLAIN)
         empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
         local = Federation(Mode.LOCAL_ONLY, 22, [fedavg.partitions[0], empty], fedavg.test_set)
         with pytest.raises(ConfigurationError, match="^local seed 22: client 1 has an empty dataset$"):
-            run_lockstep(config, [fedavg, local], spec)
+            run_lockstep(config, [fedavg, local])
         message = r"^local seed -3: run\.master_seed must be >= 0, got -3$"
         with pytest.raises(ConfigurationError, match=message):
-            run_lockstep(config, [fedavg, fedavg._replace(mode=Mode.LOCAL_ONLY, master_seed=-3)], spec)
+            run_lockstep(config, [fedavg, fedavg._replace(mode=Mode.LOCAL_ONLY, master_seed=-3)])
 
     def test_federations_on_both_heads_share_a_run(self, monkeypatch):
         # fedavg, local and dbfed over one set of shards: each round trains
         # the plain-head clients and the grouped-head clients in their own
         # chunks, and each federation equals its run alone.
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
         federations = [fed._replace(mode=mode) for mode in Mode]
         trained = {head: 0 for head in HeadMode}
         real = federation.train_clients
@@ -655,11 +653,11 @@ class TestLockstep:
             return real(shards, incoming, spec, *args, **kwargs)
 
         monkeypatch.setattr(federation, "train_clients", counted)
-        results = run_lockstep(config, federations, spec)
+        results = run_lockstep(config, federations)
         assert trained == {HeadMode.PLAIN: 2 * 3 * 3, HeadMode.DOMAIN_INDEPENDENT: 3 * 3}
         monkeypatch.setattr(federation, "train_clients", real)
         for one, result in zip(federations, results):
-            alone = run_federation(config, one, spec)
+            alone = run_federation(config, one)
             assert [s.report.to_dict() for s in result.history] == [
                 s.report.to_dict() for s in alone.history
             ]
@@ -669,13 +667,13 @@ class TestLockstep:
     def test_one_shuffle_draw_per_master_seed_and_client(self, monkeypatch):
         # Three modes share the master seed and the shards: 4 clients over
         # 2 rounds make 8 draws, not 24.
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
+        config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
         calls = []
         real = federation.shuffle_seed
         monkeypatch.setattr(
             federation, "shuffle_seed", lambda *args: calls.append(args) or real(*args)
         )
-        run_lockstep(FederationConfig(2, 2, 8, adam()), [fed._replace(mode=m) for m in Mode], spec)
+        run_lockstep(FederationConfig(2, 2, 8, adam(), (4,)), [fed._replace(mode=m) for m in Mode])
         assert sorted(calls) == [(21, k, r) for k in range(4) for r in (1, 2)]
 
 
@@ -694,18 +692,17 @@ class TestNonFiniteTraining:
         )
         train, test = train_test_split(data, 0.2, seed=2)
         parts = partition(train, 5, seed=3)
-        spec = ClassifierSpec(8, (16,), 2, 2, head_mode_for(mode))
-        config = FederationConfig(10, 1, 64, sgd(lr=1e6))
+        config = FederationConfig(10, 1, 64, sgd(lr=1e6), (16,))
         fed = Federation(mode, 5, parts, test if with_test_set else None)
         with pytest.raises(NumericError, match=rf"^{mode.value} seed 5, round \d+, "):
-            run_federation(config, fed, spec)
+            run_federation(config, fed)
 
     def test_non_finite_client_update_names_round_and_client(self, monkeypatch):
         # Clients 1 and 2 both come back non-finite; client order decides.
-        config, fed, spec = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
         poison_losses(monkeypatch, fed.partitions[1:])
         with pytest.raises(NumericError, match="^fedavg seed 21, round 1, client 1: .*non-finite"):
-            run_federation(config, fed, spec)
+            run_federation(config, fed)
 
 
 class TestFailureParity:
@@ -716,7 +713,7 @@ class TestFailureParity:
     @pytest.mark.parametrize("fault", ["nan_feature", "empty_shard", "empty_test"])
     def test_same_error_in_every_mode(self, fault, mode):
         mode = Mode(mode)
-        config, fed, spec = small_run_setup(mode, num_clients=3)
+        config, fed, _ = small_run_setup(mode, num_clients=3)
         parts = fed.partitions
         empty = Dataset(np.zeros((0, 3)), [], [], 2, 2)
         if fault == "nan_feature":
@@ -738,7 +735,7 @@ class TestFailureParity:
             where = f", round 0, {client}evaluation: cannot build a report from an empty prediction log"
         message = f"^{mode.value} seed 21{re.escape(where)}$"
         with pytest.raises(error, match=message) as raised:
-            run_federation(config, fed, spec)
+            run_federation(config, fed)
         assert raised.type is error
 
 
@@ -750,8 +747,8 @@ class TestCentralizedEquivalence:
         )
         train, test = train_test_split(data, 0.2, seed=8)
         spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
-        config = FederationConfig(rounds, epochs, batch, adam())
-        result = run_federation(config, Federation(Mode.DBFED, 31, [train], test), spec)
+        config = FederationConfig(rounds, epochs, batch, adam(), (4,))
+        result = run_federation(config, Federation(Mode.DBFED, 31, [train], test))
         central_weights, central_history = train_centralized(
             train, spec, adam(), rounds, epochs, batch, 31, test_set=test,
         )

@@ -15,7 +15,7 @@ import numpy as np
 import fedbias.federation as federation
 from fedbias.data import Dataset
 from fedbias.federation import Federation, FederationConfig, Mode, run_federation
-from fedbias.nn import ClassifierSpec, HeadMode, OptimizerConfig
+from fedbias.nn import OptimizerConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,8 +56,7 @@ def test_training_steps_call_the_traced_step_functions(monkeypatch):
         Dataset(rng.normal(size=(6, 2)), rng.integers(0, 2, 6), rng.integers(0, 2, 6), 2, 2)
         for _ in range(2)
     ]
-    config = FederationConfig(2, 1, 4, OptimizerConfig())
-    spec = ClassifierSpec(2, (), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
-    run_federation(config, Federation(Mode.DBFED, 0, shards), spec)
+    config = FederationConfig(2, 1, 4, OptimizerConfig(), ())
+    run_federation(config, Federation(Mode.DBFED, 0, shards))
     # 2 rounds of 2 steps (a full batch of 4 and a last batch of 2).
     assert calls == {"backward": 4, "optimizer_step": 4}
