@@ -25,6 +25,7 @@ of range.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,9 @@ class Dataset:
     int64 with values in [0, num_classes) and [0, num_groups). The
     constructor range-checks its own copies of the labels and groups and
     keeps read-only views of all three arrays, so the check holds for life.
+    A dataset the package derives from checked arrays (``subset``,
+    ``generate_synthetic``) is built by ``_own``, which neither copies
+    nor scans its targets again.
     """
 
     features: np.ndarray
@@ -51,12 +55,29 @@ class Dataset:
     num_groups: int
 
     def __post_init__(self) -> None:
+        self._settle(check_targets=True)
+
+    @classmethod
+    def _own(cls, *values) -> "Dataset":
+        """``Dataset(*values)`` over arrays the package has just made, whose
+        labels and groups are in range by construction: their shapes and
+        dtypes are checked, but they are kept as they are, with no copy or
+        scan."""
+        dataset = object.__new__(cls)
+        for field, value in zip(dataclasses.fields(cls), values):
+            object.__setattr__(dataset, field.name, value)
+        dataset._settle(check_targets=False)
+        return dataset
+
+    def _settle(self, check_targets: bool) -> None:
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"features must be a 2-D array, got shape {features.shape}")
         if self.num_classes < 1 or self.num_groups < 1:
             raise ValueError("num_classes and num_groups must be positive")
         arrays = {"features": features}
+        # A caller's targets are copied, so their range check holds for life.
+        convert = np.array if check_targets else np.asarray
         for name, count, unit in (
             ("labels", self.num_classes, "classes"),
             ("groups", self.num_groups, "groups"),
@@ -64,13 +85,14 @@ class Dataset:
             values = np.asarray(getattr(self, name))
             if values.size and values.dtype.kind not in "iu":
                 raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
-            values = arrays[name] = np.array(values, dtype=np.int64)
+            values = arrays[name] = convert(values, dtype=np.int64)
             if values.shape != (len(features),):
                 raise ValueError("features, labels and groups must have matching length")
-            low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
-            if low < 0 or high >= count:
-                bad = low if low < 0 else high
-                raise ValueError(f"{name[:-1]} {bad} out of range for {count} {unit}")
+            if check_targets and values.size:
+                low, high = int(values.min()), int(values.max())
+                if low < 0 or high >= count:
+                    bad = low if low < 0 else high
+                    raise ValueError(f"{name[:-1]} {bad} out of range for {count} {unit}")
         for name, values in arrays.items():
             view = values.view()
             view.flags.writeable = False
@@ -84,7 +106,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
+        return Dataset._own(
             self.features[indices],
             self.labels[indices],
             self.groups[indices],
@@ -162,7 +184,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         all_labels.append(labels)
         all_groups.append(np.full(spec.samples_per_group, g, dtype=np.int64))
 
-    return Dataset(
+    return Dataset._own(
         np.concatenate(all_feats),
         np.concatenate(all_labels),
         np.concatenate(all_groups),

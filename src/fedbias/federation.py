@@ -22,10 +22,12 @@ groups were range-checked when it was built, so no run scans them again.
 Clients never share mutable state, and every shuffle is seeded by
 (master_seed, k, round), so a client's update does not depend on which
 clients trained with it or before it. That lets
-``train_clients`` run a chunk of clients on one head in lockstep: each
-step is one stacked backward pass and one optimizer update over the
-chunk's (K', P) weight block, and every client's result is bit for bit
-what training it alone gives.
+``train_clients`` run a chunk of clients in lockstep, on both heads at
+once: each step is one stacked backward pass, whose hidden layers and
+loss serve the whole chunk and whose output layer runs once per head,
+and one optimizer update over one flat vector of the chunk's
+parameters. Every client's result is bit for bit what training it alone
+gives.
 
 The same holds across federations. ``run_lockstep`` runs federations of
 any mode (fedavg, local and dbfed over the same shards, or one mode at
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 import time
 from contextlib import contextmanager
@@ -68,6 +71,7 @@ from .nn import (
     init_weights,
     num_params,
     optimizer_step,
+    weight_layout,
 )
 from .seeding import TAG_INIT, check_master_seed, derive_seed, shuffle_seed
 
@@ -146,30 +150,46 @@ class FederationResult:
         return None
 
 
-# A stacked step keeps each (K', P) array of its K' models at or under
-# this many float64 values. The six Adam-sized arrays of a larger stack
+# A stacked step keeps the parameters of its K' models at or under this
+# many float64 values. The six Adam-sized arrays of a larger stack
 # overflow a 2 MiB L2 cache, and past that point (the wide benchmark shape
 # on a 2-core Xeon) stepping the models one at a time was faster.
 STACK_VALUES = 2**15
 
 
-def client_chunks(sizes: Sequence[int], num_values: int) -> list[list[int]]:
-    """Client ids in the chunks that train as one stack.
+def client_chunks(specs: Sequence[ClassifierSpec], sizes: Sequence[int]) -> list[list[int]]:
+    """Client ids in the chunks that train as one stack, client k on
+    network ``specs[k]`` with a shard of ``sizes[k]`` examples.
 
-    Clients with equal shard sizes share chunks, so every step of a chunk
-    has one batch shape; each size class is split into the fewest
-    balanced chunks of at most ``max(1, STACK_VALUES // num_values)``
-    clients (50 clients at most 48 a chunk give 25 + 25).
+    Every chunk has one shard size, so each of its steps has one batch
+    shape. The clients of one network and size are split into the fewest
+    balanced chunks of at most ``max(1, STACK_VALUES // P)`` clients, P
+    the network's parameter count (50 clients at most 48 a chunk give
+    25 + 25). Each such chunk then joins the first earlier chunk of its
+    size whose networks differ from its own only in the output layer, if
+    their parameters together stay within ``STACK_VALUES`` values; so 10
+    plain-head clients of 178 parameters and 5 grouped-head clients of 212
+    train as one chunk, with the plain head's clients first.
     """
-    cap = max(1, STACK_VALUES // num_values)
-    by_size: dict[int, list[int]] = {}
-    for k, size in enumerate(sizes):
-        by_size.setdefault(size, []).append(k)
-    chunks = []
-    for ids in by_size.values():
-        count = -(-len(ids) // cap)
-        chunks.extend(part.tolist() for part in np.array_split(np.array(ids), count))
-    return chunks
+    by_kind: dict[tuple[ClassifierSpec, int], list[int]] = {}
+    for k, kind in enumerate(zip(specs, sizes)):
+        by_kind.setdefault(kind, []).append(k)
+    # [what the chunk's networks and shards share, its parameter values, its clients]
+    chunks: list[list] = []
+    for (spec, size), ids in by_kind.items():
+        body = (spec.layer_dims[:-1], spec.num_classes, size)
+        values = num_params(spec)
+        count = -(-len(ids) // max(1, STACK_VALUES // values))
+        for part in np.array_split(np.array(ids), count):
+            cost = values * len(part)
+            fits = (c for c in chunks if c[0] == body and c[1] + cost <= STACK_VALUES)
+            host = next(fits, None)
+            if host is None:
+                chunks.append([body, cost, part.tolist()])
+            else:
+                host[1] += cost
+                host[2] += part.tolist()
+    return [ids for _, _, ids in chunks]
 
 
 def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None:
@@ -187,39 +207,44 @@ def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None
 def train_clients(
     shards: Sequence[Dataset],
     incoming: Sequence[ModelWeights],
-    spec: ClassifierSpec,
+    specs: Sequence[ClassifierSpec],
     optimizer: OptimizerConfig,
     batch_size: int,
     orders: Sequence[Sequence[np.ndarray]],
-) -> tuple[ModelWeights, np.ndarray]:
+) -> tuple[list[ModelWeights], np.ndarray]:
     """E full passes of K clients over their own shards, in lockstep.
 
-    Client k starts from ``incoming[k]`` with zero optimizer moments and
-    visits its shard in ``orders[k][e]`` in epoch e, a permutation of the
-    shard's indices; every client has the same number E of epoch orders,
-    and the trailing partial batch is trained on. The shards must have
-    equal lengths, so each step is one stacked backward pass and one
-    stacked optimizer update over the (K, P) block of client weights,
-    with each client's rows gathered into the step plan. Returns the
-    trained (K, P) stack and the (K,) mean losses over each client's
-    batches; row k is bit for bit what training client k alone gives.
+    Client k trains network ``specs[k]`` from ``incoming[k]`` with zero
+    optimizer moments and visits its shard in ``orders[k][e]`` in epoch
+    e, a permutation of the shard's indices; every client has the same
+    number E of epoch orders, and the trailing partial batch is trained
+    on. The shards must have equal lengths and the networks may differ
+    only in their output layer. A head is a run of consecutive clients on
+    one network. Each step is one stacked backward pass, with the hidden
+    layers and the loss run once for all K clients and the output layer
+    once per head, and one optimizer update over one flat vector of all
+    their parameters (``StepPlan``), with each client's rows gathered
+    into the step plan. Returns the trained weights as one (K_h, P_h)
+    stack per head, whose rows are the clients in order, and the (K,)
+    mean losses over each client's batches; every client's weights and
+    loss are bit for bit what training it alone gives.
 
     This is where a step's inputs are checked, once per call: at least
-    one client, the orders' shape, the incoming layouts, and each shard's
-    class count, group count and feature width against ``spec``. A
-    ``Dataset`` checked its labels and groups against its own counts when
-    it was built and cannot change since, so equal counts keep every
-    target inside the head's logits without a scan. The steps then run
-    ``backward`` and ``optimizer_step``, which check nothing, on the
-    call's plans of the full and the last batch, and on layer views of
-    the weight block taken once. Nothing checks that the results are
+    one client, the orders' shape, the networks, the incoming layouts, and
+    each shard's class count, group count and feature width against its
+    network. A ``Dataset`` checked its labels and groups against its own
+    counts when it was built and cannot change since, so equal counts
+    keep every target inside the head's logits without a scan. The steps
+    then run ``backward`` and ``optimizer_step``, which check nothing, on
+    the call's plans of the full and the last batch, and on layer views
+    of the flat vector taken once. Nothing checks that the results are
     finite.
     """
     if not shards:
         raise ValueError("need at least one client to train")
     k = len(shards)
-    if len(incoming) != k or len(orders) != k:
-        raise ValueError("need one incoming model and one set of epoch orders per client")
+    if len(incoming) != k or len(specs) != k or len(orders) != k:
+        raise ValueError("need one incoming model, network and set of epoch orders per client")
     epochs = len(orders[0])
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
@@ -232,18 +257,22 @@ def train_clients(
         raise ConfigurationError("clients trained in one stack need equal shard sizes")
     if any(len(own) != epochs or any(len(order) != size for order in own) for own in orders):
         raise ValueError("need one order of each client's shard per epoch, as many as client 0's")
-    for weights in incoming:
+    if len({(spec.layer_dims[:-1], spec.num_classes) for spec in specs}) > 1:
+        raise ConfigurationError(
+            "clients trained in one stack need networks that differ only in their output layer"
+        )
+    for spec, weights in zip(specs, incoming):
         _check_weights(spec, weights)
-    for i, shard in enumerate(shards):
+    for i, (spec, shard) in enumerate(zip(specs, shards)):
         _check_compatible(spec, shard, f"shard {i}")
+    heads = [(spec, len(list(run))) for spec, run in itertools.groupby(specs)]
     width = min(batch_size, size)
-    full = StepPlan(spec, k, width)
-    last = StepPlan(spec, k, size % width) if size % width else full
+    full = StepPlan(heads, width)
+    last = StepPlan(heads, size % width) if size % width else full
 
-    block = np.stack([w.values for w in incoming])
-    weights = incoming[0].with_values(block)
-    layers = weights.unflatten()
-    first_moment, second_moment = np.zeros_like(block), np.zeros_like(block)
+    values = full.pack([w.values for w in incoming])
+    layers = full.layers(values)
+    first_moment, second_moment = np.zeros_like(values), np.zeros_like(values)
     loss_total = np.zeros(k)
     steps = 0
     for epoch in range(epochs):
@@ -257,15 +286,19 @@ def train_clients(
             loss_total += backward(plan, layers)
             steps += 1
             optimizer_step(
-                optimizer, steps, block, first_moment, second_moment, plan.gradient, plan.scratch
+                optimizer, steps, values, first_moment, second_moment, plan.gradient, plan.scratch
             )
-    return weights, loss_total / steps
+    stacks = full.unpack(values)
+    trained = [ModelWeights(stack, weight_layout(spec)) for (spec, _), stack in zip(heads, stacks)]
+    return trained, loss_total / steps
 
 
-def _unstack(trained: ModelWeights, losses: np.ndarray) -> list[tuple[ModelWeights, float]]:
-    """One (weights, mean loss) per row of a ``train_clients`` result."""
-    rows = zip(trained.values, losses)
-    return [(trained.with_values(row.copy()), float(loss)) for row, loss in rows]
+def _unstack(trained: list[ModelWeights], losses: np.ndarray) -> list[tuple[ModelWeights, float]]:
+    """One (weights, mean loss) per client of a ``train_clients`` result.
+    Each client's row is copied, since a view would keep its head's whole
+    stack alive for as long as any one client's weights live."""
+    rows = [stack.with_values(row.copy()) for stack in trained for row in stack.values]
+    return [(weights, float(loss)) for weights, loss in zip(rows, losses)]
 
 
 def client_local_train(
@@ -284,7 +317,7 @@ def client_local_train(
     pure function of its arguments."""
     rng = np.random.default_rng(seed)
     orders = [rng.permutation(len(data)) for _ in range(epochs)]
-    trained = train_clients([data], [incoming], spec, optimizer, batch_size, [orders])
+    trained = train_clients([data], [incoming], [spec], optimizer, batch_size, [orders])
     return _unstack(*trained)[0]
 
 
@@ -389,8 +422,9 @@ def train_round(
     federation in client order.
 
     The (federation, client) pairs form one flat list that trains chunk
-    by chunk: clients on one head and of one shard size share chunks
-    (``client_chunks``). Client k of federation f starts from
+    by chunk (``client_chunks``): a chunk holds clients of one shard
+    size, on one head or on both, and each of its steps serves all of
+    them. Client k of federation f starts from
     ``incoming[f][k]`` and shuffles with ``shuffle_seed(master_seed_f, k,
     round_index)``; that shuffle is drawn once for every client that
     shares its master seed, client id and shard size, and its result
@@ -419,25 +453,23 @@ def train_round(
             draws[key] = [rng.permutation(key[2]) for _ in range(config.local_epochs)]
         orders.append(draws[key])
 
-    by_head: dict[ClassifierSpec, list[int]] = {}
-    flat_ids = iter(range(len(owners)))
+    specs: list[ClassifierSpec] = []
     for fed in federations:
-        by_head.setdefault(_spec(config, fed), []).extend(next(flat_ids) for _ in fed.partitions)
+        specs += [_spec(config, fed)] * len(fed.partitions)
     results: dict[int, tuple[ModelWeights, float]] = {}
     finite = np.empty(len(owners), dtype=bool)
-    for own, ids in by_head.items():
-        for chunk in client_chunks([len(shards[i]) for i in ids], num_params(own)):
-            chunk = [ids[j] for j in chunk]
-            trained, losses = train_clients(
-                [shards[i] for i in chunk],
-                [starts[i] for i in chunk],
-                own,
-                config.optimizer,
-                config.batch_size,
-                [orders[i] for i in chunk],
-            )
-            finite[chunk] = np.isfinite(losses) & np.isfinite(trained.values).all(axis=1)
-            results.update(zip(chunk, _unstack(trained, losses)))
+    for chunk in client_chunks(specs, [len(shard) for shard in shards]):
+        trained, losses = train_clients(
+            [shards[i] for i in chunk],
+            [starts[i] for i in chunk],
+            [specs[i] for i in chunk],
+            config.optimizer,
+            config.batch_size,
+            [orders[i] for i in chunk],
+        )
+        rows_finite = [np.isfinite(stack.values).all(axis=1) for stack in trained]
+        finite[chunk] = np.isfinite(losses) & np.concatenate(rows_finite)
+        results.update(zip(chunk, _unstack(trained, losses)))
     if not finite.all():
         fed, k = owners[int(finite.argmin())]
         raise NumericError(
@@ -486,6 +518,11 @@ def _evaluate(
             return evaluate_weights(spec, global_weights, test)
     predictions = np.empty((len(local_weights), len(test)), dtype=np.int64)
     for k, weights in enumerate(local_weights):
+        # A client holding the previous client's weights object (at round
+        # 0 every client holds the initialization) reuses its predictions.
+        if k and weights is local_weights[k - 1]:
+            predictions[k] = predictions[k - 1]
+            continue
         with _in_context(f"{where}, client {k}, evaluation"):
             predictions[k] = predict_dataset(spec, weights, test)
     # The clients share the test set, so scoring fails for all of them or

@@ -18,6 +18,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +78,8 @@ class ClassifierSpec:
 
 
 Layout = tuple[tuple[int, tuple[int, int]], ...]
+# A layer's (weights, bias) views, with the stack axis in front for a stack.
+Layer = tuple[np.ndarray, np.ndarray]
 
 
 @functools.lru_cache(maxsize=64)
@@ -87,11 +90,15 @@ def weight_layout(spec: ClassifierSpec) -> Layout:
     return tuple((i, (dims[i], dims[i + 1])) for i in range(len(dims) - 1))
 
 
+def _num_values(layout: Layout) -> int:
+    return sum((fi + 1) * fo for _, (fi, fo) in layout)
+
+
 def num_params(spec: ClassifierSpec) -> int:
-    return sum((fi + 1) * fo for _, (fi, fo) in weight_layout(spec))
+    return _num_values(weight_layout(spec))
 
 
-def _unflatten(values: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarray]]:
+def _unflatten(values: np.ndarray, layout: Layout) -> list[Layer]:
     lead = values.shape[:-1]
     out = []
     offset = 0
@@ -112,7 +119,7 @@ class ModelWeights:
     fan_in x fan_out) followed by the bias (fan_out,). Two ModelWeights
     built from the same spec always share the same layout. A (K, P)
     ``values`` array holds a stack of K models with that layout, one per
-    row, which ``backward`` and ``optimizer_step`` step together.
+    row.
     """
 
     values: np.ndarray
@@ -120,7 +127,7 @@ class ModelWeights:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        expected = sum((fi + 1) * fo for _, (fi, fo) in self.layout)
+        expected = _num_values(self.layout)
         if self.values.ndim not in (1, 2) or self.values.shape[-1] != expected:
             raise ValueError(
                 f"weight vector length {self.values.shape} does not match layout ({expected},)"
@@ -132,7 +139,7 @@ class ModelWeights:
     def with_values(self, values: np.ndarray) -> "ModelWeights":
         return ModelWeights(values, self.layout)
 
-    def unflatten(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def unflatten(self) -> list[Layer]:
         """Views (no copies) of each layer's weight matrix and bias, with
         the stack axis in front for a stack of models."""
         return _unflatten(self.values, self.layout)
@@ -156,72 +163,152 @@ def _check_weights(spec: ClassifierSpec, weights: ModelWeights) -> None:
         raise ValueError("weight layout does not match the classifier spec")
 
 
+class _HeadPlan:
+    """One head's section of a ``StepPlan``: the models in the ``models``
+    slice of the stack, all on ``spec``, and their output layer.
+
+    ``inputs`` are the section's rows of the layer below (the last hidden
+    layer's output, or the features), and ``input_delta`` its rows of
+    that layer's delta (None without hidden layers). ``outputs`` holds
+    the section's logits, which become its output delta; ``logits`` and
+    ``logit_blocks`` view them with one row per example and one row per
+    block. ``block`` is the section's columns of the plan's class-major
+    block. Under the grouped head each example's own block is first
+    gathered row-major into ``gathered``, from row ``block_start[r] +
+    groups[r]`` of ``logit_blocks``; under the plain head the logits are
+    the blocks and ``gathered`` is None.
+    """
+
+    def __init__(self, plan: StepPlan, spec: ClassifierSpec, models: slice) -> None:
+        n, blocks, size = spec.num_classes, spec.num_blocks, plan.size
+        count = models.stop - models.start
+        rows = count * size
+        self.models, self.count, self.layout = models, count, weight_layout(spec)[-1:]
+        self.inputs = (plan.outputs[-1] if plan.outputs else plan.features)[models]
+        self.input_delta = plan.deltas[-1][models] if plan.deltas else None
+        self.outputs = np.empty((count, size, blocks * n))
+        self.logits = self.outputs.reshape(rows, blocks * n)
+        self.logit_blocks = self.logits.reshape(rows * blocks, n)
+        self.block = plan.block[:, models.start * size : models.stop * size]
+        self.gathered = None
+        if blocks > 1:
+            self.gathered = np.empty((rows, n))
+            self.groups = plan.groups[models].reshape(rows)
+            self.block_start = np.arange(rows, dtype=np.int64) * blocks
+            self.block_row = np.empty(rows, dtype=np.int64)
+
+
 class StepPlan:
-    """The arrays that one stacked step of ``models`` models on batches of
-    ``size`` examples writes into, each allocated at exactly its shape.
+    """The arrays that one stacked step writes into, each allocated at
+    exactly its shape, for batches of ``size`` examples and the models of
+    ``heads``: (spec, count) pairs in stack order, whose specs share their
+    input width, hidden widths and class count and so differ at most in
+    their output layer.
 
     ``features``, ``labels`` and ``groups`` hold the stacked batch, and
     ``clients`` the same three arrays row by row, one triple per model,
     for gathering each model's examples. Everything else is written by
-    ``backward``: the layer outputs and deltas, the loss terms of the
-    block softmax, and the (models, P) ``gradient`` with its per-layer
-    views in ``grads``; ``scratch`` is the optimizer's.
+    ``backward``. The hidden layers are the whole stack's: one (K, B, h)
+    ``outputs`` and ``deltas`` array per layer. So is the loss: ``block``
+    is the class-major (n, rows) copy of each example's own block of n
+    logits, in which the softmax, the loss terms (``target``, ``picked``,
+    ``shift``, ``total``) and the output delta are computed for every
+    model at once. Each head keeps its output layer in its section of
+    ``heads`` (``_HeadPlan``).
 
-    Every array is row-major (one row per example) except ``block``, the
-    class-major (n, rows) copy of each example's own block of n logits,
-    in which the softmax, the loss and the output delta are computed
-    before the delta goes back into the row-major ``logits``. Under the
-    grouped head the blocks are first gathered row-major into
-    ``gathered`` (None under the plain head, whose logits are the blocks).
+    The stack's parameters live in one flat vector of ``num_values``
+    values, with no padding: the (K, H) block of every model's hidden
+    layers, then each head's (K_h, O_h) block of output-layer parameters.
+    ``pack`` and ``unpack`` convert model vectors to and from it and
+    ``layers`` views it layer by layer. The ``gradient`` has that layout,
+    with its layer views in ``grads``; ``scratch`` is the optimizer's.
     """
 
-    def __init__(self, spec: ClassifierSpec, models: int, size: int) -> None:
-        n, blocks, dims = spec.num_classes, spec.num_blocks, spec.layer_dims
+    def __init__(self, heads: Sequence[tuple[ClassifierSpec, int]], size: int) -> None:
+        first = heads[0][0]
+        hidden = weight_layout(first)[:-1]
+        models = sum(count for _, count in heads)
         rows = models * size
-        self.models, self.size, self.grouped = models, size, blocks > 1
-        self.features = np.empty((models, size, dims[0]))
+        self.models, self.size, self.hidden_layout = models, size, hidden
+        self.features = np.empty((models, size, first.input_dim))
         self.labels = np.empty((models, size), dtype=np.int64)
         self.groups = np.empty((models, size), dtype=np.int64)
         self.clients = list(zip(self.features, self.labels, self.groups))
-        # Each layer's output (hidden activations, then logits); the
-        # logits become the output delta.
-        self.outputs = [np.empty((models, size, w)) for w in dims[1:]]
-        self.deltas = [np.empty((models, size, w)) for w in dims[1:-1]]
-        # The logits with one row per example and with one row per block.
-        self.logits = self.outputs[-1].reshape(rows, blocks * n)
-        self.logit_blocks = self.logits.reshape(rows * blocks, n)
-        self.block = np.empty((n, rows))
-        self.gathered = np.empty((rows, n)) if blocks > 1 else None
-        # Row block_start[r] of ``logit_blocks`` is block 0 of example r;
-        # entry (y, r) of ``block`` is at y * rows + r.
+        # Each hidden layer's output, and the delta of that output.
+        self.outputs = [np.empty((models, size, fo)) for _, (_, fo) in hidden]
+        self.deltas = [np.empty_like(out) for out in self.outputs]
+        # Entry (y, r) of ``block`` is at y * rows + r.
+        self.block = np.empty((first.num_classes, rows))
         self.row = np.arange(rows, dtype=np.int64)
-        self.block_start = self.row * blocks
-        self.block_row = np.empty(rows, dtype=np.int64)
         self.target = np.empty(rows, dtype=np.int64)
         self.picked, self.shift, self.total = np.empty(rows), np.empty(rows), np.empty(rows)
-        p = num_params(spec)
-        self.gradient, self.scratch = np.empty((models, p)), np.empty((models, p))
-        self.grads = _unflatten(self.gradient, weight_layout(spec))
+        self.heads, start = [], 0
+        for spec, count in heads:
+            self.heads.append(_HeadPlan(self, spec, slice(start, start + count)))
+            start += count
+        self.shapes = [(models, _num_values(hidden))]
+        self.shapes += [(head.count, _num_values(head.layout)) for head in self.heads]
+        self.num_values = sum(count * width for count, width in self.shapes)
+        self.gradient, self.scratch = np.empty(self.num_values), np.empty(self.num_values)
+        self.grads = self.layers(self.gradient)
+
+    def _blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``flat`` as its (K, H) hidden block and each head's (K_h, O_h) block."""
+        blocks, offset = [], 0
+        for count, width in self.shapes:
+            blocks.append(flat[offset : offset + count * width].reshape(count, width))
+            offset += count * width
+        return blocks
+
+    def layers(self, flat: np.ndarray) -> tuple[list[Layer], list[Layer]]:
+        """Views of a flat vector: each hidden layer's stacked (weights,
+        bias) for all K models, then each head's output layer for its K_h."""
+        hidden, *outputs = self._blocks(flat)
+        heads = [_unflatten(out, head.layout)[0] for head, out in zip(self.heads, outputs)]
+        return _unflatten(hidden, self.hidden_layout), heads
+
+    def pack(self, models: Sequence[np.ndarray]) -> np.ndarray:
+        """A new flat vector of the K models' (P,) vectors, in stack order."""
+        flat = np.empty(self.num_values)
+        hidden, *outputs = self._blocks(flat)
+        width = hidden.shape[1]
+        for head, out in zip(self.heads, outputs):
+            stack = np.stack(models[head.models])
+            hidden[head.models] = stack[:, :width]
+            out[...] = stack[:, width:]
+        return flat
+
+    def unpack(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each head's (K_h, P_h) stack of model vectors, copied from ``flat``."""
+        hidden, *outputs = self._blocks(flat)
+        return [
+            np.concatenate((hidden[head.models], out), axis=1)
+            for head, out in zip(self.heads, outputs)
+        ]
 
 
-def _forward(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    x: np.ndarray,
-    outs: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """``[x, hidden activations..., logits]``, written into ``outs`` if given.
+def _dense(
+    x: np.ndarray, layer: Layer, out: np.ndarray | None = None, relu: bool = False
+) -> np.ndarray:
+    """``x @ w + b`` for ``layer = (w, b)``, through a ReLU if ``relu``,
+    written into ``out`` if given."""
+    w, b = layer
+    z = np.matmul(x, w, out=out)
+    z += b[..., None, :]
+    if relu:
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
+def _forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
+    """``[x, hidden activations..., logits]``.
 
     ``x`` is (B, m) for one model or (K, B, m) for a stack, matching the
     leading axis of ``layers``.
     """
     acts = [x]
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        z = np.matmul(acts[-1], w, out=None if outs is None else outs[i])
-        z += b[..., None, :]
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-        acts.append(z)
+    for i, layer in enumerate(layers):
+        acts.append(_dense(acts[-1], layer, relu=i < len(layers) - 1))
     return acts
 
 
@@ -234,34 +321,43 @@ def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) ->
     return _forward(weights.unflatten(), x)[-1]
 
 
-def backward(plan: StepPlan, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Analytic gradient of the mean per-example cross-entropy of K
-    stacked models, model k on batch k of the plan's (K, B, m) ``features``
-    and (K, B) ``labels`` and ``groups``; ``layers`` are the models' layer
-    views. Writes the (K, P) gradient to ``plan.gradient`` and returns the
-    (K,) mean losses.
+def backward(plan: StepPlan, layers: tuple[list[Layer], list[Layer]]) -> np.ndarray:
+    """Analytic gradient of the mean per-example cross-entropy of the
+    plan's K stacked models, model k on batch k of the plan's (K, B, m)
+    ``features`` and (K, B) ``labels`` and ``groups``; ``layers`` are the
+    models' layer views (``StepPlan.layers``). Writes the gradient, in the
+    plan's flat layout, to ``plan.gradient`` and returns the (K,) mean
+    losses.
 
     The per-example loss is the negative log of the stabilized softmax
     over one block of ``num_classes`` logits, at the target class: the
     block of the example's group under the domain-independent head, the
-    whole output under the plain head. Row k is bit for bit what model k
-    alone on batch k gives: every product is one BLAS call per model and
-    every reduction runs along a model's own rows. Nothing is checked
-    here; ``federation.train_clients`` checks layouts and shard shapes
-    once, and each ``Dataset`` checked its targets when it was built.
+    whole output under the plain head. The hidden layers and the loss run
+    once for the whole stack, and only the output layer once per head.
+    Row k is bit for bit what model k alone on batch k gives: every
+    product is one BLAS call per model, every other operation is
+    elementwise, and every reduction runs along a model's own rows.
+    Nothing is checked here; ``federation.train_clients`` checks layouts
+    and shard shapes once, and each ``Dataset`` checked its targets when
+    it was built.
     """
-    k, b, logits, block = plan.models, plan.size, plan.logits, plan.block
+    hidden, heads = layers
+    k, b, block = plan.models, plan.size, plan.block
     rows = k * b
-    acts = _forward(layers, plan.features, plan.outputs)
+    acts = [plan.features]
+    for layer, out in zip(hidden, plan.outputs):
+        acts.append(_dense(acts[-1], layer, out, relu=True))
 
     # Each example's block of n logits, class-major: block[y, r] is class
     # y of example r's block.
-    if plan.grouped:
-        block_row = np.add(plan.block_start, plan.groups.reshape(rows), out=plan.block_row)
-        own = plan.logit_blocks.take(block_row, axis=0, out=plan.gathered, mode="clip")
-        np.copyto(block, own.T)
-    else:
-        np.copyto(block, logits.T)
+    for head, layer in zip(plan.heads, heads):
+        _dense(head.inputs, layer, head.outputs)
+        if head.gathered is None:
+            np.copyto(head.block, head.logits.T)
+        else:
+            block_row = np.add(head.block_start, head.groups, out=head.block_row)
+            own = head.logit_blocks.take(block_row, axis=0, out=head.gathered, mode="clip")
+            np.copyto(head.block, own.T)
     target = np.multiply(plan.labels.reshape(rows), rows, out=plan.target)
     target += plan.row
     picked = block.reshape(-1).take(target, out=plan.picked, mode="clip")
@@ -275,24 +371,30 @@ def backward(plan: StepPlan, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.
     # d(mean loss)/d(logits): softmax minus one-hot on each block, /B.
     delta_block.reshape(-1)[target] -= 1.0
     delta_block /= b
-    # Back to the row-major logits buffer the products read.
-    if plan.grouped:
-        logits.fill(0.0)
-        plan.logit_blocks[block_row] = delta_block.T
-    else:
-        np.copyto(logits, delta_block.T)
-    delta = plan.outputs[-1]
+    hidden_grads, head_grads = plan.grads
+    for head, (w, _), (gw, gb) in zip(plan.heads, heads, head_grads):
+        # Back to the head's row-major logits buffer the products read.
+        if head.gathered is None:
+            np.copyto(head.logits, head.block.T)
+        else:
+            head.logits.fill(0.0)
+            head.logit_blocks[head.block_row] = head.block.T
+        delta = head.outputs
+        np.matmul(head.inputs.transpose(0, 2, 1), delta, out=gw)
+        np.add.reduce(delta, axis=1, out=gb)
+        if hidden:
+            np.matmul(delta, w.transpose(0, 2, 1), out=head.input_delta)
 
-    for li in range(len(layers) - 1, -1, -1):
-        gw, gb = plan.grads[li]
+    for li in range(len(hidden) - 1, -1, -1):
+        # ReLU mask: an activation is > 0 exactly where its
+        # pre-activation was; the activation is not needed again.
+        delta = plan.deltas[li]
+        delta *= np.greater(acts[li + 1], 0.0, out=acts[li + 1])
+        gw, gb = hidden_grads[li]
         np.matmul(acts[li].transpose(0, 2, 1), delta, out=gw)
         np.add.reduce(delta, axis=1, out=gb)
         if li > 0:
-            # ReLU mask: an activation is > 0 exactly where its
-            # pre-activation was; the activation is not needed again.
-            mask = np.greater(acts[li], 0.0, out=acts[li])
-            delta = np.matmul(delta, layers[li][0].transpose(0, 2, 1), out=plan.deltas[li - 1])
-            delta *= mask
+            np.matmul(delta, hidden[li][0].transpose(0, 2, 1), out=plan.deltas[li - 1])
     return mean_loss
 
 

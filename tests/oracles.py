@@ -313,19 +313,20 @@ def engine_backward(
     spec: ClassifierSpec, values: np.ndarray, batch: Batch
 ) -> tuple[np.ndarray, np.ndarray | float]:
     """``backward`` of K stacked models ((K, P) values) on a (K, B) batch,
-    through a fresh ``StepPlan(spec, K, B)``: the (K, P) gradient and (K,)
-    mean losses.
+    through a fresh one-head ``StepPlan([(spec, K)], B)``: the (K, P)
+    gradient and (K,) mean losses.
     One model ((P,) values) on a (B,) batch is the K = 1 case and gives a
     (P,) gradient and a float loss."""
     values = np.asarray(values)
     stacked = values.ndim == 2
     arrays = [np.asarray(a) if stacked else np.asarray(a)[None] for a in batch]
     k, b = arrays[1].shape
-    plan = StepPlan(spec, k, b)
+    plan = StepPlan([(spec, k)], b)
     for view, array in zip((plan.features, plan.labels, plan.groups), arrays):
         view[...] = array
-    losses = backward(plan, _unflatten(values if stacked else values[None], weight_layout(spec)))
-    return (plan.gradient, losses) if stacked else (plan.gradient[0], float(losses[0]))
+    losses = backward(plan, plan.layers(plan.pack(values if stacked else values[None])))
+    gradient = plan.unpack(plan.gradient)[0]
+    return (gradient, losses) if stacked else (gradient[0], float(losses[0]))
 
 def unpack_layers(spec: ClassifierSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Walk the flat vector with an explicit offset loop."""

@@ -368,6 +368,16 @@ class TestDatasetValidation:
         assert not np.shares_memory(source[1], base.labels)
         assert not np.shares_memory(source[2], base.groups)
 
+    def test_a_subset_keeps_its_parents_targets_without_a_copy(self):
+        # The parent checked its targets and keeps them read-only, so a
+        # subset need not copy or scan them again.
+        base = Dataset(np.zeros((5, 2)), [0, 1, 1, 0, 1], [2, 0, 1, 1, 0], 2, 3)
+        sub = base.subset(slice(1, 4))
+        assert sub.labels.tolist() == [1, 1, 0] and sub.groups.tolist() == [0, 1, 1]
+        assert np.shares_memory(sub.labels, base.labels)
+        assert np.shares_memory(sub.groups, base.groups)
+        assert not sub.labels.flags.writeable and not sub.groups.flags.writeable
+
     def test_targets_written_into_the_callers_arrays_do_not_reach_it(self):
         # A -1 written after the range check would otherwise train as the
         # last class on the grouped head.

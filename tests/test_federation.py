@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import replace
 
@@ -336,95 +337,158 @@ class TestRunFederation:
 
 @st.composite
 def client_rounds(draw):
-    """One round of K clients: (config, federation, spec, incoming), the
-    federation's mode on the head the spec names (local on the plain head,
-    dbfed on the grouped one, as the mode table says). Shard sizes differ by at most one, so some
-    clients take an extra step or a longer last batch. A wide hidden layer
-    makes P large enough that the stack limit splits K clients into
-    several chunks."""
-    head = draw(st.sampled_from(HeadMode))
+    """One round of two or three federations: (config, federations, specs,
+    incoming), each federation's mode on the head the mode table names,
+    with the networks it trains and its clients' starting weights. One
+    federation is on the plain head and one on the grouped head, in
+    either order, so the round holds clients of both. Shards have one
+    size or sizes that differ by at most one, so heads share chunks at
+    equal and at ragged sizes, and some clients take an extra step or a
+    longer last batch. A wide hidden layer makes P large enough that the
+    stack limit splits the clients into several chunks."""
     n, d, m = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    hidden = draw(
-        st.one_of(
-            st.lists(st.integers(1, 6), max_size=2),
-            st.lists(st.integers(1500, 3000), min_size=1, max_size=1),
+    hidden = tuple(
+        draw(
+            st.one_of(
+                st.lists(st.integers(1, 6), max_size=2),
+                st.lists(st.integers(1500, 3000), min_size=1, max_size=1),
+            )
         )
     )
-    spec = ClassifierSpec(m, tuple(hidden), n, d, head)
-    k = draw(st.integers(1, 7))
-    base = draw(st.integers(1, 12))
-    sizes = [base + draw(st.integers(0, 1)) for _ in range(k)]
+    base, ragged = draw(st.integers(1, 12)), draw(st.booleans())
     optimizer = OptimizerConfig(
         kind=draw(st.sampled_from(OptimizerKind)),
         learning_rate=0.05,
         weight_decay=draw(st.sampled_from([0.0, 0.01])),
     )
     epochs, batch = draw(st.integers(1, 3)), draw(st.integers(1, 8))
-    config = FederationConfig(1, epochs, batch, optimizer, tuple(hidden))
-    master_seed = draw(st.integers(0, 1000))
+    config = FederationConfig(1, epochs, batch, optimizer, hidden)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shards = [
-        Dataset(rng.normal(size=(s, m)), rng.integers(0, n, s), rng.integers(0, d, s), n, d)
-        for s in sizes
-    ]
-    incoming = [init_weights(spec, int(rng.integers(0, 1000))) for _ in range(k)]
-    mode = Mode.DBFED if head is HeadMode.DOMAIN_INDEPENDENT else Mode.LOCAL_ONLY
-    return config, Federation(mode, master_seed, shards), spec, incoming
+    plain = draw(st.sampled_from([Mode.FEDAVG_PLAIN, Mode.LOCAL_ONLY]))
+    modes = draw(st.permutations([plain, Mode.DBFED]))
+    modes += draw(st.lists(st.sampled_from(Mode), max_size=1))
+    federations, specs, incoming = [], [], []
+    for mode in modes:
+        count = draw(st.integers(1, 5))
+        sizes = [base + (draw(st.integers(0, 1)) if ragged else 0) for _ in range(count)]
+        shards = [
+            Dataset(rng.normal(size=(s, m)), rng.integers(0, n, s), rng.integers(0, d, s), n, d)
+            for s in sizes
+        ]
+        spec = ClassifierSpec(m, hidden, n, d, MODE_ROWS[mode][0])
+        federations.append(Federation(mode, draw(st.integers(0, 1000)), shards))
+        specs.append(spec)
+        incoming.append([init_weights(spec, int(rng.integers(0, 1000))) for _ in sizes])
+    return config, federations, specs, incoming
+
+
+def chunk_values(specs, chunk):
+    return sum(num_params(specs[k]) for k in chunk)
+
+
+# Networks of 6 to 54004 parameters, so a stack holds 1 to 5461 of them.
+NETWORKS = [
+    ClassifierSpec(1, (width,), 2, 2, head) for width in (1, 2000, 9000) for head in HeadMode
+]
 
 
 class TestStackedEngine:
     @settings(deadline=None, max_examples=100)
     @given(client_rounds(), st.integers(1, 50))
     def test_engine_equals_reference_loop_bitwise(self, case, round_index):
-        config, fed, spec, incoming = case
-        results = train_round(config, [fed], [incoming], round_index)[0]
-        for k, (shard, start, (weights, loss)) in enumerate(zip(fed.partitions, incoming, results)):
-            expected, expected_loss = reference_client_train(
-                shard, start, spec, config.optimizer, config.local_epochs,
-                config.batch_size, shuffle_seed(fed.master_seed, k, round_index),
-            )
-            assert weights.values.tobytes() == expected.values.tobytes()
-            assert repr(loss) == repr(expected_loss)
+        config, federations, specs, incoming = case
+        results = train_round(config, federations, incoming, round_index)
+        for fed, spec, starts, trained in zip(federations, specs, incoming, results):
+            for k, (shard, start, (weights, loss)) in enumerate(
+                zip(fed.partitions, starts, trained)
+            ):
+                expected, expected_loss = reference_client_train(
+                    shard, start, spec, config.optimizer, config.local_epochs,
+                    config.batch_size, shuffle_seed(fed.master_seed, k, round_index),
+                )
+                assert weights.values.tobytes() == expected.values.tobytes()
+                assert repr(loss) == repr(expected_loss)
 
     def test_chunks_follow_shard_size_and_stack_limit(self):
+        plain = ClassifierSpec(16, (32,), 4, 4)
+        assert num_params(plain) == 676
         # K=50 with at most 48 models a stack: two balanced chunks.
-        assert client_chunks([160] * 50, 676) == [list(range(25)), list(range(25, 50))]
+        assert client_chunks([plain] * 50, [160] * 50) == [list(range(25)), list(range(25, 50))]
         # Unequal shard sizes never share a chunk; order within a size is kept.
-        assert client_chunks([5, 6, 5, 6, 5], 100) == [[0, 2, 4], [1, 3]]
-        assert client_chunks([5, 5, 5], STACK_VALUES) == [[0], [1], [2]]
-        assert client_chunks([5, 5, 5], STACK_VALUES + 1) == [[0], [1], [2]]
-        assert client_chunks([5] * 7, STACK_VALUES // 3) == [[0, 1, 2], [3, 4], [5, 6]]
+        assert client_chunks([plain] * 5, [5, 6, 5, 6, 5]) == [[0, 2, 4], [1, 3]]
+        exact = ClassifierSpec(3, (5461,), 2, 1)
+        alone, three = (ClassifierSpec(1, (width,), 2, 1) for width in (8192, 2500))
+        assert num_params(exact) == STACK_VALUES and num_params(alone) > STACK_VALUES
+        assert STACK_VALUES // num_params(three) == 3
+        assert client_chunks([exact] * 3, [5] * 3) == [[0], [1], [2]]
+        assert client_chunks([alone] * 3, [5] * 3) == [[0], [1], [2]]
+        assert client_chunks([three] * 7, [5] * 7) == [[0, 1, 2], [3, 4], [5, 6]]
+        # A grouped chunk joins the first plain chunk of its size with room
+        # for it; one of another hidden width does not.
+        grouped = replace(plain, head_mode=HeadMode.DOMAIN_INDEPENDENT)
+        other = ClassifierSpec(16, (33,), 4, 4, HeadMode.DOMAIN_INDEPENDENT)
+        specs = [plain, plain, grouped, plain, grouped, other]
+        assert client_chunks(specs, [5, 6, 5, 5, 6, 5]) == [[0, 3, 2], [1, 4], [5]]
+
+    @pytest.mark.parametrize(
+        "m, hidden, n, d, plain, grouped, expected",
+        [
+            # demo_sweep: fedavg and local on the plain head, then dbfed.
+            (8, (16,), 2, 2, 10, 5, [list(range(15))]),
+            # many_clients_csv: 25 + 25 of the two heads would pass the limit.
+            (16, (32,), 4, 4, 50, 50, [list(range(i, i + 25)) for i in range(0, 100, 25)]),
+            # wide: every model is past the limit on its own.
+            (64, (128, 128), 10, 4, 5, 5, [[k] for k in range(10)]),
+        ],
+        ids=["demo_sweep", "many_clients_csv", "wide"],
+    )
+    def test_chunks_of_the_benchmark_workloads(self, m, hidden, n, d, plain, grouped, expected):
+        specs = [ClassifierSpec(m, hidden, n, d, HeadMode.PLAIN)] * plain
+        specs += [ClassifierSpec(m, hidden, n, d, HeadMode.DOMAIN_INDEPENDENT)] * grouped
+        assert client_chunks(specs, [160] * len(specs)) == expected
 
     @settings(deadline=None)
-    @given(
-        st.lists(st.integers(1, 4), max_size=80),
-        st.integers(1, 2 * STACK_VALUES) | st.integers(STACK_VALUES // 80, STACK_VALUES // 2),
-    )
-    def test_chunks_partition_each_size_class_evenly(self, sizes, num_values):
-        cap = max(1, STACK_VALUES // num_values)
-        chunks = client_chunks(sizes, num_values)
-        assert sorted(k for chunk in chunks for k in chunk) == list(range(len(sizes)))
-        assert all(0 < len(chunk) <= cap for chunk in chunks)
-        assert all(len({sizes[k] for k in chunk}) == 1 for chunk in chunks)
-        for size in set(sizes):
-            ids = [k for k, s in enumerate(sizes) if s == size]
-            own = [chunk for chunk in chunks if sizes[chunk[0]] == size]
+    @given(st.lists(st.tuples(st.sampled_from(NETWORKS), st.integers(1, 4)), max_size=80))
+    def test_chunks_partition_each_size_class_evenly(self, clients):
+        specs = [spec for spec, _ in clients]
+        sizes = [size for _, size in clients]
+        chunks = client_chunks(specs, sizes)
+        assert sorted(k for chunk in chunks for k in chunk) == list(range(len(clients)))
+        for chunk in chunks:
+            assert len({sizes[k] for k in chunk}) == 1
+            assert len({specs[k].hidden_widths for k in chunk}) == 1
+            # Each network runs once in a chunk, and only a lone model may
+            # pass the limit.
+            runs = [spec for spec, _ in itertools.groupby(specs[k] for k in chunk)]
+            assert len(runs) == len(set(runs))
+            assert chunk_values(specs, chunk) <= STACK_VALUES or len(chunk) == 1
+        for kind in set(clients):
+            cap = max(1, STACK_VALUES // num_params(kind[0]))
+            ids = [k for k, own in enumerate(clients) if own == kind]
+            parts = [[k for k in chunk if clients[k] == kind] for chunk in chunks]
+            parts = [part for part in parts if part]
             # In order, in the fewest chunks the cap allows, balanced to within one.
-            assert [k for chunk in own for k in chunk] == ids
-            assert len(own) == -(-len(ids) // cap)
-            assert max(map(len, own)) - min(map(len, own)) <= 1
+            assert [k for part in parts for k in part] == ids
+            assert len(parts) == -(-len(ids) // cap)
+            assert max(map(len, parts)) - min(map(len, parts)) <= 1
+        # No two chunks that could share a step are left apart.
+        for i, a in enumerate(chunks):
+            for b in chunks[i + 1 :]:
+                shared = [(sizes[c[0]], specs[c[0]].hidden_widths) for c in (a, b)]
+                if shared[0] == shared[1]:
+                    assert chunk_values(specs, a + b) > STACK_VALUES
 
     def test_empty_chunk_rejected(self):
         spec = ClassifierSpec(3, (), 2, 2)
         with pytest.raises(ValueError, match="^need at least one client to train$"):
-            train_clients([], [], spec, adam(), 4, [])
+            train_clients([], [], [], adam(), 4, [])
 
     def test_unequal_shards_rejected_in_one_stack(self):
         spec = ClassifierSpec(3, (), 2, 2)
         shards = [toy_dataset(size=5), toy_dataset(size=6)]
         w = init_weights(spec, 0)
         with pytest.raises(ConfigurationError, match="equal shard sizes"):
-            train_clients(shards, [w, w], spec, adam(), 4, [[np.arange(5)], [np.arange(6)]])
+            train_clients(shards, [w, w], [spec] * 2, adam(), 4, [[np.arange(5)], [np.arange(6)]])
 
     @pytest.mark.parametrize(
         "orders", [[[np.arange(6)], [np.arange(6)] * 2], [[np.arange(6)], [np.arange(5)]]]
@@ -434,7 +498,37 @@ class TestStackedEngine:
         shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
         w = init_weights(spec, 0)
         with pytest.raises(ValueError, match="^need one order of each client's shard per epoch"):
-            train_clients(shards, [w, w], spec, adam(), 4, orders)
+            train_clients(shards, [w, w], [spec] * 2, adam(), 4, orders)
+
+    def test_networks_of_one_stack_differ_only_in_the_output_layer(self):
+        plain = ClassifierSpec(3, (), 2, 2)
+        other = ClassifierSpec(3, (2,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
+        shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
+        incoming = [init_weights(plain, 0), init_weights(other, 0)]
+        message = "need networks that differ only in their output layer$"
+        with pytest.raises(ConfigurationError, match=message):
+            train_clients(shards, incoming, [plain, other], adam(), 4, [[np.arange(6)]] * 2)
+
+    def test_each_run_of_one_network_is_a_head(self):
+        # Plain, grouped, grouped, plain: three heads, one stack each, and
+        # every client equals its training alone.
+        plain = ClassifierSpec(3, (4,), 2, 2)
+        grouped = replace(plain, head_mode=HeadMode.DOMAIN_INDEPENDENT)
+        specs = [plain, grouped, grouped, plain]
+        shards = [toy_dataset(seed=s, size=9) for s in range(4)]
+        incoming = [init_weights(spec, s) for s, spec in enumerate(specs)]
+        orders = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            orders.append([rng.permutation(9) for _ in range(2)])
+        trained, losses = train_clients(shards, incoming, specs, adam(), 4, orders)
+        p, q = num_params(plain), num_params(grouped)
+        assert [stack.values.shape for stack in trained] == [(1, p), (2, q), (1, p)]
+        rows = [row for stack in trained for row in stack.values]
+        for seed, (shard, start, spec) in enumerate(zip(shards, incoming, specs)):
+            expected, loss = reference_client_train(shard, start, spec, adam(), 2, 4, seed)
+            assert rows[seed].tobytes() == expected.values.tobytes()
+            assert repr(float(losses[seed])) == repr(loss)
 
     def test_chunk_checked_before_training(self):
         spec = ClassifierSpec(3, (), 2, 2)
@@ -442,7 +536,9 @@ class TestStackedEngine:
         shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
         w = init_weights(spec, 0)
         with pytest.raises(ValueError, match="^weight layout does not match"):
-            train_clients(shards, [w, init_weights(other, 0)], spec, adam(), 4, [[np.arange(6)]] * 2)
+            train_clients(
+                shards, [w, init_weights(other, 0)], [spec] * 2, adam(), 4, [[np.arange(6)]] * 2
+            )
 
 
 class TestTargetRanges:
@@ -574,7 +670,7 @@ class TestLockstep:
         # both come back non-finite, and client order, not chunk order, decides.
         spec = ClassifierSpec(3, (), 2, 2)
         parts = [toy_dataset(seed=s, size=n) for s, n in enumerate([5, 6, 5])]
-        assert client_chunks([5, 6, 5], num_params(spec)) == [[0, 2], [1]]
+        assert client_chunks([spec] * 3, [5, 6, 5]) == [[0, 2], [1]]
         config = FederationConfig(1, 1, 4, adam(), ())
         poison_losses(monkeypatch, parts[1:])
         message = (
@@ -640,21 +736,22 @@ class TestLockstep:
             run_lockstep(config, [fedavg, fedavg._replace(mode=Mode.LOCAL_ONLY, master_seed=-3)])
 
     def test_federations_on_both_heads_share_a_run(self, monkeypatch):
-        # fedavg, local and dbfed over one set of shards: each round trains
-        # the plain-head clients and the grouped-head clients in their own
-        # chunks, and each federation equals its run alone.
+        # fedavg, local and dbfed over one set of equal shards: each round
+        # trains all nine clients as one chunk, the six on the plain head
+        # first, and each federation equals its run alone.
         config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
         federations = [fed._replace(mode=mode) for mode in Mode]
-        trained = {head: 0 for head in HeadMode}
+        chunks = []
         real = federation.train_clients
 
-        def counted(shards, incoming, spec, *args, **kwargs):
-            trained[spec.head_mode] += len(shards)
-            return real(shards, incoming, spec, *args, **kwargs)
+        def counted(shards, incoming, specs, *args, **kwargs):
+            chunks.append([spec.head_mode for spec in specs])
+            return real(shards, incoming, specs, *args, **kwargs)
 
         monkeypatch.setattr(federation, "train_clients", counted)
         results = run_lockstep(config, federations)
-        assert trained == {HeadMode.PLAIN: 2 * 3 * 3, HeadMode.DOMAIN_INDEPENDENT: 3 * 3}
+        both = [HeadMode.PLAIN] * 6 + [HeadMode.DOMAIN_INDEPENDENT] * 3
+        assert chunks == [both] * config.rounds
         monkeypatch.setattr(federation, "train_clients", real)
         for one, result in zip(federations, results):
             alone = run_federation(config, one)
@@ -663,6 +760,25 @@ class TestLockstep:
             ]
             for k, weights in alone.client_weights.items():
                 assert result.client_weights[k].values.tobytes() == weights.values.tobytes()
+
+    def test_round_0_predicts_the_shared_initialization_once(self, monkeypatch):
+        # Every local client starts from one weights object: round 0
+        # predicts it once for all three, round 1 each trained model.
+        config, fed, _ = small_run_setup(Mode.LOCAL_ONLY, num_clients=3)
+        calls = []
+        real = federation.predict_dataset
+        monkeypatch.setattr(
+            federation, "predict_dataset", lambda *args: calls.append(args[1]) or real(*args)
+        )
+        result = run_lockstep(replace(config, rounds=1), [fed])[0]
+        assert len(calls) == 1 + 3
+        assert len({id(weights) for weights in calls}) == 4
+        monkeypatch.setattr(federation, "predict_dataset", real)
+        own = ClassifierSpec(3, (4,), 2, 2)
+        alone = reference_run_federation(replace(config, rounds=1), fed, own)
+        assert [s.report.to_dict() for s in result.history] == [
+            s.report.to_dict() for s in alone.history
+        ]
 
     def test_one_shuffle_draw_per_master_seed_and_client(self, monkeypatch):
         # Three modes share the master seed and the shards: 4 clients over

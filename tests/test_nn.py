@@ -208,7 +208,9 @@ class TestBackward:
         shard = Dataset(np.zeros((1, 2)), [0], [0], 2, 2)
         for spec, other in ((plain, di), (di, plain)):
             with pytest.raises(ValueError, match="weight layout does not match"):
-                train_clients([shard], [init_weights(other, 0)], spec, OptimizerConfig(), 1, [[[0]]])
+                train_clients(
+                    [shard], [init_weights(other, 0)], [spec], OptimizerConfig(), 1, [[[0]]]
+                )
 
     @pytest.mark.parametrize("field", ["labels", "groups"])
     def test_non_integer_labels_and_groups_rejected(self, field):
@@ -252,7 +254,9 @@ class TestBackward:
         shard = Dataset(np.zeros((2, 2)), [1, 0], [0, 2], 2, 3)
         message = f"^shard 0 has 2 classes / 3 groups, model expects {num_classes} / {num_groups}$"
         with pytest.raises(ConfigurationError, match=message):
-            train_clients([shard], [init_weights(spec, 0)], spec, OptimizerConfig(), 2, [[[0, 1]]])
+            train_clients(
+                [shard], [init_weights(spec, 0)], [spec], OptimizerConfig(), 2, [[[0, 1]]]
+            )
 
     def test_plain_head_ignores_groups(self):
         spec = spec_2_3_2()
