@@ -4,7 +4,7 @@ Subcommands: ``generate-data`` (synthetic dataset to CSV), ``train``
 (run the configured modes and append JSON-lines results), ``metrics``
 (score a prediction log), ``compare`` (metric table across results
 files). Exit statuses: 0 success, 1 configuration error, 2 data or
-parse error, 3 runtime or numeric error.
+parse error, 3 runtime or numeric error, or running out of memory.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,7 +151,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
-    """(file stem, mode, report) triples from results files, in file order."""
+    """(file label, mode, report) triples from results files, in file order.
+    A file's label is its stem, or the path as given when another file
+    shares that stem."""
     rows = []
     for path in paths:
         summary = None
@@ -177,18 +180,21 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
                 ) from None
         if summary is None:
             raise DataFormatError(f"{path}: no summary line (is this a results file?)")
-        rows.extend((Path(path).stem, mode, report) for mode, report in summary)
-    return rows
+        rows.extend((path, mode, report) for mode, report in summary)
+    # Two paths with one stem would otherwise label their rows alike.
+    stems = Counter(Path(path).stem for path in set(paths))
+    return [
+        (path if stems[Path(path).stem] > 1 else Path(path).stem, mode, report)
+        for path, mode, report in rows
+    ]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     rows = _load_summaries(args.results)
-    mode_counts: dict[str, int] = {}
-    for _, mode, _ in rows:
-        mode_counts[mode] = mode_counts.get(mode, 0) + 1
+    mode_counts = Counter(mode for _, mode, _ in rows)
     labeled = [
-        (mode if mode_counts[mode] == 1 else f"{stem}:{mode}", report)
-        for stem, mode, report in rows
+        (mode if mode_counts[mode] == 1 else f"{source}:{mode}", report)
+        for source, mode, report in rows
     ]
 
     best: dict[str, float | None] = {}
@@ -288,6 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # NumPy names the allocation it could not make; a bare one says nothing.
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
 
 

@@ -33,16 +33,29 @@ def _parse_finite(raw: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    """A parser of integers no smaller than ``low``."""
+def _bounded(parse, ok, bound: str):
+    """A parser that applies ``parse`` and refuses a value outside ``bound``,
+    one for which ``ok`` is false."""
 
-    def parse(raw: str) -> int:
-        value = int(raw)
-        if value < low:
-            raise ValueError(f"must be >= {low}, got {value}")
+    def check(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"must be {bound}, got {value}")
         return value
 
-    return parse
+    return check
+
+
+def _int_at_least(low: int):
+    """A parser of integers no smaller than ``low``."""
+    return _bounded(int, lambda value: value >= low, f">= {low}")
+
+
+# The float keys' bounds, checked with the key's line like the integer keys'.
+_NON_NEGATIVE = _bounded(_parse_finite, lambda value: value >= 0, ">= 0")
+_UNIT_CLOSED = _bounded(_parse_finite, lambda value: 0 <= value <= 1, "in [0, 1]")
+_UNIT_OPEN = _bounded(_parse_finite, lambda value: 0 < value < 1, "in (0, 1)")
+_POSITIVE = _bounded(_parse_finite, lambda value: value > 0, "> 0")
 
 
 def _parse_widths(raw: str) -> tuple[int, ...]:
@@ -98,19 +111,19 @@ class ExperimentConfig:
     num_groups: int = _key("data.num_groups", _int_at_least(1))
     feature_dim: int | None = _key("data.feature_dim", _int_at_least(1), None)
     samples_per_group: int | None = _key("data.samples_per_group", _int_at_least(1), None)
-    bias_strength: float = _key("data.bias_strength", _parse_finite, 0.0)
-    group_shift: float = _key("data.group_shift", _parse_finite, 0.0)
-    noise_sigma: float = _key("data.noise_sigma", _parse_finite, 1.0)
+    bias_strength: float = _key("data.bias_strength", _UNIT_CLOSED, 0.0)
+    group_shift: float = _key("data.group_shift", _NON_NEGATIVE, 0.0)
+    noise_sigma: float = _key("data.noise_sigma", _POSITIVE, 1.0)
     csv_path: str | None = _key("data.csv_path", str, None)
-    test_fraction: float = _key("data.test_fraction", _parse_finite, 0.2)
+    test_fraction: float = _key("data.test_fraction", _UNIT_OPEN, 0.2)
     hidden_widths: tuple[int, ...] = _key("model.hidden", _parse_widths, (16,))
     rounds: int = _key("federation.rounds", _int_at_least(0), 30)
     num_clients: int = _key("federation.clients", _int_at_least(1), 5)
     local_epochs: int = _key("federation.local_epochs", _int_at_least(1), 3)
     batch_size: int = _key("federation.batch_size", _int_at_least(1), 128)
     optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer_kind, OptimizerKind.ADAM)
-    learning_rate: float = _key("optimizer.learning_rate", _parse_finite, 1e-4)
-    weight_decay: float = _key("optimizer.weight_decay", _parse_finite, 3e-4)
+    learning_rate: float = _key("optimizer.learning_rate", _NON_NEGATIVE, 1e-4)
+    weight_decay: float = _key("optimizer.weight_decay", _NON_NEGATIVE, 3e-4)
     modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
     master_seed: int = _key("run.master_seed", _int_at_least(0), 0)
     eval_every: int = _key("run.eval_every", _int_at_least(1), 1)

@@ -22,7 +22,7 @@ groups were range-checked when it was built, so no run scans them again.
 Clients never share mutable state, and every shuffle is seeded by
 (master_seed, k, round), so a client's update does not depend on which
 clients trained with it or before it. That lets
-``train_clients`` run a chunk of clients in lockstep, on both heads at
+``_train_chunk`` run a chunk of clients in lockstep, on both heads at
 once: each step is one stacked backward pass, whose hidden layers and
 loss serve the whole chunk and whose output layer runs once per head,
 and one optimizer update over one flat vector of the chunk's
@@ -33,7 +33,7 @@ The same holds across federations. ``run_lockstep`` runs federations of
 any mode (fedavg, local and dbfed over the same shards, or one mode at
 many master seeds) under one shared ``FederationConfig``, round by
 round: each round trains the clients of all of them as one flat list
-through ``train_round``, which draws each distinct shuffle once, then
+through ``_train_round``, which draws each distinct shuffle once, then
 aggregates and evaluates each federation on its own. Each result equals
 a run of that federation alone, and ``run_federation`` is the
 one-federation case. Errors name the federation by mode and master seed
@@ -169,7 +169,8 @@ def client_chunks(specs: Sequence[ClassifierSpec], sizes: Sequence[int]) -> list
     size whose networks differ from its own only in the output layer, if
     their parameters together stay within ``STACK_VALUES`` values; so 10
     plain-head clients of 178 parameters and 5 grouped-head clients of 212
-    train as one chunk, with the plain head's clients first.
+    train as one chunk, with the plain head's clients first. Parts are
+    placed by size, then take their clients in chunk order.
     """
     by_kind: dict[tuple[ClassifierSpec, int], list[int]] = {}
     for k, kind in enumerate(zip(specs, sizes)):
@@ -180,15 +181,18 @@ def client_chunks(specs: Sequence[ClassifierSpec], sizes: Sequence[int]) -> list
         body = (spec.layer_dims[:-1], spec.num_classes, size)
         values = num_params(spec)
         count = -(-len(ids) // max(1, STACK_VALUES // values))
-        for part in np.array_split(np.array(ids), count):
-            cost = values * len(part)
-            fits = (c for c in chunks if c[0] == body and c[1] + cost <= STACK_VALUES)
-            host = next(fits, None)
-            if host is None:
-                chunks.append([body, cost, part.tolist()])
-            else:
-                host[1] += cost
-                host[2] += part.tolist()
+        placed = []  # (chunk index, part length); a later part may land earlier
+        for length in map(len, np.array_split(ids, count)):
+            cost = values * length
+            fits = (i for i, c in enumerate(chunks) if c[0] == body and c[1] + cost <= STACK_VALUES)
+            host = next(fits, len(chunks))
+            if host == len(chunks):
+                chunks.append([body, 0, []])
+            chunks[host][1] += cost
+            placed.append((host, length))
+        for host, length in sorted(placed):
+            chunks[host][2] += ids[:length]
+            ids = ids[length:]
     return [ids for _, _, ids in chunks]
 
 
@@ -204,7 +208,7 @@ def _check_compatible(spec: ClassifierSpec, dataset: Dataset, what: str) -> None
         )
 
 
-def train_clients(
+def _train_chunk(
     shards: Sequence[Dataset],
     incoming: Sequence[ModelWeights],
     specs: Sequence[ClassifierSpec],
@@ -216,55 +220,23 @@ def train_clients(
 
     Client k trains network ``specs[k]`` from ``incoming[k]`` with zero
     optimizer moments and visits its shard in ``orders[k][e]`` in epoch
-    e, a permutation of the shard's indices; every client has the same
-    number E of epoch orders, and the trailing partial batch is trained
-    on. The shards must have equal lengths and the networks may differ
-    only in their output layer. A head is a run of consecutive clients on
-    one network. Each step is one stacked backward pass, with the hidden
-    layers and the loss run once for all K clients and the output layer
-    once per head, and one optimizer update over one flat vector of all
-    their parameters (``StepPlan``), with each client's rows gathered
-    into the step plan. Returns the trained weights as one (K_h, P_h)
-    stack per head, whose rows are the clients in order, and the (K,)
-    mean losses over each client's batches; every client's weights and
-    loss are bit for bit what training it alone gives.
+    e, the trailing partial batch included. A head is a run of consecutive
+    clients on one network. Each step is one stacked backward pass (the
+    hidden layers and the loss once for all K clients, the output layer
+    once per head) and one optimizer update over one flat vector of all
+    their parameters (``StepPlan``). Returns one (K_h, P_h) weight stack
+    per head, rows in client order, and the (K,) mean losses; every
+    client's weights and loss are bit for bit what training it alone gives.
 
-    This is where a step's inputs are checked, once per call: at least
-    one client, the orders' shape, the networks, the incoming layouts, and
-    each shard's class count, group count and feature width against its
-    network. A ``Dataset`` checked its labels and groups against its own
-    counts when it was built and cannot change since, so equal counts
-    keep every target inside the head's logits without a scan. The steps
-    then run ``backward`` and ``optimizer_step``, which check nothing, on
-    the call's plans of the full and the last batch, and on layer views
-    of the flat vector taken once. Nothing checks that the results are
-    finite.
+    Nothing is checked here. ``client_local_train`` checks its one client;
+    in a run, ``client_chunks`` gives each chunk one shard length and one
+    hidden body, ``FederationConfig`` bounds E and B, ``_train_round`` draws
+    each order as a permutation of its shard, ``_check_federation`` fits
+    each shard to its network before round 1, and ``run_lockstep`` makes
+    every incoming model in its network's layout. A ``Dataset`` checked
+    its targets when it was built; ``_train_round`` checks the results.
     """
-    if not shards:
-        raise ValueError("need at least one client to train")
-    k = len(shards)
-    if len(incoming) != k or len(specs) != k or len(orders) != k:
-        raise ValueError("need one incoming model, network and set of epoch orders per client")
-    epochs = len(orders[0])
-    if epochs < 1:
-        raise ConfigurationError("epochs must be >= 1")
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be >= 1")
-    size = len(shards[0])
-    if size == 0:
-        raise ConfigurationError("cannot train on an empty dataset")
-    if any(len(shard) != size for shard in shards):
-        raise ConfigurationError("clients trained in one stack need equal shard sizes")
-    if any(len(own) != epochs or any(len(order) != size for order in own) for own in orders):
-        raise ValueError("need one order of each client's shard per epoch, as many as client 0's")
-    if len({(spec.layer_dims[:-1], spec.num_classes) for spec in specs}) > 1:
-        raise ConfigurationError(
-            "clients trained in one stack need networks that differ only in their output layer"
-        )
-    for spec, weights in zip(specs, incoming):
-        _check_weights(spec, weights)
-    for i, (spec, shard) in enumerate(zip(specs, shards)):
-        _check_compatible(spec, shard, f"shard {i}")
+    epochs, size = len(orders[0]), len(shards[0])
     heads = [(spec, len(list(run))) for spec, run in itertools.groupby(specs)]
     width = min(batch_size, size)
     full = StepPlan(heads, width)
@@ -273,7 +245,7 @@ def train_clients(
     values = full.pack([w.values for w in incoming])
     layers = full.layers(values)
     first_moment, second_moment = np.zeros_like(values), np.zeros_like(values)
-    loss_total = np.zeros(k)
+    loss_total = np.zeros(len(shards))
     steps = 0
     for epoch in range(epochs):
         for start in range(0, size, batch_size):
@@ -294,7 +266,7 @@ def train_clients(
 
 
 def _unstack(trained: list[ModelWeights], losses: np.ndarray) -> list[tuple[ModelWeights, float]]:
-    """One (weights, mean loss) per client of a ``train_clients`` result.
+    """One (weights, mean loss) per client of a ``_train_chunk`` result.
     Each client's row is copied, since a view would keep its head's whole
     stack alive for as long as any one client's weights live."""
     rows = [stack.with_values(row.copy()) for stack in trained for row in stack.values]
@@ -311,14 +283,21 @@ def client_local_train(
     seed: int,
 ) -> tuple[ModelWeights, float]:
     """E full passes over one client shard starting from ``incoming``:
-    ``train_clients`` with a single client, whose E epoch orders are
-    drawn in turn from one generator seeded by ``seed``. Returns the
-    trained weights and the mean loss over all batches; the call is a
-    pure function of its arguments."""
+    ``_train_chunk`` with a single client, after checking its epochs,
+    batch size, shard and weight layout against ``spec``. The E epoch
+    orders are drawn in turn from one generator seeded by ``seed``.
+    Returns the trained weights and the mean loss over all batches; the
+    call is a pure function of its arguments."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1")
+    if len(data) == 0:
+        raise ConfigurationError("cannot train on an empty dataset")
+    _check_weights(spec, incoming)
+    _check_compatible(spec, data, "shard 0")
     rng = np.random.default_rng(seed)
     orders = [rng.permutation(len(data)) for _ in range(epochs)]
-    trained = train_clients([data], [incoming], [spec], optimizer, batch_size, [orders])
-    return _unstack(*trained)[0]
+    return _unstack(*_train_chunk([data], [incoming], [spec], optimizer, batch_size, [orders]))[0]
 
 
 def fedavg_aggregate(
@@ -401,34 +380,26 @@ def _name(fed: Federation) -> str:
     return f"{fed.mode.value} seed {fed.master_seed}"
 
 
-def _spec(config: FederationConfig, fed: Federation) -> ClassifierSpec:
-    """The network the federation trains: its first client's feature width,
-    class and group counts, the run's hidden widths and its mode's head."""
-    first = fed.partitions[0]
-    return ClassifierSpec(
-        first.feature_dim, config.hidden_widths, first.num_classes, first.num_groups, fed.mode.head
-    )
-
-
-def train_round(
+def _train_round(
     config: FederationConfig,
     federations: Sequence[Federation],
+    specs: Sequence[ClassifierSpec],
     incoming: Sequence[Sequence[ModelWeights]],
     round_index: int,
 ) -> list[list[tuple[ModelWeights, float]]]:
-    """One round of local training, under ``config``'s local epochs, batch
-    size and optimizer, for every client of every federation, each on its
-    federation's network (``_spec``), as (weights, mean loss) per
-    federation in client order.
+    """One round of local training under ``config`` for every client of
+    every federation f, on the network ``specs[f]`` that
+    ``_check_federation`` returned, as (weights, mean loss) per federation
+    in client order.
 
     The (federation, client) pairs form one flat list that trains chunk
     by chunk (``client_chunks``): a chunk holds clients of one shard
     size, on one head or on both, and each of its steps serves all of
-    them. Client k of federation f starts from
-    ``incoming[f][k]`` and shuffles with ``shuffle_seed(master_seed_f, k,
-    round_index)``; that shuffle is drawn once for every client that
-    shares its master seed, client id and shard size, and its result
-    does not depend on the other clients in its chunk.
+    them. Client k of federation f starts from ``incoming[f][k]`` and
+    shuffles with ``shuffle_seed(master_seed_f, k, round_index)``; that
+    shuffle is drawn once for every client that shares its master seed,
+    client id and shard size, and its result does not depend on the
+    other clients in its chunk.
 
     Every chunk trains; then a non-finite weight or loss raises
     ``NumericError`` naming the federation, the round and the first such
@@ -437,10 +408,7 @@ def train_round(
     a chunk (one a caller's ``np.seterr(all="raise")`` turns a warning
     into) propagates as it is.
     """
-    if [len(weights) for weights in incoming] != [len(fed.partitions) for fed in federations]:
-        raise ValueError("need one incoming model per client of every federation")
-    # The flat list of clients: (federation, client id), starting weights,
-    # shards and epoch orders.
+    # The flat list of clients: owners, starting weights, shards, epoch orders.
     owners = [(fed, k) for fed in federations for k in range(len(fed.partitions))]
     starts = [weights for per_fed in incoming for weights in per_fed]
     shards = [fed.partitions[k] for fed, k in owners]
@@ -453,16 +421,14 @@ def train_round(
             draws[key] = [rng.permutation(key[2]) for _ in range(config.local_epochs)]
         orders.append(draws[key])
 
-    specs: list[ClassifierSpec] = []
-    for fed in federations:
-        specs += [_spec(config, fed)] * len(fed.partitions)
+    networks = [spec for fed, spec in zip(federations, specs) for _ in fed.partitions]
     results: dict[int, tuple[ModelWeights, float]] = {}
     finite = np.empty(len(owners), dtype=bool)
-    for chunk in client_chunks(specs, [len(shard) for shard in shards]):
-        trained, losses = train_clients(
+    for chunk in client_chunks(networks, [len(shard) for shard in shards]):
+        trained, losses = _train_chunk(
             [shards[i] for i in chunk],
             [starts[i] for i in chunk],
-            [specs[i] for i in chunk],
+            [networks[i] for i in chunk],
             config.optimizer,
             config.batch_size,
             [orders[i] for i in chunk],
@@ -481,15 +447,19 @@ def train_round(
 
 
 def _check_federation(config: FederationConfig, fed: Federation) -> ClassifierSpec:
-    """The federation's network (``_spec``), once the checks made before
-    round 1 show that every client and the test set fit it; each error
-    names the federation. Equal class and group counts are all the targets
-    need: each ``Dataset`` checked its own ranges when it was built."""
+    """The network the federation trains: its first client's feature width,
+    class and group counts, the run's hidden widths and its mode's head.
+    Checks, before round 1, that every client and the test set fit it,
+    each error naming the federation; equal class and group counts are all
+    the targets need, since each ``Dataset`` checked its own ranges."""
     with _in_context(_name(fed)):
         check_master_seed(fed.master_seed)
         if not fed.partitions:
             raise ConfigurationError("a federation needs at least one client")
-        spec = _spec(config, fed)
+        first, head = fed.partitions[0], fed.mode.head
+        spec = ClassifierSpec(
+            first.feature_dim, config.hidden_widths, first.num_classes, first.num_groups, head
+        )
         for k, part in enumerate(fed.partitions):
             if len(part) == 0:
                 raise ConfigurationError(f"client {k} has an empty dataset")
@@ -542,7 +512,8 @@ def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) ->
     clients are checked against that network once, in order, before
     round 1; a client's labels and groups need no check of their own,
     since its ``Dataset`` checked them when it was built. Each round trains
-    every client of every federation through one ``train_round``;
+    every client of every federation through one ``_train_round``, which
+    checks nothing again;
     aggregation and evaluation then run per federation. Each
     federation's result is bit for bit the result of running it alone.
     With a test set, a history carries a fairness report for round 0
@@ -570,7 +541,7 @@ def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) ->
             [global_weights[f]] * len(fed.partitions) if fed.mode.aggregates else local_weights[f]
             for f, fed in enumerate(federations)
         ]
-        results = train_round(config, federations, incoming, round_index)
+        results = _train_round(config, federations, specs, incoming, round_index)
         trained = time.perf_counter() - start
 
         for f, fed in enumerate(federations):
@@ -605,6 +576,5 @@ def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) ->
 
 
 def run_federation(config: FederationConfig, federation: Federation) -> FederationResult:
-    """The full R-round protocol for one federation: ``run_lockstep`` with
-    a single federation."""
+    """The full R-round protocol for one federation: ``run_lockstep`` of one."""
     return run_lockstep(config, [federation])[0]

@@ -337,9 +337,10 @@ def backward(plan: StepPlan, layers: tuple[list[Layer], list[Layer]]) -> np.ndar
     Row k is bit for bit what model k alone on batch k gives: every
     product is one BLAS call per model, every other operation is
     elementwise, and every reduction runs along a model's own rows.
-    Nothing is checked here; ``federation.train_clients`` checks layouts
-    and shard shapes once, and each ``Dataset`` checked its targets when
-    it was built.
+    Nothing is checked here. A run checks its federations' layouts and
+    shard shapes before round 1, ``federation.client_local_train`` checks
+    its one client, and each ``Dataset`` checked its targets when it was
+    built.
     """
     hidden, heads = layers
     k, b, block = plan.models, plan.size, plan.block

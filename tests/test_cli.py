@@ -207,7 +207,7 @@ class TestTrain:
         import fedbias.cli as cli
         import fedbias.federation as federation
 
-        run_lockstep, train_clients = federation.run_lockstep, federation.train_clients
+        run_lockstep, train_chunk = federation.run_lockstep, federation._train_chunk
         copies = []
 
         def split_shards(config, federations):
@@ -220,12 +220,12 @@ class TestTrain:
             return run_lockstep(config, split)
 
         def poisoned(shards, *args, **kwargs):
-            trained, losses = train_clients(shards, *args, **kwargs)
+            trained, losses = train_chunk(shards, *args, **kwargs)
             bad = [any(shard is c for c in copies) for shard in shards]
             return trained, np.where(bad, np.nan, losses)
 
         monkeypatch.setattr(cli, "run_lockstep", split_shards)
-        monkeypatch.setattr(federation, "train_clients", poisoned)
+        monkeypatch.setattr(federation, "_train_chunk", poisoned)
         config = write_config(tmp_path, BASE_CONFIG.replace("fedavg,dbfed", "fedavg,dbfed,local"))
         status = main(["train", "--config", str(config), "--out", str(tmp_path / "o.jsonl")])
         assert status == 3
@@ -339,6 +339,70 @@ def test_run_shape_below_its_bound_exits_1_before_any_data(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 5: {key}: must be >= {low}, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "generate-data"])
+@pytest.mark.parametrize(
+    "key, value, bound",
+    [
+        ("data.bias_strength", "1.5", "in [0, 1], got 1.5"),
+        ("data.noise_sigma", "0", "> 0, got 0.0"),
+        ("data.group_shift", "-1", ">= 0, got -1.0"),
+        ("data.test_fraction", "1.5", "in (0, 1), got 1.5"),
+        ("optimizer.learning_rate", "-1", ">= 0, got -1.0"),
+        ("optimizer.weight_decay", "-0.5", ">= 0, got -0.5"),
+    ],
+)
+def test_float_key_out_of_bounds_exits_1_before_any_data(
+    tmp_path, capsys, command, key, value, bound
+):
+    # As for the integer keys: the CSV does not exist, and the config
+    # line, not the file or a library type, is what gets reported.
+    text = (
+        "data.source = csv\n"
+        f"data.csv_path = {tmp_path / 'missing.csv'}\n"
+        "data.num_classes = 2\n"
+        "data.num_groups = 2\n"
+        f"{key} = {value}\n"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 5: {key}: must be {bound}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("train", "run_lockstep"), ("generate-data", "generate_synthetic")],
+)
+@pytest.mark.parametrize(
+    "error, shown",
+    [
+        (
+            MemoryError("Unable to allocate 745. GiB for an array"),
+            "out of memory: Unable to allocate 745. GiB for an array",
+        ),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_running_out_of_memory_exits_3_with_one_line(
+    tmp_path, capsys, monkeypatch, command, target, error, shown
+):
+    # A real allocation past memory depends on the host's overcommit
+    # setting, so the call that would make it raises instead.
+    import fedbias.cli as cli
+
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, target, exhausted)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {shown}\n"
     assert not out.exists()
 
 
@@ -531,6 +595,22 @@ class TestCompare:
         assert [len(row) for row in rows] == [7, 7, 7]
         assert [row[0] for row in rows[1:]] == ["x,1:dbfed", "y:dbfed"]
         assert text.splitlines()[1].startswith('"x,1:dbfed",1.0,')
+
+    def test_files_that_share_a_stem_are_labelled_by_path(self, tmp_path, capsys):
+        # a/r.jsonl and b/r.jsonl would both give "r:dbfed"; c keeps its stem.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        paths = [str(tmp_path / "a" / "r.jsonl"), str(tmp_path / "b" / "r.jsonl")]
+        paths.append(str(tmp_path / "c.jsonl"))
+        for path, records in zip(paths, [PERFECT, SKEWED, PERFECT]):
+            write_results_file(Path(path), "dbfed", records, 2, 2)
+        out_csv = tmp_path / "table.csv"
+        assert main(["compare", *paths, "--out", str(out_csv)]) == 0
+        labels = [f"{paths[0]}:dbfed", f"{paths[1]}:dbfed", "c:dbfed"]
+        table = capsys.readouterr().out.splitlines()[2:5]
+        assert [line.split()[0] for line in table] == labels
+        rows = list(csv.reader(out_csv.read_text(encoding="utf-8").splitlines()))
+        assert [row[0] for row in rows[1:]] == labels
 
     def test_absent_metrics_render_as_absent(self, tmp_path, capsys):
         results = tmp_path / "solo.jsonl"

@@ -121,12 +121,29 @@ class TestParsing:
                 )
                 for value in ("nan", "inf")
             ),
+            pytest.param("data.bias_strength", "-0.1", "must be in [0, 1], got -0.1", id="beta"),
+            pytest.param("data.bias_strength", "1.5", "must be in [0, 1], got 1.5", id="beta-1.5"),
+            pytest.param("data.group_shift", "-1", "must be >= 0, got -1.0", id="group_shift"),
+            pytest.param("data.noise_sigma", "0", "must be > 0, got 0.0", id="noise_sigma"),
+            pytest.param("data.test_fraction", "0", "must be in (0, 1), got 0.0", id="fraction-0"),
+            pytest.param("data.test_fraction", "1", "must be in (0, 1), got 1.0", id="fraction-1"),
+            pytest.param("optimizer.learning_rate", "-1", "must be >= 0, got -1.0", id="lr"),
+            pytest.param("optimizer.weight_decay", "-0.5", "must be >= 0, got -0.5", id="wd"),
         ],
     )
     def test_bad_value_reports_line(self, key, value, error):
         message = f"line 1: {key}: {error}"
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             parse_config(f"{key} = {value}\n")
+
+    def test_float_keys_accept_their_bounds(self):
+        c = cfg(
+            data__bias_strength="1", data__group_shift="0", data__noise_sigma="1e-300",
+            optimizer__learning_rate="0", optimizer__weight_decay="0",
+        )
+        assert (c.bias_strength, c.group_shift, c.noise_sigma) == (1.0, 0.0, 1e-300)
+        assert (c.learning_rate, c.weight_decay) == (0.0, 0.0)
+        assert cfg(data__bias_strength="0").bias_strength == 0.0
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigurationError, match=r"data\.num_groups"):

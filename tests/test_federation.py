@@ -23,8 +23,6 @@ from fedbias.federation import (
     predict_dataset,
     run_federation,
     run_lockstep,
-    train_clients,
-    train_round,
 )
 from fedbias.nn import (
     ClassifierSpec,
@@ -153,6 +151,44 @@ class TestClientLocalTrain:
         gradient, _ = engine_backward(spec, incoming.values, head)
         after_head, _, _ = optimizer_steps(sgd(), incoming.values, [gradient])
         assert not np.array_equal(weights.values, after_head)
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"epochs": 0}, ConfigurationError, "^epochs must be >= 1$"),
+            ({"batch_size": 0}, ConfigurationError, "^batch_size must be >= 1$"),
+            (
+                {"data": Dataset(np.zeros((0, 3)), [], [], 2, 2)},
+                ConfigurationError,
+                "^cannot train on an empty dataset$",
+            ),
+            (
+                {"incoming": init_weights(ClassifierSpec(3, (4,), 2, 2), 0)},
+                ValueError,
+                "^weight layout does not match the classifier spec$",
+            ),
+            (
+                {"data": toy_dataset(size=1, dim=4)},
+                ConfigurationError,
+                "^shard 0 has 4 features, model expects 3$",
+            ),
+        ],
+        ids=["epochs", "batch_size", "empty_shard", "weight_layout", "shard_width"],
+    )
+    def test_each_check_at_its_boundary(self, change, error, message):
+        # The single-client entry point is the one that checks a client's
+        # inputs: one epoch of batch 1 on a one-example shard in the
+        # network's layout trains, and one step past each bound is refused.
+        spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
+        args = dict(
+            data=toy_dataset(size=1), incoming=init_weights(spec, 0), spec=spec,
+            optimizer=adam(), epochs=1, batch_size=1, seed=0,
+        )
+        weights, loss = client_local_train(**args)
+        assert weights.layout == weight_layout(spec) and np.isfinite(loss)
+        with pytest.raises(error, match=message) as caught:
+            client_local_train(**{**args, **change})
+        assert type(caught.value) is error
 
 
 @st.composite
@@ -397,7 +433,7 @@ class TestStackedEngine:
     @given(client_rounds(), st.integers(1, 50))
     def test_engine_equals_reference_loop_bitwise(self, case, round_index):
         config, federations, specs, incoming = case
-        results = train_round(config, federations, incoming, round_index)
+        results = federation._train_round(config, federations, specs, incoming, round_index)
         for fed, spec, starts, trained in zip(federations, specs, incoming, results):
             for k, (shard, start, (weights, loss)) in enumerate(
                 zip(fed.partitions, starts, trained)
@@ -429,6 +465,13 @@ class TestStackedEngine:
         other = ClassifierSpec(16, (33,), 4, 4, HeadMode.DOMAIN_INDEPENDENT)
         specs = [plain, plain, grouped, plain, grouped, other]
         assert client_chunks(specs, [5, 6, 5, 5, 6, 5]) == [[0, 3, 2], [1, 4], [5]]
+        # Two plain clients of 8002 values, then three grouped ones of 12004
+        # (two a chunk): the grouped part of one fits beside the plain pair,
+        # the part of two does not, and the first grouped client goes first.
+        pair = ClassifierSpec(1, (2000,), 2, 2)
+        trio = replace(pair, head_mode=HeadMode.DOMAIN_INDEPENDENT)
+        assert (num_params(pair), num_params(trio)) == (8002, 12004)
+        assert client_chunks([pair] * 2 + [trio] * 3, [1] * 5) == [[0, 1, 2], [3, 4]]
 
     @pytest.mark.parametrize(
         "m, hidden, n, d, plain, grouped, expected",
@@ -478,37 +521,6 @@ class TestStackedEngine:
                 if shared[0] == shared[1]:
                     assert chunk_values(specs, a + b) > STACK_VALUES
 
-    def test_empty_chunk_rejected(self):
-        spec = ClassifierSpec(3, (), 2, 2)
-        with pytest.raises(ValueError, match="^need at least one client to train$"):
-            train_clients([], [], [], adam(), 4, [])
-
-    def test_unequal_shards_rejected_in_one_stack(self):
-        spec = ClassifierSpec(3, (), 2, 2)
-        shards = [toy_dataset(size=5), toy_dataset(size=6)]
-        w = init_weights(spec, 0)
-        with pytest.raises(ConfigurationError, match="equal shard sizes"):
-            train_clients(shards, [w, w], [spec] * 2, adam(), 4, [[np.arange(5)], [np.arange(6)]])
-
-    @pytest.mark.parametrize(
-        "orders", [[[np.arange(6)], [np.arange(6)] * 2], [[np.arange(6)], [np.arange(5)]]]
-    )
-    def test_epoch_orders_must_cover_each_shard_every_epoch(self, orders):
-        spec = ClassifierSpec(3, (), 2, 2)
-        shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
-        w = init_weights(spec, 0)
-        with pytest.raises(ValueError, match="^need one order of each client's shard per epoch"):
-            train_clients(shards, [w, w], [spec] * 2, adam(), 4, orders)
-
-    def test_networks_of_one_stack_differ_only_in_the_output_layer(self):
-        plain = ClassifierSpec(3, (), 2, 2)
-        other = ClassifierSpec(3, (2,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
-        shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
-        incoming = [init_weights(plain, 0), init_weights(other, 0)]
-        message = "need networks that differ only in their output layer$"
-        with pytest.raises(ConfigurationError, match=message):
-            train_clients(shards, incoming, [plain, other], adam(), 4, [[np.arange(6)]] * 2)
-
     def test_each_run_of_one_network_is_a_head(self):
         # Plain, grouped, grouped, plain: three heads, one stack each, and
         # every client equals its training alone.
@@ -521,7 +533,7 @@ class TestStackedEngine:
         for seed in range(4):
             rng = np.random.default_rng(seed)
             orders.append([rng.permutation(9) for _ in range(2)])
-        trained, losses = train_clients(shards, incoming, specs, adam(), 4, orders)
+        trained, losses = federation._train_chunk(shards, incoming, specs, adam(), 4, orders)
         p, q = num_params(plain), num_params(grouped)
         assert [stack.values.shape for stack in trained] == [(1, p), (2, q), (1, p)]
         rows = [row for stack in trained for row in stack.values]
@@ -530,20 +542,9 @@ class TestStackedEngine:
             assert rows[seed].tobytes() == expected.values.tobytes()
             assert repr(float(losses[seed])) == repr(loss)
 
-    def test_chunk_checked_before_training(self):
-        spec = ClassifierSpec(3, (), 2, 2)
-        other = ClassifierSpec(3, (2,), 2, 2)
-        shards = [toy_dataset(size=6), toy_dataset(seed=1, size=6)]
-        w = init_weights(spec, 0)
-        with pytest.raises(ValueError, match="^weight layout does not match"):
-            train_clients(
-                shards, [w, init_weights(other, 0)], [spec] * 2, adam(), 4, [[np.arange(6)]] * 2
-            )
-
-
 class TestTargetRanges:
     """A dataset checks its labels and groups when it is built and keeps
-    them read-only, so no run or ``train_clients`` call scans them again:
+    them read-only, so no run or ``client_local_train`` call scans them again:
     a target out of range can neither be built in nor written in later."""
 
     @pytest.mark.parametrize(
@@ -607,15 +608,15 @@ def lockstep_runs(draw):
 
 
 def poison_losses(monkeypatch, poisoned):
-    """Make ``train_clients`` report a NaN loss for every shard in ``poisoned``."""
-    real = federation.train_clients
+    """Make the chunk step report a NaN loss for every shard in ``poisoned``."""
+    real = federation._train_chunk
 
     def patched(shards, *args, **kwargs):
         trained, losses = real(shards, *args, **kwargs)
         bad = [any(shard is p for p in poisoned) for shard in shards]
         return trained, np.where(bad, np.nan, losses)
 
-    monkeypatch.setattr(federation, "train_clients", patched)
+    monkeypatch.setattr(federation, "_train_chunk", patched)
 
 
 class TestLockstep:
@@ -709,10 +710,10 @@ class TestLockstep:
         losses = [1 / 3, 2 / 7, 5 / 11, 0.1]
         config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=4)
 
-        def fixed(config, federations, incoming, round_index):
+        def fixed(config, federations, specs, incoming, round_index):
             return [[(w, loss) for w, loss in zip(incoming[0], losses)]]
 
-        monkeypatch.setattr(federation, "train_round", fixed)
+        monkeypatch.setattr(federation, "_train_round", fixed)
         result = run_lockstep(config, [fed._replace(test_set=None)])[0]
         assert [s.mean_train_loss for s in result.history[1:]] == [1.1735930735930737 / 4] * 3
         assert lsum(losses) == 1.1735930735930737
@@ -742,17 +743,17 @@ class TestLockstep:
         config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
         federations = [fed._replace(mode=mode) for mode in Mode]
         chunks = []
-        real = federation.train_clients
+        real = federation._train_chunk
 
         def counted(shards, incoming, specs, *args, **kwargs):
             chunks.append([spec.head_mode for spec in specs])
             return real(shards, incoming, specs, *args, **kwargs)
 
-        monkeypatch.setattr(federation, "train_clients", counted)
+        monkeypatch.setattr(federation, "_train_chunk", counted)
         results = run_lockstep(config, federations)
         both = [HeadMode.PLAIN] * 6 + [HeadMode.DOMAIN_INDEPENDENT] * 3
         assert chunks == [both] * config.rounds
-        monkeypatch.setattr(federation, "train_clients", real)
+        monkeypatch.setattr(federation, "_train_chunk", real)
         for one, result in zip(federations, results):
             alone = run_federation(config, one)
             assert [s.report.to_dict() for s in result.history] == [

@@ -3,7 +3,7 @@ import pytest
 
 from fedbias.data import Dataset
 from fedbias.exceptions import ConfigurationError
-from fedbias.federation import train_clients
+from fedbias.federation import client_local_train
 from fedbias.nn import (
     ClassifierSpec,
     HeadMode,
@@ -208,9 +208,7 @@ class TestBackward:
         shard = Dataset(np.zeros((1, 2)), [0], [0], 2, 2)
         for spec, other in ((plain, di), (di, plain)):
             with pytest.raises(ValueError, match="weight layout does not match"):
-                train_clients(
-                    [shard], [init_weights(other, 0)], [spec], OptimizerConfig(), 1, [[[0]]]
-                )
+                client_local_train(shard, init_weights(other, 0), spec, OptimizerConfig(), 1, 1, 0)
 
     @pytest.mark.parametrize("field", ["labels", "groups"])
     def test_non_integer_labels_and_groups_rejected(self, field):
@@ -249,14 +247,12 @@ class TestBackward:
     )
     def test_spec_counts_must_match_the_shard(self, num_classes, num_groups, head):
         # The shard holds group 2, past the logits of a two-group head:
-        # train_clients compares the counts instead of scanning targets.
+        # client_local_train compares the counts instead of scanning targets.
         spec = ClassifierSpec(2, (3,), num_classes, num_groups, head)
         shard = Dataset(np.zeros((2, 2)), [1, 0], [0, 2], 2, 3)
         message = f"^shard 0 has 2 classes / 3 groups, model expects {num_classes} / {num_groups}$"
         with pytest.raises(ConfigurationError, match=message):
-            train_clients(
-                [shard], [init_weights(spec, 0)], [spec], OptimizerConfig(), 2, [[[0, 1]]]
-            )
+            client_local_train(shard, init_weights(spec, 0), spec, OptimizerConfig(), 1, 2, 0)
 
     def test_plain_head_ignores_groups(self):
         spec = spec_2_3_2()

@@ -40,7 +40,7 @@ def test_every_span_target_resolves():
 
 
 def test_training_steps_call_the_traced_step_functions(monkeypatch):
-    # The tracer wraps the step functions where train_clients looks them
+    # The tracer wraps the step functions where the chunk step looks them
     # up; a run that bypasses those names leaves their spans at 0 calls.
     calls = {"backward": 0, "optimizer_step": 0}
     for name in calls:
