@@ -153,7 +153,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
     """(file label, mode, report) triples from results files, in file order.
     A file's label is its stem, or the path as given when another file
-    shares that stem."""
+    shares that stem. A path given twice is refused before any file is read."""
+    for path, count in Counter(paths).items():
+        if count > 1:
+            raise ConfigurationError(f"results file {path} is given more than once")
     rows = []
     for path in paths:
         summary = None
@@ -182,7 +185,7 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
             raise DataFormatError(f"{path}: no summary line (is this a results file?)")
         rows.extend((path, mode, report) for mode, report in summary)
     # Two paths with one stem would otherwise label their rows alike.
-    stems = Counter(Path(path).stem for path in set(paths))
+    stems = Counter(Path(path).stem for path in paths)
     return [
         (path if stems[Path(path).stem] > 1 else Path(path).stem, mode, report)
         for path, mode, report in rows
@@ -200,17 +203,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     best: dict[str, float | None] = {}
     for name in METRIC_NAMES:
         values = [r.metric(name) for _, r in labeled if r.metric(name) is not None]
-        if not values:
-            best[name] = None
-        else:
-            best[name] = max(values) if name in _HIGHER_BETTER else min(values)
+        pick = max if name in _HIGHER_BETTER else min
+        best[name] = pick(values, default=None)
+
+    def is_best(report: FairnessReport, name: str) -> bool:
+        value = report.metric(name)
+        return value is not None and value == best[name]
 
     def cell(report: FairnessReport, name: str) -> str:
-        value = report.metric(name)
-        text = _format_value(value)
-        if value is not None and value == best[name]:
-            text += " *"
-        return text
+        return _format_value(report.metric(name)) + (" *" if is_best(report, name) else "")
 
     header = ["mode"] + [name.upper() for name in METRIC_NAMES]
     table = [header] + [
@@ -233,11 +234,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "" if report.metric(n) is None else repr(report.metric(n))
                     for n in METRIC_NAMES
                 ]
-                flags = ";".join(
-                    n
-                    for n in METRIC_NAMES
-                    if report.metric(n) is not None and report.metric(n) == best[n]
-                )
+                flags = ";".join(n for n in METRIC_NAMES if is_best(report, n))
                 writer.writerow([label, *cells, flags])
         print(f"wrote {args.out}", file=sys.stderr)
     return 0

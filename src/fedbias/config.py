@@ -111,9 +111,9 @@ class ExperimentConfig:
     num_groups: int = _key("data.num_groups", _int_at_least(1))
     feature_dim: int | None = _key("data.feature_dim", _int_at_least(1), None)
     samples_per_group: int | None = _key("data.samples_per_group", _int_at_least(1), None)
-    bias_strength: float = _key("data.bias_strength", _UNIT_CLOSED, 0.0)
-    group_shift: float = _key("data.group_shift", _NON_NEGATIVE, 0.0)
-    noise_sigma: float = _key("data.noise_sigma", _POSITIVE, 1.0)
+    bias_strength: float = _key("data.bias_strength", _UNIT_CLOSED, SyntheticSpec.bias_strength)
+    group_shift: float = _key("data.group_shift", _NON_NEGATIVE, SyntheticSpec.group_shift)
+    noise_sigma: float = _key("data.noise_sigma", _POSITIVE, SyntheticSpec.noise_sigma)
     csv_path: str | None = _key("data.csv_path", str, None)
     test_fraction: float = _key("data.test_fraction", _UNIT_OPEN, 0.2)
     hidden_widths: tuple[int, ...] = _key("model.hidden", _parse_widths, (16,))
@@ -121,12 +121,12 @@ class ExperimentConfig:
     num_clients: int = _key("federation.clients", _int_at_least(1), 5)
     local_epochs: int = _key("federation.local_epochs", _int_at_least(1), 3)
     batch_size: int = _key("federation.batch_size", _int_at_least(1), 128)
-    optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer_kind, OptimizerKind.ADAM)
-    learning_rate: float = _key("optimizer.learning_rate", _NON_NEGATIVE, 1e-4)
-    weight_decay: float = _key("optimizer.weight_decay", _NON_NEGATIVE, 3e-4)
+    optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer_kind, OptimizerConfig.kind)
+    learning_rate: float = _key("optimizer.learning_rate", _NON_NEGATIVE, OptimizerConfig.learning_rate)
+    weight_decay: float = _key("optimizer.weight_decay", _NON_NEGATIVE, OptimizerConfig.weight_decay)
     modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
     master_seed: int = _key("run.master_seed", _int_at_least(0), 0)
-    eval_every: int = _key("run.eval_every", _int_at_least(1), 1)
+    eval_every: int = _key("run.eval_every", _int_at_least(1), FederationConfig.eval_every)
     output_path: str | None = _key("run.output", str, None)
 
     def __post_init__(self) -> None:

@@ -14,6 +14,8 @@ aggregates.
 - ``local``: the plain head, no aggregation; each client keeps training
   its own model, and evaluation averages the clients' individual reports.
 
+``evaluate_weights`` scores every mode, the global model as a stack of one.
+
 A federation's network is its first client's shape, the run's
 ``FederationConfig.hidden_widths`` and its mode's head.
 
@@ -71,7 +73,6 @@ from .nn import (
     init_weights,
     num_params,
     optimizer_step,
-    weight_layout,
 )
 from .seeding import TAG_INIT, check_master_seed, derive_seed, shuffle_seed
 
@@ -144,10 +145,8 @@ class FederationResult:
 
     @property
     def final_report(self) -> FairnessReport | None:
-        for snap in reversed(self.history):
-            if snap.report is not None:
-                return snap.report
-        return None
+        """The last round's report: the final round is always evaluated."""
+        return self.history[-1].report
 
 
 # A stacked step keeps the parameters of its K' models at or under this
@@ -215,7 +214,7 @@ def _train_chunk(
     optimizer: OptimizerConfig,
     batch_size: int,
     orders: Sequence[Sequence[np.ndarray]],
-) -> tuple[list[ModelWeights], np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """E full passes of K clients over their own shards, in lockstep.
 
     Client k trains network ``specs[k]`` from ``incoming[k]`` with zero
@@ -224,9 +223,9 @@ def _train_chunk(
     clients on one network. Each step is one stacked backward pass (the
     hidden layers and the loss once for all K clients, the output layer
     once per head) and one optimizer update over one flat vector of all
-    their parameters (``StepPlan``). Returns one (K_h, P_h) weight stack
-    per head, rows in client order, and the (K,) mean losses; every
-    client's weights and loss are bit for bit what training it alone gives.
+    their parameters (``StepPlan``). Returns one (K_h, P_h) array of weight
+    rows per head, in client order, and the (K,) mean losses; every client's
+    row and loss are bit for bit what training it alone gives.
 
     Nothing is checked here. ``client_local_train`` checks its one client;
     in a run, ``client_chunks`` gives each chunk one shard length and one
@@ -260,17 +259,7 @@ def _train_chunk(
             optimizer_step(
                 optimizer, steps, values, first_moment, second_moment, plan.gradient, plan.scratch
             )
-    stacks = full.unpack(values)
-    trained = [ModelWeights(stack, weight_layout(spec)) for (spec, _), stack in zip(heads, stacks)]
-    return trained, loss_total / steps
-
-
-def _unstack(trained: list[ModelWeights], losses: np.ndarray) -> list[tuple[ModelWeights, float]]:
-    """One (weights, mean loss) per client of a ``_train_chunk`` result.
-    Each client's row is copied, since a view would keep its head's whole
-    stack alive for as long as any one client's weights live."""
-    rows = [stack.with_values(row.copy()) for stack in trained for row in stack.values]
-    return [(weights, float(loss)) for weights, loss in zip(rows, losses)]
+    return full.unpack(values), loss_total / steps
 
 
 def client_local_train(
@@ -297,7 +286,8 @@ def client_local_train(
     _check_compatible(spec, data, "shard 0")
     rng = np.random.default_rng(seed)
     orders = [rng.permutation(len(data)) for _ in range(epochs)]
-    return _unstack(*_train_chunk([data], [incoming], [spec], optimizer, batch_size, [orders]))[0]
+    [trained], losses = _train_chunk([data], [incoming], [spec], optimizer, batch_size, [orders])
+    return incoming.with_values(trained[0]), float(losses[0])
 
 
 def fedavg_aggregate(
@@ -342,16 +332,6 @@ def predict_dataset(
     return predict_batch(logits, spec.num_classes, spec.num_blocks)
 
 
-def evaluate_weights(
-    spec: ClassifierSpec, weights: ModelWeights, test_set: Dataset
-) -> FairnessReport:
-    predictions = predict_dataset(spec, weights, test_set)
-    counts = tally(
-        predictions, test_set.labels, test_set.groups, test_set.num_classes, test_set.num_groups
-    )
-    return full_report(counts)
-
-
 # Every library error subclasses one of these.
 _WRAPPABLE = (ValueError, ArithmeticError)
 
@@ -363,6 +343,29 @@ def _in_context(where: str):
         yield
     except _WRAPPABLE as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+
+
+def evaluate_weights(
+    spec: ClassifierSpec, models: Sequence[ModelWeights], test_set: Dataset, where: Sequence[str]
+) -> FairnessReport:
+    """The report of K models on one test set, their (K, n) predictions
+    tallied and scored as one stack: one model's own report, or the mean
+    of K reports. A model that is the previous model's weights object (at
+    round 0 every ``local`` client holds the initialization) reuses its
+    predictions. An error predicting model k is prefixed with ``where[k]``;
+    the models share the test set, so scoring fails for all or none (an
+    empty test set), and its error takes ``where[0]``, the first model's."""
+    predictions = np.empty((len(models), len(test_set)), dtype=np.int64)
+    for k, weights in enumerate(models):
+        if k and weights is models[k - 1]:
+            predictions[k] = predictions[k - 1]
+            continue
+        with _in_context(where[k]):
+            predictions[k] = predict_dataset(spec, weights, test_set)
+    with _in_context(where[0]):
+        labels, groups = test_set.labels, test_set.groups
+        counts = tally(predictions, labels, groups, test_set.num_classes, test_set.num_groups)
+        return full_report(counts)
 
 
 class Federation(NamedTuple):
@@ -390,7 +393,8 @@ def _train_round(
     """One round of local training under ``config`` for every client of
     every federation f, on the network ``specs[f]`` that
     ``_check_federation`` returned, as (weights, mean loss) per federation
-    in client order.
+    in client order, each client's weights a copy of its trained row in
+    the layout of its incoming model.
 
     The (federation, client) pairs form one flat list that trains chunk
     by chunk (``client_chunks``): a chunk holds clients of one shard
@@ -433,9 +437,12 @@ def _train_round(
             config.batch_size,
             [orders[i] for i in chunk],
         )
-        rows_finite = [np.isfinite(stack.values).all(axis=1) for stack in trained]
+        rows_finite = [np.isfinite(stack).all(axis=1) for stack in trained]
         finite[chunk] = np.isfinite(losses) & np.concatenate(rows_finite)
-        results.update(zip(chunk, _unstack(trained, losses)))
+        # Copied: a view would keep its head's whole array alive.
+        rows = (row.copy() for stack in trained for row in stack)
+        for i, row, loss in zip(chunk, rows, losses):
+            results[i] = (starts[i].with_values(row), float(loss))
     if not finite.all():
         fed, k = owners[int(finite.argmin())]
         raise NumericError(
@@ -476,30 +483,17 @@ def _evaluate(
     global_weights: ModelWeights,
     local_weights: Sequence[ModelWeights],
 ) -> FairnessReport | None:
-    """The federation's report: of the global model, or for a mode that does
-    not aggregate the mean of the clients' reports, scored as one stack;
-    None without a test set."""
-    test = fed.test_set
-    if test is None:
+    """The federation's ``evaluate_weights`` report, None without a test set:
+    of its global model in context ``"<federation>, round r, evaluation"``,
+    or for a mode that does not aggregate of its clients' models, client k
+    in context ``"<federation>, round r, client k, evaluation"``."""
+    if fed.test_set is None:
         return None
     where = f"{_name(fed)}, round {round_index}"
     if fed.mode.aggregates:
-        with _in_context(f"{where}, evaluation"):
-            return evaluate_weights(spec, global_weights, test)
-    predictions = np.empty((len(local_weights), len(test)), dtype=np.int64)
-    for k, weights in enumerate(local_weights):
-        # A client holding the previous client's weights object (at round
-        # 0 every client holds the initialization) reuses its predictions.
-        if k and weights is local_weights[k - 1]:
-            predictions[k] = predictions[k - 1]
-            continue
-        with _in_context(f"{where}, client {k}, evaluation"):
-            predictions[k] = predict_dataset(spec, weights, test)
-    # The clients share the test set, so scoring fails for all of them or
-    # none (an empty test set); client 0 is the first, as in scoring one by one.
-    with _in_context(f"{where}, client 0, evaluation"):
-        counts = tally(predictions, test.labels, test.groups, test.num_classes, test.num_groups)
-        return full_report(counts)
+        return evaluate_weights(spec, [global_weights], fed.test_set, [f"{where}, evaluation"])
+    contexts = [f"{where}, client {k}, evaluation" for k in range(len(local_weights))]
+    return evaluate_weights(spec, local_weights, fed.test_set, contexts)
 
 
 def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) -> list[FederationResult]:

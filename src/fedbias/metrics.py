@@ -115,7 +115,7 @@ def tally(
             "predicted (or each of its rows), actual and group must be 1-D arrays of one length"
         )
     flat = (group * num_classes + actual) * num_classes + pred
-    if pred.ndim == 2:
+    if clients > 1:
         flat += np.arange(clients)[:, np.newaxis] * cells
     try:
         counts = np.bincount(flat.ravel(), minlength=clients * cells)

@@ -113,13 +113,11 @@ def _unflatten(values: np.ndarray, layout: Layout) -> list[Layer]:
 
 @dataclass(frozen=True)
 class ModelWeights:
-    """All trainable parameters as one flat float64 vector.
+    """One model's trainable parameters as one flat float64 vector.
 
     Per layer the vector holds the weight matrix (row-major, shape
     fan_in x fan_out) followed by the bias (fan_out,). Two ModelWeights
-    built from the same spec always share the same layout. A (K, P)
-    ``values`` array holds a stack of K models with that layout, one per
-    row.
+    built from the same spec always share the same layout.
     """
 
     values: np.ndarray
@@ -128,20 +126,19 @@ class ModelWeights:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         expected = _num_values(self.layout)
-        if self.values.ndim not in (1, 2) or self.values.shape[-1] != expected:
+        if self.values.shape != (expected,):
             raise ValueError(
                 f"weight vector length {self.values.shape} does not match layout ({expected},)"
             )
 
     def __len__(self) -> int:
-        return self.values.shape[-1]
+        return len(self.values)
 
     def with_values(self, values: np.ndarray) -> "ModelWeights":
         return ModelWeights(values, self.layout)
 
     def unflatten(self) -> list[Layer]:
-        """Views (no copies) of each layer's weight matrix and bias, with
-        the stack axis in front for a stack of models."""
+        """Views (no copies) of each layer's weight matrix and bias."""
         return _unflatten(self.values, self.layout)
 
 

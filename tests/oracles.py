@@ -36,10 +36,10 @@ from fedbias.federation import (
     Mode,
     RoundSnapshot,
     _check_compatible,
-    evaluate_weights,
     fedavg_aggregate,
+    predict_dataset,
 )
-from fedbias.metrics import FairnessReport, PredictionRecord
+from fedbias.metrics import FairnessReport, PredictionRecord, full_report, tally
 from fedbias.nn import (
     ClassifierSpec,
     HeadMode,
@@ -649,6 +649,16 @@ def reference_client_train(
 # ---------------------------------------------------------------------------
 # One federation on its own, round by round.
 
+def score_model(spec: ClassifierSpec, weights: ModelWeights, test_set: Dataset) -> FairnessReport:
+    """One model's report, ``full_report`` of the ``tally`` of its (n,)
+    predictions: what ``evaluate_weights`` of a stack of one must equal."""
+    predicted = predict_dataset(spec, weights, test_set)
+    counts = tally(
+        predicted, test_set.labels, test_set.groups, test_set.num_classes, test_set.num_groups
+    )
+    return full_report(counts)
+
+
 def reference_run_federation(
     config: FederationConfig, federation: Federation, spec: ClassifierSpec
 ) -> FederationResult:
@@ -665,8 +675,8 @@ def reference_run_federation(
         if test_set is None:
             return None
         if not local_mode:
-            return evaluate_weights(spec, global_weights, test_set)
-        return scalar_mean_reports([evaluate_weights(spec, w, test_set) for w in local_weights])
+            return score_model(spec, global_weights, test_set)
+        return scalar_mean_reports([score_model(spec, w, test_set) for w in local_weights])
 
     history = [RoundSnapshot(0, evaluate(), None, 0.0)]
     for round_index in range(1, config.rounds + 1):
@@ -725,7 +735,7 @@ def train_centralized(
     weights = init_weights(spec, derive_seed(master_seed, TAG_INIT))
 
     def evaluate(w: ModelWeights) -> FairnessReport | None:
-        return evaluate_weights(spec, w, test_set) if test_set is not None else None
+        return score_model(spec, w, test_set) if test_set is not None else None
 
     start = time.perf_counter()
     history = [RoundSnapshot(0, evaluate(weights), None, time.perf_counter() - start)]

@@ -54,6 +54,8 @@ class TestParsing:
             eval_every=1,
             output_path=None,
         )
+        # Defaults the library types declare are read from them.
+        assert cfg().federation_config().optimizer == OptimizerConfig()
 
     def test_constructor_takes_every_field_in_order_without_defaults(self):
         params = inspect.signature(ExperimentConfig).parameters.values()

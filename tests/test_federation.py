@@ -42,6 +42,7 @@ from oracles import (
     optimizer_steps,
     reference_client_train,
     reference_run_federation,
+    score_model,
     train_centralized,
     weighted_mean,
 )
@@ -535,8 +536,8 @@ class TestStackedEngine:
             orders.append([rng.permutation(9) for _ in range(2)])
         trained, losses = federation._train_chunk(shards, incoming, specs, adam(), 4, orders)
         p, q = num_params(plain), num_params(grouped)
-        assert [stack.values.shape for stack in trained] == [(1, p), (2, q), (1, p)]
-        rows = [row for stack in trained for row in stack.values]
+        assert [stack.shape for stack in trained] == [(1, p), (2, q), (1, p)]
+        rows = [row for stack in trained for row in stack]
         for seed, (shard, start, spec) in enumerate(zip(shards, incoming, specs)):
             expected, loss = reference_client_train(shard, start, spec, adam(), 2, 4, seed)
             assert rows[seed].tobytes() == expected.values.tobytes()
@@ -685,10 +686,17 @@ class TestLockstep:
         "target,mode,message",
         [
             ("fedavg_aggregate", Mode.FEDAVG_PLAIN, r"^fedavg seed 21, round 1, aggregation: "),
-            ("evaluate_weights", Mode.DBFED, r"^dbfed seed 21, round 0, evaluation: "),
-            # Local mode predicts client by client, then scores the stack.
+            # Every mode predicts model by model, then scores the stack: a
+            # scoring error takes the first model's context.
+            ("predict_dataset", Mode.DBFED, r"^dbfed seed 21, round 0, evaluation: "),
+            ("full_report", Mode.FEDAVG_PLAIN, r"^fedavg seed 21, round 0, evaluation: "),
             (
                 "predict_dataset",
+                Mode.LOCAL_ONLY,
+                r"^local seed 21, round 0, client 0, evaluation: ",
+            ),
+            (
+                "full_report",
                 Mode.LOCAL_ONLY,
                 r"^local seed 21, round 0, client 0, evaluation: ",
             ),
@@ -896,7 +904,37 @@ class TestEvaluationHelpers:
         spec = ClassifierSpec(3, (), 2, 2, HeadMode.PLAIN)
         w = init_weights(spec, 14)
         data = toy_dataset(seed=15)
-        report = evaluate_weights(spec, w, data)
+        report = evaluate_weights(spec, [w], data, ["test"])
         assert report.num_classes == 2
         assert report.num_groups == 2
         assert report.total == len(data)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(1, 5), max_size=2),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.sampled_from(HeadMode),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_of_one_is_the_models_own_report(self, m, hidden, n, d, head, size, seed):
+        # The one-model path that scored a global model before every mode
+        # went through the stack.
+        spec = ClassifierSpec(m, tuple(hidden), n, d, head)
+        w = random_weights(np.random.default_rng(seed), spec)
+        test = toy_dataset(seed=seed, size=size, num_classes=n, num_groups=d, dim=m)
+        report = evaluate_weights(spec, [w], test, ["p"])
+        assert repr(report.to_dict()) == repr(score_model(spec, w, test).to_dict())
+
+    def test_errors_take_the_context_of_their_model(self):
+        spec = ClassifierSpec(3, (), 2, 2)
+        w = init_weights(spec, 12)
+        bad = w.with_values(np.full_like(w.values, np.nan))
+        with pytest.raises(NumericError, match=r"^second: .*non-finite"):
+            evaluate_weights(spec, [w, bad], toy_dataset(seed=13), ["first", "second"])
+        # Scoring an empty test set fails for every model: the first names it.
+        empty = toy_dataset(seed=13, size=0)
+        with pytest.raises(ValueError, match=r"^first: cannot build a report"):
+            evaluate_weights(spec, [w, w], empty, ["first", "second"])

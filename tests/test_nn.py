@@ -59,6 +59,12 @@ class TestSpecAndLayout:
         with pytest.raises(ValueError):
             ModelWeights(np.zeros(5), weight_layout(spec_2_3_2()))
 
+    def test_weights_hold_one_model(self):
+        # A (K, P) stack of models of the right width is still refused.
+        spec = spec_2_3_2()
+        with pytest.raises(ValueError, match="does not match layout"):
+            ModelWeights(np.zeros((2, num_params(spec))), weight_layout(spec))
+
 
 class TestInitWeights:
     def test_same_seed_bit_identical(self):
