@@ -17,10 +17,11 @@ to the per-line reader, the only path that names a bad line, whenever
 the two could disagree: an empty body, a header other than the exact
 one above, non-ASCII bytes, a line break other than LF that
 ``str.splitlines`` honours, the byte 0x1F (whitespace to ``np.loadtxt``
-only), a blank line, a cell ``np.loadtxt`` refuses (it refuses every
+only), a blank line, or a cell ``np.loadtxt`` refuses (it refuses every
 cell ``float()``/``int()`` refuse, and also ``1_0`` and int64 overflow,
-which the per-line reader judges as before), or a target or group out
-of range.
+which the per-line reader judges as before). A file the fast path
+parsed whole is not read again for a target or group out of range:
+``check_ranges``, which the prediction log shares, names its line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import dataclasses
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,7 +221,6 @@ def read_rows(path: Path) -> np.ndarray | None:
     m = header.count(",") - 1
     if m < 1 or header != ",".join([f"feature_{j}" for j in range(m)] + ["target", "group"]):
         return None
-    dtype = np.dtype([("x", np.float64, (m,)), ("y", np.int64), ("g", np.int64)])
     # np.loadtxt skips blank lines, so a later blank line shows up as a
     # record count short of the line count.
     lines = data.count(b"\n") - (1 if data.endswith(b"\n") else 0)
@@ -230,7 +231,7 @@ def read_rows(path: Path) -> np.ndarray | None:
         warnings.simplefilter("error", DeprecationWarning)
         try:
             rows = np.loadtxt(
-                path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
+                path, dtype=_record_dtype(m), delimiter=",", comments=None, skiprows=1, ndmin=1,
                 encoding="utf-8",
             )
         except (ValueError, DeprecationWarning):
@@ -252,18 +253,19 @@ def load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
     """Parse a dataset CSV; rejects malformed rows with their line number."""
     path = Path(path)
     rows = read_rows(path)
-    if (
-        rows is not None
-        and _within(rows["y"], num_classes)
-        and _within(rows["g"], num_groups)
-    ):
-        feats, labels, groups = (np.ascontiguousarray(rows[name]) for name in ("x", "y", "g"))
+    if rows is None:
+        rows = _parse_csv_lines(path, num_classes, num_groups)
     else:
-        feats, labels, groups = _parse_csv_lines(path, num_classes, num_groups)
+        check_ranges(path, (rows["y"], rows["g"]), ("target", "group"), (num_classes, num_groups))
+    feats, labels, groups = (np.ascontiguousarray(rows[name]) for name in ("x", "y", "g"))
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
         raise DataFormatError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
     return Dataset(feats, labels, groups, num_classes, num_groups)
+
+
+def _record_dtype(m: int) -> np.dtype:
+    return np.dtype([("x", np.float64, (m,)), ("y", np.int64), ("g", np.int64)])
 
 
 def read_text(path: Path) -> str:
@@ -277,54 +279,66 @@ def read_text(path: Path) -> str:
         raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
 
 
-def _within(values: np.ndarray, limit: int) -> bool:
-    return values.min() >= 0 and values.max() < limit
-
-
-def _parse_csv_lines(
-    path: Path, num_classes: int, num_groups: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features, labels and groups read one line at a time; the first bad
-    line raises, naming its number."""
+def read_lines(path: Path, header: Callable, parse: Callable) -> tuple[int, list]:
+    """The CSV file's column count, as ``header(cells)`` of line 1 returns
+    it, and ``parse(cells)`` of every later line. A ``ValueError`` from
+    either, or a line of another width, raises ``DataFormatError`` naming
+    the line, as does an empty file."""
     lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header row")
+    lineno, rows = 1, []
+    try:
+        width = header(lines[0].split(","))
+        for lineno, line in enumerate(lines[1:], 2):
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ValueError(f"expected {width} columns, found {len(cells)}")
+            rows.append(parse(cells))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+    return width, rows
 
-    header = lines[0].split(",")
-    if len(header) < 3 or header[-2] != "target" or header[-1] != "group":
-        raise DataFormatError(f"{path}: line 1: header must end with 'target,group'")
-    m = len(header) - 2
-    expected = [f"feature_{j}" for j in range(m)]
-    if header[:m] != expected:
-        raise DataFormatError(f"{path}: line 1: feature columns must be feature_0..feature_{m - 1}")
 
-    feats = np.zeros((len(lines) - 1, m))
-    labels = np.zeros(len(lines) - 1, dtype=np.int64)
-    groups = np.zeros(len(lines) - 1, dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        cells = line.split(",")
-        if len(cells) != m + 2:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {m + 2} columns, found {len(cells)}"
-            )
-        try:
-            feats[i] = [float(c) for c in cells[:m]]
-            y = int(cells[m])
-            g = int(cells[m + 1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+def check_ranges(
+    path: Path, columns: Sequence[np.ndarray], names: Sequence[str], limits: Sequence[int]
+) -> None:
+    """Refuse the first row (row i is line i + 2) holding a cell outside
+    ``[0, limit)`` of its column, naming the first such column in it."""
+    bad = np.array([(column < 0) | (column >= limit) for column, limit in zip(columns, limits)])
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        c = int(bad[:, i].argmax())
+        raise DataFormatError(
+            f"{path}: line {i + 2}: {names[c]} {columns[c][i]} out of range [0, {limits[c]})"
+        )
+
+
+def _dataset_header(cells: list[str]) -> int:
+    if len(cells) < 3 or cells[-2:] != ["target", "group"]:
+        raise ValueError("header must end with 'target,group'")
+    m = len(cells) - 2
+    if cells[:m] != [f"feature_{j}" for j in range(m)]:
+        raise ValueError(f"feature columns must be feature_0..feature_{m - 1}")
+    return m + 2
+
+
+def _parse_csv_lines(path: Path, num_classes: int, num_groups: int) -> np.ndarray:
+    """The rows of a file ``read_rows`` would not judge, read one line at a
+    time as ``_record_dtype`` records; the first bad line raises, naming
+    its number. A line's target and group are range-checked, in that
+    order, before the next line is parsed."""
+
+    def parse(cells: list[str]) -> tuple[list[float], int, int]:
+        x, y, g = [float(c) for c in cells[:-2]], int(cells[-2]), int(cells[-1])
         if not 0 <= y < num_classes:
-            raise DataFormatError(
-                f"{path}: line {lineno}: target {y} out of range [0, {num_classes})"
-            )
+            raise ValueError(f"target {y} out of range [0, {num_classes})")
         if not 0 <= g < num_groups:
-            raise DataFormatError(
-                f"{path}: line {lineno}: group {g} out of range [0, {num_groups})"
-            )
-        labels[i] = y
-        groups[i] = g
-    return feats, labels, groups
+            raise ValueError(f"group {g} out of range [0, {num_groups})")
+        return x, y, g
+
+    width, rows = read_lines(path, _dataset_header, parse)
+    return np.array(rows, dtype=_record_dtype(width - 2))
 
 
 def partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:

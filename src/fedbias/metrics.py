@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import read_text
+from .data import check_ranges, read_lines
 from .exceptions import ConfigurationError, DataFormatError
 
 CONVENTIONS = {
@@ -330,29 +330,22 @@ def mean_reports(reports: Sequence[FairnessReport]) -> FairnessReport:
 _LOG_COLUMNS = ("predicted", "actual", "group")
 
 
+def _log_header(cells: list[str]) -> int:
+    if [c.strip() for c in cells] != list(_LOG_COLUMNS):
+        raise ValueError("header must be 'predicted,actual,group'")
+    return len(_LOG_COLUMNS)
+
+
 def load_prediction_log(
     path: str | Path, num_classes: int, num_groups: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a ``predicted,actual,group`` CSV into three int64 arrays, in the
-    argument order of :func:`tally`; malformed rows and cells outside
-    ``[0, num_classes)`` or ``[0, num_groups)`` name their line. Every row
-    is parsed before any range is checked."""
+    argument order of :func:`tally`, through ``data.read_lines``; malformed
+    rows, cells past int64 and cells outside ``[0, num_classes)`` or
+    ``[0, num_groups)`` name their line. Every row is parsed before any
+    range is checked, by ``data.check_ranges``."""
     path = Path(path)
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file, expected a header row")
-    if [c.strip() for c in lines[0].split(",")] != list(_LOG_COLUMNS):
-        raise DataFormatError(f"{path}: line 1: header must be 'predicted,actual,group'")
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise DataFormatError(f"{path}: line {lineno}: expected 3 columns, found {len(cells)}")
-        try:
-            rows.append([int(c) for c in cells])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+    _, rows = read_lines(path, _log_header, lambda cells: [int(c) for c in cells])
     try:
         table = np.array(rows, dtype=np.int64).reshape(-1, 3)
     except OverflowError:
@@ -365,13 +358,6 @@ def load_prediction_log(
         raise DataFormatError(
             f"{path}: line {lineno}: {value} does not fit in a 64-bit integer"
         ) from None
-    limits = (num_classes, num_classes, num_groups)
-    bad = np.array([(column < 0) | (column >= limit) for column, limit in zip(table.T, limits)])
-    if bad.any():
-        i = int(bad.any(axis=0).argmax())
-        c = int(bad[:, i].argmax())
-        raise DataFormatError(
-            f"{path}: line {i + 2}: {_LOG_COLUMNS[c]} {table[i, c]} out of range [0, {limits[c]})"
-        )
+    check_ranges(path, table.T, _LOG_COLUMNS, (num_classes, num_classes, num_groups))
     predicted, actual, group = table.T
     return predicted, actual, group

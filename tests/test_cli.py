@@ -154,6 +154,20 @@ class TestTrain:
         assert [r["kind"] for r in rows] == ["round", "round", "summary"]
         assert all(r["round"] == 0 for r in rows[:2])
 
+    def test_rounds_between_evaluations_write_no_line(self, tmp_path):
+        text = BASE_CONFIG.replace("rounds = 2", "rounds = 5")
+        text = text.replace("fedavg,dbfed", "fedavg,local") + "run.eval_every = 2\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "results.jsonl"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        rows = read_jsonl(out)
+        assert [(r["mode"], r["round"]) for r in rows[:-1]] == [
+            (mode, i) for mode in ("fedavg", "local") for i in (0, 2, 4, 5)
+        ]
+        # The final round is always evaluated, and is the summary's report.
+        for mode, last in (("fedavg", rows[3]), ("local", rows[7])):
+            assert rows[-1]["reports"][mode] == last["report"]
+
     def test_mode_override_runs_single_mode(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "results.jsonl"
@@ -371,6 +385,23 @@ def test_float_key_out_of_bounds_exits_1_before_any_data(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 5: {key}: must be {bound}\n"
+    assert not out.exists()
+
+
+def test_unknown_optimizer_exits_1_before_any_data(tmp_path, capsys):
+    text = (
+        "data.source = csv\n"
+        f"data.csv_path = {tmp_path / 'missing.csv'}\n"
+        "data.num_classes = 2\n"
+        "data.num_groups = 2\n"
+        "optimizer.kind = rmsprop\n"
+    )
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = "line 5: optimizer.kind: unknown optimizer 'rmsprop' (choose from sgd, adam)"
+    assert captured.err == f"error: {error}\n"
     assert not out.exists()
 
 
@@ -651,6 +682,23 @@ class TestCompare:
         assert main(["compare", str(legacy), "--out", str(out_csv)]) == 0
         row = out_csv.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert row[:3] == ["dbfed", "0.5", "inf"]
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        plain, spaced = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+        write_results_file(plain, "dbfed", SKEWED, 2, 2)
+        spaced.write_text("\n" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        assert main(["compare", str(plain)]) == 0
+        table = capsys.readouterr().out
+        assert main(["compare", str(spaced)]) == 0
+        assert capsys.readouterr().out == table
+
+    def test_line_that_is_not_json_exits_2_and_names_line(self, tmp_path, capsys):
+        results = tmp_path / "broken.jsonl"
+        write_results_file(results, "dbfed", PERFECT, 2, 2)
+        results.write_text(results.read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
+        assert main(["compare", str(results)]) == 2
+        message = f"{results}: line 2: Expecting value: line 1 column 1 (char 0)"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_file_without_summary_exits_2(self, tmp_path, capsys):
         results = tmp_path / "broken.jsonl"

@@ -183,6 +183,12 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=message):
             cfg(run__modes="")
 
+    def test_optimizer_kind_parsing(self):
+        assert cfg(optimizer__kind="SGD").optimizer_kind == OptimizerKind.SGD
+        message = "line 5: optimizer.kind: unknown optimizer 'rmsprop' (choose from sgd, adam)"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            cfg(optimizer__kind="rmsprop")
+
     def test_fraction_bounds(self):
         with pytest.raises(ConfigurationError):
             cfg(data__test_fraction="0.0")

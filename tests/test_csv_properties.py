@@ -133,6 +133,8 @@ def dataset_files(draw):
 @example(("feature_0,target,group\n0.5,0,0\n\r0.5,0,0\n", 2, 2))
 @example(("feature_0,target,group\n0.5,0,0\x85\n", 2, 2))
 @example(("feature_0,target,group\n\x1f0.5,0,0\n", 2, 2))
+@example(("feature_0,target,group\n0.5,0,0\n0.5,0,2\n0.5,5,0\n", 2, 2))
+@example(("feature_0,target,group\n0.5,0,0\n0.5,5,2\n", 2, 2))
 def test_load_csv_matches_per_line_reader(scratch, case):
     text, num_classes, num_groups = case
     scratch.write_bytes(text.encode("utf-8"))
@@ -234,6 +236,27 @@ def test_well_formed_dataset_takes_the_fast_path(tmp_path, monkeypatch):
     dataset = Dataset(rng.normal(size=(50, 3)), labels, groups, 2, 3)
     save_csv(dataset, tmp_path / "data.csv")
     assert same_bits(load_csv(tmp_path / "data.csv", 2, 3).features, dataset.features)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0.5,0,0\n0.5,0,2\n0.5,5,0\n", "line 3: group 2 out of range [0, 2)"),
+        ("0.5,0,0\n0.5,5,2\n", "line 3: target 5 out of range [0, 2)"),
+    ],
+    ids=["first_bad_line_wins", "target_before_group"],
+)
+def test_fast_path_refuses_a_cell_out_of_range_from_its_arrays(
+    tmp_path, monkeypatch, body, message
+):
+    def refuse(path, *args):
+        raise AssertionError(f"{path} went to the per-line reader")
+
+    monkeypatch.setattr(data_module, "_parse_csv_lines", refuse)
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"feature_0,target,group\n" + body.encode("ascii"))
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_csv(path, 2, 2)
 
 
 def test_int_via_float_deprecation_falls_back(tmp_path, monkeypatch):
