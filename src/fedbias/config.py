@@ -67,26 +67,32 @@ def _parse_widths(raw: str) -> tuple[int, ...]:
     return widths
 
 
-def _parse_modes(raw: str) -> tuple[Mode, ...]:
-    modes = []
-    for part in raw.split(","):
-        name = part.strip().lower()
+def _choice(noun: str, choices: dict[str, object]):
+    """A parser of one of the names in ``choices``, matched in lowercase,
+    returning the value it maps to."""
+
+    def parse(raw: str):
         try:
-            modes.append(Mode(name))
-        except ValueError:
-            valid = ", ".join(m.value for m in Mode)
-            raise ValueError(f"unknown mode {name!r} (choose from {valid})") from None
+            return choices[raw.lower()]
+        except KeyError:
+            valid = ", ".join(choices)
+            raise ValueError(f"unknown {noun} {raw!r} (choose from {valid})") from None
+
+    return parse
+
+
+_SOURCES = ("synthetic", "csv")
+_parse_source = _choice("source", {name: name for name in _SOURCES})
+_parse_optimizer = _choice("optimizer", {k.value: k for k in OptimizerKind})
+_parse_mode = _choice("mode", {m.value: m for m in Mode})
+
+
+def _parse_modes(raw: str) -> tuple[Mode, ...]:
+    # A bad mode is named in lowercase.
+    modes = tuple(_parse_mode(part.strip().lower()) for part in raw.split(","))
     if len(set(modes)) != len(modes):
         raise ValueError("modes must not repeat")
-    return tuple(modes)
-
-
-def _parse_optimizer_kind(raw: str) -> OptimizerKind:
-    try:
-        return OptimizerKind(raw.lower())
-    except ValueError:
-        valid = ", ".join(k.value for k in OptimizerKind)
-        raise ValueError(f"unknown optimizer {raw!r} (choose from {valid})") from None
+    return modes
 
 
 # _REQUIRED marks a key that must be present whenever its data source is
@@ -106,7 +112,7 @@ class ExperimentConfig:
     Each field declares its config key, parser and default (see ``_key``);
     the constructor still takes every field, with no defaults."""
 
-    source: str = _key("data.source", str, "synthetic")
+    source: str = _key("data.source", _parse_source, "synthetic")
     num_classes: int = _key("data.num_classes", _int_at_least(2))
     num_groups: int = _key("data.num_groups", _int_at_least(1))
     feature_dim: int | None = _key("data.feature_dim", _int_at_least(1), None)
@@ -121,7 +127,7 @@ class ExperimentConfig:
     num_clients: int = _key("federation.clients", _int_at_least(1), 5)
     local_epochs: int = _key("federation.local_epochs", _int_at_least(1), 3)
     batch_size: int = _key("federation.batch_size", _int_at_least(1), 128)
-    optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer_kind, OptimizerConfig.kind)
+    optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer, OptimizerConfig.kind)
     learning_rate: float = _key("optimizer.learning_rate", _NON_NEGATIVE, OptimizerConfig.learning_rate)
     weight_decay: float = _key("optimizer.weight_decay", _NON_NEGATIVE, OptimizerConfig.weight_decay)
     modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
@@ -130,7 +136,7 @@ class ExperimentConfig:
     output_path: str | None = _key("run.output", str, None)
 
     def __post_init__(self) -> None:
-        if self.source not in ("synthetic", "csv"):
+        if self.source not in _SOURCES:
             raise ConfigurationError(
                 f"data.source must be 'synthetic' or 'csv', got {self.source!r}"
             )

@@ -46,8 +46,8 @@ class Dataset:
     constructor range-checks its own copies of the labels and groups and
     keeps read-only views of all three arrays, so the check holds for life.
     A dataset the package derives from checked arrays (``subset``,
-    ``generate_synthetic``) is built by ``_own``, which neither copies
-    nor scans its targets again.
+    ``generate_synthetic``, ``load_csv``) is built by ``_own``, which
+    neither copies nor scans its targets again.
     """
 
     features: np.ndarray
@@ -261,7 +261,7 @@ def load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
         raise DataFormatError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
-    return Dataset(feats, labels, groups, num_classes, num_groups)
+    return Dataset._own(feats, labels, groups, num_classes, num_groups)
 
 
 def _record_dtype(m: int) -> np.dtype:
@@ -353,14 +353,7 @@ def partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:
     if n < num_clients:
         raise ConfigurationError(f"cannot split {n} samples across {num_clients} clients")
     order = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, num_clients)
-    parts = []
-    start = 0
-    for k in range(num_clients):
-        size = base + (1 if k < extra else 0)
-        parts.append(dataset.subset(order[start : start + size]))
-        start += size
-    return parts
+    return [dataset.subset(part) for part in np.array_split(order, num_clients)]
 
 
 def train_test_split(

@@ -12,10 +12,11 @@ column-sum comparison.
 ``block_softmax`` takes its blocks class-major: the class axis comes
 first, so class y of every block is one contiguous row. A block holds
 only ``num_classes`` entries, often 2 to 10, and NumPy reduces so short
-an axis one block at a time; across class rows the max, the shift, the
-sum and the division are each a few elementwise operations over all
-blocks at once. The sum adds the rows in the order ``np.add.reduce``
-adds a contiguous last axis, so every result is bit for bit what the
+an axis one block at a time; across class rows the max, the shift and
+the division are each a few elementwise operations over all blocks at
+once, and so is the sum below 8 classes. From 8 classes on, NumPy sums
+a contiguous axis pairwise, not left to right, so the sum reduces a
+class-last copy. Either way every result is bit for bit what the
 row-major softmax gives.
 
 Probabilities come from max-shifted logits, so they stay finite
@@ -30,30 +31,14 @@ from .exceptions import NumericError
 
 
 def _class_sum(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The sum over the first axis of non-negative ``rows``, added in the
-    order of ``np.add.reduce`` along a contiguous last axis (NumPy's
-    pairwise sum): left to right below 8 terms, eight running sums
-    combined as a tree up to 128 terms, and halves (cut at a multiple
-    of 8) above that."""
-    n = len(rows)
-    if n < 8:
+    """The sum over the first axis of ``rows``, added in the order of
+    ``np.add.reduce`` along a contiguous last axis. Below 8 terms that
+    order is left to right, as the elementwise sum of whole rows adds;
+    from 8 on it is NumPy's pairwise sum, so the rows are reduced from a
+    class-last copy."""
+    if len(rows) < 8:
         return np.add.reduce(rows, axis=0, out=out)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        out = _class_sum(rows[:half], out)
-        out += _class_sum(rows[half:])
-        return out
-    whole = n - n % 8
-    acc = rows[:8]
-    if whole > 8:
-        acc = acc + rows[8:16]
-        for i in range(16, whole, 8):
-            acc += rows[i : i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    out = np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
-    for i in range(whole, n):
-        out += rows[i]
-    return out
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(rows, 0, -1)), axis=-1, out=out)
 
 
 def block_softmax(

@@ -162,8 +162,20 @@ class TestParsing:
             parse_config("data.source = csv\ndata.num_classes = 2\ndata.num_groups = 2\n")
 
     def test_unknown_source_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"data\.source"):
+        message = "line 5: data.source: unknown source 'sql' (choose from synthetic, csv)"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             cfg(data__source="sql")
+        # A config built directly is checked by its constructor.
+        message = r"^data\.source must be 'synthetic' or 'csv', got 'sql'$"
+        with pytest.raises(ConfigurationError, match=message):
+            replace(cfg(), source="sql")
+
+    def test_source_matches_in_lowercase(self, tmp_path):
+        c = cfg(
+            "data.source = CSV\ndata.num_classes = 2\ndata.num_groups = 2\n"
+            f"data.csv_path = {tmp_path / 'x.csv'}\n"
+        )
+        assert c.source == "csv"
 
     def test_hidden_widths_variants(self):
         assert cfg(model__hidden="32,16").hidden_widths == (32, 16)
@@ -194,6 +206,9 @@ class TestParsing:
             cfg(data__test_fraction="0.0")
         with pytest.raises(ConfigurationError):
             cfg(data__test_fraction="1.0")
+        # A config built directly is checked by its constructor.
+        with pytest.raises(ConfigurationError, match=r"test_fraction"):
+            replace(cfg(), test_fraction=1.0)
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

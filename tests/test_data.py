@@ -65,6 +65,10 @@ class TestSyntheticSpec:
             small_spec(num_classes=1)
         with pytest.raises(ConfigurationError):
             small_spec(samples_per_group=0)
+        with pytest.raises(ConfigurationError, match="num_groups"):
+            small_spec(num_groups=0)
+        with pytest.raises(ConfigurationError, match="feature_dim"):
+            small_spec(feature_dim=0)
 
     def test_class_distribution_is_a_distribution(self):
         for beta in (0.0, 0.3, 1.0):
@@ -160,19 +164,24 @@ class TestCsvRoundTrip:
         assert len(ds) == 0
         assert ds.feature_dim == 2
 
-    def test_out_of_range_group_names_line(self, tmp_path):
+    # A CR sends a file to the per-line reader, which range-checks each
+    # line as it parses it; an LF-only file is checked from its arrays.
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_out_of_range_group_names_line(self, tmp_path, eol):
         path = tmp_path / "bad.csv"
         path.write_text(
             "feature_0,target,group\n0.5,0,0\n0.5,0,2\n",
             encoding="utf-8",
+            newline=eol,
         )
         message = f"{path}: line 3: group 2 out of range [0, 2)"
         with pytest.raises(DataFormatError, match=exactly(message)):
             load_csv(path, 2, 2)
 
-    def test_out_of_range_target_names_line(self, tmp_path):
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_out_of_range_target_names_line(self, tmp_path, eol):
         path = tmp_path / "bad.csv"
-        path.write_text("feature_0,target,group\n0.5,5,0\n", encoding="utf-8")
+        path.write_text("feature_0,target,group\n0.5,5,0\n", encoding="utf-8", newline=eol)
         message = f"{path}: line 2: target 5 out of range [0, 2)"
         with pytest.raises(DataFormatError, match=exactly(message)):
             load_csv(path, 2, 2)
@@ -257,6 +266,11 @@ class TestPartition:
         with pytest.raises(ConfigurationError):
             partition(ds, 4, seed=0)
 
+    def test_no_clients(self):
+        ds = random_dataset(np.random.default_rng(4), 3)
+        with pytest.raises(ConfigurationError, match=exactly("num_clients must be >= 1")):
+            partition(ds, 0, seed=0)
+
 
 class TestTrainTestSplit:
     def test_80_20(self):
@@ -296,6 +310,11 @@ class TestDatasetValidation:
     def test_group_out_of_range(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), [0, 1], [0, 2], 2, 2)
+
+    @pytest.mark.parametrize("num_classes, num_groups", [(0, 1), (2, 0)])
+    def test_class_and_group_counts_must_be_positive(self, num_classes, num_groups):
+        with pytest.raises(ValueError, match="must be positive"):
+            Dataset(np.zeros((1, 2)), [0], [0], num_classes, num_groups)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -275,6 +275,12 @@ class TestFullReport:
             if report.ba is not None:
                 assert 0.0 <= report.ba <= 1.0 - 1.0 / d
 
+    @pytest.mark.parametrize("name", ["xyz", "per_group_error"])
+    def test_metric_refuses_a_name_outside_the_five(self, name):
+        report = report_of([R(0, 0, 0), R(1, 1, 1)], 2, 2)
+        with pytest.raises(KeyError):
+            report.metric(name)
+
     def test_per_group_and_per_class_rates(self):
         records = [R(0, 0, 0)] * 3 + [R(1, 0, 0)] + [R(1, 1, 1), R(0, 1, 1)]
         report = report_of(records, 2, 2)
