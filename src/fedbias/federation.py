@@ -14,7 +14,8 @@ aggregates.
 - ``local``: the plain head, no aggregation; each client keeps training
   its own model, and evaluation averages the clients' individual reports.
 
-``evaluate_weights`` scores every mode, the global model as a stack of one.
+``evaluate_weights`` scores every mode, the global model as a stack of one
+and a ``local`` federation's clients as a stack of K.
 
 A federation's network is its first client's shape, the run's
 ``FederationConfig.hidden_widths`` and its mode's head.
@@ -36,8 +37,12 @@ any mode (fedavg, local and dbfed over the same shards, or one mode at
 many master seeds) under one shared ``FederationConfig``, round by
 round: each round trains the clients of all of them as one flat list
 through ``_train_round``, which draws each distinct shuffle once, then
-aggregates and evaluates each federation on its own. Each result equals
-a run of that federation alone, and ``run_federation`` is the
+aggregates each federation on its own. An evaluated round then scores
+the federations that share a test set in one pass (``_evaluate_round``):
+one ``evaluate_weights`` call forwards each federation's models as a
+stack, tallies all their predictions once and scores them once, and
+each federation's report is the mean of its own rows. Each result
+equals a run of that federation alone, and ``run_federation`` is the
 one-federation case. Errors name the federation by mode and master seed
 (``"fedavg seed 3, round 2, client 1: ..."``, or ``"fedavg seed 3: ..."``
 for the checks made before round 1).
@@ -59,8 +64,9 @@ import numpy as np
 from .data import Dataset
 from .exceptions import ConfigurationError, NumericError
 from .head import predict_batch
-from .metrics import FairnessReport, full_report, tally
-from .metrics import mean_reports, records_from_arrays  # noqa: F401  (perfbench span targets)
+from .metrics import FairnessReport, stack_reports, tally
+# Bound here for perfbench's tracer, which wraps these span targets.
+from .metrics import full_report, mean_reports, records_from_arrays  # noqa: F401
 from .nn import (
     ClassifierSpec,
     HeadMode,
@@ -68,11 +74,15 @@ from .nn import (
     OptimizerConfig,
     StepPlan,
     _check_weights,
+    _features,
+    _forward,
+    _unflatten,
     backward,
     forward_batch,
     init_weights,
     num_params,
     optimizer_step,
+    weight_layout,
 )
 from .seeding import TAG_INIT, check_master_seed, derive_seed, shuffle_seed
 
@@ -123,9 +133,10 @@ class FederationConfig:
 class RoundSnapshot:
     """Per-round bookkeeping; ``report`` is filled on evaluation rounds.
 
-    ``duration_sec`` covers the round's training, which a lockstep run
-    shares among its federations (every head of the run trains in it),
-    plus this federation's own aggregation and evaluation.
+    ``duration_sec`` covers the round's training and evaluation, which a
+    lockstep run shares among its federations (every head of the run
+    trains in one pass, and every federation on a test set is scored in
+    one pass), plus this federation's own aggregation.
     """
 
     round_index: int
@@ -152,7 +163,10 @@ class FederationResult:
 # A stacked step keeps the parameters of its K' models at or under this
 # many float64 values. The six Adam-sized arrays of a larger stack
 # overflow a 2 MiB L2 cache, and past that point (the wide benchmark shape
-# on a 2-core Xeon) stepping the models one at a time was faster.
+# on a 2-core Xeon) stepping the models one at a time was faster. A
+# stacked evaluation forward keeps each layer's activations, n test rows
+# by the widest layer per model, to the same bound: at 50 clients on a
+# 2000-row test set (K' = 1 there) the model-by-model loop was faster.
 STACK_VALUES = 2**15
 
 
@@ -345,27 +359,96 @@ def _in_context(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def evaluate_weights(
-    spec: ClassifierSpec, models: Sequence[ModelWeights], test_set: Dataset, where: Sequence[str]
-) -> FairnessReport:
-    """The report of K models on one test set, their (K, n) predictions
-    tallied and scored as one stack: one model's own report, or the mean
-    of K reports. A model that is the previous model's weights object (at
-    round 0 every ``local`` client holds the initialization) reuses its
-    predictions. An error predicting model k is prefixed with ``where[k]``;
-    the models share the test set, so scoring fails for all or none (an
-    empty test set), and its error takes ``where[0]``, the first model's."""
-    predictions = np.empty((len(models), len(test_set)), dtype=np.int64)
-    for k, weights in enumerate(models):
-        if k and weights is models[k - 1]:
-            predictions[k] = predictions[k - 1]
+def _predict_stack(
+    spec: ClassifierSpec,
+    models: Sequence[ModelWeights],
+    test_set: Dataset,
+    where: Sequence[str],
+    out: np.ndarray,
+) -> None:
+    """Writes the (K, n) predictions of K models on network ``spec`` to
+    ``out``, row k bit for bit ``predict_dataset`` of model k, whose
+    errors are prefixed with ``where[k]``.
+
+    A model that is the previous model's weights object (at round 0 every
+    ``local`` client holds the initialization) reuses its predictions.
+    The others go in order in chunks of ``max(1, STACK_VALUES // (n * W))``
+    models (the last may be smaller), W the widest layer: a chunk of one
+    through ``predict_dataset``, a larger one through one stacked forward
+    (one BLAS call per model and layer, as alone) whose logits
+    ``predict_batch`` reads model by model, or in one call under the
+    plain head. The grouped head's sums over a one-row batch add in
+    another order than over more rows, so its rows are never merged.
+    Layouts and the feature width are taken as checked."""
+    fresh = [k for k, weights in enumerate(models) if not k or weights is not models[k - 1]]
+    per_chunk = max(1, STACK_VALUES // (max(len(test_set), 1) * max(spec.layer_dims[1:])))
+    for start in range(0, len(fresh), per_chunk):
+        chunk = fresh[start : start + per_chunk]
+        if len(chunk) == 1:
+            with _in_context(where[chunk[0]]):
+                out[chunk[0]] = predict_dataset(spec, models[chunk[0]], test_set)
             continue
-        with _in_context(where[k]):
-            predictions[k] = predict_dataset(spec, weights, test_set)
-    with _in_context(where[0]):
+        with _in_context(where[chunk[0]]):
+            stack = np.stack([models[k].values for k in chunk])
+            logits = _forward(_unflatten(stack, weight_layout(spec)), test_set.features)[-1]
+        if spec.num_blocks == 1 and np.isfinite(logits).all():
+            # A plain-head prediction is each row's argmax, so the rows of
+            # the whole chunk go in one call. Non-finite logits are left to
+            # the model-by-model calls below, which name their model.
+            rows = logits.reshape(-1, spec.num_classes)
+            out[chunk] = predict_batch(rows, spec.num_classes, 1).reshape(logits.shape[:-1])
+            continue
+        for k, rows in zip(chunk, logits):
+            with _in_context(where[k]):
+                out[k] = predict_batch(rows, spec.num_classes, spec.num_blocks)
+    for k in range(1, len(models)):
+        if models[k] is models[k - 1]:
+            out[k] = out[k - 1]
+
+
+def evaluate_weights(
+    specs: Sequence[ClassifierSpec],
+    models: Sequence[Sequence[ModelWeights]],
+    test_set: Dataset,
+    where: Sequence[Sequence[str]],
+) -> list[FairnessReport]:
+    """The reports of S stacks of models on one test set, stack s the
+    models ``models[s]`` on network ``specs[s]``: one model's own report,
+    or the mean of K reports.
+
+    Every stack is checked before anything is predicted: it holds at
+    least one model and one context per model, and each model's layout
+    (and, at its first model, the test set's feature width) is checked
+    in its own context. Stack s is predicted by ``_predict_stack``, an
+    error of model k prefixed with ``where[s][k]``; then the (M, n)
+    predictions of all M models are tallied once and scored once
+    (``stack_reports``). The stacks share the test set, so scoring fails
+    for all or none (an empty test set), and its error takes
+    ``where[0][0]``, the first model's."""
+    if not models or not len(specs) == len(models) == len(where):
+        raise ValueError(
+            f"need one network and one context list per stack, got {len(specs)} networks, "
+            f"{len(models)} stacks and {len(where)} context lists"
+        )
+    for s, (spec, stack, contexts) in enumerate(zip(specs, models, where)):
+        if not stack or len(contexts) != len(stack):
+            raise ValueError(
+                f"stack {s} needs at least one model and one context per model, "
+                f"got {len(stack)} models and {len(contexts)} contexts"
+            )
+        for k, weights in enumerate(stack):
+            with _in_context(contexts[k]):
+                _check_weights(spec, weights)
+                if not k:
+                    _features(spec, test_set.features)
+    sizes = [len(stack) for stack in models]
+    predictions = np.empty((sum(sizes), len(test_set)), dtype=np.int64)
+    for spec, stack, contexts, end in zip(specs, models, where, itertools.accumulate(sizes)):
+        _predict_stack(spec, stack, test_set, contexts, predictions[end - len(stack) : end])
+    with _in_context(where[0][0]):
         labels, groups = test_set.labels, test_set.groups
         counts = tally(predictions, labels, groups, test_set.num_classes, test_set.num_groups)
-        return full_report(counts)
+        return stack_reports(counts, sizes)
 
 
 class Federation(NamedTuple):
@@ -476,24 +559,41 @@ def _check_federation(config: FederationConfig, fed: Federation) -> ClassifierSp
     return spec
 
 
-def _evaluate(
-    fed: Federation,
-    spec: ClassifierSpec,
+def _evaluate_round(
+    federations: Sequence[Federation],
+    specs: Sequence[ClassifierSpec],
     round_index: int,
-    global_weights: ModelWeights,
-    local_weights: Sequence[ModelWeights],
-) -> FairnessReport | None:
-    """The federation's ``evaluate_weights`` report, None without a test set:
-    of its global model in context ``"<federation>, round r, evaluation"``,
-    or for a mode that does not aggregate of its clients' models, client k
-    in context ``"<federation>, round r, client k, evaluation"``."""
-    if fed.test_set is None:
-        return None
-    where = f"{_name(fed)}, round {round_index}"
-    if fed.mode.aggregates:
-        return evaluate_weights(spec, [global_weights], fed.test_set, [f"{where}, evaluation"])
-    contexts = [f"{where}, client {k}, evaluation" for k in range(len(local_weights))]
-    return evaluate_weights(spec, local_weights, fed.test_set, contexts)
+    global_weights: Sequence[ModelWeights],
+    local_weights: Sequence[Sequence[ModelWeights]],
+) -> list[FairnessReport | None]:
+    """Each federation's report of the round, None without a test set:
+    one ``evaluate_weights`` call per test-set object, in the order the
+    federations first name it, scores the stacks of every federation on
+    it. A federation's stack is its global model, in context
+    ``"<federation>, round r, evaluation"``, or for a mode that does not
+    aggregate its clients' models, client k in context ``"<federation>,
+    round r, client k, evaluation"``."""
+    sharing: dict[int, list[int]] = {}
+    for f, fed in enumerate(federations):
+        if fed.test_set is not None:
+            sharing.setdefault(id(fed.test_set), []).append(f)
+    reports: list[FairnessReport | None] = [None] * len(federations)
+    for members in sharing.values():
+        stacks, where = [], []
+        for f in members:
+            fed = federations[f]
+            at = f"{_name(fed)}, round {round_index}"
+            if fed.mode.aggregates:
+                stacks.append([global_weights[f]])
+                where.append([f"{at}, evaluation"])
+            else:
+                stacks.append(local_weights[f])
+                where.append([f"{at}, client {k}, evaluation" for k in range(len(local_weights[f]))])
+        test_set = federations[members[0]].test_set
+        scored = evaluate_weights([specs[f] for f in members], stacks, test_set, where)
+        for f, report in zip(members, scored):
+            reports[f] = report
+    return reports
 
 
 def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) -> list[FederationResult]:
@@ -507,9 +607,10 @@ def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) ->
     round 1; a client's labels and groups need no check of their own,
     since its ``Dataset`` checked them when it was built. Each round trains
     every client of every federation through one ``_train_round``, which
-    checks nothing again;
-    aggregation and evaluation then run per federation. Each
-    federation's result is bit for bit the result of running it alone.
+    checks nothing again; aggregation then runs per federation, and an
+    evaluated round scores every federation through one
+    ``_evaluate_round``. Each federation's result is bit for bit the
+    result of running it alone.
     With a test set, a history carries a fairness report for round 0
     (the initialization), every ``eval_every``-th round, and the final
     round.
@@ -523,11 +624,10 @@ def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) ->
         for fed, own in zip(federations, specs)
     ]
     local_weights = [[init] * len(fed.partitions) for fed, init in zip(federations, global_weights)]
-    histories = []
-    for f, fed in enumerate(federations):
-        start = time.perf_counter()
-        report = _evaluate(fed, specs[f], 0, global_weights[f], local_weights[f])
-        histories.append([RoundSnapshot(0, report, None, time.perf_counter() - start)])
+    start = time.perf_counter()
+    reports = _evaluate_round(federations, specs, 0, global_weights, local_weights)
+    shared = time.perf_counter() - start
+    histories = [[RoundSnapshot(0, report, None, shared)] for report in reports]
 
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
@@ -536,28 +636,26 @@ def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) ->
             for f, fed in enumerate(federations)
         ]
         results = _train_round(config, federations, specs, incoming, round_index)
-        trained = time.perf_counter() - start
-
+        own = []  # each federation's aggregation time
         for f, fed in enumerate(federations):
-            start = time.perf_counter()
+            begun = time.perf_counter()
             local_weights[f] = [weights for weights, _ in results[f]]
-            losses = [loss for _, loss in results[f]]
             if fed.mode.aggregates:
                 updates = local_weights[f]
                 with _in_context(f"{_name(fed)}, round {round_index}, aggregation"):
                     global_weights[f] = fedavg_aggregate(
                         [(k, updates[k], len(p)) for k, p in enumerate(fed.partitions)]
                     )
-            due = round_index % config.eval_every == 0 or round_index == config.rounds
-            report = (
-                _evaluate(fed, specs[f], round_index, global_weights[f], local_weights[f])
-                if due
-                else None
-            )
+            own.append(time.perf_counter() - begun)
+        reports = [None] * len(federations)
+        if round_index % config.eval_every == 0 or round_index == config.rounds:
+            reports = _evaluate_round(federations, specs, round_index, global_weights, local_weights)
+        shared = time.perf_counter() - start - sum(own)
+        for f, report in enumerate(reports):
+            losses = [loss for _, loss in results[f]]
             # Added left to right: sum() compensates from Python 3.12 on.
             mean_loss = functools.reduce(operator.add, losses, 0.0) / len(losses)
-            duration = trained + time.perf_counter() - start
-            histories[f].append(RoundSnapshot(round_index, report, mean_loss, duration))
+            histories[f].append(RoundSnapshot(round_index, report, mean_loss, shared + own[f]))
 
     return [
         FederationResult(

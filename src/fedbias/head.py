@@ -16,8 +16,9 @@ an axis one block at a time; across class rows the max, the shift and
 the division are each a few elementwise operations over all blocks at
 once, and so is the sum below 8 classes. From 8 classes on, NumPy sums
 a contiguous axis pairwise, not left to right, so the sum reduces a
-class-last copy. Either way every result is bit for bit what the
-row-major softmax gives.
+class-last copy, written into a caller's buffer when one is given (a
+training step's ``StepPlan`` holds one). Either way every result is bit
+for bit what the row-major softmax gives.
 
 Probabilities come from max-shifted logits, so they stay finite
 whenever the logits are.
@@ -29,20 +30,31 @@ import numpy as np
 
 from .exceptions import NumericError
 
+# NumPy adds a contiguous axis of this many or more terms pairwise.
+PAIRWISE_CLASSES = 8
 
-def _class_sum(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+
+def _class_sum(
+    rows: np.ndarray, out: np.ndarray | None = None, class_last: np.ndarray | None = None
+) -> np.ndarray:
     """The sum over the first axis of ``rows``, added in the order of
     ``np.add.reduce`` along a contiguous last axis. Below 8 terms that
     order is left to right, as the elementwise sum of whole rows adds;
     from 8 on it is NumPy's pairwise sum, so the rows are reduced from a
-    class-last copy."""
-    if len(rows) < 8:
+    class-last copy, made in ``class_last`` if given."""
+    if len(rows) < PAIRWISE_CLASSES:
         return np.add.reduce(rows, axis=0, out=out)
-    return np.add.reduce(np.ascontiguousarray(np.moveaxis(rows, 0, -1)), axis=-1, out=out)
+    if class_last is None:
+        class_last = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+    else:
+        np.copyto(class_last, np.moveaxis(rows, 0, -1))
+    return np.add.reduce(class_last, axis=-1, out=out)
 
 
 def block_softmax(
-    blocks: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    blocks: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    class_last: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax along the first (class) axis, each block shifted by its own max.
 
@@ -52,13 +64,15 @@ def block_softmax(
     without the class axis), and the probabilities, class-major like
     ``blocks``. The log-softmax of class y is
     ``blocks[y] - shift - log(total)``. With ``out``, the three results
-    are written into its arrays; ``probs`` may be ``blocks``.
+    are written into its arrays; ``probs`` may be ``blocks``. From 8
+    classes on, ``class_last``, a C-contiguous array of ``blocks``'s shape
+    with the class axis moved last, spares the sum its own copy.
     """
     shift, total, probs = (None, None, None) if out is None else out
     shift = np.maximum.reduce(blocks, axis=0, out=shift)
     probs = np.subtract(blocks, shift, out=probs)
     np.exp(probs, out=probs)
-    total = _class_sum(probs, out=total)
+    total = _class_sum(probs, out=total, class_last=class_last)
     probs /= total
     return shift, total, probs
 

@@ -24,7 +24,8 @@ Several clients' logs over one test set stack: ``tally`` of a
 (clients, n) ``predicted`` gives a (clients, group, actual, predicted)
 array, and ``full_report`` of that scores all clients at once and
 returns the mean of their reports, each field averaged in client order
-(the local-only baseline's score). Every float sum is added left to
+(the local-only baseline's score); ``stack_reports`` scores the clients
+of several such stacks at once and returns each stack's mean. Every float sum is added left to
 right in one fixed order (groups, then classes, then clients), never
 pairwise or compensated, and squared deviations go through Python's
 ``**`` (libm ``pow``), so every value is the same on every Python
@@ -33,6 +34,7 @@ version and equals, bit for bit, a per-record recount done that way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -220,6 +222,30 @@ def full_report(counts: np.ndarray) -> FairnessReport:
     Each count, and so each sum of counts, is taken to be below 2**53,
     where an int64 / int64 division in float64 is correctly rounded.
     """
+    fields, shape = _client_fields(counts)
+    return _report(_client_mean(fields), *shape)
+
+
+def stack_reports(counts: np.ndarray, sizes: Sequence[int]) -> list[FairnessReport]:
+    """The reports of consecutive stacks of clients in one stacked
+    (clients, num_groups, num_classes, num_classes) ``tally`` array, stack
+    s holding the next ``sizes[s]`` clients. Every client is scored at
+    once, and each stack's report is the mean of its own clients' rows,
+    bit for bit ``full_report`` of its slice, since a client's row
+    depends on its own counts alone."""
+    fields, shape = _client_fields(counts)
+    if any(size < 1 for size in sizes) or sum(sizes) != len(fields):
+        raise ValueError(f"stack sizes {list(sizes)} do not split {len(fields)} clients")
+    ends = itertools.accumulate(sizes)
+    return [
+        _report(_client_mean(fields[end - size : end]), *shape) for size, end in zip(sizes, ends)
+    ]
+
+
+def _client_fields(counts: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """``full_report``'s scoring: one row of report fields per client, in
+    ``_report``'s order with NaN for an absent value, and the clients'
+    (num_classes, num_groups, total)."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim == 3:
         counts = counts[np.newaxis]
@@ -228,6 +254,8 @@ def full_report(counts: np.ndarray) -> FairnessReport:
     if counts.size and counts.min() < 0:
         raise ValueError("counts must be non-negative")
     clients, num_groups, n, _ = counts.shape
+    if not clients:
+        raise ValueError("need at least one report to average")
     add = np.add
     truth = add.reduce(counts, axis=3)  # [k, g, y]
     predicted = add.reduce(counts, axis=2)  # [k, g, p]
@@ -275,14 +303,12 @@ def full_report(counts: np.ndarray) -> FairnessReport:
     fields[:, 3:5][np.isnan(worst)] = np.nan
     if num_groups < 2:
         fields[:, 4] = np.nan
-    return _report(_client_mean(fields), n, num_groups, int(total[0]))
+    return fields, (n, num_groups, int(total[0]))
 
 
 def _client_mean(fields: np.ndarray) -> np.ndarray:
     """Each column's mean over the rows (clients), added in row order;
     NaN wherever some row is NaN."""
-    if not len(fields):
-        raise ValueError("need at least one report to average")
     # A lone client's fields are their own mean: x / 1 is x.
     return fields[0] if len(fields) == 1 else _running_sum(fields, axis=0) / len(fields)
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .head import block_softmax
+from .head import PAIRWISE_CLASSES, block_softmax
 
 
 class HeadMode(enum.Enum):
@@ -210,8 +210,9 @@ class StepPlan:
     is the class-major (n, rows) copy of each example's own block of n
     logits, in which the softmax, the loss terms (``target``, ``picked``,
     ``shift``, ``total``) and the output delta are computed for every
-    model at once. Each head keeps its output layer in its section of
-    ``heads`` (``_HeadPlan``).
+    model at once; from 8 classes on, the softmax sums its class-last
+    copy ``class_last`` (None below 8). Each head keeps its output layer
+    in its section of ``heads`` (``_HeadPlan``).
 
     The stack's parameters live in one flat vector of ``num_values``
     values, with no padding: the (K, H) block of every model's hidden
@@ -239,6 +240,8 @@ class StepPlan:
         self.row = np.arange(rows, dtype=np.int64)
         self.target = np.empty(rows, dtype=np.int64)
         self.picked, self.shift, self.total = np.empty(rows), np.empty(rows), np.empty(rows)
+        n = first.num_classes
+        self.class_last = np.empty((rows, n)) if n >= PAIRWISE_CLASSES else None
         self.heads, start = [], 0
         for spec, count in heads:
             self.heads.append(_HeadPlan(self, spec, slice(start, start + count)))
@@ -309,13 +312,18 @@ def _forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) -> np.ndarray:
-    """Logits (B, output_dim) for a feature matrix (B, input_dim)."""
-    _check_weights(spec, weights)
+def _features(spec: ClassifierSpec, x: np.ndarray) -> np.ndarray:
+    """``x`` as a float64 (B, input_dim) feature matrix for ``spec``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"expected features of shape (B, {spec.input_dim}), got {x.shape}")
-    return _forward(weights.unflatten(), x)[-1]
+    return x
+
+
+def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """Logits (B, output_dim) for a feature matrix (B, input_dim)."""
+    _check_weights(spec, weights)
+    return _forward(weights.unflatten(), _features(spec, x))[-1]
 
 
 def backward(plan: StepPlan, layers: tuple[list[Layer], list[Layer]]) -> np.ndarray:
@@ -360,7 +368,9 @@ def backward(plan: StepPlan, layers: tuple[list[Layer], list[Layer]]) -> np.ndar
     target += plan.row
     picked = block.reshape(-1).take(target, out=plan.picked, mode="clip")
 
-    shift, total, delta_block = block_softmax(block, out=(plan.shift, plan.total, block))
+    shift, total, delta_block = block_softmax(
+        block, out=(plan.shift, plan.total, block), class_last=plan.class_last
+    )
     picked -= shift
     picked -= np.log(total, out=total)
     # np.mean's own arithmetic: the pairwise sum, then one division.

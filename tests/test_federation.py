@@ -686,17 +686,18 @@ class TestLockstep:
         "target,mode,message",
         [
             ("fedavg_aggregate", Mode.FEDAVG_PLAIN, r"^fedavg seed 21, round 1, aggregation: "),
-            # Every mode predicts model by model, then scores the stack: a
-            # scoring error takes the first model's context.
+            # Every mode predicts its stack, then scores it: a scoring
+            # error takes the first model's context. A lone model (and
+            # round 0's shared initialization) is predicted by itself.
             ("predict_dataset", Mode.DBFED, r"^dbfed seed 21, round 0, evaluation: "),
-            ("full_report", Mode.FEDAVG_PLAIN, r"^fedavg seed 21, round 0, evaluation: "),
+            ("stack_reports", Mode.FEDAVG_PLAIN, r"^fedavg seed 21, round 0, evaluation: "),
             (
                 "predict_dataset",
                 Mode.LOCAL_ONLY,
                 r"^local seed 21, round 0, client 0, evaluation: ",
             ),
             (
-                "full_report",
+                "stack_reports",
                 Mode.LOCAL_ONLY,
                 r"^local seed 21, round 0, client 0, evaluation: ",
             ),
@@ -772,22 +773,62 @@ class TestLockstep:
 
     def test_round_0_predicts_the_shared_initialization_once(self, monkeypatch):
         # Every local client starts from one weights object: round 0
-        # predicts it once for all three, round 1 each trained model.
+        # forwards it once, by itself, for all three; round 1 forwards the
+        # three trained models as one stack.
         config, fed, _ = small_run_setup(Mode.LOCAL_ONLY, num_clients=3)
-        calls = []
-        real = federation.predict_dataset
+        alone, stacked = [], []
+        real_predict, real_forward = federation.predict_dataset, federation._forward
         monkeypatch.setattr(
-            federation, "predict_dataset", lambda *args: calls.append(args[1]) or real(*args)
+            federation, "predict_dataset", lambda *args: alone.append(args[1]) or real_predict(*args)
+        )
+        monkeypatch.setattr(
+            federation, "_forward", lambda *args: stacked.append(args[0]) or real_forward(*args)
         )
         result = run_lockstep(replace(config, rounds=1), [fed])[0]
-        assert len(calls) == 1 + 3
-        assert len({id(weights) for weights in calls}) == 4
-        monkeypatch.setattr(federation, "predict_dataset", real)
         own = ClassifierSpec(3, (4,), 2, 2)
-        alone = reference_run_federation(replace(config, rounds=1), fed, own)
+        init = init_weights(own, derive_seed(fed.master_seed, TAG_INIT))
+        assert [weights.values.tobytes() for weights in alone] == [init.values.tobytes()]
+        # The first layer's (K, m, h) weight stack holds the three models.
+        assert [len(layers[0][0]) for layers in stacked] == [3]
+        monkeypatch.setattr(federation, "predict_dataset", real_predict)
+        monkeypatch.setattr(federation, "_forward", real_forward)
+        reference = reference_run_federation(replace(config, rounds=1), fed, own)
         assert [s.report.to_dict() for s in result.history] == [
-            s.report.to_dict() for s in alone.history
+            s.report.to_dict() for s in reference.history
         ]
+
+    def test_one_tally_and_one_scoring_per_round_and_test_set(self, monkeypatch):
+        # Rounds 0, 2 and 3 are evaluated (3 is the last); round 1 is not.
+        config, fed, _ = small_run_setup(Mode.FEDAVG_PLAIN, num_clients=3)
+        config = replace(config, rounds=3, eval_every=2)
+        calls = []
+        for name in ("_evaluate_round", "tally", "stack_reports"):
+            real = getattr(federation, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(args[2] if _name == "_evaluate_round" else _name)
+                return _real(*args)
+
+            monkeypatch.setattr(federation, name, counted)
+
+        def per_round(federations):
+            calls.clear()
+            run_lockstep(config, federations)
+            rounds = {}
+            for call in calls:
+                if isinstance(call, int):
+                    rounds[call] = []
+                else:
+                    rounds[list(rounds)[-1]].append(call)
+            return rounds
+
+        one = ["tally", "stack_reports"]
+        assert per_round([fed._replace(mode=mode) for mode in Mode]) == dict.fromkeys([0, 2, 3], one)
+        # Two master seeds, each with a test set of its own.
+        test = fed.test_set.subset(np.arange(len(fed.test_set)))
+        other = fed._replace(master_seed=22, test_set=test)
+        assert per_round([fed, other]) == dict.fromkeys([0, 2, 3], one * 2)
+        assert per_round([fed._replace(test_set=None)]) == dict.fromkeys([0, 2, 3], [])
 
     def test_one_shuffle_draw_per_master_seed_and_client(self, monkeypatch):
         # Three modes share the master seed and the shards: 4 clients over
@@ -904,7 +945,7 @@ class TestEvaluationHelpers:
         spec = ClassifierSpec(3, (), 2, 2, HeadMode.PLAIN)
         w = init_weights(spec, 14)
         data = toy_dataset(seed=15)
-        report = evaluate_weights(spec, [w], data, ["test"])
+        [report] = evaluate_weights([spec], [[w]], data, [["test"]])
         assert report.num_classes == 2
         assert report.num_groups == 2
         assert report.total == len(data)
@@ -925,16 +966,93 @@ class TestEvaluationHelpers:
         spec = ClassifierSpec(m, tuple(hidden), n, d, head)
         w = random_weights(np.random.default_rng(seed), spec)
         test = toy_dataset(seed=seed, size=size, num_classes=n, num_groups=d, dim=m)
-        report = evaluate_weights(spec, [w], test, ["p"])
+        [report] = evaluate_weights([spec], [[w]], test, [["p"]])
         assert repr(report.to_dict()) == repr(score_model(spec, w, test).to_dict())
 
     def test_errors_take_the_context_of_their_model(self):
+        # The two models are forwarded as one stack; the second one's
+        # prediction fails and names it.
         spec = ClassifierSpec(3, (), 2, 2)
         w = init_weights(spec, 12)
         bad = w.with_values(np.full_like(w.values, np.nan))
         with pytest.raises(NumericError, match=r"^second: .*non-finite"):
-            evaluate_weights(spec, [w, bad], toy_dataset(seed=13), ["first", "second"])
-        # Scoring an empty test set fails for every model: the first names it.
+            evaluate_weights([spec], [[w, bad]], toy_dataset(seed=13), [["first", "second"]])
+        # Scoring an empty test set fails for every model of every stack:
+        # the first names it.
         empty = toy_dataset(seed=13, size=0)
         with pytest.raises(ValueError, match=r"^first: cannot build a report"):
-            evaluate_weights(spec, [w, w], empty, ["first", "second"])
+            evaluate_weights([spec], [[w, w]], empty, [["first", "second"]])
+        with pytest.raises(ValueError, match=r"^first: cannot build a report"):
+            evaluate_weights([spec], [[w, init_weights(spec, 2)]], empty, [["first", "second"]])
+        grouped = ClassifierSpec(3, (), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
+        stacks = [[init_weights(grouped, 1)], [w, w]]
+        with pytest.raises(ValueError, match=r"^first: cannot build a report"):
+            evaluate_weights([grouped, spec], stacks, empty, [["first"], ["second", "third"]])
+        with pytest.raises(ValueError, match=r"^third: weight layout does not match"):
+            evaluate_weights([spec], [[w, w, stacks[0][0]]], empty, [["first", "second", "third"]])
+
+    @staticmethod
+    def refuse_to_predict(monkeypatch):
+        def predicted(*args):
+            raise AssertionError("predicted before the stacks were checked")
+
+        for name in ("predict_dataset", "_forward", "predict_batch"):
+            monkeypatch.setattr(federation, name, predicted)
+
+    def test_empty_stack_is_refused_before_predicting(self, monkeypatch):
+        spec = ClassifierSpec(3, (), 2, 2)
+        w, test = init_weights(spec, 12), toy_dataset(seed=13)
+        self.refuse_to_predict(monkeypatch)
+        message = (
+            r"^stack 1 needs at least one model and one context per model, "
+            r"got 0 models and 0 contexts$"
+        )
+        with pytest.raises(ValueError, match=message):
+            evaluate_weights([spec, spec], [[w], []], test, [["first"], []])
+        message = r"^need one network and one context list per stack, got 0 networks, 0 stacks"
+        with pytest.raises(ValueError, match=message):
+            evaluate_weights([], [], test, [])
+
+    def test_context_count_mismatch_is_refused_before_predicting(self, monkeypatch):
+        spec = ClassifierSpec(3, (), 2, 2)
+        w, test = init_weights(spec, 12), toy_dataset(seed=13)
+        self.refuse_to_predict(monkeypatch)
+        message = (
+            r"^stack 0 needs at least one model and one context per model, "
+            r"got 2 models and 1 contexts$"
+        )
+        with pytest.raises(ValueError, match=message):
+            evaluate_weights([spec], [[w, w]], test, [["first"]])
+        message = r"^need one network and one context list per stack, got 1 networks, 2 stacks and 1"
+        with pytest.raises(ValueError, match=message):
+            evaluate_weights([spec], [[w], [w]], test, [["first"]])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(1, 5), max_size=2),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.sampled_from(HeadMode),
+        st.integers(0, 30),
+        st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        st.sampled_from([1, 64, STACK_VALUES]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_prediction_is_model_by_model(
+        self, m, hidden, n, d, head, size, picks, limit, seed
+    ):
+        # Picks index a pool of three models: equal neighbours are one
+        # weights object, whose predictions are reused. A limit of 1 puts
+        # each model in a chunk of its own; the others stack some or all.
+        spec = ClassifierSpec(m, tuple(hidden), n, d, head)
+        rng = np.random.default_rng(seed)
+        pool = [random_weights(rng, spec) for _ in range(3)]
+        models = [pool[i] for i in picks]
+        test = toy_dataset(seed=seed, size=size, num_classes=n, num_groups=d, dim=m)
+        expected = np.array([predict_dataset(spec, w, test) for w in models], dtype=np.int64)
+        out = np.empty((len(models), size), dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "STACK_VALUES", limit)
+            federation._predict_stack(spec, models, test, [str(k) for k in picks], out)
+        assert out.tobytes() == expected.reshape(out.shape).tobytes()

@@ -67,6 +67,20 @@ class TestBlockSoftmax:
         log_probs = blocks - shift[..., None] - np.log(total)[..., None]
         assert np.allclose(log_probs, log_softmax(blocks, axis=-1), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 129])
+    def test_class_last_buffer_changes_no_bit(self, n):
+        # From 8 classes on the sum reduces a class-last copy; a caller's
+        # buffer receives it, and every result keeps its bits.
+        blocks = np.random.default_rng(n).normal(0.0, 3.0, (n, 3, 5))
+        buffer = np.empty((3, 5, n))
+        fresh = block_softmax(blocks.copy())
+        reused = block_softmax(blocks.copy(), class_last=buffer)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, reused))
+        if n >= 8:
+            # It holds the shifted exponentials the total was summed from.
+            exponentials = np.exp(blocks - fresh[0])
+            assert buffer.tobytes() == np.moveaxis(exponentials, 0, -1).copy().tobytes()
+
 
 class TestGroupConditionalProbs:
     def test_zero_logits_uniform(self):

@@ -12,6 +12,7 @@ from fedbias.metrics import (
     full_report,
     load_prediction_log,
     mean_reports,
+    stack_reports,
     tally,
 )
 from oracles import brute_metrics, log_arrays, random_records
@@ -395,6 +396,25 @@ class TestStackedReport:
         message = "^cannot build a report from an empty prediction log$"
         with pytest.raises(ValueError, match=message):
             full_report(counts)
+
+    def test_stacks_are_their_slices_reports(self):
+        # Seven clients in stacks of 1, 4 and 2, scored at once: each
+        # stack's report is full_report of its own slice, bit for bit.
+        rng = np.random.default_rng(7)
+        _, actual, group = log_arrays(random_records(rng, 3, 2, 60))
+        predicted = rng.integers(0, 3, (7, 60))
+        counts = tally(predicted, actual, group, 3, 2)
+        reports = stack_reports(counts, [1, 4, 2])
+        slices = [counts[:1], counts[1:5], counts[5:]]
+        assert [repr(r.to_dict()) for r in reports] == [
+            repr(full_report(part).to_dict()) for part in slices
+        ]
+
+    @pytest.mark.parametrize("sizes", [[], [3], [1, 2], [2, 0]])
+    def test_stack_sizes_must_split_the_clients(self, sizes):
+        counts = np.ones((2, 2, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"^stack sizes .* do not split 2 clients$"):
+            stack_reports(counts, sizes)
 
 
 class TestPredictionLogCsv:
