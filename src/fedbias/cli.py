@@ -153,7 +153,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
     """(file label, mode, report) triples from results files, in file order.
     A file's label is its stem, or the path as given when another file
-    shares that stem. A path given twice is refused before any file is read."""
+    shares that stem. A path given twice is refused before any file is read,
+    and so is a file with more than one summary line, once it is read."""
     for path, count in Counter(paths).items():
         if count > 1:
             raise ConfigurationError(f"results file {path} is given more than once")
@@ -172,6 +173,11 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
                 raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
             if obj.get("kind") != "summary":
                 continue
+            if summary is not None:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: a second summary line (the first is line {first})"
+                )
+            first = lineno
             try:
                 summary = [
                     (mode, FairnessReport.from_dict(obj["reports"][mode]))

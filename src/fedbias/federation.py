@@ -375,10 +375,8 @@ def _predict_stack(
     The others go in order in chunks of ``max(1, STACK_VALUES // (n * W))``
     models (the last may be smaller), W the widest layer: a chunk of one
     through ``predict_dataset``, a larger one through one stacked forward
-    (one BLAS call per model and layer, as alone) whose logits
-    ``predict_batch`` reads model by model, or in one call under the
-    plain head. The grouped head's sums over a one-row batch add in
-    another order than over more rows, so its rows are never merged.
+    (one BLAS call per model and layer, as alone) whose logits go through
+    one ``predict_batch`` call, which predicts each row as it would alone.
     Layouts and the feature width are taken as checked."""
     fresh = [k for k, weights in enumerate(models) if not k or weights is not models[k - 1]]
     per_chunk = max(1, STACK_VALUES // (max(len(test_set), 1) * max(spec.layer_dims[1:])))
@@ -391,12 +389,12 @@ def _predict_stack(
         with _in_context(where[chunk[0]]):
             stack = np.stack([models[k].values for k in chunk])
             logits = _forward(_unflatten(stack, weight_layout(spec)), test_set.features)[-1]
-        if spec.num_blocks == 1 and np.isfinite(logits).all():
-            # A plain-head prediction is each row's argmax, so the rows of
-            # the whole chunk go in one call. Non-finite logits are left to
-            # the model-by-model calls below, which name their model.
-            rows = logits.reshape(-1, spec.num_classes)
-            out[chunk] = predict_batch(rows, spec.num_classes, 1).reshape(logits.shape[:-1])
+        if np.isfinite(logits).all():
+            # Non-finite logits are left to the model-by-model calls
+            # below, which name their model.
+            rows = logits.reshape(-1, spec.output_dim)
+            predicted = predict_batch(rows, spec.num_classes, spec.num_blocks)
+            out[chunk] = predicted.reshape(logits.shape[:-1])
             continue
         for k, rows in zip(chunk, logits):
             with _in_context(where[k]):

@@ -16,9 +16,12 @@ an axis one block at a time; across class rows the max, the shift and
 the division are each a few elementwise operations over all blocks at
 once, and so is the sum below 8 classes. From 8 classes on, NumPy sums
 a contiguous axis pairwise, not left to right, so the sum reduces a
-class-last copy, written into a caller's buffer when one is given (a
-training step's ``StepPlan`` holds one). Either way every result is bit
-for bit what the row-major softmax gives.
+class-last copy. Either way every result is bit for bit what the
+row-major softmax gives.
+
+Prediction adds the group probabilities elementwise in group order,
+whatever the batch size, so each row predicts alone as it does inside
+any batch.
 
 Probabilities come from max-shifted logits, so they stay finite
 whenever the logits are.
@@ -34,27 +37,19 @@ from .exceptions import NumericError
 PAIRWISE_CLASSES = 8
 
 
-def _class_sum(
-    rows: np.ndarray, out: np.ndarray | None = None, class_last: np.ndarray | None = None
-) -> np.ndarray:
+def _class_sum(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The sum over the first axis of ``rows``, added in the order of
     ``np.add.reduce`` along a contiguous last axis. Below 8 terms that
     order is left to right, as the elementwise sum of whole rows adds;
     from 8 on it is NumPy's pairwise sum, so the rows are reduced from a
-    class-last copy, made in ``class_last`` if given."""
+    class-last copy."""
     if len(rows) < PAIRWISE_CLASSES:
         return np.add.reduce(rows, axis=0, out=out)
-    if class_last is None:
-        class_last = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
-    else:
-        np.copyto(class_last, np.moveaxis(rows, 0, -1))
-    return np.add.reduce(class_last, axis=-1, out=out)
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(rows, 0, -1)), axis=-1, out=out)
 
 
 def block_softmax(
-    blocks: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    class_last: np.ndarray | None = None,
+    blocks: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax along the first (class) axis, each block shifted by its own max.
 
@@ -64,15 +59,13 @@ def block_softmax(
     without the class axis), and the probabilities, class-major like
     ``blocks``. The log-softmax of class y is
     ``blocks[y] - shift - log(total)``. With ``out``, the three results
-    are written into its arrays; ``probs`` may be ``blocks``. From 8
-    classes on, ``class_last``, a C-contiguous array of ``blocks``'s shape
-    with the class axis moved last, spares the sum its own copy.
+    are written into its arrays; ``probs`` may be ``blocks``.
     """
     shift, total, probs = (None, None, None) if out is None else out
     shift = np.maximum.reduce(blocks, axis=0, out=shift)
     probs = np.subtract(blocks, shift, out=probs)
     np.exp(probs, out=probs)
-    total = _class_sum(probs, out=total, class_last=class_last)
+    total = _class_sum(probs, out=total)
     probs /= total
     return shift, total, probs
 
@@ -92,10 +85,13 @@ def predict_batch(logits: np.ndarray, num_classes: int, num_groups: int) -> np.n
         # keeps apart distinct logits the softmax would round to a tie.
         return np.argmax(logits, axis=1)
     # Class-major (N, D, B) blocks; the group sum adds whole rows in
-    # group order, as the row-major sum over the group axis does.
+    # group order, as the row-major sum over the group axis does. (For a
+    # one-row batch np.add.reduce would sum the group axis pairwise.)
     blocks = logits.reshape(len(logits), num_groups, num_classes).transpose(2, 1, 0)
     _, _, probs = block_softmax(np.ascontiguousarray(blocks))
-    scores = np.add.reduce(probs, axis=1)
+    scores = probs[:, 0].copy()
+    for d in range(1, num_groups):
+        scores += probs[:, d]
     # The first maximal class, as np.argmax picks it.
     best, winner = scores[0].copy(), np.zeros(len(logits), dtype=np.intp)
     for y in range(1, num_classes):

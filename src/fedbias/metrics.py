@@ -309,8 +309,7 @@ def _client_fields(counts: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]
 def _client_mean(fields: np.ndarray) -> np.ndarray:
     """Each column's mean over the rows (clients), added in row order;
     NaN wherever some row is NaN."""
-    # A lone client's fields are their own mean: x / 1 is x.
-    return fields[0] if len(fields) == 1 else _running_sum(fields, axis=0) / len(fields)
+    return _running_sum(fields, axis=0) / len(fields)
 
 
 def _report(fields: np.ndarray, num_classes: int, num_groups: int, total: int) -> FairnessReport:

@@ -700,6 +700,20 @@ class TestCompare:
         message = f"{results}: line 2: Expecting value: line 1 column 1 (char 0)"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_second_summary_line_exits_2_and_names_both_lines(self, tmp_path, capsys):
+        # Two results files joined into one would otherwise show only the
+        # second file's modes.
+        a, b, joined = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "ab.jsonl"
+        write_results_file(a, "dbfed", PERFECT, 2, 2)
+        write_results_file(b, "fedavg", SKEWED, 2, 2)
+        round_line = '{"kind": "round", "round": 0}\n'
+        parts = [round_line, a.read_text(encoding="utf-8")]
+        parts += [round_line, b.read_text(encoding="utf-8")]
+        joined.write_text("".join(parts), encoding="utf-8")
+        assert main(["compare", str(joined)]) == 2
+        message = f"{joined}: line 4: a second summary line (the first is line 2)"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_file_without_summary_exits_2(self, tmp_path, capsys):
         results = tmp_path / "broken.jsonl"
         results.write_text('{"kind": "round", "round": 0}\n', encoding="utf-8")
