@@ -4,11 +4,16 @@ A config file is lines of ``section.key = value``; blank lines and
 ``#`` comments are ignored. Unknown or duplicated keys are errors, so a
 typo fails fast instead of silently training with a default. Every key
 has a default except the conditionally required data-source fields.
+
+A numeric key is held, with its line, to the bound of the library field
+it feeds (``SyntheticSpec``, ``FederationConfig``, ``OptimizerConfig``);
+the three keys no library type takes (``data.test_fraction``,
+``federation.clients``, ``run.master_seed``) declare theirs on their own
+``ExperimentConfig`` field. A float must also be finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -20,42 +25,10 @@ from .data import (
     partition,
     train_test_split,
 )
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, bounded, refusal
 from .federation import FederationConfig, Mode
 from .nn import OptimizerConfig, OptimizerKind
-from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, check_master_seed, derive_seed
-
-
-def _parse_finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value}")
-    return value
-
-
-def _bounded(parse, ok, bound: str):
-    """A parser that applies ``parse`` and refuses a value outside ``bound``,
-    one for which ``ok`` is false."""
-
-    def check(raw: str):
-        value = parse(raw)
-        if not ok(value):
-            raise ValueError(f"must be {bound}, got {value}")
-        return value
-
-    return check
-
-
-def _int_at_least(low: int):
-    """A parser of integers no smaller than ``low``."""
-    return _bounded(int, lambda value: value >= low, f">= {low}")
-
-
-# The float keys' bounds, checked with the key's line like the integer keys'.
-_NON_NEGATIVE = _bounded(_parse_finite, lambda value: value >= 0, ">= 0")
-_UNIT_CLOSED = _bounded(_parse_finite, lambda value: 0 <= value <= 1, "in [0, 1]")
-_UNIT_OPEN = _bounded(_parse_finite, lambda value: 0 < value < 1, "in (0, 1)")
-_POSITIVE = _bounded(_parse_finite, lambda value: value > 0, "> 0")
+from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, derive_seed
 
 
 def _parse_widths(raw: str) -> tuple[int, ...]:
@@ -100,9 +73,11 @@ def _parse_modes(raw: str) -> tuple[Mode, ...]:
 _REQUIRED = object()
 
 
-def _key(key: str, parse, default=_REQUIRED):
-    """A field read from config key ``key`` by ``parse``; ``default`` when absent."""
-    return field(metadata={"key": key, "parse": parse, "default": default})
+def _key(key: str, parse, default=_REQUIRED, **bound):
+    """A field read from config key ``key`` by ``parse``; ``default`` when absent.
+    A key no library field takes declares its own ``bound`` (see ``bounded``)."""
+    metadata = {"key": key, "parse": parse, "default": default}
+    return bounded(**bound, metadata=metadata) if bound else field(metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -110,29 +85,30 @@ class ExperimentConfig:
     """Everything one experiment run needs, already typed and validated.
 
     Each field declares its config key, parser and default (see ``_key``);
-    the constructor still takes every field, with no defaults."""
+    the constructor still takes every field, with no defaults. It checks
+    the bounds of ``test_fraction`` and ``master_seed``, naming the key."""
 
     source: str = _key("data.source", _parse_source, "synthetic")
-    num_classes: int = _key("data.num_classes", _int_at_least(2))
-    num_groups: int = _key("data.num_groups", _int_at_least(1))
-    feature_dim: int | None = _key("data.feature_dim", _int_at_least(1), None)
-    samples_per_group: int | None = _key("data.samples_per_group", _int_at_least(1), None)
-    bias_strength: float = _key("data.bias_strength", _UNIT_CLOSED, SyntheticSpec.bias_strength)
-    group_shift: float = _key("data.group_shift", _NON_NEGATIVE, SyntheticSpec.group_shift)
-    noise_sigma: float = _key("data.noise_sigma", _POSITIVE, SyntheticSpec.noise_sigma)
+    num_classes: int = _key("data.num_classes", int)
+    num_groups: int = _key("data.num_groups", int)
+    feature_dim: int | None = _key("data.feature_dim", int, None)
+    samples_per_group: int | None = _key("data.samples_per_group", int, None)
+    bias_strength: float = _key("data.bias_strength", float, SyntheticSpec.bias_strength)
+    group_shift: float = _key("data.group_shift", float, SyntheticSpec.group_shift)
+    noise_sigma: float = _key("data.noise_sigma", float, SyntheticSpec.noise_sigma)
     csv_path: str | None = _key("data.csv_path", str, None)
-    test_fraction: float = _key("data.test_fraction", _UNIT_OPEN, 0.2)
+    test_fraction: float = _key("data.test_fraction", float, 0.2, low=0, high=1, strict=True)
     hidden_widths: tuple[int, ...] = _key("model.hidden", _parse_widths, (16,))
-    rounds: int = _key("federation.rounds", _int_at_least(0), 30)
-    num_clients: int = _key("federation.clients", _int_at_least(1), 5)
-    local_epochs: int = _key("federation.local_epochs", _int_at_least(1), 3)
-    batch_size: int = _key("federation.batch_size", _int_at_least(1), 128)
+    rounds: int = _key("federation.rounds", int, 30)
+    num_clients: int = _key("federation.clients", int, 5, low=1)
+    local_epochs: int = _key("federation.local_epochs", int, 3)
+    batch_size: int = _key("federation.batch_size", int, 128)
     optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer, OptimizerConfig.kind)
-    learning_rate: float = _key("optimizer.learning_rate", _NON_NEGATIVE, OptimizerConfig.learning_rate)
-    weight_decay: float = _key("optimizer.weight_decay", _NON_NEGATIVE, OptimizerConfig.weight_decay)
+    learning_rate: float = _key("optimizer.learning_rate", float, OptimizerConfig.learning_rate)
+    weight_decay: float = _key("optimizer.weight_decay", float, OptimizerConfig.weight_decay)
     modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
-    master_seed: int = _key("run.master_seed", _int_at_least(0), 0)
-    eval_every: int = _key("run.eval_every", _int_at_least(1), FederationConfig.eval_every)
+    master_seed: int = _key("run.master_seed", int, 0, low=0)
+    eval_every: int = _key("run.eval_every", int, FederationConfig.eval_every)
     output_path: str | None = _key("run.output", str, None)
 
     def __post_init__(self) -> None:
@@ -147,9 +123,12 @@ class ExperimentConfig:
                 )
         elif self.csv_path is None:
             raise ConfigurationError("data.source = csv requires data.csv_path")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigurationError("data.test_fraction must be strictly between 0 and 1")
-        check_master_seed(self.master_seed)
+        # Of the keys no library type takes, federation.clients is left to ``partition``.
+        for name in ("test_fraction", "master_seed"):
+            try:
+                _checked(name, getattr(self, name))
+            except ValueError as exc:
+                raise ConfigurationError(f"{_KEYS[name]} {exc}") from None
 
     def with_master_seed(self, master_seed: int) -> "ExperimentConfig":
         return replace(self, master_seed=master_seed)
@@ -202,6 +181,24 @@ class ExperimentConfig:
 
 # Config key -> the ExperimentConfig field it sets, in field order.
 _FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+_KEYS = {f.name: key for key, f in _FIELDS.items()}
+# ExperimentConfig field -> the bound its key is held to: its own, or that
+# of the library field of the same name, which the key feeds.
+_BOUNDS = {
+    f.name: f.metadata["bound"]
+    for cls in (ExperimentConfig, SyntheticSpec, FederationConfig, OptimizerConfig)
+    for f in fields(cls)
+    if "bound" in f.metadata
+}
+
+
+def _checked(name: str, value):
+    """``value``, unless the bound of field ``name``'s key refuses it, which
+    raises ``ValueError``: ``must be >= 0, got -1``."""
+    reason = name in _BOUNDS and refusal(_BOUNDS[name], value)
+    if reason:
+        raise ValueError(f"{reason}, got {value}")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -221,7 +218,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if f.name in values:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[f.name] = f.metadata["parse"](raw_value)
+            values[f.name] = _checked(f.name, f.metadata["parse"](raw_value))
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: {key}: {exc}") from None
 

@@ -7,7 +7,8 @@ random partitioner that hands each client its shard.
 CSV format: header ``feature_0,...,feature_{m-1},target,group``, one
 example per row, UTF-8, LF line endings. Floats are written as their
 shortest round-trippable decimal representation, so save followed by
-load reproduces a dataset bit for bit.
+load reproduces a dataset bit for bit. The format holds finite features
+only, so ``generate_synthetic`` refuses a draw with a non-finite one.
 
 Reading a dataset takes one of two paths that accept the same files and
 give the same arrays and the same errors. The fast path, ``read_rows``,
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DataFormatError
+from .exceptions import ConfigurationError, DataFormatError, bounded, check_bounds
 
 
 @dataclass(frozen=True)
@@ -129,30 +130,17 @@ class SyntheticSpec:
     Gaussian noise level around the class centroid.
     """
 
-    num_classes: int
-    num_groups: int
-    feature_dim: int
-    samples_per_group: int
-    bias_strength: float = 0.0
-    group_shift: float = 0.0
-    noise_sigma: float = 1.0
+    num_classes: int = bounded(2)
+    num_groups: int = bounded(1)
+    feature_dim: int = bounded(1)
+    samples_per_group: int = bounded(1)
+    bias_strength: float = bounded(0, 1, default=0.0)
+    group_shift: float = bounded(0, default=0.0)
+    noise_sigma: float = bounded(0, strict=True, default=1.0)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ConfigurationError("num_classes must be >= 2")
-        if self.num_groups < 1:
-            raise ConfigurationError("num_groups must be >= 1")
-        if self.feature_dim < 1:
-            raise ConfigurationError("feature_dim must be >= 1")
-        if self.samples_per_group < 1:
-            raise ConfigurationError("samples_per_group must be >= 1")
-        if not 0.0 <= self.bias_strength <= 1.0:
-            raise ConfigurationError("bias_strength must be in [0, 1]")
-        if self.group_shift < 0.0:
-            raise ConfigurationError("group_shift must be >= 0")
-        if self.noise_sigma <= 0.0:
-            raise ConfigurationError("noise_sigma must be > 0")
+        check_bounds(self)
 
 
 def class_distribution(spec: SyntheticSpec, group: int) -> np.ndarray:
@@ -169,7 +157,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     Each group contributes ``samples_per_group`` examples. A feature
     vector is: centroid of its class + ``group_shift`` times the
     group's offset vector + isotropic noise. Centroids and offsets
-    are standard-normal draws fixed by the seed.
+    are standard-normal draws fixed by the seed. A draw with a non-finite
+    feature, which no CSV could hold, is refused with ``ConfigurationError``.
     """
     rng = np.random.default_rng(spec.seed)
     centroids = rng.normal(0.0, 1.0, size=(spec.num_classes, spec.feature_dim))
@@ -181,13 +170,19 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     for g in range(spec.num_groups):
         labels = rng.choice(spec.num_classes, size=spec.samples_per_group, p=class_distribution(spec, g))
         noise = rng.normal(0.0, spec.noise_sigma, size=(spec.samples_per_group, spec.feature_dim))
-        feats = centroids[labels] + spec.group_shift * offsets[g] + noise
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            feats = centroids[labels] + spec.group_shift * offsets[g] + noise
         all_feats.append(feats)
         all_labels.append(labels)
         all_groups.append(np.full(spec.samples_per_group, g, dtype=np.int64))
 
+    features = np.concatenate(all_feats)
+    if not np.isfinite(features).all():
+        raise ConfigurationError(
+            "the draw has non-finite features: group_shift or noise_sigma is too large"
+        )
     return Dataset._own(
-        np.concatenate(all_feats),
+        features,
         np.concatenate(all_labels),
         np.concatenate(all_groups),
         spec.num_classes,

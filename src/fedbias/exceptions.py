@@ -1,10 +1,15 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and dataclass fields with bounds.
 
 The CLI maps errors onto exit statuses: configuration problems exit 1,
 data/parse problems (and OS errors on files) exit 2, and every other
 ``ValueError`` or ``ArithmeticError`` raised at runtime (a malformed
 aggregation, an empty prediction log, a ``NumericError``) exits 3.
 """
+
+import math
+import operator
+from dataclasses import field, fields
+from typing import Any
 
 
 class ConfigurationError(ValueError):
@@ -17,3 +22,35 @@ class DataFormatError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation received or produced non-finite values."""
+
+
+def bounded(low: int, high: int | None = None, *, strict: bool = False, **kwargs: Any) -> Any:
+    """A dataclass field, ``field(**kwargs)``, that must be at least ``low``
+    and, if given, at most ``high``; ``strict`` excludes both ends."""
+    if high is None:
+        text = f"{'>' if strict else '>='} {low}"
+    else:
+        text = f"in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}"
+    kwargs["metadata"] = {**kwargs.get("metadata", {}), "bound": (text, low, high, strict)}
+    return field(**kwargs)
+
+
+def refusal(bound: tuple, value: Any) -> str | None:
+    """Why a field of ``bound`` (``bounded``'s metadata) refuses ``value``,
+    as ``must be ...``, a float being finite too; None if it takes it."""
+    text, low, high, strict = bound
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
+    below = operator.lt if strict else operator.le
+    if below(low, value) and (high is None or below(value, high)):
+        return None
+    return f"must be {text}"
+
+
+def check_bounds(obj: Any) -> None:
+    """Refuse the first field of dataclass ``obj`` whose bound refuses its
+    value, naming the field: ``rounds must be >= 0``."""
+    for f in fields(obj):
+        reason = "bound" in f.metadata and refusal(f.metadata["bound"], getattr(obj, f.name))
+        if reason:
+            raise ConfigurationError(f"{f.name} {reason}")

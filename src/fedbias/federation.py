@@ -62,7 +62,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .data import Dataset
-from .exceptions import ConfigurationError, NumericError
+from .exceptions import ConfigurationError, NumericError, bounded, check_bounds
 from .head import predict_batch
 from .metrics import FairnessReport, stack_reports, tally
 # Bound here for perfbench's tracer, which wraps these span targets.
@@ -74,7 +74,6 @@ from .nn import (
     OptimizerConfig,
     StepPlan,
     _check_weights,
-    _features,
     _forward,
     _unflatten,
     backward,
@@ -84,7 +83,7 @@ from .nn import (
     optimizer_step,
     weight_layout,
 )
-from .seeding import TAG_INIT, check_master_seed, derive_seed, shuffle_seed
+from .seeding import TAG_INIT, derive_seed, shuffle_seed
 
 
 class Mode(enum.Enum):
@@ -109,24 +108,16 @@ class FederationConfig:
     epochs in batches of B under one optimizer on hidden layers of
     ``hidden_widths``, with a test-set evaluation every ``eval_every``-th round."""
 
-    rounds: int
-    local_epochs: int
-    batch_size: int
+    # rounds = 0 is a valid no-op run that just reports the initialized model.
+    rounds: int = bounded(0)
+    local_epochs: int = bounded(1)
+    batch_size: int = bounded(1)
     optimizer: OptimizerConfig
     hidden_widths: tuple[int, ...]
-    eval_every: int = 1
+    eval_every: int = bounded(1, default=1)
 
     def __post_init__(self) -> None:
-        # rounds = 0 is a valid no-op run that just reports the
-        # initialized model.
-        if self.rounds < 0:
-            raise ConfigurationError("rounds must be >= 0")
-        if self.local_epochs < 1:
-            raise ConfigurationError("local_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.eval_every < 1:
-            raise ConfigurationError("eval_every must be >= 1")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -416,11 +407,11 @@ def evaluate_weights(
 
     Every stack is checked before anything is predicted: it holds at
     least one model and one context per model, and each model's layout
-    (and, at its first model, the test set's feature width) is checked
-    in its own context. Stack s is predicted by ``_predict_stack``, an
-    error of model k prefixed with ``where[s][k]``; then the (M, n)
-    predictions of all M models are tallied once and scored once
-    (``stack_reports``). The stacks share the test set, so scoring fails
+    (and, at its first model, the test set's class and group counts and
+    feature width) is checked in its own context. Stack s is predicted by
+    ``_predict_stack``, an error of model k prefixed with ``where[s][k]``;
+    then the (M, n) predictions of all M models are tallied once and
+    scored once (``stack_reports``). The stacks share the test set, so scoring fails
     for all or none (an empty test set), and its error takes
     ``where[0][0]``, the first model's."""
     if not models or not len(specs) == len(models) == len(where):
@@ -438,7 +429,7 @@ def evaluate_weights(
             with _in_context(contexts[k]):
                 _check_weights(spec, weights)
                 if not k:
-                    _features(spec, test_set.features)
+                    _check_compatible(spec, test_set, "test set")
     sizes = [len(stack) for stack in models]
     predictions = np.empty((sum(sizes), len(test_set)), dtype=np.int64)
     for spec, stack, contexts, end in zip(specs, models, where, itertools.accumulate(sizes)):
@@ -541,7 +532,8 @@ def _check_federation(config: FederationConfig, fed: Federation) -> ClassifierSp
     each error naming the federation; equal class and group counts are all
     the targets need, since each ``Dataset`` checked its own ranges."""
     with _in_context(_name(fed)):
-        check_master_seed(fed.master_seed)
+        if fed.master_seed < 0:  # NumPy seeds only from non-negative integers
+            raise ConfigurationError(f"run.master_seed must be >= 0, got {fed.master_seed}")
         if not fed.partitions:
             raise ConfigurationError("a federation needs at least one client")
         first, head = fed.partitions[0], fed.mode.head

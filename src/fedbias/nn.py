@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, bounded, check_bounds
 from .head import block_softmax
 
 
@@ -43,22 +43,17 @@ class ClassifierSpec:
     mode, where group ``d`` owns the contiguous logit slice
     ``[d*num_classes, (d+1)*num_classes)``."""
 
-    input_dim: int
+    input_dim: int = bounded(1)
     hidden_widths: tuple[int, ...]
-    num_classes: int
-    num_groups: int
+    num_classes: int = bounded(2)
+    num_groups: int = bounded(1)
     head_mode: HeadMode = HeadMode.PLAIN
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
-        if self.input_dim < 1:
-            raise ConfigurationError("input_dim must be >= 1")
+        check_bounds(self)
         if any(w < 1 for w in self.hidden_widths):
             raise ConfigurationError("hidden widths must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigurationError("num_classes must be >= 2")
-        if self.num_groups < 1:
-            raise ConfigurationError("num_groups must be >= 1")
 
     @property
     def num_blocks(self) -> int:
@@ -309,18 +304,13 @@ def _forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _features(spec: ClassifierSpec, x: np.ndarray) -> np.ndarray:
-    """``x`` as a float64 (B, input_dim) feature matrix for ``spec``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"expected features of shape (B, {spec.input_dim}), got {x.shape}")
-    return x
-
-
 def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) -> np.ndarray:
     """Logits (B, output_dim) for a feature matrix (B, input_dim)."""
     _check_weights(spec, weights)
-    return _forward(weights.unflatten(), _features(spec, x))[-1]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"expected features of shape (B, {spec.input_dim}), got {x.shape}")
+    return _forward(weights.unflatten(), x)[-1]
 
 
 def backward(plan: StepPlan, layers: tuple[list[Layer], list[Layer]]) -> np.ndarray:
@@ -411,15 +401,12 @@ class OptimizerConfig:
     """Optimizer kind and hyperparameters; ``optimizer_step`` reads them."""
 
     kind: OptimizerKind = OptimizerKind.ADAM
-    learning_rate: float = 1e-4
-    weight_decay: float = 3e-4
+    # 0 is allowed: it makes training a (useful) no-op in tests.
+    learning_rate: float = bounded(0, default=1e-4)
+    weight_decay: float = bounded(0, default=3e-4)
 
     def __post_init__(self) -> None:
-        # 0 is allowed: it makes training a (useful) no-op in tests.
-        if self.learning_rate < 0.0:
-            raise ConfigurationError("learning_rate must be >= 0")
-        if self.weight_decay < 0.0:
-            raise ConfigurationError("weight_decay must be >= 0")
+        check_bounds(self)
 
 
 def optimizer_step(

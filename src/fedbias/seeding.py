@@ -12,21 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigurationError
-
 # Purpose tags; distinct values keep the derived streams disjoint.
 TAG_INIT = 1
 TAG_SPLIT = 2
 TAG_PARTITION = 3
 TAG_SHUFFLE = 4
 TAG_DATA = 5
-
-
-def check_master_seed(master_seed: int) -> None:
-    """Reject a seed ``derive_seed`` cannot take: NumPy seeds only from
-    non-negative integers."""
-    if master_seed < 0:
-        raise ConfigurationError(f"run.master_seed must be >= 0, got {master_seed}")
 
 
 def derive_seed(master_seed: int, *tags: int) -> int:

@@ -112,6 +112,19 @@ class TestGenerateData:
         assert capsys.readouterr().err == "error: line 15: data.noise_sigma: must be finite, got nan\n"
         assert not out.exists()
 
+    def test_non_finite_draw_exits_1_before_writing(self, tmp_path, capsys):
+        # A group shift near the float limit overflows some features at
+        # seed 0, which the CSV format, and so ``fedbias train``, would refuse.
+        config = write_config(tmp_path, BASE_CONFIG.replace("group_shift = 1.0", "group_shift = 1e308"))
+        out = tmp_path / "o.csv"
+        args = ["generate-data", "--config", str(config), "--out", str(out), "--seed", "0"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "the draw has non-finite features: group_shift or noise_sigma is too large"
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_csv_source_config_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

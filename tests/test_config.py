@@ -1,12 +1,16 @@
 import inspect
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbias.config import ExperimentConfig, load_config, parse_config
+from fedbias.data import Dataset, SyntheticSpec, partition
 from fedbias.exceptions import ConfigurationError
-from fedbias.federation import Mode
+from fedbias.federation import FederationConfig, Mode
 from fedbias.nn import OptimizerConfig, OptimizerKind
 
 _BASE = {
@@ -275,3 +279,73 @@ class TestDerivedObjects:
         c = cfg(data__samples_per_group="1", data__test_fraction="0.05")
         with pytest.raises(ConfigurationError, match=r"test split"):
             c.split_and_partition(c.load_dataset())
+
+
+def _library(cls, **base):
+    """Builds ``cls`` from ``base`` with field ``name`` set to a value."""
+    return lambda name, value: cls(**{**base, name: value})
+
+
+_SPEC = _library(SyntheticSpec, num_classes=2, num_groups=2, feature_dim=3, samples_per_group=10)
+_RUN = _library(
+    FederationConfig,
+    rounds=1, local_epochs=1, batch_size=8, optimizer=OptimizerConfig(), hidden_widths=(),
+)
+_TWENTY = Dataset(np.zeros((20, 1)), np.zeros(20, int), np.zeros(20, int), 2, 1)
+
+# Each numeric key and what takes its value: the library dataclass the key
+# feeds, or, for a key that no library type takes, the ExperimentConfig
+# constructor, or ``partition``, which is left to refuse the client count.
+TAKERS = {
+    "data.num_classes": _SPEC,
+    "data.num_groups": _SPEC,
+    "data.feature_dim": _SPEC,
+    "data.samples_per_group": _SPEC,
+    "data.bias_strength": _SPEC,
+    "data.group_shift": _SPEC,
+    "data.noise_sigma": _SPEC,
+    "data.test_fraction": lambda name, value: replace(cfg(), **{name: value}),
+    "federation.rounds": _RUN,
+    "federation.clients": lambda name, value: partition(_TWENTY, value, 0),
+    "federation.local_epochs": _RUN,
+    "federation.batch_size": _RUN,
+    "optimizer.learning_rate": _library(OptimizerConfig),
+    "optimizer.weight_decay": _library(OptimizerConfig),
+    "run.master_seed": lambda name, value: replace(cfg(), **{name: value}),
+    "run.eval_every": _RUN,
+}
+FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+_SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1.0, 5e-324, -5e-324, 1e-300]
+
+
+class TestBoundsAgree:
+    def test_every_numeric_key_is_drawn(self):
+        numeric = {key for key, f in FIELDS.items() if f.type.split(" |")[0] in ("int", "float")}
+        assert numeric == set(TAKERS)
+
+    @pytest.mark.parametrize("key", sorted(TAKERS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_key_refuses_what_its_taker_refuses(self, key, data):
+        # Integers are drawn around the bounds (0, 1 and 2); floats include
+        # nan, the infinities, -0.0 and subnormals. A value refused on either
+        # side is refused on both, the config naming the key's line.
+        f = FIELDS[key]
+        if f.type == "float":
+            values = st.one_of(st.sampled_from(_SPECIAL), st.floats(-2, 2), st.floats())
+        else:
+            values = st.integers(-4, 6)
+        value = data.draw(values)
+        try:
+            TAKERS[key](f.name, value)
+        except ConfigurationError:
+            refused = True
+        else:
+            refused = False
+        rest = "".join(f"{k} = {v}\n" for k, v in _BASE.items() if k != key)
+        if refused:
+            message = f"^line 1: {re.escape(key)}: must be .*, got {re.escape(str(value))}$"
+            with pytest.raises(ConfigurationError, match=message):
+                parse_config(f"{key} = {value!r}\n{rest}")
+        else:
+            assert getattr(parse_config(f"{key} = {value!r}\n{rest}"), f.name) == value

@@ -69,6 +69,10 @@ class TestSyntheticSpec:
             small_spec(num_groups=0)
         with pytest.raises(ConfigurationError, match="feature_dim"):
             small_spec(feature_dim=0)
+        for name in ("bias_strength", "group_shift", "noise_sigma"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigurationError, match=exactly(f"{name} must be finite")):
+                    small_spec(**{name: value})
 
     def test_class_distribution_is_a_distribution(self):
         for beta in (0.0, 0.3, 1.0):
@@ -138,6 +142,14 @@ class TestGenerateSynthetic:
             table[g] = np.bincount(ds.labels[ds.groups == g], minlength=spec.num_classes)
         result = chi2_contingency(table)
         assert result.pvalue >= 0.01
+
+    @pytest.mark.parametrize("name", ["group_shift", "noise_sigma"])
+    def test_non_finite_draw_is_refused(self, name):
+        # Each value is finite, but at seed 0 some feature it scales
+        # overflows; no CSV could hold it.
+        message = "the draw has non-finite features: group_shift or noise_sigma is too large"
+        with pytest.raises(ConfigurationError, match=exactly(message)):
+            generate_synthetic(small_spec(seed=0, **{name: 1e308}))
 
 
 class TestCsvRoundTrip:

@@ -1027,6 +1027,22 @@ class TestEvaluationHelpers:
         with pytest.raises(ValueError, match=message):
             evaluate_weights([spec], [[w], [w]], test, [["first"]])
 
+    def test_test_set_that_does_not_fit_a_network_is_refused_before_predicting(self, monkeypatch):
+        # A test set of 3 classes and 4 groups fits the first network and
+        # not the second, which a run would have refused before round 1.
+        fits = ClassifierSpec(3, (), 3, 4, HeadMode.DOMAIN_INDEPENDENT)
+        spec = ClassifierSpec(3, (), 2, 2)
+        test = toy_dataset(seed=13, num_classes=3, num_groups=4)
+        stacks = [[init_weights(fits, 1)], [init_weights(spec, 12)] * 2]
+        self.refuse_to_predict(monkeypatch)
+        message = r"^second: test set has 3 classes / 4 groups, model expects 2 / 2$"
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_weights([fits, spec], stacks, test, [["first"], ["second", "third"]])
+        wide = toy_dataset(seed=13, num_classes=3, num_groups=4, dim=4)
+        message = r"^first: test set has 4 features, model expects 3$"
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_weights([fits, spec], stacks, wide, [["first"], ["second", "third"]])
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(1, 4),

@@ -350,3 +350,8 @@ class TestOptimizers:
             OptimizerConfig(learning_rate=-0.1)
         with pytest.raises(ConfigurationError):
             OptimizerConfig(weight_decay=-0.1)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="^learning_rate must be finite$"):
+                OptimizerConfig(learning_rate=value)
+            with pytest.raises(ConfigurationError, match="^weight_decay must be finite$"):
+                OptimizerConfig(weight_decay=value)
