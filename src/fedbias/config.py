@@ -7,9 +7,10 @@ has a default except the conditionally required data-source fields.
 
 A numeric key is held, with its line, to the bound of the library field
 it feeds (``SyntheticSpec``, ``FederationConfig``, ``OptimizerConfig``);
-the three keys no library type takes (``data.test_fraction``,
-``federation.clients``, ``run.master_seed``) declare theirs on their own
-``ExperimentConfig`` field. A float must also be finite.
+the three keys no library type takes carry the bound of the library
+function that takes their value: ``data.test_fraction`` that of
+``train_test_split``, ``federation.clients`` that of ``partition`` and
+``run.master_seed`` that of ``run_lockstep``. A float must also be finite.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import (
+    NUM_CLIENTS,
+    TEST_FRACTION,
     Dataset,
     SyntheticSpec,
     generate_synthetic,
@@ -25,10 +28,10 @@ from .data import (
     partition,
     train_test_split,
 )
-from .exceptions import ConfigurationError, bounded, refusal
+from .exceptions import ConfigurationError, refusal
 from .federation import FederationConfig, Mode
 from .nn import OptimizerConfig, OptimizerKind
-from .seeding import TAG_DATA, TAG_PARTITION, TAG_SPLIT, derive_seed
+from .seeding import MASTER_SEED, TAG_DATA, TAG_PARTITION, TAG_SPLIT, derive_seed
 
 
 def _parse_widths(raw: str) -> tuple[int, ...]:
@@ -73,11 +76,12 @@ def _parse_modes(raw: str) -> tuple[Mode, ...]:
 _REQUIRED = object()
 
 
-def _key(key: str, parse, default=_REQUIRED, **bound):
+def _key(key: str, parse, default=_REQUIRED, bound=None):
     """A field read from config key ``key`` by ``parse``; ``default`` when absent.
-    A key no library field takes declares its own ``bound`` (see ``bounded``)."""
+    A key no library field takes carries the ``bound`` of the library
+    function that takes its value."""
     metadata = {"key": key, "parse": parse, "default": default}
-    return bounded(**bound, metadata=metadata) if bound else field(metadata=metadata)
+    return field(metadata=metadata if bound is None else {**metadata, "bound": bound})
 
 
 @dataclass(frozen=True)
@@ -97,17 +101,17 @@ class ExperimentConfig:
     group_shift: float = _key("data.group_shift", float, SyntheticSpec.group_shift)
     noise_sigma: float = _key("data.noise_sigma", float, SyntheticSpec.noise_sigma)
     csv_path: str | None = _key("data.csv_path", str, None)
-    test_fraction: float = _key("data.test_fraction", float, 0.2, low=0, high=1, strict=True)
+    test_fraction: float = _key("data.test_fraction", float, 0.2, TEST_FRACTION)
     hidden_widths: tuple[int, ...] = _key("model.hidden", _parse_widths, (16,))
     rounds: int = _key("federation.rounds", int, 30)
-    num_clients: int = _key("federation.clients", int, 5, low=1)
+    num_clients: int = _key("federation.clients", int, 5, NUM_CLIENTS)
     local_epochs: int = _key("federation.local_epochs", int, 3)
     batch_size: int = _key("federation.batch_size", int, 128)
     optimizer_kind: OptimizerKind = _key("optimizer.kind", _parse_optimizer, OptimizerConfig.kind)
     learning_rate: float = _key("optimizer.learning_rate", float, OptimizerConfig.learning_rate)
     weight_decay: float = _key("optimizer.weight_decay", float, OptimizerConfig.weight_decay)
     modes: tuple[Mode, ...] = _key("run.modes", _parse_modes, (Mode.DBFED,))
-    master_seed: int = _key("run.master_seed", int, 0, low=0)
+    master_seed: int = _key("run.master_seed", int, 0, MASTER_SEED)
     eval_every: int = _key("run.eval_every", int, FederationConfig.eval_every)
     output_path: str | None = _key("run.output", str, None)
 

@@ -12,8 +12,9 @@ only, so ``generate_synthetic`` refuses a draw with a non-finite one.
 
 Reading a dataset takes one of two paths that accept the same files and
 give the same arrays and the same errors. The fast path, ``read_rows``,
-parses the whole body with ``np.loadtxt``'s C parser, which converts
-floats with CPython's own correctly rounded routine. It hands the file
+checks the file in blocks, never holding it whole, then parses the whole
+body with ``np.loadtxt``'s C parser, which converts floats with
+CPython's own correctly rounded routine. It hands the file
 to the per-line reader, the only path that names a bad line, whenever
 the two could disagree: an empty body, a header other than the exact
 one above, non-ASCII bytes, a line break other than LF that
@@ -28,6 +29,7 @@ parsed whole is not read again for a target or group out of range:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DataFormatError, bounded, check_bounds
+from .exceptions import ConfigurationError, DataFormatError
+from .exceptions import bound, bounded, check_bound, check_bounds
 
 
 @dataclass(frozen=True)
@@ -157,37 +160,32 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     Each group contributes ``samples_per_group`` examples. A feature
     vector is: centroid of its class + ``group_shift`` times the
     group's offset vector + isotropic noise. Centroids and offsets
-    are standard-normal draws fixed by the seed. A draw with a non-finite
-    feature, which no CSV could hold, is refused with ``ConfigurationError``.
+    are standard-normal draws fixed by the seed. Each group's rows are
+    written in place into the one features array, with no per-group copy.
+    A draw with a non-finite feature, which no CSV could hold, is refused
+    with ``ConfigurationError``.
     """
     rng = np.random.default_rng(spec.seed)
     centroids = rng.normal(0.0, 1.0, size=(spec.num_classes, spec.feature_dim))
     offsets = rng.normal(0.0, 1.0, size=(spec.num_groups, spec.feature_dim))
 
-    all_feats = []
-    all_labels = []
-    all_groups = []
+    n = spec.samples_per_group
+    features = np.empty((spec.num_groups * n, spec.feature_dim))
+    labels = np.empty(spec.num_groups * n, dtype=np.int64)
     for g in range(spec.num_groups):
-        labels = rng.choice(spec.num_classes, size=spec.samples_per_group, p=class_distribution(spec, g))
-        noise = rng.normal(0.0, spec.noise_sigma, size=(spec.samples_per_group, spec.feature_dim))
+        rows, own = features[g * n : (g + 1) * n], labels[g * n : (g + 1) * n]
+        own[:] = rng.choice(spec.num_classes, size=n, p=class_distribution(spec, g))
+        noise = rng.normal(0.0, spec.noise_sigma, size=(n, spec.feature_dim))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            feats = centroids[labels] + spec.group_shift * offsets[g] + noise
-        all_feats.append(feats)
-        all_labels.append(labels)
-        all_groups.append(np.full(spec.samples_per_group, g, dtype=np.int64))
+            np.add(centroids[own], spec.group_shift * offsets[g], out=rows)
+            rows += noise
 
-    features = np.concatenate(all_feats)
     if not np.isfinite(features).all():
         raise ConfigurationError(
             "the draw has non-finite features: group_shift or noise_sigma is too large"
         )
-    return Dataset._own(
-        features,
-        np.concatenate(all_labels),
-        np.concatenate(all_groups),
-        spec.num_classes,
-        spec.num_groups,
-    )
+    groups = np.repeat(np.arange(spec.num_groups, dtype=np.int64), n)
+    return Dataset._own(features, labels, groups, spec.num_classes, spec.num_groups)
 
 
 # ASCII bytes that only the per-line reader reads right: the line breaks
@@ -197,29 +195,38 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 # while ``float()`` and ``int()`` refuse it.
 _PER_LINE_ONLY = b"\r\v\f\x1c\x1d\x1e\x1f"
 
+# ``read_rows`` reads a file in blocks of this many bytes.
+_BLOCK = 1 << 16
+
 
 def read_rows(path: Path) -> np.ndarray | None:
     """Every row after the header as one ``(x, y, g)`` record, parsed by
     ``np.loadtxt``; None where the per-line reader must decide, including
     when the header is not exactly ``feature_0,...,target,group``. Each
     LF-terminated line after the header is one record, so record i is
-    line i + 2."""
-    data = path.read_bytes()
-    cut = data.find(b"\n")
-    # An empty body, or one that starts with a blank line and so may hold
-    # nothing else, stays away from np.loadtxt, which warns on no data.
-    if cut < 0 or data[cut + 1 : cut + 2] in (b"", b"\n"):
-        return None
-    if not data.isascii() or len(data.translate(None, _PER_LINE_ONLY)) != len(data):
-        return None
-    header = data[:cut].decode("ascii")
-    m = header.count(",") - 1
-    if m < 1 or header != ",".join([f"feature_{j}" for j in range(m)] + ["target", "group"]):
-        return None
-    # np.loadtxt skips blank lines, so a later blank line shows up as a
-    # record count short of the line count.
-    lines = data.count(b"\n") - (1 if data.endswith(b"\n") else 0)
-    del data  # np.loadtxt reads the file again, in chunks
+    line i + 2. After the header line, the file is checked in
+    ``_BLOCK``-byte blocks, one at a time, and ``np.loadtxt`` parses it
+    from the path."""
+    with path.open("rb") as fh:
+        header = fh.readline()
+        m = header.count(b",") - 1
+        names = [f"feature_{j}" for j in range(m)] + ["target", "group"]
+        # With no LF, the header line is the whole file: an empty body.
+        if m < 1 or header != (",".join(names) + "\n").encode("ascii"):
+            return None
+        # A body that starts with a blank line, and so may hold nothing
+        # else, stays away from np.loadtxt, which warns on no data.
+        block = fh.read(_BLOCK)
+        if block[:1] in (b"", b"\n"):
+            return None
+        # np.loadtxt skips blank lines, so a later blank line shows up as a
+        # record count short of the line count.
+        lines = 1
+        for block in itertools.chain([block], iter(lambda: fh.read(_BLOCK), b"")):
+            if not block.isascii() or any(byte in block for byte in _PER_LINE_ONLY):
+                return None
+            lines += block.count(b"\n")
+        lines -= block.endswith(b"\n")
     with warnings.catch_warnings():
         # Older NumPy reads a float cell such as 3.0 in an int64 column
         # through float, with a DeprecationWarning; int() refuses it.
@@ -336,14 +343,19 @@ def _parse_csv_lines(path: Path, num_classes: int, num_groups: int) -> np.ndarra
     return np.array(rows, dtype=_record_dtype(width - 2))
 
 
+# The bounds of ``partition``'s client count and ``train_test_split``'s
+# held-out fraction, which the config keys feeding them are held to too.
+NUM_CLIENTS = bound(1)
+TEST_FRACTION = bound(0, 1, strict=True)
+
+
 def partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:
     """Shuffle and split into ``num_clients`` shards whose sizes differ by <= 1.
 
     Shards are disjoint and cover the input; the first ``n % K`` shards
     take the extra example.
     """
-    if num_clients < 1:
-        raise ConfigurationError("num_clients must be >= 1")
+    check_bound("num_clients", NUM_CLIENTS, num_clients)
     n = len(dataset)
     if n < num_clients:
         raise ConfigurationError(f"cannot split {n} samples across {num_clients} clients")
@@ -355,8 +367,7 @@ def train_test_split(
     dataset: Dataset, test_fraction: float = 0.2, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
     """Seeded shuffle, then hold out the trailing ``test_fraction`` of examples."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigurationError("test_fraction must be in (0, 1)")
+    check_bound("test_fraction", TEST_FRACTION, test_fraction)
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
     n_test = int(round(n * test_fraction))

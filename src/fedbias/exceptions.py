@@ -24,20 +24,26 @@ class NumericError(ArithmeticError):
     """A computation received or produced non-finite values."""
 
 
-def bounded(low: int, high: int | None = None, *, strict: bool = False, **kwargs: Any) -> Any:
-    """A dataclass field, ``field(**kwargs)``, that must be at least ``low``
-    and, if given, at most ``high``; ``strict`` excludes both ends."""
+def bound(low: int, high: int | None = None, *, strict: bool = False) -> tuple:
+    """The bound of a value that must be at least ``low`` and, if given, at
+    most ``high``; ``strict`` excludes both ends. ``refusal`` reads it."""
     if high is None:
         text = f"{'>' if strict else '>='} {low}"
     else:
         text = f"in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}"
-    kwargs["metadata"] = {**kwargs.get("metadata", {}), "bound": (text, low, high, strict)}
+    return text, low, high, strict
+
+
+def bounded(low: int, high: int | None = None, *, strict: bool = False, **kwargs: Any) -> Any:
+    """A dataclass field, ``field(**kwargs)``, held to ``bound(low, high,
+    strict=strict)``, which ``check_bounds`` checks."""
+    kwargs["metadata"] = {**kwargs.get("metadata", {}), "bound": bound(low, high, strict=strict)}
     return field(**kwargs)
 
 
 def refusal(bound: tuple, value: Any) -> str | None:
-    """Why a field of ``bound`` (``bounded``'s metadata) refuses ``value``,
-    as ``must be ...``, a float being finite too; None if it takes it."""
+    """Why ``bound`` refuses ``value``, as ``must be ...``, a float being
+    finite too; None if it takes it."""
     text, low, high, strict = bound
     if isinstance(value, float) and not math.isfinite(value):
         return "must be finite"
@@ -47,10 +53,16 @@ def refusal(bound: tuple, value: Any) -> str | None:
     return f"must be {text}"
 
 
+def check_bound(name: str, bound: tuple, value: Any) -> None:
+    """Refuse ``value`` if ``bound`` does, naming it: ``rounds must be >= 0``."""
+    reason = refusal(bound, value)
+    if reason:
+        raise ConfigurationError(f"{name} {reason}")
+
+
 def check_bounds(obj: Any) -> None:
     """Refuse the first field of dataclass ``obj`` whose bound refuses its
-    value, naming the field: ``rounds must be >= 0``."""
+    value, naming the field."""
     for f in fields(obj):
-        reason = "bound" in f.metadata and refusal(f.metadata["bound"], getattr(obj, f.name))
-        if reason:
-            raise ConfigurationError(f"{f.name} {reason}")
+        if "bound" in f.metadata:
+            check_bound(f.name, f.metadata["bound"], getattr(obj, f.name))

@@ -62,7 +62,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .data import Dataset
-from .exceptions import ConfigurationError, NumericError, bounded, check_bounds
+from .exceptions import ConfigurationError, NumericError, bounded, check_bounds, refusal
 from .head import predict_batch
 from .metrics import FairnessReport, stack_reports, tally
 # Bound here for perfbench's tracer, which wraps these span targets.
@@ -83,7 +83,7 @@ from .nn import (
     optimizer_step,
     weight_layout,
 )
-from .seeding import TAG_INIT, derive_seed, shuffle_seed
+from .seeding import MASTER_SEED, TAG_INIT, derive_seed, shuffle_seed
 
 
 class Mode(enum.Enum):
@@ -532,8 +532,9 @@ def _check_federation(config: FederationConfig, fed: Federation) -> ClassifierSp
     each error naming the federation; equal class and group counts are all
     the targets need, since each ``Dataset`` checked its own ranges."""
     with _in_context(_name(fed)):
-        if fed.master_seed < 0:  # NumPy seeds only from non-negative integers
-            raise ConfigurationError(f"run.master_seed must be >= 0, got {fed.master_seed}")
+        reason = refusal(MASTER_SEED, fed.master_seed)
+        if reason:
+            raise ConfigurationError(f"run.master_seed {reason}, got {fed.master_seed}")
         if not fed.partitions:
             raise ConfigurationError("a federation needs at least one client")
         first, head = fed.partitions[0], fed.mode.head

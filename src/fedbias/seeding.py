@@ -12,6 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import bound
+
+# NumPy seeds only from non-negative integers.
+MASTER_SEED = bound(0)
+
 # Purpose tags; distinct values keep the derived streams disjoint.
 TAG_INIT = 1
 TAG_SPLIT = 2

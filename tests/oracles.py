@@ -9,7 +9,8 @@ client, federated and centralized training are plain loops of
 single-model, single-batch steps. The one exception is the row-major
 head math, which is compared bit for bit and so keeps the engine's own
 forward pass and products around it. The CSV readers and writer are
-kept in their one-cell-at-a-time form, and the fairness report in its
+kept in their one-cell-at-a-time form, the synthetic generator in its
+list-and-concatenate form, and the fairness report in its
 one-client-at-a-time form, in Python ints and floats. Float sums that
 tests compare bit for bit are added left to right (``lsum``), as the
 library adds them on every Python version.
@@ -484,6 +485,36 @@ def row_major_backward(
             delta = np.matmul(delta, layers[li][0].transpose(0, 2, 1))
             delta *= mask
     return np.concatenate(grads, axis=1), mean_loss
+
+
+# ---------------------------------------------------------------------------
+# The synthetic generator with a list of per-group blocks.
+
+def reference_generate_synthetic(spec) -> Dataset:
+    """``generate_synthetic`` as a list of per-group feature blocks joined
+    at the end: group g draws its labels, then its noise, and its features
+    are class centroid + ``group_shift`` * offset + noise."""
+    rng = np.random.default_rng(spec.seed)
+    centroids = rng.normal(0.0, 1.0, size=(spec.num_classes, spec.feature_dim))
+    offsets = rng.normal(0.0, 1.0, size=(spec.num_groups, spec.feature_dim))
+    feats, labels, groups = [], [], []
+    for g in range(spec.num_groups):
+        probs = np.full(spec.num_classes, (1.0 - spec.bias_strength) / spec.num_classes)
+        probs[g % spec.num_classes] += spec.bias_strength
+        y = rng.choice(spec.num_classes, size=spec.samples_per_group, p=probs)
+        noise = rng.normal(0.0, spec.noise_sigma, size=(spec.samples_per_group, spec.feature_dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats.append(centroids[y] + spec.group_shift * offsets[g] + noise)
+        labels.append(y)
+        groups.append(np.full(spec.samples_per_group, g, dtype=np.int64))
+    features = np.concatenate(feats)
+    if not np.isfinite(features).all():
+        raise ConfigurationError(
+            "the draw has non-finite features: group_shift or noise_sigma is too large"
+        )
+    return Dataset(
+        features, np.concatenate(labels), np.concatenate(groups), spec.num_classes, spec.num_groups
+    )
 
 
 # ---------------------------------------------------------------------------

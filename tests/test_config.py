@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedbias import config as config_module
 from fedbias.config import ExperimentConfig, load_config, parse_config
-from fedbias.data import Dataset, SyntheticSpec, partition
+from fedbias.data import NUM_CLIENTS, TEST_FRACTION, Dataset, SyntheticSpec, partition
 from fedbias.exceptions import ConfigurationError
 from fedbias.federation import FederationConfig, Mode
 from fedbias.nn import OptimizerConfig, OptimizerKind
+from fedbias.seeding import MASTER_SEED
 
 _BASE = {
     "data.num_classes": "2",
@@ -322,6 +324,14 @@ class TestBoundsAgree:
     def test_every_numeric_key_is_drawn(self):
         numeric = {key for key, f in FIELDS.items() if f.type.split(" |")[0] in ("int", "float")}
         assert numeric == set(TAKERS)
+
+    def test_own_keys_hold_the_bound_their_library_function_declares(self):
+        # One declaration each: train_test_split, partition and run_lockstep
+        # refuse through the very bound the key is held to.
+        bounds = config_module._BOUNDS
+        assert bounds["test_fraction"] is TEST_FRACTION
+        assert bounds["num_clients"] is NUM_CLIENTS
+        assert bounds["master_seed"] is MASTER_SEED
 
     @pytest.mark.parametrize("key", sorted(TAKERS))
     @settings(max_examples=60, deadline=None)

@@ -238,6 +238,68 @@ def test_well_formed_dataset_takes_the_fast_path(tmp_path, monkeypatch):
     assert same_bits(load_csv(tmp_path / "data.csv", 2, 3).features, dataset.features)
 
 
+def same_outcome(got, want) -> None:
+    """``got`` is ``want``'s dataset, bit for bit, or the same error."""
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset), got
+        assert same_bits(got.features, want.features)
+        assert got.features.flags.c_contiguous
+        assert same_bits(got.labels, want.labels)
+        assert same_bits(got.groups, want.groups)
+    else:
+        assert got == want
+
+
+# Files that one byte decides: the header's LF, a blank second line's LF,
+# a CR, a 0x1F, a non-ASCII byte (U+0661 is a digit to float()), the final
+# LF, the last byte of a file without one, and a blank last line's LF.
+# Those marked True take the fast path.
+BLOCK_EDGE_FILES = {
+    "header_lf": ("feature_0,target,group\n0.5,0,0\n", True),
+    "blank": ("feature_0,target,group\n\n0.5,0,0\n", False),
+    "cr": ("feature_0,target,group\n0.5,0,0\r\n0.25,1,1\n", False),
+    "1f": ("feature_0,target,group\n0.5,0,0\n\x1f0.25,1,1\n", False),
+    "non_ascii": ("feature_0,target,group\n0.5,0,0\n\u0661.5,1,1\n", False),
+    "final_lf": ("feature_0,target,group\n0.5,0,0\n0.25,1,1\n", True),
+    "no_final_lf": ("feature_0,target,group\n0.5,0,0\n0.25,1,1", True),
+    "blank_last": ("feature_0,target,group\n0.5,0,0\n\n", False),
+}
+
+
+@pytest.mark.parametrize("text, fast", BLOCK_EDGE_FILES.values(), ids=BLOCK_EDGE_FILES)
+def test_read_blocks_decide_as_the_whole_file(tmp_path, monkeypatch, text, fast):
+    # Block sizes from 1 to past the file's length put every byte on both
+    # sides of a block edge: last in its block at one size, first at another.
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(reference_load_csv, path, 2, 2)
+    whole = data_module.read_rows(path)
+    assert (whole is not None) == fast
+    for size in range(1, path.stat().st_size + 2):
+        monkeypatch.setattr(data_module, "_BLOCK", size)
+        rows = data_module.read_rows(path)
+        assert (rows is None) == (whole is None), size
+        assert rows is None or same_bits(rows, whole), size
+        same_outcome(outcome(load_csv, path, 2, 2), want)
+
+
+def test_header_longer_than_a_block_takes_the_fast_path(tmp_path, monkeypatch):
+    per_line = []
+    real = data_module._parse_csv_lines
+    monkeypatch.setattr(
+        data_module, "_parse_csv_lines", lambda *args: per_line.append(args) or real(*args)
+    )
+    monkeypatch.setattr(data_module, "_BLOCK", 8)
+    rng = np.random.default_rng(4)
+    dataset = Dataset(rng.normal(size=(5, 6)), rng.integers(0, 2, 5), rng.integers(0, 3, 5), 2, 3)
+    path = tmp_path / "data.csv"
+    save_csv(dataset, path)
+    assert path.read_bytes().index(b"\n") > 8
+    loaded = load_csv(path, 2, 3)
+    assert not per_line
+    same_outcome(loaded, dataset)
+
+
 @pytest.mark.parametrize(
     "body, message",
     [

@@ -1,7 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 import fedbias.data as data_module
@@ -16,6 +19,7 @@ from fedbias.data import (
     train_test_split,
 )
 from fedbias.exceptions import ConfigurationError, DataFormatError
+from oracles import reference_generate_synthetic
 
 
 def exactly(message: str) -> str:
@@ -150,6 +154,35 @@ class TestGenerateSynthetic:
         message = "the draw has non-finite features: group_shift or noise_sigma is too large"
         with pytest.raises(ConfigurationError, match=exactly(message)):
             generate_synthetic(small_spec(seed=0, **{name: 1e308}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            SyntheticSpec,
+            num_classes=st.integers(2, 5),
+            num_groups=st.integers(1, 4),
+            feature_dim=st.integers(1, 6),
+            samples_per_group=st.integers(1, 30),
+            bias_strength=st.floats(0, 1),
+            group_shift=st.one_of(st.floats(0, 4), st.just(1e308)),
+            noise_sigma=st.one_of(st.floats(1e-3, 4), st.just(1e308)),
+            seed=st.integers(0, 2**32),
+        )
+    )
+    @example(small_spec(seed=0, group_shift=1e308))  # overflows
+    def test_matches_the_list_and_concatenate_oracle(self, spec):
+        try:
+            want = reference_generate_synthetic(spec)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError, match=exactly(str(exc))):
+                generate_synthetic(spec)
+            return
+        got = generate_synthetic(spec)
+        assert got.features.flags.c_contiguous
+        for name in ("features", "labels", "groups"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert (got.num_classes, got.num_groups) == (want.num_classes, want.num_groups)
 
 
 class TestCsvRoundTrip:
@@ -417,3 +450,36 @@ class TestDatasetValidation:
         labels[1], groups[0] = -1, 7
         assert ds.labels.tolist() == [0, 1, 1]
         assert ds.groups.tolist() == [1, 0, 1]
+
+
+def traced_peak(fn):
+    """``fn()``, and the most bytes it held at once beyond those live before
+    it, as ``tracemalloc`` counts them. A first, untraced call leaves out
+    one-time costs such as imports and caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # 4 groups x 2000 rows x 32 features: 2 MB of features.
+    SPEC = SyntheticSpec(num_classes=2, num_groups=4, feature_dim=32, samples_per_group=2000)
+
+    def test_generate_synthetic_holds_its_features_once(self):
+        # Each group's rows are written in place, so beyond the features the
+        # draw holds one group's temporaries at a time.
+        ds, peak = traced_peak(lambda: generate_synthetic(self.SPEC))
+        assert peak <= 2 * ds.features.nbytes
+
+    def test_load_csv_holds_its_file_one_block_at_a_time(self, tmp_path):
+        # The file is checked in blocks; what is left is np.loadtxt's records
+        # and the arrays copied out of them.
+        path = tmp_path / "data.csv"
+        save_csv(generate_synthetic(self.SPEC), path)
+        ds, peak = traced_peak(lambda: load_csv(path, 2, 4))
+        assert peak <= 3 * sum(a.nbytes for a in (ds.features, ds.labels, ds.groups))
