@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .data import generate_synthetic, read_text, save_csv
-from .exceptions import ConfigurationError, DataFormatError
+from .exceptions import ConfigurationError, DataFormatError, bound, refusal
 from .federation import Federation, Mode, run_lockstep
 from .federation import run_federation  # noqa: F401  (a span target of perfbench/tracing.py)
 from .metrics import (
@@ -37,7 +37,8 @@ from .metrics import (
 
 # Lower is better for every metric except accuracy.
 _HIGHER_BETTER = {"acc"}
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# The bound of ``fedbias metrics``' class and group counts.
+_COUNT = bound(1, int(np.iinfo(np.int64).max))
 
 
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -136,10 +137,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    for name in ("num_classes", "num_groups"):
-        value = getattr(args, name)
-        if not 1 <= value <= _INT64_MAX:
-            raise ConfigurationError(f"{name} must be in [1, {_INT64_MAX}], got {value}")
+    for name, value in (("num_classes", args.num_classes), ("num_groups", args.num_groups)):
+        reason = refusal(_COUNT, value)
+        if reason:
+            raise ConfigurationError(f"{name} {reason}, got {value}")
     log = load_prediction_log(args.predictions, args.num_classes, args.num_groups)
     report = full_report(tally(*log, args.num_classes, args.num_groups))
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)

@@ -10,7 +10,8 @@ it feeds (``SyntheticSpec``, ``FederationConfig``, ``OptimizerConfig``);
 the three keys no library type takes carry the bound of the library
 function that takes their value: ``data.test_fraction`` that of
 ``train_test_split``, ``federation.clients`` that of ``partition`` and
-``run.master_seed`` that of ``run_lockstep``. A float must also be finite.
+``run.master_seed`` that of ``run_lockstep``; each ``model.hidden`` width
+that of ``ClassifierSpec``. A float must also be finite.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .data import (
     partition,
     train_test_split,
 )
-from .exceptions import ConfigurationError, refusal
+from .exceptions import ConfigurationError, check_bound, refusal
 from .federation import FederationConfig, Mode
-from .nn import OptimizerConfig, OptimizerKind
+from .nn import HIDDEN_WIDTH, OptimizerConfig, OptimizerKind
 from .seeding import MASTER_SEED, TAG_DATA, TAG_PARTITION, TAG_SPLIT, derive_seed
 
 
@@ -38,8 +39,8 @@ def _parse_widths(raw: str) -> tuple[int, ...]:
     if raw.lower() in ("", "none"):
         return ()
     widths = tuple(int(part.strip(), 10) for part in raw.split(","))
-    if any(width < 1 for width in widths):
-        raise ValueError("hidden widths must be positive")
+    for width in widths:
+        check_bound("hidden widths", HIDDEN_WIDTH, width)
     return widths
 
 

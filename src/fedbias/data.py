@@ -210,9 +210,8 @@ def read_rows(path: Path) -> np.ndarray | None:
     with path.open("rb") as fh:
         header = fh.readline()
         m = header.count(b",") - 1
-        names = [f"feature_{j}" for j in range(m)] + ["target", "group"]
         # With no LF, the header line is the whole file: an empty body.
-        if m < 1 or header != (",".join(names) + "\n").encode("ascii"):
+        if m < 1 or header != (",".join(_columns(m)) + "\n").encode("ascii"):
             return None
         # A body that starts with a blank line, and so may hold nothing
         # else, stays away from np.loadtxt, which warns on no data.
@@ -243,10 +242,8 @@ def read_rows(path: Path) -> np.ndarray | None:
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the package CSV format (lossless float text)."""
-    m = dataset.feature_dim
-    header = ",".join([f"feature_{j}" for j in range(m)] + ["target", "group"])
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(_columns(dataset.feature_dim)) + "\n")
         for row, y, g in zip(dataset.features, dataset.labels.tolist(), dataset.groups.tolist()):
             fh.write(",".join(map(repr, row.tolist())) + f",{y},{g}\n")
 
@@ -264,6 +261,10 @@ def load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
     if bad.any():
         raise DataFormatError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
     return Dataset._own(feats, labels, groups, num_classes, num_groups)
+
+
+def _columns(m: int) -> list[str]:
+    return [f"feature_{j}" for j in range(m)] + ["target", "group"]
 
 
 def _record_dtype(m: int) -> np.dtype:
@@ -320,7 +321,7 @@ def _dataset_header(cells: list[str]) -> int:
     if len(cells) < 3 or cells[-2:] != ["target", "group"]:
         raise ValueError("header must end with 'target,group'")
     m = len(cells) - 2
-    if cells[:m] != [f"feature_{j}" for j in range(m)]:
+    if cells != _columns(m):
         raise ValueError(f"feature columns must be feature_0..feature_{m - 1}")
     return m + 2
 

@@ -14,8 +14,9 @@ aggregates.
 - ``local``: the plain head, no aggregation; each client keeps training
   its own model, and evaluation averages the clients' individual reports.
 
-``evaluate_weights`` scores every mode, the global model as a stack of one
-and a ``local`` federation's clients as a stack of K.
+``evaluate_weights`` scores every mode from stacks of (model, error
+context) pairs: the global model as a stack of one, and a ``local``
+federation's clients as a stack of K.
 
 A federation's network is its first client's shape, the run's
 ``FederationConfig.hidden_widths`` and its mode's head.
@@ -34,10 +35,11 @@ gives.
 
 The same holds across federations. ``run_lockstep`` runs federations of
 any mode (fedavg, local and dbfed over the same shards, or one mode at
-many master seeds) under one shared ``FederationConfig``, round by
-round: each round trains the clients of all of them as one flat list
-through ``_train_round``, which draws each distinct shuffle once, then
-aggregates each federation on its own. An evaluated round then scores
+many master seeds) under one shared ``FederationConfig``, through one
+loop over rounds 0 to R: round 0 only evaluates the initialization, and
+from round 1 each round trains the clients of all of them as one flat
+list through ``_train_round``, which draws each distinct shuffle once,
+then aggregates each federation on its own. An evaluated round then scores
 the federations that share a test set in one pass (``_evaluate_round``):
 one ``evaluate_weights`` call forwards each federation's models as a
 stack, tallies all their predictions once and scores them once, and
@@ -56,13 +58,13 @@ import itertools
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .exceptions import ConfigurationError, NumericError, bounded, check_bounds, refusal
+from .exceptions import ConfigurationError, NumericError, bounded, check_bound, check_bounds, refusal
 from .head import predict_batch
 from .metrics import FairnessReport, stack_reports, tally
 # Bound here for perfbench's tracer, which wraps these span targets.
@@ -127,7 +129,8 @@ class RoundSnapshot:
     ``duration_sec`` covers the round's training and evaluation, which a
     lockstep run shares among its federations (every head of the run
     trains in one pass, and every federation on a test set is scored in
-    one pass), plus this federation's own aggregation.
+    one pass), plus this federation's own aggregation. Round 0 trains
+    and aggregates nothing, so its duration is its evaluation alone.
     """
 
     round_index: int
@@ -282,9 +285,9 @@ def client_local_train(
     orders are drawn in turn from one generator seeded by ``seed``.
     Returns the trained weights and the mean loss over all batches; the
     call is a pure function of its arguments."""
-    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
-        if value < 1:
-            raise ConfigurationError(f"{name} must be >= 1")
+    declared = {f.name: f.metadata.get("bound") for f in fields(FederationConfig)}
+    check_bound("epochs", declared["local_epochs"], epochs)
+    check_bound("batch_size", declared["batch_size"], batch_size)
     if len(data) == 0:
         raise ConfigurationError("cannot train on an empty dataset")
     _check_weights(spec, incoming)
@@ -352,14 +355,13 @@ def _in_context(where: str):
 
 def _predict_stack(
     spec: ClassifierSpec,
-    models: Sequence[ModelWeights],
+    models: Sequence[tuple[ModelWeights, str]],
     test_set: Dataset,
-    where: Sequence[str],
     out: np.ndarray,
 ) -> None:
-    """Writes the (K, n) predictions of K models on network ``spec`` to
-    ``out``, row k bit for bit ``predict_dataset`` of model k, whose
-    errors are prefixed with ``where[k]``.
+    """Writes the (K, n) predictions of K (weights, context) pairs on
+    network ``spec`` to ``out``, row k bit for bit ``predict_dataset`` of
+    model k, whose errors are prefixed with its context.
 
     A model that is the previous model's weights object (at round 0 every
     ``local`` client holds the initialization) reuses its predictions.
@@ -369,16 +371,17 @@ def _predict_stack(
     (one BLAS call per model and layer, as alone) whose logits go through
     one ``predict_batch`` call, which predicts each row as it would alone.
     Layouts and the feature width are taken as checked."""
-    fresh = [k for k, weights in enumerate(models) if not k or weights is not models[k - 1]]
+    weights, where = zip(*models)
+    fresh = [k for k, w in enumerate(weights) if not k or w is not weights[k - 1]]
     per_chunk = max(1, STACK_VALUES // (max(len(test_set), 1) * max(spec.layer_dims[1:])))
     for start in range(0, len(fresh), per_chunk):
         chunk = fresh[start : start + per_chunk]
         if len(chunk) == 1:
             with _in_context(where[chunk[0]]):
-                out[chunk[0]] = predict_dataset(spec, models[chunk[0]], test_set)
+                out[chunk[0]] = predict_dataset(spec, weights[chunk[0]], test_set)
             continue
         with _in_context(where[chunk[0]]):
-            stack = np.stack([models[k].values for k in chunk])
+            stack = np.stack([weights[k].values for k in chunk])
             logits = _forward(_unflatten(stack, weight_layout(spec)), test_set.features)[-1]
         if np.isfinite(logits).all():
             # Non-finite logits are left to the model-by-model calls
@@ -390,51 +393,40 @@ def _predict_stack(
         for k, rows in zip(chunk, logits):
             with _in_context(where[k]):
                 out[k] = predict_batch(rows, spec.num_classes, spec.num_blocks)
-    for k in range(1, len(models)):
-        if models[k] is models[k - 1]:
+    for k in range(1, len(weights)):
+        if weights[k] is weights[k - 1]:
             out[k] = out[k - 1]
 
 
 def evaluate_weights(
-    specs: Sequence[ClassifierSpec],
-    models: Sequence[Sequence[ModelWeights]],
+    stacks: Sequence[tuple[ClassifierSpec, Sequence[tuple[ModelWeights, str]]]],
     test_set: Dataset,
-    where: Sequence[Sequence[str]],
 ) -> list[FairnessReport]:
-    """The reports of S stacks of models on one test set, stack s the
-    models ``models[s]`` on network ``specs[s]``: one model's own report,
-    or the mean of K reports.
+    """The reports of S stacks on one test set, stack s a network and its
+    (weights, context) pairs: one model's own report, or the mean of K
+    reports.
 
     Every stack is checked before anything is predicted: it holds at
-    least one model and one context per model, and each model's layout
-    (and, at its first model, the test set's class and group counts and
-    feature width) is checked in its own context. Stack s is predicted by
-    ``_predict_stack``, an error of model k prefixed with ``where[s][k]``;
+    least one model, and each model's layout (and, at its first model,
+    the test set's class and group counts and feature width) is checked
+    in that model's context. Each stack is predicted by ``_predict_stack``;
     then the (M, n) predictions of all M models are tallied once and
-    scored once (``stack_reports``). The stacks share the test set, so scoring fails
-    for all or none (an empty test set), and its error takes
-    ``where[0][0]``, the first model's."""
-    if not models or not len(specs) == len(models) == len(where):
-        raise ValueError(
-            f"need one network and one context list per stack, got {len(specs)} networks, "
-            f"{len(models)} stacks and {len(where)} context lists"
-        )
-    for s, (spec, stack, contexts) in enumerate(zip(specs, models, where)):
-        if not stack or len(contexts) != len(stack):
-            raise ValueError(
-                f"stack {s} needs at least one model and one context per model, "
-                f"got {len(stack)} models and {len(contexts)} contexts"
-            )
-        for k, weights in enumerate(stack):
-            with _in_context(contexts[k]):
+    scored once (``stack_reports``). The stacks share the test set, so
+    scoring fails for all or none (an empty test set), and its error takes
+    the first model's context."""
+    sizes = [len(models) for _, models in stacks]
+    if not sizes or not all(sizes):
+        raise ValueError(f"need at least one stack and one model per stack, got sizes {sizes}")
+    for spec, models in stacks:
+        for k, (weights, where) in enumerate(models):
+            with _in_context(where):
                 _check_weights(spec, weights)
                 if not k:
                     _check_compatible(spec, test_set, "test set")
-    sizes = [len(stack) for stack in models]
     predictions = np.empty((sum(sizes), len(test_set)), dtype=np.int64)
-    for spec, stack, contexts, end in zip(specs, models, where, itertools.accumulate(sizes)):
-        _predict_stack(spec, stack, test_set, contexts, predictions[end - len(stack) : end])
-    with _in_context(where[0][0]):
+    for (spec, models), end in zip(stacks, itertools.accumulate(sizes)):
+        _predict_stack(spec, models, test_set, predictions[end - len(models) : end])
+    with _in_context(stacks[0][1][0][1]):
         labels, groups = test_set.labels, test_set.groups
         counts = tally(predictions, labels, groups, test_set.num_classes, test_set.num_groups)
         return stack_reports(counts, sizes)
@@ -570,18 +562,15 @@ def _evaluate_round(
             sharing.setdefault(id(fed.test_set), []).append(f)
     reports: list[FairnessReport | None] = [None] * len(federations)
     for members in sharing.values():
-        stacks, where = [], []
+        stacks = []
         for f in members:
-            fed = federations[f]
-            at = f"{_name(fed)}, round {round_index}"
-            if fed.mode.aggregates:
-                stacks.append([global_weights[f]])
-                where.append([f"{at}, evaluation"])
+            at = f"{_name(federations[f])}, round {round_index}"
+            if federations[f].mode.aggregates:
+                models = [(global_weights[f], f"{at}, evaluation")]
             else:
-                stacks.append(local_weights[f])
-                where.append([f"{at}, client {k}, evaluation" for k in range(len(local_weights[f]))])
-        test_set = federations[members[0]].test_set
-        scored = evaluate_weights([specs[f] for f in members], stacks, test_set, where)
+                models = [(w, f"{at}, client {k}, evaluation") for k, w in enumerate(local_weights[f])]
+            stacks.append((specs[f], models))
+        scored = evaluate_weights(stacks, federations[members[0]].test_set)
         for f, report in zip(members, scored):
             reports[f] = report
     return reports
@@ -596,12 +585,13 @@ def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) ->
     widths and the head of its mode's row. Each federation and its
     clients are checked against that network once, in order, before
     round 1; a client's labels and groups need no check of their own,
-    since its ``Dataset`` checked them when it was built. Each round trains
-    every client of every federation through one ``_train_round``, which
-    checks nothing again; aggregation then runs per federation, and an
-    evaluated round scores every federation through one
-    ``_evaluate_round``. Each federation's result is bit for bit the
-    result of running it alone.
+    since its ``Dataset`` checked them when it was built. One loop runs
+    rounds 0 to R and records each round's snapshot the same way. From
+    round 1, a round trains every client of every federation through one
+    ``_train_round``, which checks nothing again, then aggregates per
+    federation; round 0 trains nothing. An evaluated round scores every
+    federation through one ``_evaluate_round``. Each federation's result
+    is bit for bit the result of running it alone.
     With a test set, a history carries a fairness report for round 0
     (the initialization), every ``eval_every``-th round, and the final
     round.
@@ -615,37 +605,36 @@ def run_lockstep(config: FederationConfig, federations: Sequence[Federation]) ->
         for fed, own in zip(federations, specs)
     ]
     local_weights = [[init] * len(fed.partitions) for fed, init in zip(federations, global_weights)]
-    start = time.perf_counter()
-    reports = _evaluate_round(federations, specs, 0, global_weights, local_weights)
-    shared = time.perf_counter() - start
-    histories = [[RoundSnapshot(0, report, None, shared)] for report in reports]
-
-    for round_index in range(1, config.rounds + 1):
+    histories: list[list[RoundSnapshot]] = [[] for _ in federations]
+    for round_index in range(config.rounds + 1):
+        own = [0.0] * len(federations)  # each federation's aggregation time
         start = time.perf_counter()
-        incoming = [
-            [global_weights[f]] * len(fed.partitions) if fed.mode.aggregates else local_weights[f]
-            for f, fed in enumerate(federations)
-        ]
-        results = _train_round(config, federations, specs, incoming, round_index)
-        own = []  # each federation's aggregation time
-        for f, fed in enumerate(federations):
-            begun = time.perf_counter()
-            local_weights[f] = [weights for weights, _ in results[f]]
-            if fed.mode.aggregates:
-                updates = local_weights[f]
-                with _in_context(f"{_name(fed)}, round {round_index}, aggregation"):
-                    global_weights[f] = fedavg_aggregate(
-                        [(k, updates[k], len(p)) for k, p in enumerate(fed.partitions)]
-                    )
-            own.append(time.perf_counter() - begun)
+        if round_index:
+            incoming = [
+                [global_weights[f]] * len(fed.partitions) if fed.mode.aggregates else local_weights[f]
+                for f, fed in enumerate(federations)
+            ]
+            results = _train_round(config, federations, specs, incoming, round_index)
+            for f, fed in enumerate(federations):
+                begun = time.perf_counter()
+                local_weights[f] = [weights for weights, _ in results[f]]
+                if fed.mode.aggregates:
+                    updates = local_weights[f]
+                    with _in_context(f"{_name(fed)}, round {round_index}, aggregation"):
+                        global_weights[f] = fedavg_aggregate(
+                            [(k, updates[k], len(p)) for k, p in enumerate(fed.partitions)]
+                        )
+                own[f] = time.perf_counter() - begun
         reports = [None] * len(federations)
         if round_index % config.eval_every == 0 or round_index == config.rounds:
             reports = _evaluate_round(federations, specs, round_index, global_weights, local_weights)
         shared = time.perf_counter() - start - sum(own)
         for f, report in enumerate(reports):
-            losses = [loss for _, loss in results[f]]
-            # Added left to right: sum() compensates from Python 3.12 on.
-            mean_loss = functools.reduce(operator.add, losses, 0.0) / len(losses)
+            mean_loss = None
+            if round_index:
+                losses = [loss for _, loss in results[f]]
+                # Added left to right: sum() compensates from Python 3.12 on.
+                mean_loss = functools.reduce(operator.add, losses, 0.0) / len(losses)
             histories[f].append(RoundSnapshot(round_index, report, mean_loss, shared + own[f]))
 
     return [

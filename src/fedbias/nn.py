@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ConfigurationError, bounded, check_bounds
+from .exceptions import bound, bounded, check_bound, check_bounds
 from .head import block_softmax
 
 
@@ -34,6 +34,10 @@ class HeadMode(enum.Enum):
 class OptimizerKind(enum.Enum):
     SGD = "sgd"
     ADAM = "adam"
+
+
+# The bound of every hidden width, which ``model.hidden`` is held to too.
+HIDDEN_WIDTH = bound(1)
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ class ClassifierSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         check_bounds(self)
-        if any(w < 1 for w in self.hidden_widths):
-            raise ConfigurationError("hidden widths must be >= 1")
+        for width in self.hidden_widths:
+            check_bound("hidden widths", HIDDEN_WIDTH, width)
 
     @property
     def num_blocks(self) -> int:

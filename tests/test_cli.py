@@ -418,6 +418,23 @@ def test_unknown_optimizer_exits_1_before_any_data(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "generate-data"])
+def test_zero_hidden_width_exits_1_before_any_data(tmp_path, capsys, command):
+    text = (
+        "data.source = csv\n"
+        f"data.csv_path = {tmp_path / 'missing.csv'}\n"
+        "data.num_classes = 2\n"
+        "data.num_groups = 2\n"
+        "model.hidden = 4,0\n"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 5: model.hidden: hidden widths must be >= 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, target",
     [("train", "run_lockstep"), ("generate-data", "generate_synthetic")],

@@ -945,7 +945,7 @@ class TestEvaluationHelpers:
         spec = ClassifierSpec(3, (), 2, 2, HeadMode.PLAIN)
         w = init_weights(spec, 14)
         data = toy_dataset(seed=15)
-        [report] = evaluate_weights([spec], [[w]], data, [["test"]])
+        [report] = evaluate_weights([(spec, [(w, "test")])], data)
         assert report.num_classes == 2
         assert report.num_groups == 2
         assert report.total == len(data)
@@ -966,7 +966,7 @@ class TestEvaluationHelpers:
         spec = ClassifierSpec(m, tuple(hidden), n, d, head)
         w = random_weights(np.random.default_rng(seed), spec)
         test = toy_dataset(seed=seed, size=size, num_classes=n, num_groups=d, dim=m)
-        [report] = evaluate_weights([spec], [[w]], test, [["p"]])
+        [report] = evaluate_weights([(spec, [(w, "p")])], test)
         assert repr(report.to_dict()) == repr(score_model(spec, w, test).to_dict())
 
     def test_errors_take_the_context_of_their_model(self):
@@ -976,20 +976,21 @@ class TestEvaluationHelpers:
         w = init_weights(spec, 12)
         bad = w.with_values(np.full_like(w.values, np.nan))
         with pytest.raises(NumericError, match=r"^second: .*non-finite"):
-            evaluate_weights([spec], [[w, bad]], toy_dataset(seed=13), [["first", "second"]])
+            evaluate_weights([(spec, [(w, "first"), (bad, "second")])], toy_dataset(seed=13))
         # Scoring an empty test set fails for every model of every stack:
         # the first names it.
         empty = toy_dataset(seed=13, size=0)
         with pytest.raises(ValueError, match=r"^first: cannot build a report"):
-            evaluate_weights([spec], [[w, w]], empty, [["first", "second"]])
+            evaluate_weights([(spec, [(w, "first"), (w, "second")])], empty)
         with pytest.raises(ValueError, match=r"^first: cannot build a report"):
-            evaluate_weights([spec], [[w, init_weights(spec, 2)]], empty, [["first", "second"]])
+            evaluate_weights([(spec, [(w, "first"), (init_weights(spec, 2), "second")])], empty)
         grouped = ClassifierSpec(3, (), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
-        stacks = [[init_weights(grouped, 1)], [w, w]]
+        other = init_weights(grouped, 1)
+        stacks = [(grouped, [(other, "first")]), (spec, [(w, "second"), (w, "third")])]
         with pytest.raises(ValueError, match=r"^first: cannot build a report"):
-            evaluate_weights([grouped, spec], stacks, empty, [["first"], ["second", "third"]])
+            evaluate_weights(stacks, empty)
         with pytest.raises(ValueError, match=r"^third: weight layout does not match"):
-            evaluate_weights([spec], [[w, w, stacks[0][0]]], empty, [["first", "second", "third"]])
+            evaluate_weights([(spec, [(w, "first"), (w, "second"), (other, "third")])], empty)
 
     @staticmethod
     def refuse_to_predict(monkeypatch):
@@ -1003,29 +1004,12 @@ class TestEvaluationHelpers:
         spec = ClassifierSpec(3, (), 2, 2)
         w, test = init_weights(spec, 12), toy_dataset(seed=13)
         self.refuse_to_predict(monkeypatch)
-        message = (
-            r"^stack 1 needs at least one model and one context per model, "
-            r"got 0 models and 0 contexts$"
-        )
+        message = r"^need at least one stack and one model per stack, got sizes \[1, 0\]$"
         with pytest.raises(ValueError, match=message):
-            evaluate_weights([spec, spec], [[w], []], test, [["first"], []])
-        message = r"^need one network and one context list per stack, got 0 networks, 0 stacks"
+            evaluate_weights([(spec, [(w, "first")]), (spec, [])], test)
+        message = r"^need at least one stack and one model per stack, got sizes \[\]$"
         with pytest.raises(ValueError, match=message):
-            evaluate_weights([], [], test, [])
-
-    def test_context_count_mismatch_is_refused_before_predicting(self, monkeypatch):
-        spec = ClassifierSpec(3, (), 2, 2)
-        w, test = init_weights(spec, 12), toy_dataset(seed=13)
-        self.refuse_to_predict(monkeypatch)
-        message = (
-            r"^stack 0 needs at least one model and one context per model, "
-            r"got 2 models and 1 contexts$"
-        )
-        with pytest.raises(ValueError, match=message):
-            evaluate_weights([spec], [[w, w]], test, [["first"]])
-        message = r"^need one network and one context list per stack, got 1 networks, 2 stacks and 1"
-        with pytest.raises(ValueError, match=message):
-            evaluate_weights([spec], [[w], [w]], test, [["first"]])
+            evaluate_weights([], test)
 
     def test_test_set_that_does_not_fit_a_network_is_refused_before_predicting(self, monkeypatch):
         # A test set of 3 classes and 4 groups fits the first network and
@@ -1033,15 +1017,16 @@ class TestEvaluationHelpers:
         fits = ClassifierSpec(3, (), 3, 4, HeadMode.DOMAIN_INDEPENDENT)
         spec = ClassifierSpec(3, (), 2, 2)
         test = toy_dataset(seed=13, num_classes=3, num_groups=4)
-        stacks = [[init_weights(fits, 1)], [init_weights(spec, 12)] * 2]
+        w = init_weights(spec, 12)
+        stacks = [(fits, [(init_weights(fits, 1), "first")]), (spec, [(w, "second"), (w, "third")])]
         self.refuse_to_predict(monkeypatch)
         message = r"^second: test set has 3 classes / 4 groups, model expects 2 / 2$"
         with pytest.raises(ConfigurationError, match=message):
-            evaluate_weights([fits, spec], stacks, test, [["first"], ["second", "third"]])
+            evaluate_weights(stacks, test)
         wide = toy_dataset(seed=13, num_classes=3, num_groups=4, dim=4)
         message = r"^first: test set has 4 features, model expects 3$"
         with pytest.raises(ConfigurationError, match=message):
-            evaluate_weights([fits, spec], stacks, wide, [["first"], ["second", "third"]])
+            evaluate_weights(stacks, wide)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -1070,5 +1055,46 @@ class TestEvaluationHelpers:
         out = np.empty((len(models), size), dtype=np.int64)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(federation, "STACK_VALUES", limit)
-            federation._predict_stack(spec, models, test, [str(k) for k in picks], out)
+            federation._predict_stack(spec, [(w, str(k)) for w, k in zip(models, picks)], test, out)
         assert out.tobytes() == expected.reshape(out.shape).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(1, 5), max_size=2),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.lists(
+            st.tuples(st.sampled_from(HeadMode), st.lists(st.integers(0, 2), min_size=1, max_size=4)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 30),
+        st.integers(0, 15),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_scored_together_equal_each_stack_alone(
+        self, m, hidden, n, d, drawn, size, poisoned, seed
+    ):
+        # Picks index a pool of three models per head, so a model may
+        # repeat within a stack and across stacks.
+        rng = np.random.default_rng(seed)
+        specs = {head: ClassifierSpec(m, tuple(hidden), n, d, head) for head in HeadMode}
+        pools = {head: [random_weights(rng, spec) for _ in range(3)] for head, spec in specs.items()}
+        stacks = [
+            (specs[head], [(pools[head][i], f"<{s}.{k}>") for k, i in enumerate(picks)])
+            for s, (head, picks) in enumerate(drawn)
+        ]
+        test = toy_dataset(seed=seed, size=size, num_classes=n, num_groups=d, dim=m)
+        together = evaluate_weights(stacks, test)
+        alone = [evaluate_weights([stack], test)[0] for stack in stacks]
+        assert [repr(r.to_dict()) for r in together] == [repr(r.to_dict()) for r in alone]
+        # A NaN model fails in its own context, and names no other model.
+        where = [(s, k) for s, (_, models) in enumerate(stacks) for k in range(len(models))]
+        s, k = where[poisoned % len(where)]
+        weights, context = stacks[s][1][k]
+        stacks[s][1][k] = (weights.with_values(np.full_like(weights.values, np.nan)), context)
+        with pytest.raises(NumericError, match="non-finite") as raised:
+            evaluate_weights(stacks, test)
+        named = [c for _, models in stacks for _, c in models if c in str(raised.value)]
+        assert str(raised.value).startswith(f"{context}: ") and named == [context]

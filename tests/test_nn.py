@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbias.data import Dataset
 from fedbias.exceptions import ConfigurationError
@@ -182,6 +184,14 @@ class TestBackward:
                 analytic, _ = engine_backward(spec, w.values, batch)
                 numeric = fd_gradient(spec, w, batch)
                 assert guarded_rel_error(analytic, numeric) <= 1e-5
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(HeadMode))
+    def test_gradient_matches_finite_differences_property(self, seed, mode):
+        spec, w, batch = random_gradcheck_instance(np.random.default_rng(seed), mode)
+        analytic, _ = engine_backward(spec, w.values, batch)
+        numeric = fd_gradient(spec, w, batch)
+        assert guarded_rel_error(analytic, numeric) <= 1e-5
 
     def test_saturated_correct_logit(self):
         # Linear map sending x = [1, 0] to logits [20, -20]: the correct
