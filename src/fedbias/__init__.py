@@ -15,7 +15,7 @@ submodules ``nn``, ``head``, ``federation``, ``metrics`` and ``data``.
 
 from .config import ExperimentConfig, load_config, parse_config
 from .exceptions import ConfigurationError, DataFormatError, NumericError
-from .federation import Federation, FederationResult, Mode, run_federation
+from .federation import Federation, FederationResult, Mode, run_lockstep
 from .metrics import FairnessReport, full_report, load_prediction_log, tally
 
 __version__ = "0.1.0"
@@ -33,6 +33,6 @@ __all__ = [
     "load_config",
     "load_prediction_log",
     "parse_config",
-    "run_federation",
+    "run_lockstep",
     "tally",
 ]

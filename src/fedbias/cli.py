@@ -63,7 +63,21 @@ def _summary_line(label: str, report: FairnessReport) -> str:
     return f"{label}: {cells}"
 
 
+def _writable(out: str | None) -> Path | None:
+    """``out`` as a path, None if empty; refused before any work, with the
+    error opening it would raise, if its directory is missing or it is one."""
+    if not out:
+        return None
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return path
+
+
 def cmd_generate_data(args: argparse.Namespace) -> int:
+    _writable(args.out)
     config = _effective_config(args)
     dataset = generate_synthetic(config.synthetic_spec())
     save_csv(dataset, args.out)
@@ -85,14 +99,9 @@ def cmd_generate_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     out_path = args.out or config.output_path
-    if out_path is None:
+    path = _writable(out_path)
+    if path is None:
         raise ConfigurationError("no results path: pass --out or set run.output")
-    # Fail before training, with the message opening the file would give.
-    path = Path(out_path)
-    if not path.parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-    if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
     partitions, test_set = config.split_and_partition(config.load_dataset())
 
@@ -137,6 +146,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    out = _writable(args.out)
     for name, value in (("num_classes", args.num_classes), ("num_groups", args.num_groups)):
         reason = refusal(_COUNT, value)
         if reason:
@@ -145,8 +155,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report = full_report(tally(*log, args.num_classes, args.num_groups))
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
     print(payload)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+    if out:
+        out.write_text(payload + "\n", encoding="utf-8")
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -200,6 +210,7 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    out = _writable(args.out)
     rows = _load_summaries(args.results)
     mode_counts = Counter(mode for _, mode, _ in rows)
     labeled = [
@@ -232,8 +243,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print("  ".join("-" * w for w in widths))
     print("* best per column (higher is better for ACC, lower for the rest)")
 
-    if args.out:
-        with Path(args.out).open("w", encoding="utf-8", newline="\n") as fh:
+    if out:
+        with out.open("w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["mode", *METRIC_NAMES, "best_metrics"])
             for label, report in labeled:

@@ -138,29 +138,20 @@ class ExperimentConfig:
     def with_master_seed(self, master_seed: int) -> "ExperimentConfig":
         return replace(self, master_seed=master_seed)
 
+    def _feed(self, cls, **given):
+        """A ``cls`` built from ``given`` and, for each of its other fields,
+        this config's field of the same name."""
+        fed = {name: getattr(self, name) for name in cls.__dataclass_fields__ if name not in given}
+        return cls(**fed, **given)
+
     def federation_config(self) -> FederationConfig:
-        return FederationConfig(
-            rounds=self.rounds,
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            optimizer=OptimizerConfig(self.optimizer_kind, self.learning_rate, self.weight_decay),
-            hidden_widths=self.hidden_widths,
-            eval_every=self.eval_every,
-        )
+        optimizer = self._feed(OptimizerConfig, kind=self.optimizer_kind)
+        return self._feed(FederationConfig, optimizer=optimizer)
 
     def synthetic_spec(self) -> SyntheticSpec:
         if self.source != "synthetic":
             raise ConfigurationError("no synthetic data settings: data.source is csv")
-        return SyntheticSpec(
-            num_classes=self.num_classes,
-            num_groups=self.num_groups,
-            feature_dim=self.feature_dim,
-            samples_per_group=self.samples_per_group,
-            bias_strength=self.bias_strength,
-            group_shift=self.group_shift,
-            noise_sigma=self.noise_sigma,
-            seed=derive_seed(self.master_seed, TAG_DATA),
-        )
+        return self._feed(SyntheticSpec, seed=derive_seed(self.master_seed, TAG_DATA))
 
     def load_dataset(self) -> Dataset:
         if self.source == "synthetic":

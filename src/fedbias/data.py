@@ -20,10 +20,10 @@ the two could disagree: an empty body, a header other than the exact
 one above, non-ASCII bytes, a line break other than LF that
 ``str.splitlines`` honours, the byte 0x1F (whitespace to ``np.loadtxt``
 only), a blank line, or a cell ``np.loadtxt`` refuses (it refuses every
-cell ``float()``/``int()`` refuse, and also ``1_0`` and int64 overflow,
-which the per-line reader judges as before). A file the fast path
-parsed whole is not read again for a target or group out of range:
-``check_ranges``, which the prediction log shares, names its line.
+cell ``float()``/``int64_cell`` refuse, and also ``1_0``, which the
+per-line reader judges as before). Both paths, like the prediction log's
+reader, parse every line first; ``check_ranges`` then names the first
+line with a target or group out of range.
 """
 
 from __future__ import annotations
@@ -249,13 +249,13 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_csv(path: str | Path, num_classes: int, num_groups: int) -> Dataset:
-    """Parse a dataset CSV; rejects malformed rows with their line number."""
+    """Parse a dataset CSV; rejects malformed rows with their line number.
+    Every row is parsed, by either path, before any range is checked."""
     path = Path(path)
     rows = read_rows(path)
     if rows is None:
-        rows = _parse_csv_lines(path, num_classes, num_groups)
-    else:
-        check_ranges(path, (rows["y"], rows["g"]), ("target", "group"), (num_classes, num_groups))
+        rows = _parse_csv_lines(path)
+    check_ranges(path, (rows["y"], rows["g"]), ("target", "group"), (num_classes, num_groups))
     feats, labels, groups = (np.ascontiguousarray(rows[name]) for name in ("x", "y", "g"))
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
@@ -303,6 +303,14 @@ def read_lines(path: Path, header: Callable, parse: Callable) -> tuple[int, list
     return width, rows
 
 
+def int64_cell(cell: str) -> int:
+    """``int(cell)``; a value outside int64 raises ``ValueError``."""
+    value = int(cell)
+    if -(2**63) <= value < 2**63:
+        return value
+    raise ValueError(f"{value} does not fit in a 64-bit integer")
+
+
 def check_ranges(
     path: Path, columns: Sequence[np.ndarray], names: Sequence[str], limits: Sequence[int]
 ) -> None:
@@ -326,19 +334,14 @@ def _dataset_header(cells: list[str]) -> int:
     return m + 2
 
 
-def _parse_csv_lines(path: Path, num_classes: int, num_groups: int) -> np.ndarray:
+def _parse_csv_lines(path: Path) -> np.ndarray:
     """The rows of a file ``read_rows`` would not judge, read one line at a
-    time as ``_record_dtype`` records; the first bad line raises, naming
-    its number. A line's target and group are range-checked, in that
-    order, before the next line is parsed."""
+    time as ``_record_dtype`` records; the first malformed line raises,
+    naming its number. No range is checked here: ``load_csv`` checks the
+    whole table, as it does the fast path's."""
 
     def parse(cells: list[str]) -> tuple[list[float], int, int]:
-        x, y, g = [float(c) for c in cells[:-2]], int(cells[-2]), int(cells[-1])
-        if not 0 <= y < num_classes:
-            raise ValueError(f"target {y} out of range [0, {num_classes})")
-        if not 0 <= g < num_groups:
-            raise ValueError(f"group {g} out of range [0, {num_groups})")
-        return x, y, g
+        return [float(c) for c in cells[:-2]], int64_cell(cells[-2]), int64_cell(cells[-1])
 
     width, rows = read_lines(path, _dataset_header, parse)
     return np.array(rows, dtype=_record_dtype(width - 2))

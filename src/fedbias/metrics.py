@@ -42,8 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import check_ranges, read_lines
-from .exceptions import ConfigurationError, DataFormatError
+from .data import check_ranges, int64_cell, read_lines
+from .exceptions import ConfigurationError
 
 CONVENTIONS = {
     "ser": "max_group_error / min_group_error",
@@ -55,7 +55,6 @@ METRIC_NAMES = ("acc", "ser", "eo", "ba", "dp")
 # Strict JSON has no infinity, so an infinite skewed error ratio (the
 # only metric that can be infinite) is written as this string.
 _INF_TEXT = "inf"
-_INT64 = np.iinfo(np.int64)
 # The most int64 counts one NumPy array can hold: its size in bytes is an intp.
 _MAX_COUNTS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
@@ -366,23 +365,13 @@ def load_prediction_log(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a ``predicted,actual,group`` CSV into three int64 arrays, in the
     argument order of :func:`tally`, through ``data.read_lines``; malformed
-    rows, cells past int64 and cells outside ``[0, num_classes)`` or
-    ``[0, num_groups)`` name their line. Every row is parsed before any
-    range is checked, by ``data.check_ranges``."""
+    rows and cells past int64 (``data.int64_cell``) name their line. Every
+    row is parsed before any range is checked: ``data.check_ranges`` then
+    names the first line holding a cell outside ``[0, num_classes)`` or
+    ``[0, num_groups)``."""
     path = Path(path)
-    _, rows = read_lines(path, _log_header, lambda cells: [int(c) for c in cells])
-    try:
-        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        lineno, value = next(
-            (i + 2, v)
-            for i, row in enumerate(rows)
-            for v in row
-            if not _INT64.min <= v <= _INT64.max
-        )
-        raise DataFormatError(
-            f"{path}: line {lineno}: {value} does not fit in a 64-bit integer"
-        ) from None
+    _, rows = read_lines(path, _log_header, lambda cells: [int64_cell(c) for c in cells])
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
     check_ranges(path, table.T, _LOG_COLUMNS, (num_classes, num_classes, num_groups))
     predicted, actual, group = table.T
     return predicted, actual, group

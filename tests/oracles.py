@@ -519,9 +519,18 @@ def reference_generate_synthetic(spec) -> Dataset:
 
 # ---------------------------------------------------------------------------
 # CSV input and output one cell at a time, through float(), int() and repr().
-# The prediction-log reader here checks no cell ranges.
+# Both readers parse every line before any range is checked; the
+# prediction-log reader here checks no cell ranges.
 
 _INT64 = np.iinfo(np.int64)
+
+
+def reference_int64(text: str) -> int:
+    """``int(text)``, refused outside int64 as a 64-bit overflow."""
+    value = int(text)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{value} does not fit in a 64-bit integer")
+    return value
 
 
 def reference_save_csv(dataset: Dataset, path: str | Path) -> None:
@@ -565,20 +574,18 @@ def reference_load_csv(path: str | Path, num_classes: int, num_groups: int) -> D
             )
         try:
             feats[i] = [float(c) for c in cells[:m]]
-            y = int(cells[m])
-            g = int(cells[m + 1])
+            labels[i] = reference_int64(cells[m])
+            groups[i] = reference_int64(cells[m + 1])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-        if not 0 <= y < num_classes:
-            raise DataFormatError(
-                f"{path}: line {lineno}: target {y} out of range [0, {num_classes})"
-            )
-        if not 0 <= g < num_groups:
-            raise DataFormatError(
-                f"{path}: line {lineno}: group {g} out of range [0, {num_groups})"
-            )
-        labels[i] = y
-        groups[i] = g
+
+    # Ranges are checked only once every line has parsed.
+    for i, (y, g) in enumerate(zip(labels.tolist(), groups.tolist())):
+        for name, value, limit in (("target", y, num_classes), ("group", g, num_groups)):
+            if not 0 <= value < limit:
+                raise DataFormatError(
+                    f"{path}: line {i + 2}: {name} {value} out of range [0, {limit})"
+                )
 
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
@@ -603,21 +610,10 @@ def reference_load_prediction_log(path: str | Path) -> tuple[np.ndarray, np.ndar
         if len(cells) != 3:
             raise DataFormatError(f"{path}: line {lineno}: expected 3 columns, found {len(cells)}")
         try:
-            rows.append([int(c) for c in cells])
+            rows.append([reference_int64(c) for c in cells])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-    try:
-        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        lineno, value = next(
-            (i + 2, v)
-            for i, row in enumerate(rows)
-            for v in row
-            if not _INT64.min <= v <= _INT64.max
-        )
-        raise DataFormatError(
-            f"{path}: line {lineno}: {value} does not fit in a 64-bit integer"
-        ) from None
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
     predicted, actual, group = table.T
     return predicted, actual, group
 

@@ -525,6 +525,16 @@ class TestMetrics:
         err = capsys.readouterr().err
         assert err == f"error: {log}: line 3: {big} does not fit in a 64-bit integer\n"
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "adir"])
+    def test_unwritable_out_exits_2_before_any_output(self, tmp_path, capsys, target):
+        log = tmp_path / "preds.csv"
+        log.write_text("predicted,actual,group\n0,0,0\n1,1,0\n", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / target
+        assert_refused_like_opening(
+            capsys, out, ["metrics", str(log), "2", "1", "--out", str(out)]
+        )
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "nope.csv"), "2", "2"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -548,7 +558,8 @@ class TestMetrics:
     def test_out_of_range_cell_names_line_and_column(self, tmp_path, capsys, row, message):
         log = tmp_path / "preds.csv"
         log.write_text(f"predicted,actual,group\n0,0,0\n{row}\n0,x,0\n", encoding="utf-8")
-        # The whole log parses before ranges are checked, so line 4 wins.
+        # The whole log parses before ranges are checked, as a dataset CSV
+        # does, so line 4 wins.
         assert main(["metrics", str(log), "2", "3"]) == 2
         assert "line 4: invalid literal" in capsys.readouterr().err
         log.write_text(f"predicted,actual,group\n0,0,0\n{row}\n", encoding="utf-8")
@@ -614,7 +625,26 @@ PERFECT = [R(0, 0, 0), R(1, 1, 0), R(0, 0, 1), R(1, 1, 1)]
 SKEWED = [R(1, 0, 0), R(0, 1, 0), R(0, 0, 1), R(1, 1, 1)]
 
 
+def assert_refused_like_opening(capsys, out: Path, argv: list[str]) -> None:
+    """``main(argv)``, given ``out`` as its ``--out``, exits 2 with nothing on
+    stdout and the error that opening ``out`` for writing gives."""
+    with pytest.raises(OSError) as opening:
+        out.open("w")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {opening.value}\n"
+
+
 class TestCompare:
+    @pytest.mark.parametrize("target", ["missing/table.csv", "adir"])
+    def test_unwritable_out_exits_2_before_any_output(self, tmp_path, capsys, target):
+        results = tmp_path / "run.jsonl"
+        write_results_file(results, "dbfed", PERFECT, 2, 2)
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / target
+        assert_refused_like_opening(capsys, out, ["compare", str(results), "--out", str(out)])
+
     def test_single_file_single_row(self, tmp_path, capsys):
         results = tmp_path / "run.jsonl"
         write_results_file(results, "dbfed", PERFECT, 2, 2)

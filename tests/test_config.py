@@ -13,7 +13,7 @@ from fedbias.data import NUM_CLIENTS, TEST_FRACTION, Dataset, SyntheticSpec, par
 from fedbias.exceptions import ConfigurationError
 from fedbias.federation import FederationConfig, Mode
 from fedbias.nn import OptimizerConfig, OptimizerKind
-from fedbias.seeding import MASTER_SEED
+from fedbias.seeding import MASTER_SEED, TAG_DATA, derive_seed
 
 _BASE = {
     "data.num_classes": "2",
@@ -261,6 +261,38 @@ class TestDerivedObjects:
         b = cfg(run__master_seed="1").synthetic_spec()
         assert a.seed != b.seed
         assert a.seed == cfg().synthetic_spec().seed
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        sizes=st.tuples(*map(st.integers, (2, 1, 1, 1), (5, 5, 8, 50))),
+        data=st.tuples(st.floats(0, 1), st.floats(0, 1e3), st.floats(1e-3, 1e3)),
+        shape=st.tuples(*map(st.integers, (0, 1, 1, 1), (9, 9, 512, 9))),
+        optimizer=st.tuples(st.sampled_from(OptimizerKind), st.floats(0, 1), st.floats(0, 1)),
+        widths=st.lists(st.integers(1, 64), max_size=3).map(tuple),
+        seed=st.integers(0, 2**40),
+    )
+    def test_library_configs_equal_field_by_field_constructions(
+        self, sizes, data, shape, optimizer, widths, seed
+    ):
+        (classes, groups, dim, per_group), (bias, shift, sigma) = sizes, data
+        (rounds, epochs, batch, every), (kind, lr, wd) = shape, optimizer
+        c = replace(
+            cfg(), num_classes=classes, num_groups=groups, feature_dim=dim,
+            samples_per_group=per_group, bias_strength=bias, group_shift=shift,
+            noise_sigma=sigma, rounds=rounds, local_epochs=epochs, batch_size=batch,
+            eval_every=every, optimizer_kind=kind, learning_rate=lr, weight_decay=wd,
+            hidden_widths=widths, master_seed=seed,
+        )
+        assert c.synthetic_spec() == SyntheticSpec(
+            num_classes=classes, num_groups=groups, feature_dim=dim,
+            samples_per_group=per_group, bias_strength=bias, group_shift=shift,
+            noise_sigma=sigma, seed=derive_seed(seed, TAG_DATA),
+        )
+        assert c.federation_config() == FederationConfig(
+            rounds=rounds, local_epochs=epochs, batch_size=batch,
+            optimizer=OptimizerConfig(kind=kind, learning_rate=lr, weight_decay=wd),
+            hidden_widths=widths, eval_every=every,
+        )
 
     def test_synthetic_spec_unavailable_for_csv(self, tmp_path):
         c = cfg(

@@ -135,6 +135,9 @@ def dataset_files(draw):
 @example(("feature_0,target,group\n\x1f0.5,0,0\n", 2, 2))
 @example(("feature_0,target,group\n0.5,0,0\n0.5,0,2\n0.5,5,0\n", 2, 2))
 @example(("feature_0,target,group\n0.5,0,0\n0.5,5,2\n", 2, 2))
+@example(("feature_0,target,group\n0.5,0,0\n0.5,5,0\n0.5,x,0\n", 2, 2))
+@example(("feature_0,target,group\r\n0.5,0,0\r\n0.5,5,0\r\n0.5,x,0\r\n", 2, 2))
+@example(("feature_0,target,group\n0.5,-9223372036854775809,0\n", 2, 2))
 def test_load_csv_matches_per_line_reader(scratch, case):
     text, num_classes, num_groups = case
     scratch.write_bytes(text.encode("utf-8"))
@@ -172,6 +175,7 @@ def prediction_log_files(draw):
 @example(("predicted,actual,group\n0,0,0\n\r0,0,0\n", 2, 2))
 @example(("predicted,actual,group\n0,0,0\u2028\n", 2, 2))
 @example(("predicted,actual,group\n0,\x1f1,0\n", 2, 2))
+@example(("predicted,actual,group\n0,0,0\n0,99999999999999999999,0\n0,x,0\n", 2, 2))
 def test_load_prediction_log_matches_per_line_reader(scratch, case):
     text, num_classes, num_groups = case
     scratch.write_bytes(text.encode("utf-8"))
