@@ -63,9 +63,11 @@ def _summary_line(label: str, report: FairnessReport) -> str:
     return f"{label}: {cells}"
 
 
-def _writable(out: str | None) -> Path | None:
+def _writable(out: str | None, *inputs: str | None) -> Path | None:
     """``out`` as a path, None if empty; refused before any work, with the
-    error opening it would raise, if its directory is missing or it is one."""
+    error opening it would raise, if its directory is missing or it is one,
+    and with a ``ConfigurationError`` if it is one of the command's
+    ``inputs`` (None for an input not read), under any name or link."""
     if not out:
         return None
     path = Path(out)
@@ -73,11 +75,14 @@ def _writable(out: str | None) -> Path | None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for source in inputs:
+        if source and path.exists() and os.path.exists(source) and path.samefile(source):
+            raise ConfigurationError(f"output {out} would overwrite the input {source}")
     return path
 
 
 def cmd_generate_data(args: argparse.Namespace) -> int:
-    _writable(args.out)
+    _writable(args.out, args.config)
     config = _effective_config(args)
     dataset = generate_synthetic(config.synthetic_spec())
     save_csv(dataset, args.out)
@@ -99,7 +104,8 @@ def cmd_generate_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     out_path = args.out or config.output_path
-    path = _writable(out_path)
+    csv_path = config.csv_path if config.source == "csv" else None
+    path = _writable(out_path, args.config, csv_path)
     if path is None:
         raise ConfigurationError("no results path: pass --out or set run.output")
 
@@ -146,7 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    out = _writable(args.out)
+    out = _writable(args.out, args.predictions)
     for name, value in (("num_classes", args.num_classes), ("num_groups", args.num_groups)):
         reason = refusal(_COUNT, value)
         if reason:
@@ -210,7 +216,7 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    out = _writable(args.out)
+    out = _writable(args.out, *args.results)
     rows = _load_summaries(args.results)
     mode_counts = Counter(mode for _, mode, _ in rows)
     labeled = [

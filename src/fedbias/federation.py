@@ -83,7 +83,6 @@ from .nn import (
     init_weights,
     num_params,
     optimizer_step,
-    weight_layout,
 )
 from .seeding import MASTER_SEED, TAG_INIT, derive_seed, shuffle_seed
 
@@ -382,7 +381,7 @@ def _predict_stack(
             continue
         with _in_context(where[chunk[0]]):
             stack = np.stack([weights[k].values for k in chunk])
-            logits = _forward(_unflatten(stack, weight_layout(spec)), test_set.features)[-1]
+            logits = _forward(_unflatten(stack, spec.layer_dims), test_set.features)[-1]
         if np.isfinite(logits).all():
             # Non-finite logits are left to the model-by-model calls
             # below, which name their model.

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -167,7 +167,6 @@ class FairnessReport:
     per_group_error: list[float | None]
     recall_by_group_class: list[list[float | None]]
     prediction_rate_by_group_class: list[list[float | None]]
-    conventions: dict[str, str] = field(default_factory=lambda: dict(CONVENTIONS))
 
     @property
     def absent(self) -> list[str]:
@@ -179,9 +178,9 @@ class FairnessReport:
         return getattr(self, name)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "conventions"}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["ser"] = _INF_TEXT if self.ser == math.inf else self.ser
-        return {**out, "absent": self.absent, "conventions": self.conventions}
+        return {**out, "absent": self.absent, "conventions": dict(CONVENTIONS)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FairnessReport":
@@ -202,12 +201,8 @@ class FairnessReport:
                 math.isfinite(value) or (name == "ser" and value == math.inf)
             ):
                 raise ValueError(f"metric {name} must be finite, got {value!r}")
-        rest = [f.name for f in fields(cls) if f.name not in values and f.name != "conventions"]
-        return cls(
-            **values,
-            **{name: payload[name] for name in rest},
-            conventions=dict(payload.get("conventions", CONVENTIONS)),
-        )
+        rest = [f.name for f in fields(cls) if f.name not in values]
+        return cls(**values, **{name: payload[name] for name in rest})
 
 
 def full_report(counts: np.ndarray) -> FairnessReport:

@@ -8,14 +8,13 @@ arrays of its ``StepPlan``, which makes bitwise reproducibility checks
 meaningful.
 
 Weights travel as one flat vector (`ModelWeights`) so they can be
-averaged componentwise by the federation layer; the layout records the
-per-layer shapes used to fold the vector back into matrices.
+averaged componentwise by the federation layer; their layout is the
+network's layer dims, which fold the vector back into matrices.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -76,32 +75,26 @@ class ClassifierSpec:
         return (self.input_dim, *self.hidden_widths, self.output_dim)
 
 
-Layout = tuple[tuple[int, tuple[int, int]], ...]
+# A layout is a network's layer dims, (input, hidden..., output): layer i
+# maps dims[i] inputs to dims[i + 1] outputs.
+Layout = tuple[int, ...]
 # A layer's (weights, bias) views, with the stack axis in front for a stack.
 Layer = tuple[np.ndarray, np.ndarray]
 
 
-@functools.lru_cache(maxsize=64)
-def weight_layout(spec: ClassifierSpec) -> Layout:
-    """Per-layer (index, (fan_in, fan_out)) records, fixed by the layer dims.
-    Cached per spec, so checking a model's layout costs one lookup."""
-    dims = spec.layer_dims
-    return tuple((i, (dims[i], dims[i + 1])) for i in range(len(dims) - 1))
-
-
-def _num_values(layout: Layout) -> int:
-    return sum((fi + 1) * fo for _, (fi, fo) in layout)
+def _num_values(dims: Layout) -> int:
+    return sum((fi + 1) * fo for fi, fo in zip(dims, dims[1:]))
 
 
 def num_params(spec: ClassifierSpec) -> int:
-    return _num_values(weight_layout(spec))
+    return _num_values(spec.layer_dims)
 
 
-def _unflatten(values: np.ndarray, layout: Layout) -> list[Layer]:
+def _unflatten(values: np.ndarray, dims: Layout) -> list[Layer]:
     lead = values.shape[:-1]
     out = []
     offset = 0
-    for _, (fi, fo) in layout:
+    for fi, fo in zip(dims, dims[1:]):
         w = values[..., offset : offset + fi * fo].reshape(*lead, fi, fo)
         offset += fi * fo
         b = values[..., offset : offset + fo]
@@ -114,9 +107,9 @@ def _unflatten(values: np.ndarray, layout: Layout) -> list[Layer]:
 class ModelWeights:
     """One model's trainable parameters as one flat float64 vector.
 
+    ``layout`` is the network's layer dims (``ClassifierSpec.layer_dims``).
     Per layer the vector holds the weight matrix (row-major, shape
-    fan_in x fan_out) followed by the bias (fan_out,). Two ModelWeights
-    built from the same spec always share the same layout.
+    fan_in x fan_out) followed by the bias (fan_out,).
     """
 
     values: np.ndarray
@@ -145,17 +138,17 @@ def init_weights(spec: ClassifierSpec, seed: int) -> ModelWeights:
     """Uniform fan-in-scaled init: weights U(-sqrt(6/fan_in), +sqrt(6/fan_in)),
     biases exactly zero. Deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    layout = weight_layout(spec)
+    dims = spec.layer_dims
     chunks = []
-    for _, (fi, fo) in layout:
+    for fi, fo in zip(dims, dims[1:]):
         half_width = math.sqrt(6.0 / fi)
         chunks.append(rng.uniform(-half_width, half_width, size=fi * fo))
         chunks.append(np.zeros(fo))
-    return ModelWeights(np.concatenate(chunks), layout)
+    return ModelWeights(np.concatenate(chunks), dims)
 
 
 def _check_weights(spec: ClassifierSpec, weights: ModelWeights) -> None:
-    if weights.layout != weight_layout(spec):
+    if weights.layout != spec.layer_dims:
         raise ValueError("weight layout does not match the classifier spec")
 
 
@@ -179,7 +172,7 @@ class _HeadPlan:
         n, blocks, size = spec.num_classes, spec.num_blocks, plan.size
         count = models.stop - models.start
         rows = count * size
-        self.models, self.count, self.layout = models, count, weight_layout(spec)[-1:]
+        self.models, self.count, self.layout = models, count, spec.layer_dims[-2:]
         self.inputs = (plan.outputs[-1] if plan.outputs else plan.features)[models]
         self.input_delta = plan.deltas[-1][models] if plan.deltas else None
         self.outputs = np.empty((count, size, blocks * n))
@@ -222,7 +215,7 @@ class StepPlan:
 
     def __init__(self, heads: Sequence[tuple[ClassifierSpec, int]], size: int) -> None:
         first = heads[0][0]
-        hidden = weight_layout(first)[:-1]
+        hidden = first.layer_dims[:-1]
         models = sum(count for _, count in heads)
         rows = models * size
         self.models, self.size, self.hidden_layout = models, size, hidden
@@ -231,7 +224,7 @@ class StepPlan:
         self.groups = np.empty((models, size), dtype=np.int64)
         self.clients = list(zip(self.features, self.labels, self.groups))
         # Each hidden layer's output, and the delta of that output.
-        self.outputs = [np.empty((models, size, fo)) for _, (_, fo) in hidden]
+        self.outputs = [np.empty((models, size, fo)) for fo in hidden[1:]]
         self.deltas = [np.empty_like(out) for out in self.outputs]
         # Entry (y, r) of ``block`` is at y * rows + r.
         self.block = np.empty((first.num_classes, rows))

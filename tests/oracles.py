@@ -53,7 +53,6 @@ from fedbias.nn import (
     init_weights,
     num_params,
     optimizer_step,
-    weight_layout,
 )
 from fedbias.seeding import TAG_INIT, derive_seed, shuffle_seed
 
@@ -415,7 +414,7 @@ def random_gradcheck_instance(
         if num_params(spec) > max_params:
             continue
         values = rng.uniform(-0.8, 0.8, num_params(spec))
-        weights = ModelWeights(values, weight_layout(spec))
+        weights = ModelWeights(values, spec.layer_dims)
         size = int(rng.integers(1, 6))
         batch = Batch(
             rng.uniform(-1.0, 1.0, (size, input_dim)),
@@ -461,7 +460,7 @@ def row_major_backward(
     the head math differs from ``backward``."""
     k, b = batch.labels.shape
     n, blocks = spec.num_classes, spec.num_blocks
-    layers = _unflatten(values, weight_layout(spec))
+    layers = _unflatten(values, spec.layer_dims)
     acts = _forward(layers, batch.features)
     rows = np.arange(k * b)
     labels = batch.labels.reshape(-1)

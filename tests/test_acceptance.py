@@ -36,7 +36,6 @@ from fedbias.nn import (
     OptimizerConfig,
     OptimizerKind,
     num_params,
-    weight_layout,
 )
 from oracles import (
     brute_metrics,
@@ -94,7 +93,7 @@ def test_2_aggregation_matches_weighted_mean_oracle():
     bound_exact = True
     for trial in range(200):
         spec = specs[trial % len(specs)]
-        layout = weight_layout(spec)
+        layout = spec.layer_dims
         k = int(rng.integers(1, 7))
         entries = [
             (i, ModelWeights(rng.normal(size=num_params(spec)), layout),

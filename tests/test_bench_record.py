@@ -68,3 +68,59 @@ def test_summary_per_workload_and_metric():
     # One run is its own median and quartiles.
     demo = summary["demo_sweep"]["metrics"]["train_s"]
     assert demo == {"median": 0.7, "q1": 0.7, "q3": 0.7, "n": 1, "unit": "s"}
+
+
+def test_pairs_compare_each_change_run_with_its_base_run():
+    # train_s is lower-better; peak_rss_mb is 40.0 on both sides, so its
+    # ratios are 1 and no pair wins; samples_per_s is higher-better and
+    # a zero base gives no ratio.
+    def result(train_s, samples_per_s):
+        _, result = bench_record.read_run(run_output(train_s))
+        result["metrics"]["samples_per_s"] = {"unit": "1/s", "value": samples_per_s}
+        return result
+
+    pairs = [
+        ("wide", result(3.0, 10.0), result(4.0, 0.0)),
+        ("wide", result(5.0, 10.0), result(4.0, 5.0)),
+        ("wide", result(2.0, 10.0), result(4.0, 20.0)),
+        ("demo_sweep", result(0.7, 1.0), result(0.7, 1.0)),
+    ]
+    better = {"train_s": "lower", "samples_per_s": "higher"}
+    summary = bench_record.paired(pairs, better)
+    assert summary["wide"]["train_s"] == {
+        "ratios": [0.75, 1.25, 0.5], "median": 0.75, "min": 0.5, "max": 1.25, "n": 3, "wins": 2,
+    }
+    assert summary["wide"]["samples_per_s"] == {
+        "ratios": [2.0, 0.5], "median": 1.25, "min": 0.5, "max": 2.0, "n": 3, "wins": 2,
+    }
+    # A metric without a declared direction has ratios but no win count.
+    rss = summary["wide"]["peak_rss_mb"]
+    assert (rss["ratios"], rss["wins"]) == ([1.0, 1.0, 1.0], None)
+    # A tie is no win.
+    assert summary["demo_sweep"]["train_s"]["wins"] == 0
+    assert summary["demo_sweep"]["train_s"]["median"] == 1.0
+
+
+def test_base_and_change_alternate_which_runs_first(tmp_path, monkeypatch):
+    # No benchmark runs: each run returns canned output, the base is not
+    # exported, and the record is written under a scratch root.
+    benchmark = json.loads((RECORDER.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    calls = []
+
+    def run_once(command, cwd, env):
+        side = "change" if cwd == tmp_path else "base"
+        calls.append((command[command.index("--workload") + 1], side))
+        return bench_record.read_run(run_output(1.0 if side == "change" else 2.0))
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.setattr(bench_record, "export", lambda rev, dest: "f" * 40)
+    assert bench_record.main(["--label", "x", "--base", "HEAD~1", "--seeds", "1,2"]) == 0
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    sides = [("change", "base"), ("base", "change")] * len(workloads)
+    assert calls == [(w, side) for w, pair in zip(workloads * 2, sides) for side in pair]
+    record = json.loads((tmp_path / "bench" / "BENCH_x.json").read_text(encoding="utf-8"))
+    assert record["base"]["commit"] == "f" * 40
+    train_s = record["paired"][workloads[0]]["train_s"]
+    assert (train_s["median"], train_s["n"], train_s["wins"]) == (0.5, 2, 2)

@@ -467,6 +467,45 @@ def test_running_out_of_memory_exits_3_with_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["name", "symlink"])
+@pytest.mark.parametrize(
+    "command", ["generate-data", "train-config", "train-csv", "metrics", "compare"]
+)
+def test_out_that_is_an_input_exits_1_before_any_work(tmp_path, capsys, command, via):
+    # Writing the output would replace a file the command reads, so it is
+    # refused before the input is read and the input keeps its bytes.
+    config = write_config(tmp_path)
+    data = tmp_path / "data.csv"
+    data.write_text("x0,label,group\n0.5,0,0\n-0.5,1,1\n", encoding="utf-8")
+    csv_config = write_config(
+        tmp_path,
+        BASE_CONFIG + f"data.source = csv\ndata.csv_path = {data}\n",
+        name="csv.cfg",
+    )
+    log = tmp_path / "preds.csv"
+    log.write_text("predicted,actual,group\n0,0,0\n1,1,1\n", encoding="utf-8")
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_results_file(first, "dbfed", PERFECT, 2, 2)
+    write_results_file(second, "fedavg", SKEWED, 2, 2)
+    argv, source = {
+        "generate-data": (["generate-data", "--config", str(config)], config),
+        "train-config": (["train", "--config", str(config)], config),
+        "train-csv": (["train", "--config", str(csv_config)], data),
+        "metrics": (["metrics", str(log), "2", "2"], log),
+        "compare": (["compare", str(first), str(second)], second),
+    }[command]
+    out = source
+    if via == "symlink":
+        out = tmp_path / "link"
+        out.symlink_to(source)
+    before = source.read_bytes()
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output {out} would overwrite the input {source}\n"
+    assert source.read_bytes() == before
+
+
 class TestMetrics:
     def test_perfect_log(self, tmp_path, capsys):
         log = tmp_path / "preds.csv"

@@ -30,9 +30,9 @@ from fedbias.nn import (
     ModelWeights,
     OptimizerConfig,
     OptimizerKind,
+    forward_batch,
     init_weights,
     num_params,
-    weight_layout,
 )
 from fedbias.seeding import TAG_INIT, derive_seed, shuffle_seed
 from oracles import (
@@ -76,7 +76,7 @@ MODE_ROWS = {
 
 
 def random_weights(rng, spec) -> ModelWeights:
-    return ModelWeights(rng.normal(size=num_params(spec)), weight_layout(spec))
+    return ModelWeights(rng.normal(size=num_params(spec)), spec.layer_dims)
 
 
 class TestConfigAndState:
@@ -186,7 +186,7 @@ class TestClientLocalTrain:
             optimizer=adam(), epochs=1, batch_size=1, seed=0,
         )
         weights, loss = client_local_train(**args)
-        assert weights.layout == weight_layout(spec) and np.isfinite(loss)
+        assert weights.layout == spec.layer_dims and np.isfinite(loss)
         with pytest.raises(error, match=message) as caught:
             client_local_train(**{**args, **change})
         assert type(caught.value) is error
@@ -208,7 +208,7 @@ def contributions(draw):
     ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=8, unique=True))
     values = hnp.arrays(np.float64, num_params(spec), elements=st.floats(-1e6, 1e6))
     pool = draw(st.lists(values, min_size=1, max_size=3))
-    layout = weight_layout(spec)
+    layout = spec.layer_dims
     return [
         (cid, ModelWeights(draw(st.sampled_from(pool)), layout), draw(st.integers(1, 1000)))
         for cid in ids
@@ -224,7 +224,7 @@ class TestFedavgAggregate:
 
     def test_two_client_hand_computed(self):
         # Counts (1, 3) over values (0.0, 4.0): (1*0 + 3*4) / 4 = 3.0.
-        layout = ((0, (1, 1)),)
+        layout = (1, 1)
         a = ModelWeights(np.array([0.0, 0.0]), layout)
         b = ModelWeights(np.array([4.0, 4.0]), layout)
         out = fedavg_aggregate([(0, a, 1), (1, b, 3)])
@@ -275,6 +275,26 @@ class TestFedavgAggregate:
             fedavg_aggregate([(0, w, 5), (1, init_weights(other, 0), 5)])
         with pytest.raises(ValueError, match=r"^client 0 reports a non-positive sample count$"):
             fedavg_aggregate([(0, w, 0)])
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["2_4_2", "1_5_2"])
+def test_equal_parameter_counts_with_other_dims_are_refused(swap):
+    # Both networks have 22 parameters, so only the layer dims tell their
+    # weight vectors apart: a length check alone would let either through.
+    specs = [ClassifierSpec(2, (4,), 2, 1), ClassifierSpec(1, (5,), 2, 1)]
+    spec, other = specs[::-1] if swap else specs
+    assert num_params(spec) == num_params(other) == 22
+    own, foreign = init_weights(spec, 0), init_weights(other, 0)
+    data = toy_dataset(size=4, num_groups=1, dim=spec.input_dim)
+    message = r"^weight layout does not match the classifier spec$"
+    with pytest.raises(ValueError, match=message):
+        forward_batch(spec, foreign, data.features)
+    with pytest.raises(ValueError, match=message):
+        client_local_train(data, foreign, spec, adam(), 1, 2, 0)
+    with pytest.raises(ValueError, match=r"^client 1: weight layout does not match"):
+        evaluate_weights([(spec, [(own, "client 0"), (foreign, "client 1")])], data)
+    with pytest.raises(ValueError, match=r"^client 1 weight layout disagrees with client 0$"):
+        fedavg_aggregate([(0, own, 5), (1, foreign, 5)])
 
 
 def small_run_setup(mode: Mode, master_seed=21, num_clients=2):

@@ -15,7 +15,6 @@ from fedbias.nn import (
     forward_batch,
     init_weights,
     num_params,
-    weight_layout,
 )
 from oracles import (
     Batch,
@@ -45,7 +44,7 @@ class TestSpecAndLayout:
         assert num_params(spec_2_3_2()) == 17
 
     def test_layout_shapes(self):
-        assert weight_layout(spec_2_3_2()) == ((0, (2, 3)), (1, (3, 2)))
+        assert spec_2_3_2().layer_dims == (2, 3, 2)
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -59,13 +58,13 @@ class TestSpecAndLayout:
 
     def test_weights_length_checked(self):
         with pytest.raises(ValueError):
-            ModelWeights(np.zeros(5), weight_layout(spec_2_3_2()))
+            ModelWeights(np.zeros(5), spec_2_3_2().layer_dims)
 
     def test_weights_hold_one_model(self):
         # A (K, P) stack of models of the right width is still refused.
         spec = spec_2_3_2()
         with pytest.raises(ValueError, match="does not match layout"):
-            ModelWeights(np.zeros((2, num_params(spec))), weight_layout(spec))
+            ModelWeights(np.zeros((2, num_params(spec))), spec.layer_dims)
 
 
 class TestInitWeights:
@@ -96,7 +95,7 @@ class TestInitWeights:
 class TestForward:
     def test_zero_weights_zero_logits(self):
         spec = spec_2_3_2()
-        w = ModelWeights(np.zeros(num_params(spec)), weight_layout(spec))
+        w = ModelWeights(np.zeros(num_params(spec)), spec.layer_dims)
         out = forward_batch(spec, w, np.array([[1.5, -2.0]]))
         assert np.all(out == 0.0)
 
@@ -104,7 +103,7 @@ class TestForward:
         # No hidden layers, weight matrix = identity, zero bias: logits = x.
         spec = ClassifierSpec(2, (), 2, 1)
         w = ModelWeights(
-            np.concatenate([np.eye(2).ravel(), np.zeros(2)]), weight_layout(spec)
+            np.concatenate([np.eye(2).ravel(), np.zeros(2)]), spec.layer_dims
         )
         x = np.array([[0.7, -1.2], [3.0, 0.5]])
         assert np.array_equal(forward_batch(spec, w, x), x)
@@ -170,7 +169,7 @@ class TestBackward:
         # The 4-8-(2x2) case: domain-independent head with N=2, D=2.
         spec = ClassifierSpec(4, (8,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
         rng = np.random.default_rng(11)
-        w = ModelWeights(rng.uniform(-0.5, 0.5, num_params(spec)), weight_layout(spec))
+        w = ModelWeights(rng.uniform(-0.5, 0.5, num_params(spec)), spec.layer_dims)
         batch = Batch(rng.uniform(-1, 1, (5, 4)), rng.integers(0, 2, 5), rng.integers(0, 2, 5))
         analytic, _ = engine_backward(spec, w.values, batch)
         numeric = fd_gradient(spec, w, batch)

@@ -2,6 +2,7 @@
 """Record one point of the benchmark trajectory: every workload at several seeds.
 
     python3 tools/bench_record.py --label main --seeds 1,2,3 --seconds 8
+    python3 tools/bench_record.py --label next --base main --seeds 1,2,3,4,5
 
 For each seed, and for each workload ``BENCHMARK.json`` declares, it runs the
 declared command (``python3 perfbench/run.py``) with ``--workload W --seed S
@@ -11,6 +12,14 @@ the commit, and the final JSON line. It then writes ``bench/BENCH_<label>.json``
 per workload and metric the median, quartiles, sample count and unit, and
 every run's machine record and final line. If any run fails or reports
 ``correct: false`` it writes nothing and exits with status 1.
+
+With ``--base REV`` it also exports commit REV with ``git archive`` into a
+temporary directory and runs it at each (workload, seed) next to the working
+tree, the side that runs first alternating from one pair to the next. The
+file then holds the base's summary under ``base`` and, under ``paired``, per
+workload and metric the change/base ratio of each pair, their median and
+range, and how many pairs the change won, in the direction ``BENCHMARK.json``
+declares for that metric.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,35 +78,95 @@ def summarize(runs: list[tuple[str, int, dict, dict]]) -> dict:
     return workloads
 
 
+def paired(pairs: list[tuple[str, dict, dict]], better: dict[str, str]) -> dict:
+    """Per workload and metric, over pairs given as ``(workload, change
+    result, base result)``: the change/base ratio of each pair, their
+    median, minimum and maximum, and ``wins``, the pairs in which the
+    change's value is better in the direction ``better`` names for the
+    metric (``"lower"`` or ``"higher"``; None for a metric it does not
+    name). A pair whose base value is 0 has no ratio but can still win."""
+    out: dict[str, dict] = {}
+    for workload, change, base in pairs:
+        for name, metric in change["metrics"].items():
+            new, old = metric["value"], base["metrics"][name]["value"]
+            entry = out.setdefault(workload, {}).setdefault(
+                name, {"ratios": [], "n": 0, "wins": 0 if name in better else None}
+            )
+            entry["n"] += 1
+            if old != 0:
+                entry["ratios"].append(new / old)
+            if name in better and (new < old if better[name] == "lower" else new > old):
+                entry["wins"] += 1
+    for metrics in out.values():
+        for entry in metrics.values():
+            ratios = entry["ratios"]
+            entry["median"] = statistics.median(ratios) if ratios else None
+            entry["min"], entry["max"] = (min(ratios), max(ratios)) if ratios else (None, None)
+    return out
+
+
+def run_once(command: list[str], cwd: Path, env: dict) -> tuple[dict, dict]:
+    """``read_run`` of one benchmark run in ``cwd``; a non-zero exit raises
+    ``ValueError`` with the run's standard error."""
+    proc = subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise ValueError(f"exit status {proc.returncode}\n{proc.stderr}")
+    return read_run(proc.stdout)
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extracts commit ``rev``'s tree into ``dest`` and returns its hash."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return commit
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names bench/BENCH_<label>.json")
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated workload seeds")
     parser.add_argument("--seconds", type=float, default=8.0, help="timed seconds per run")
+    parser.add_argument("--base", help="also run this commit, paired with the working tree")
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     env = dict(os.environ)
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-    runs = []
-    for seed in seeds:
-        for workload in (w["name"] for w in benchmark["workloads"]):
-            command = [*benchmark["command"], "--workload", workload, "--seed", str(seed),
-                       "--seconds", f"{args.seconds:g}"]
-            print(f"{workload} seed {seed}", file=sys.stderr)
-            proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
-            try:
-                if proc.returncode != 0:
-                    raise ValueError(f"exit status {proc.returncode}\n{proc.stderr}")
-                machine, result = read_run(proc.stdout)
-            except ValueError as exc:
-                print(f"{workload} seed {seed}: {exc}", file=sys.stderr)
-                return 1
-            runs.append((workload, seed, machine, result))
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [("change", ROOT)]
+        if args.base:
+            base_commit = export(args.base, Path(tmp))
+            sides.append(("base", Path(tmp)))
+        runs: dict[str, list] = {side: [] for side, _ in sides}
+        pairs = []
+        for seed in seeds:
+            for workload in (w["name"] for w in benchmark["workloads"]):
+                command = [*benchmark["command"], "--workload", workload, "--seed", str(seed),
+                           "--seconds", f"{args.seconds:g}"]
+                results = {}
+                # The side that runs first alternates from one pair to the next.
+                for side, cwd in sides[:: -1 if len(pairs) % 2 else 1]:
+                    print(f"{workload} seed {seed} {side}", file=sys.stderr)
+                    try:
+                        machine, results[side] = run_once(command, cwd, env)
+                    except ValueError as exc:
+                        print(f"{workload} seed {seed} {side}: {exc}", file=sys.stderr)
+                        return 1
+                    runs[side].append((workload, seed, machine, results[side]))
+                pairs.append((workload, results["change"], results.get("base")))
 
     record = {"label": args.label, "seeds": seeds, "seconds": args.seconds,
-              "workloads": summarize(runs)}
+              "workloads": summarize(runs["change"])}
+    if args.base:
+        record["base"] = {"rev": args.base, "commit": base_commit,
+                          "workloads": summarize(runs["base"])}
+        record["paired"] = paired(pairs, better)
     out = ROOT / "bench" / f"BENCH_{args.label}.json"
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
