@@ -13,6 +13,7 @@ import argparse
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import sys
@@ -170,11 +171,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
     """(file label, mode, report) triples from results files, in file order.
     A file's label is its stem, or the path as given when another file
-    shares that stem. A path given twice is refused before any file is read,
-    and so is a file with more than one summary line, once it is read."""
-    for path, count in Counter(paths).items():
-        if count > 1:
-            raise ConfigurationError(f"results file {path} is given more than once")
+    shares that stem. A path given twice, or two paths to one file (under
+    any name or link), are refused before any file is read, and so is a
+    file with more than one summary line, once it is read."""
+    for a, b in itertools.combinations(paths, 2):
+        if a == b:
+            raise ConfigurationError(f"results file {a} is given more than once")
+        if os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b):
+            raise ConfigurationError(f"results files {a} and {b} are one file")
     rows = []
     for path in paths:
         summary = None

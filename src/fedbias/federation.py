@@ -41,9 +41,9 @@ from round 1 each round trains the clients of all of them as one flat
 list through ``_train_round``, which draws each distinct shuffle once,
 then aggregates each federation on its own. An evaluated round then scores
 the federations that share a test set in one pass (``_evaluate_round``):
-one ``evaluate_weights`` call forwards each federation's models as a
-stack, tallies all their predictions once and scores them once, and
-each federation's report is the mean of its own rows. Each result
+one ``evaluate_weights`` call predicts each federation's models one by
+one, tallies all their predictions once and scores them once, and each
+federation's report is the mean of its own rows. Each result
 equals a run of that federation alone, and ``run_federation`` is the
 one-federation case. Errors name the federation by mode and master seed
 (``"fedavg seed 3, round 2, client 1: ..."``, or ``"fedavg seed 3: ..."``
@@ -76,8 +76,6 @@ from .nn import (
     OptimizerConfig,
     StepPlan,
     _check_weights,
-    _forward,
-    _unflatten,
     backward,
     forward_batch,
     init_weights,
@@ -156,10 +154,7 @@ class FederationResult:
 # A stacked step keeps the parameters of its K' models at or under this
 # many float64 values. The six Adam-sized arrays of a larger stack
 # overflow a 2 MiB L2 cache, and past that point (the wide benchmark shape
-# on a 2-core Xeon) stepping the models one at a time was faster. A
-# stacked evaluation forward keeps each layer's activations, n test rows
-# by the widest layer per model, to the same bound: at 50 clients on a
-# 2000-row test set (K' = 1 there) the model-by-model loop was faster.
+# on a 2-core Xeon) stepping the models one at a time was faster.
 STACK_VALUES = 2**15
 
 
@@ -359,42 +354,16 @@ def _predict_stack(
     out: np.ndarray,
 ) -> None:
     """Writes the (K, n) predictions of K (weights, context) pairs on
-    network ``spec`` to ``out``, row k bit for bit ``predict_dataset`` of
-    model k, whose errors are prefixed with its context.
-
-    A model that is the previous model's weights object (at round 0 every
-    ``local`` client holds the initialization) reuses its predictions.
-    The others go in order in chunks of ``max(1, STACK_VALUES // (n * W))``
-    models (the last may be smaller), W the widest layer: a chunk of one
-    through ``predict_dataset``, a larger one through one stacked forward
-    (one BLAS call per model and layer, as alone) whose logits go through
-    one ``predict_batch`` call, which predicts each row as it would alone.
-    Layouts and the feature width are taken as checked."""
-    weights, where = zip(*models)
-    fresh = [k for k, w in enumerate(weights) if not k or w is not weights[k - 1]]
-    per_chunk = max(1, STACK_VALUES // (max(len(test_set), 1) * max(spec.layer_dims[1:])))
-    for start in range(0, len(fresh), per_chunk):
-        chunk = fresh[start : start + per_chunk]
-        if len(chunk) == 1:
-            with _in_context(where[chunk[0]]):
-                out[chunk[0]] = predict_dataset(spec, weights[chunk[0]], test_set)
-            continue
-        with _in_context(where[chunk[0]]):
-            stack = np.stack([weights[k].values for k in chunk])
-            logits = _forward(_unflatten(stack, spec.layer_dims), test_set.features)[-1]
-        if np.isfinite(logits).all():
-            # Non-finite logits are left to the model-by-model calls
-            # below, which name their model.
-            rows = logits.reshape(-1, spec.output_dim)
-            predicted = predict_batch(rows, spec.num_classes, spec.num_blocks)
-            out[chunk] = predicted.reshape(logits.shape[:-1])
-            continue
-        for k, rows in zip(chunk, logits):
-            with _in_context(where[k]):
-                out[k] = predict_batch(rows, spec.num_classes, spec.num_blocks)
-    for k in range(1, len(weights)):
-        if weights[k] is weights[k - 1]:
+    network ``spec`` to ``out``, row k ``predict_dataset`` of model k,
+    whose errors are prefixed with its context. A model that is the
+    previous model's weights object (at round 0 every ``local`` client
+    holds the initialization) copies the row before it."""
+    for k, (weights, where) in enumerate(models):
+        if k and weights is models[k - 1][0]:
             out[k] = out[k - 1]
+            continue
+        with _in_context(where):
+            out[k] = predict_dataset(spec, weights, test_set)
 
 
 def evaluate_weights(
@@ -408,11 +377,11 @@ def evaluate_weights(
     Every stack is checked before anything is predicted: it holds at
     least one model, and each model's layout (and, at its first model,
     the test set's class and group counts and feature width) is checked
-    in that model's context. Each stack is predicted by ``_predict_stack``;
-    then the (M, n) predictions of all M models are tallied once and
-    scored once (``stack_reports``). The stacks share the test set, so
-    scoring fails for all or none (an empty test set), and its error takes
-    the first model's context."""
+    in that model's context. Each model is predicted alone, in its own
+    context (``_predict_stack``); then the (M, n) predictions of all M
+    models are tallied once and scored once (``stack_reports``). The
+    stacks share the test set, so scoring fails for all or none (an empty
+    test set), and its error takes the first model's context."""
     sizes = [len(models) for _, models in stacks]
     if not sizes or not all(sizes):
         raise ValueError(f"need at least one stack and one model per stack, got sizes {sizes}")

@@ -92,9 +92,4 @@ def predict_batch(logits: np.ndarray, num_classes: int, num_groups: int) -> np.n
     scores = probs[:, 0].copy()
     for d in range(1, num_groups):
         scores += probs[:, d]
-    # The first maximal class, as np.argmax picks it.
-    best, winner = scores[0].copy(), np.zeros(len(logits), dtype=np.intp)
-    for y in range(1, num_classes):
-        np.copyto(winner, y, where=scores[y] > best)
-        np.maximum(best, scores[y], out=best)
-    return winner
+    return np.argmax(scores, axis=0)

@@ -116,6 +116,7 @@ def test_base_and_change_alternate_which_runs_first(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run_once", run_once)
     monkeypatch.setattr(bench_record, "export", lambda rev, dest: "f" * 40)
+    monkeypatch.setattr(bench_record, "git", lambda *args: "")
     assert bench_record.main(["--label", "x", "--base", "HEAD~1", "--seeds", "1,2"]) == 0
     workloads = [w["name"] for w in benchmark["workloads"]]
     sides = [("change", "base"), ("base", "change")] * len(workloads)
@@ -124,3 +125,30 @@ def test_base_and_change_alternate_which_runs_first(tmp_path, monkeypatch):
     assert record["base"]["commit"] == "f" * 40
     train_s = record["paired"][workloads[0]]["train_s"]
     assert (train_s["median"], train_s["n"], train_s["wins"]) == (0.5, 2, 2)
+
+
+@pytest.mark.parametrize("status, dirty", [("", False), ("M src/fedbias/nn.py", True)])
+def test_record_names_the_tree_it_measured(tmp_path, monkeypatch, status, dirty):
+    # Every run, the export and git are faked, so no process starts.
+    benchmark = json.loads((RECORDER.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    answers = {
+        ("rev-parse", "HEAD"): "a" * 40,
+        ("status", "--porcelain", "--untracked-files=no"): status,
+    }
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("started a process")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", no_process)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda *args: answers[args])
+    monkeypatch.setattr(bench_record, "run_once", lambda *args: bench_record.read_run(run_output(1.0)))
+    monkeypatch.setattr(bench_record, "export", lambda rev, dest: "b" * 40)
+    assert bench_record.main(["--label", "x", "--base", "HEAD~1", "--seeds", "1"]) == 0
+    record = json.loads((tmp_path / "bench" / "BENCH_x.json").read_text(encoding="utf-8"))
+    assert (record["commit"], record["dirty"]) == ("a" * 40, dirty)
+    assert (record["base"]["rev"], record["base"]["commit"]) == ("HEAD~1", "b" * 40)
+    # Each run keeps perfbench's own reading of the commit.
+    runs = [run for workload in record["workloads"].values() for run in workload["runs"]]
+    assert {run["machine"]["commit"] for run in runs} == {MACHINE["commit"]}

@@ -742,9 +742,7 @@ class TestCompare:
         rows = list(csv.reader(out_csv.read_text(encoding="utf-8").splitlines()))
         assert [row[0] for row in rows[1:]] == labels
 
-    def test_a_path_given_twice_exits_1_before_any_file_is_read(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_a_path_given_twice_exits_1_before_any_file_is_read(self, tmp_path, capsys):
         results = tmp_path / "r.jsonl"
         write_results_file(results, "dbfed", PERFECT, 2, 2)
         # Read first, the missing file would exit 2.
@@ -752,11 +750,20 @@ class TestCompare:
         assert main(["compare", missing, str(results), str(results)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: results file {results} is given more than once\n"
-        # Another spelling of the same file is another path, labelled by path.
+
+    @pytest.mark.parametrize("spelling", ["./r.jsonl", "link.jsonl"])
+    def test_one_file_under_two_names_exits_1_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, spelling
+    ):
+        write_results_file(tmp_path / "r.jsonl", "dbfed", PERFECT, 2, 2)
+        (tmp_path / "link.jsonl").symlink_to("r.jsonl")
         monkeypatch.chdir(tmp_path)
-        assert main(["compare", "r.jsonl", "./r.jsonl"]) == 0
-        table = capsys.readouterr().out.splitlines()[2:4]
-        assert [line.split()[0] for line in table] == ["r.jsonl:dbfed", "./r.jsonl:dbfed"]
+        # Read first, the missing file would exit 2.
+        assert main(["compare", "missing.jsonl", "r.jsonl", spelling]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: results files r.jsonl and {spelling} are one file\n"
+        assert main(["compare", "missing.jsonl", "r.jsonl"]) == 2
 
     def test_absent_metrics_render_as_absent(self, tmp_path, capsys):
         results = tmp_path / "solo.jsonl"

@@ -793,25 +793,20 @@ class TestLockstep:
 
     def test_round_0_predicts_the_shared_initialization_once(self, monkeypatch):
         # Every local client starts from one weights object: round 0
-        # forwards it once, by itself, for all three; round 1 forwards the
-        # three trained models as one stack.
+        # forwards it once for all three; round 1 forwards each of the
+        # three trained models once.
         config, fed, _ = small_run_setup(Mode.LOCAL_ONLY, num_clients=3)
-        alone, stacked = [], []
-        real_predict, real_forward = federation.predict_dataset, federation._forward
+        seen = []
+        real_predict = federation.predict_dataset
         monkeypatch.setattr(
-            federation, "predict_dataset", lambda *args: alone.append(args[1]) or real_predict(*args)
-        )
-        monkeypatch.setattr(
-            federation, "_forward", lambda *args: stacked.append(args[0]) or real_forward(*args)
+            federation, "predict_dataset", lambda *args: seen.append(args[1]) or real_predict(*args)
         )
         result = run_lockstep(replace(config, rounds=1), [fed])[0]
         own = ClassifierSpec(3, (4,), 2, 2)
         init = init_weights(own, derive_seed(fed.master_seed, TAG_INIT))
-        assert [weights.values.tobytes() for weights in alone] == [init.values.tobytes()]
-        # The first layer's (K, m, h) weight stack holds the three models.
-        assert [len(layers[0][0]) for layers in stacked] == [3]
+        trained = [result.client_weights[k] for k in range(3)]
+        assert [w.values.tobytes() for w in seen] == [w.values.tobytes() for w in [init, *trained]]
         monkeypatch.setattr(federation, "predict_dataset", real_predict)
-        monkeypatch.setattr(federation, "_forward", real_forward)
         reference = reference_run_federation(replace(config, rounds=1), fed, own)
         assert [s.report.to_dict() for s in result.history] == [
             s.report.to_dict() for s in reference.history
@@ -1017,7 +1012,7 @@ class TestEvaluationHelpers:
         def predicted(*args):
             raise AssertionError("predicted before the stacks were checked")
 
-        for name in ("predict_dataset", "_forward", "predict_batch"):
+        for name in ("predict_dataset", "predict_batch"):
             monkeypatch.setattr(federation, name, predicted)
 
     def test_empty_stack_is_refused_before_predicting(self, monkeypatch):
@@ -1057,15 +1052,11 @@ class TestEvaluationHelpers:
         st.sampled_from(HeadMode),
         st.integers(0, 30),
         st.lists(st.integers(0, 2), min_size=1, max_size=6),
-        st.sampled_from([1, 64, STACK_VALUES]),
         st.integers(0, 2**32 - 1),
     )
-    def test_stacked_prediction_is_model_by_model(
-        self, m, hidden, n, d, head, size, picks, limit, seed
-    ):
+    def test_stacked_prediction_is_model_by_model(self, m, hidden, n, d, head, size, picks, seed):
         # Picks index a pool of three models: equal neighbours are one
-        # weights object, whose predictions are reused. A limit of 1 puts
-        # each model in a chunk of its own; the others stack some or all.
+        # weights object, whose predictions are reused.
         spec = ClassifierSpec(m, tuple(hidden), n, d, head)
         rng = np.random.default_rng(seed)
         pool = [random_weights(rng, spec) for _ in range(3)]
@@ -1073,9 +1064,7 @@ class TestEvaluationHelpers:
         test = toy_dataset(seed=seed, size=size, num_classes=n, num_groups=d, dim=m)
         expected = np.array([predict_dataset(spec, w, test) for w in models], dtype=np.int64)
         out = np.empty((len(models), size), dtype=np.int64)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(federation, "STACK_VALUES", limit)
-            federation._predict_stack(spec, [(w, str(k)) for w, k in zip(models, picks)], test, out)
+        federation._predict_stack(spec, [(w, str(k)) for w, k in zip(models, picks)], test, out)
         assert out.tobytes() == expected.reshape(out.shape).tobytes()
 
     @settings(deadline=None, max_examples=40)

@@ -7,16 +7,21 @@
 For each seed, and for each workload ``BENCHMARK.json`` declares, it runs the
 declared command (``python3 perfbench/run.py``) with ``--workload W --seed S
 --seconds N`` in its own process, with ``OPENBLAS_NUM_THREADS=1`` unless that
-variable is set. From each run it keeps the ``machine:`` record, which holds
-the commit, and the final JSON line. It then writes ``bench/BENCH_<label>.json``:
-per workload and metric the median, quartiles, sample count and unit, and
-every run's machine record and final line. If any run fails or reports
-``correct: false`` it writes nothing and exits with status 1.
+variable is set. From each run it keeps the ``machine:`` record and the final
+JSON line. It then writes ``bench/BENCH_<label>.json``: the measured working
+tree's ``commit`` (its HEAD) and whether it is ``dirty`` (tracked files differ
+from HEAD, so the runs measured uncommitted changes), and per workload and
+metric the median, quartiles, sample count and unit, and every run's machine
+record and final line. A run's ``machine.commit`` is perfbench's own reading
+of ``git rev-parse HEAD`` where it ran: HEAD even in a dirty tree, and
+``unknown`` in an export. If any run fails or reports ``correct: false`` it
+writes nothing and exits with status 1.
 
 With ``--base REV`` it also exports commit REV with ``git archive`` into a
 temporary directory and runs it at each (workload, seed) next to the working
 tree, the side that runs first alternating from one pair to the next. The
-file then holds the base's summary under ``base`` and, under ``paired``, per
+file then holds the base's summary under ``base``, whose ``commit`` names
+the base, and, under ``paired``, per
 workload and metric the change/base ratio of each pair, their median and
 range, and how many pairs the change won, in the direction ``BENCHMARK.json``
 declares for that metric.
@@ -114,12 +119,16 @@ def run_once(command: list[str], cwd: Path, env: dict) -> tuple[dict, dict]:
     return read_run(proc.stdout)
 
 
+def git(*args: str) -> str:
+    """The standard output of one git command run in ``ROOT``, stripped."""
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
 def export(rev: str, dest: Path) -> str:
     """Extracts commit ``rev``'s tree into ``dest`` and returns its hash."""
-    commit = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
-        cwd=ROOT, check=True, capture_output=True, text=True,
-    ).stdout.strip()
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
     return commit
@@ -137,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     env = dict(os.environ)
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    tree = {"commit": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
     with tempfile.TemporaryDirectory() as tmp:
         sides = [("change", ROOT)]
@@ -161,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
                     runs[side].append((workload, seed, machine, results[side]))
                 pairs.append((workload, results["change"], results.get("base")))
 
-    record = {"label": args.label, "seeds": seeds, "seconds": args.seconds,
+    record = {"label": args.label, "seeds": seeds, "seconds": args.seconds, **tree,
               "workloads": summarize(runs["change"])}
     if args.base:
         record["base"] = {"rev": args.base, "commit": base_commit,
