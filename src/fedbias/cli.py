@@ -172,8 +172,8 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
     """(file label, mode, report) triples from results files, in file order.
     A file's label is its stem, or the path as given when another file
     shares that stem. A path given twice, or two paths to one file (under
-    any name or link), are refused before any file is read, and so is a
-    file with more than one summary line, once it is read."""
+    any name or link), are refused before any file is read; a second
+    summary line, or a summary of no modes or of one mode twice, once it is read."""
     for a, b in itertools.combinations(paths, 2):
         if a == b:
             raise ConfigurationError(f"results file {a} is given more than once")
@@ -200,10 +200,9 @@ def _load_summaries(paths: list[str]) -> list[tuple[str, str, FairnessReport]]:
                 )
             first = lineno
             try:
-                summary = [
-                    (mode, FairnessReport.from_dict(obj["reports"][mode]))
-                    for mode in obj["modes"]
-                ]
+                summary = [(m, FairnessReport.from_dict(obj["reports"][m])) for m in obj["modes"]]
+                if not summary or len(dict(summary)) < len(summary):
+                    raise ValueError(f"modes must be one or more distinct modes, got {obj['modes']}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(
                     f"{path}: line {lineno}: malformed summary ({type(exc).__name__}: {exc})"

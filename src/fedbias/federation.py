@@ -347,25 +347,6 @@ def _in_context(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _predict_stack(
-    spec: ClassifierSpec,
-    models: Sequence[tuple[ModelWeights, str]],
-    test_set: Dataset,
-    out: np.ndarray,
-) -> None:
-    """Writes the (K, n) predictions of K (weights, context) pairs on
-    network ``spec`` to ``out``, row k ``predict_dataset`` of model k,
-    whose errors are prefixed with its context. A model that is the
-    previous model's weights object (at round 0 every ``local`` client
-    holds the initialization) copies the row before it."""
-    for k, (weights, where) in enumerate(models):
-        if k and weights is models[k - 1][0]:
-            out[k] = out[k - 1]
-            continue
-        with _in_context(where):
-            out[k] = predict_dataset(spec, weights, test_set)
-
-
 def evaluate_weights(
     stacks: Sequence[tuple[ClassifierSpec, Sequence[tuple[ModelWeights, str]]]],
     test_set: Dataset,
@@ -374,27 +355,33 @@ def evaluate_weights(
     (weights, context) pairs: one model's own report, or the mean of K
     reports.
 
-    Every stack is checked before anything is predicted: it holds at
-    least one model, and each model's layout (and, at its first model,
-    the test set's class and group counts and feature width) is checked
-    in that model's context. Each model is predicted alone, in its own
-    context (``_predict_stack``); then the (M, n) predictions of all M
-    models are tallied once and scored once (``stack_reports``). The
-    stacks share the test set, so scoring fails for all or none (an empty
-    test set), and its error takes the first model's context."""
+    The stacks' models form one flat list of entries, all checked before
+    anything is predicted: each stack holds a model, and each model's
+    layout and the test set's class and group counts and feature width
+    are checked in its context (a stack's models share its network, so a
+    test set's misfit is named at its first model). Each model is
+    predicted alone, in its context, by ``predict_dataset``; one that is
+    the previous entry's weights object (at round 0 every ``local`` client
+    holds the initialization) copies the row before it, as any network
+    that passed the checks predicts it alike. All M rows are tallied and
+    scored once (``stack_reports``): scoring fails for all or none (an
+    empty test set), in the first model's context."""
     sizes = [len(models) for _, models in stacks]
     if not sizes or not all(sizes):
         raise ValueError(f"need at least one stack and one model per stack, got sizes {sizes}")
-    for spec, models in stacks:
-        for k, (weights, where) in enumerate(models):
-            with _in_context(where):
-                _check_weights(spec, weights)
-                if not k:
-                    _check_compatible(spec, test_set, "test set")
-    predictions = np.empty((sum(sizes), len(test_set)), dtype=np.int64)
-    for (spec, models), end in zip(stacks, itertools.accumulate(sizes)):
-        _predict_stack(spec, models, test_set, predictions[end - len(models) : end])
-    with _in_context(stacks[0][1][0][1]):
+    entries = [(spec, weights, where) for spec, models in stacks for weights, where in models]
+    for spec, weights, where in entries:
+        with _in_context(where):
+            _check_weights(spec, weights)
+            _check_compatible(spec, test_set, "test set")
+    predictions = np.empty((len(entries), len(test_set)), dtype=np.int64)
+    for m, (spec, weights, where) in enumerate(entries):
+        if m and weights is entries[m - 1][1]:
+            predictions[m] = predictions[m - 1]
+            continue
+        with _in_context(where):
+            predictions[m] = predict_dataset(spec, weights, test_set)
+    with _in_context(entries[0][2]):
         labels, groups = test_set.labels, test_set.groups
         counts = tally(predictions, labels, groups, test_set.num_classes, test_set.num_groups)
         return stack_reports(counts, sizes)

@@ -129,10 +129,6 @@ class ModelWeights:
     def with_values(self, values: np.ndarray) -> "ModelWeights":
         return ModelWeights(values, self.layout)
 
-    def unflatten(self) -> list[Layer]:
-        """Views (no copies) of each layer's weight matrix and bias."""
-        return _unflatten(self.values, self.layout)
-
 
 def init_weights(spec: ClassifierSpec, seed: int) -> ModelWeights:
     """Uniform fan-in-scaled init: weights U(-sqrt(6/fan_in), +sqrt(6/fan_in)),
@@ -289,25 +285,16 @@ def _dense(
     return z
 
 
-def _forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
-    """``[x, hidden activations..., logits]``.
-
-    ``x`` is (B, m) for one model or (K, B, m) for a stack, matching the
-    leading axis of ``layers``.
-    """
-    acts = [x]
-    for i, layer in enumerate(layers):
-        acts.append(_dense(acts[-1], layer, relu=i < len(layers) - 1))
-    return acts
-
-
 def forward_batch(spec: ClassifierSpec, weights: ModelWeights, x: np.ndarray) -> np.ndarray:
     """Logits (B, output_dim) for a feature matrix (B, input_dim)."""
     _check_weights(spec, weights)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"expected features of shape (B, {spec.input_dim}), got {x.shape}")
-    return _forward(weights.unflatten(), x)[-1]
+    layers = _unflatten(weights.values, weights.layout)
+    for i, layer in enumerate(layers):
+        x = _dense(x, layer, relu=i < len(layers) - 1)
+    return x
 
 
 def backward(plan: StepPlan, layers: tuple[list[Layer], list[Layer]]) -> np.ndarray:

@@ -8,12 +8,12 @@ differences, the federated average is a plain weighted sum, and
 client, federated and centralized training are plain loops of
 single-model, single-batch steps. The one exception is the row-major
 head math, which is compared bit for bit and so keeps the engine's own
-forward pass and products around it. The CSV readers and writer are
-kept in their one-cell-at-a-time form, the synthetic generator in its
-list-and-concatenate form, and the fairness report in its
-one-client-at-a-time form, in Python ints and floats. Float sums that
-tests compare bit for bit are added left to right (``lsum``), as the
-library adds them on every Python version.
+products around it, after a forward loop of the same NumPy calls. The
+CSV readers and writer are kept in their one-cell-at-a-time form, the
+synthetic generator in its list-and-concatenate form, and the fairness
+report in its one-client-at-a-time form, in Python ints and floats.
+Float sums that tests compare bit for bit are added left to right
+(``lsum``), as the library adds them on every Python version.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from fedbias.nn import (
     ModelWeights,
     OptimizerConfig,
     StepPlan,
-    _forward,
     _unflatten,
     backward,
     init_weights,
@@ -456,12 +455,17 @@ def row_major_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(K, P) gradients and (K,) mean losses of K stacked models on a
     (K, B) batch of arrays, with the loss taken on row-major blocks. The
-    forward pass and the products are the engine's own calls, so only
-    the head math differs from ``backward``."""
+    forward pass is its own loop of the same NumPy calls, and the
+    products are the engine's, so only the head math differs from
+    ``backward``."""
     k, b = batch.labels.shape
     n, blocks = spec.num_classes, spec.num_blocks
     layers = _unflatten(values, spec.layer_dims)
-    acts = _forward(layers, batch.features)
+    acts = [batch.features]
+    for li, (w, bias) in enumerate(layers):
+        z = np.matmul(acts[-1], w)
+        z += bias[:, None, :]
+        acts.append(np.maximum(z, 0.0) if li < len(layers) - 1 else z)
     rows = np.arange(k * b)
     labels = batch.labels.reshape(-1)
     block_row = rows * blocks + (batch.groups.reshape(-1) if blocks > 1 else 0)

@@ -841,6 +841,21 @@ class TestCompare:
         assert main(["compare", str(results)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {results}: line 2: ")
 
+    @pytest.mark.parametrize("modes", [[], ["dbfed", "dbfed"]], ids=["no_modes", "repeated_mode"])
+    def test_summary_of_no_modes_or_a_repeated_mode_exits_2(self, tmp_path, capsys, modes):
+        # A train run names each of its modes once, and at least one, so
+        # an empty table or two identical starred rows are refused.
+        results = tmp_path / "modes.jsonl"
+        write_results_file(results, "dbfed", PERFECT, 2, 2)
+        line = json.loads(results.read_text(encoding="utf-8"))
+        line["modes"] = modes
+        text = '{"kind": "round", "round": 0}\n' + json.dumps(line) + "\n"
+        results.write_text(text, encoding="utf-8")
+        assert main(["compare", str(results)]) == 2
+        reason = f"ValueError: modes must be one or more distinct modes, got {modes}"
+        message = f"{results}: line 2: malformed summary ({reason})"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
     @pytest.mark.parametrize("value", ['"high"', "true", "[0.5]"])
     def test_non_numeric_metric_exits_2_and_names_line(self, tmp_path, capsys, value):

@@ -24,6 +24,7 @@ from fedbias.federation import (
     run_federation,
     run_lockstep,
 )
+from fedbias.metrics import full_report, tally
 from fedbias.nn import (
     ClassifierSpec,
     HeadMode,
@@ -1050,22 +1051,31 @@ class TestEvaluationHelpers:
         st.integers(2, 3),
         st.integers(1, 3),
         st.sampled_from(HeadMode),
-        st.integers(0, 30),
+        st.integers(1, 30),
         st.lists(st.integers(0, 2), min_size=1, max_size=6),
         st.integers(0, 2**32 - 1),
     )
     def test_stacked_prediction_is_model_by_model(self, m, hidden, n, d, head, size, picks, seed):
         # Picks index a pool of three models: equal neighbours are one
-        # weights object, whose predictions are reused.
+        # weights object, predicted once and reused.
         spec = ClassifierSpec(m, tuple(hidden), n, d, head)
         rng = np.random.default_rng(seed)
         pool = [random_weights(rng, spec) for _ in range(3)]
         models = [pool[i] for i in picks]
         test = toy_dataset(seed=seed, size=size, num_classes=n, num_groups=d, dim=m)
         expected = np.array([predict_dataset(spec, w, test) for w in models], dtype=np.int64)
-        out = np.empty((len(models), size), dtype=np.int64)
-        federation._predict_stack(spec, [(w, str(k)) for w, k in zip(models, picks)], test, out)
-        assert out.tobytes() == expected.reshape(out.shape).tobytes()
+        expected = full_report(tally(expected, test.labels, test.groups, n, d))
+        calls = []
+
+        def counted(*args):
+            calls.append(id(args[1]))
+            return predict_dataset(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "predict_dataset", counted)
+            [report] = evaluate_weights([(spec, [(w, str(k)) for w, k in zip(models, picks)])], test)
+        assert repr(report.to_dict()) == repr(expected.to_dict())
+        assert calls == [id(pool[k]) for k, _ in itertools.groupby(picks)]
 
     @settings(deadline=None, max_examples=40)
     @given(

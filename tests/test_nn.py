@@ -77,14 +77,14 @@ class TestInitWeights:
     def test_biases_exactly_zero(self):
         spec = ClassifierSpec(3, (5,), 3, 1)
         w = init_weights(spec, 1)
-        for _, bias in w.unflatten():
+        for _, bias in unpack_layers(spec, w.values):
             assert np.all(bias == 0.0)
 
     def test_fan_in_six_bounds_magnitude(self):
         # Half-width sqrt(6/6) = 1, so every weight magnitude is <= 1.
         spec = ClassifierSpec(6, (), 4, 1)
         w = init_weights(spec, 2)
-        matrix, _ = w.unflatten()[0]
+        matrix, _ = unpack_layers(spec, w.values)[0]
         assert np.max(np.abs(matrix)) <= 1.0
 
     def test_different_seeds_differ(self):
@@ -108,17 +108,30 @@ class TestForward:
         x = np.array([[0.7, -1.2], [3.0, 0.5]])
         assert np.array_equal(forward_batch(spec, w, x), x)
 
-    def test_matches_independent_per_layer_evaluation(self):
-        spec = spec_2_3_2()
-        w = init_weights(spec, 5)
-        x = np.array([[0.3, -0.9]])
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(1, 5), max_size=2),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.sampled_from(HeadMode),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_independent_per_layer_evaluation(self, m, hidden, n, d, head, size, seed):
+        spec = ClassifierSpec(m, tuple(hidden), n, d, head)
+        rng = np.random.default_rng(seed)
+        w = ModelWeights(rng.normal(size=num_params(spec)), spec.layer_dims)
+        x = rng.normal(size=(size, m))
         expected = x
         layers = unpack_layers(spec, w.values)
         for wi, bi in layers[:-1]:
             expected = np.maximum(expected @ wi + bi, 0.0)
         wi, bi = layers[-1]
         expected = expected @ wi + bi
-        assert np.allclose(forward_batch(spec, w, x), expected, rtol=0, atol=0)
+        got = forward_batch(spec, w, x)
+        assert got.shape == (size, spec.output_dim)
+        assert got.tobytes() == expected.tobytes()
 
     def test_batch_matches_single(self):
         spec = ClassifierSpec(3, (4,), 2, 2, HeadMode.DOMAIN_INDEPENDENT)
